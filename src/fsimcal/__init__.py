@@ -47,8 +47,6 @@ from .noise import (
     gate_count,
     invert_confusion,
     sample_counts,
-    simulate_noisy_circuit,
-    simulate_noisy_counts,
     simulate_probability_batch,
 )
 from .signal_model import (

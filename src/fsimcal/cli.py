@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from .harness import FIGURE_IDS, ExperimentConfig, emit_figure_data, run_mode
+from .harness import FIGURE_IDS, EmptyPointError, ExperimentConfig, emit_figure_data, run_mode
 
 _SUBCOMMAND_MODES = {
     "calibrate": ("calibrate",),
@@ -83,7 +83,11 @@ def main(argv=None) -> int:
         return 0
     config = _load_config(args)
     t0 = time.perf_counter()
-    paths = run_mode(config, jobs=args.jobs)
+    try:
+        paths = run_mode(config, jobs=args.jobs)
+    except EmptyPointError as exc:
+        print(f"fsimcal {args.command}: {exc}", file=sys.stderr)
+        return 1
     elapsed = time.perf_counter() - t0
     for kind, path in paths.items():
         print(f"{kind}: {path}")

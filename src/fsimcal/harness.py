@@ -9,6 +9,7 @@ order; tables are UTF-8 CSV with LF line endings and repr-exact floats.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -30,6 +31,7 @@ from .estimators import (
     theta_pd_estimate,
 )
 from .noise import (
+    InversionRejectedError,
     NoiseConfig,
     confusion_sample_size,
     dem_fidelity,
@@ -80,6 +82,12 @@ class PeakFitConfig:
     enabled: bool = True
     n_pf: int = 15
     beta_thr: float | None = None  # None -> pi/(2d)
+
+    def __post_init__(self):
+        if self.n_pf < 3:
+            raise ValueError("peak fit needs n_pf >= 3 points for a parabola")
+        if self.beta_thr is not None and not self.beta_thr > 0.0:
+            raise ValueError("peak fit beta_thr must be positive")
 
     def to_dict(self):
         return {"enabled": self.enabled, "n_pf": self.n_pf, "beta_thr": self.beta_thr}
@@ -133,6 +141,11 @@ class ExperimentConfig:
             raise ValueError("sweep-shots needs shots_grid and depth")
         if self.mode == "confusion-check" and self.noise.confusion is None:
             raise ValueError("confusion-check needs noise.confusion")
+        # Readout correction inverts the matrix; only confusion-check studies
+        # matrices it cannot invert.
+        confusion = self.noise.confusion
+        if self.mode != "confusion-check" and confusion is not None and confusion.dominance <= 0.0:
+            raise InversionRejectedError(confusion.kappa)
 
     def to_dict(self) -> dict:
         return {
@@ -199,6 +212,10 @@ class ExperimentConfig:
     def from_json_file(cls, path: str) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+class EmptyPointError(RuntimeError):
+    """A run point ended with no surviving replicate."""
 
 
 @dataclass
@@ -297,8 +314,7 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicate: int = 
 
 
 def _replicate_task(args):
-    cfg_dict, point, replicate = args
-    config = ExperimentConfig.from_dict(cfg_dict)
+    config, point, replicate = args
     try:
         return replicate, run_replicate(config, point=point, replicate=replicate).to_json_dict(), None
     except (DegenerateCoefficientError, FidelityCollapseError, ValueError) as exc:
@@ -345,10 +361,9 @@ def _summarize(config: ExperimentConfig, reports: list[dict], point: int) -> dic
         mse = float((res**2).mean())
         var = float(((res - bias) ** 2).mean())
         rng = stream(config.noise.seed, point, _BOOT_BASE + slot)
-        boot = np.empty(1000)
         sq = res**2
-        for b in range(1000):
-            boot[b] = sq[rng.integers(0, len(sq), size=len(sq))].mean()
+        # Same draws, in the same order, as 1000 successive size-n calls.
+        boot = sq[rng.integers(0, len(sq), size=(1000, len(sq)))].mean(axis=1)
         entry = {
             "n": len(vals),
             "truth": truth,
@@ -371,14 +386,18 @@ def _summarize(config: ExperimentConfig, reports: list[dict], point: int) -> dic
     return summary
 
 
-def _run_point(config: ExperimentConfig, *, point: int, grid_value, jobs: int) -> RunRecord:
+def _executor(jobs: int):
+    """One worker pool for a whole run; jobs <= 1 runs replicates in this process."""
+    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
+
+
+def _run_point(config: ExperimentConfig, *, point: int, grid_value, pool) -> RunRecord:
     t0 = time.perf_counter()
-    tasks = [(config.to_dict(), point, rep) for rep in range(config.replicates)]
-    if jobs <= 1:
+    tasks = [(config, point, rep) for rep in range(config.replicates)]
+    if pool is None:
         results = [_replicate_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_replicate_task, tasks))
+        results = list(pool.map(_replicate_task, tasks))
     results.sort(key=lambda r: r[0])
     reports = [r[1] for r in results if r[1] is not None]
     failures = [{"replicate": r[0], "reason": r[2]} for r in results if r[2] is not None]
@@ -404,7 +423,8 @@ def run_calibration(config: ExperimentConfig, jobs: int = 1) -> RunRecord:
     """All replicates at a single depth, with summary statistics."""
     if config.mode != "calibrate":
         raise ValueError("run_calibration needs mode='calibrate'")
-    return _run_point(config, point=0, grid_value=config.depth, jobs=jobs)
+    with _executor(jobs) as pool:
+        return _run_point(config, point=0, grid_value=config.depth, pool=pool)
 
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
@@ -420,10 +440,11 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     else:
         raise ValueError("run_sweep needs mode 'sweep-depth' or 'sweep-shots'")
     records = []
-    for pi, g in enumerate(grid):
-        rec = _run_point(make(g), point=pi, grid_value=int(g), jobs=jobs)
-        rec.mode = config.mode
-        records.append(rec)
+    with _executor(jobs) as pool:
+        for pi, g in enumerate(grid):
+            rec = _run_point(make(g), point=pi, grid_value=int(g), pool=pool)
+            rec.mode = config.mode
+            records.append(rec)
     return records
 
 
@@ -457,18 +478,19 @@ def run_alpha_scan(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     if config.mode != "alpha-scan":
         raise ValueError("run_alpha_scan needs mode='alpha-scan'")
     records = []
-    for pi, d in enumerate(config.depth_grid):
-        sub = dataclasses.replace(
-            config,
-            mode="calibrate",
-            depth=int(d),
-            depth_grid=None,
-            peak_fit=PeakFitConfig(enabled=False),
-            theta_pd=False,
-        )
-        rec = _run_point(sub, point=pi, grid_value=int(d), jobs=jobs)
-        rec.mode = "alpha-scan"
-        records.append(rec)
+    with _executor(jobs) as pool:
+        for pi, d in enumerate(config.depth_grid):
+            sub = dataclasses.replace(
+                config,
+                mode="calibrate",
+                depth=int(d),
+                depth_grid=None,
+                peak_fit=PeakFitConfig(enabled=False),
+                theta_pd=False,
+            )
+            rec = _run_point(sub, point=pi, grid_value=int(d), pool=pool)
+            rec.mode = "alpha-scan"
+            records.append(rec)
     return records
 
 
@@ -631,13 +653,18 @@ def emit_figure_data(source, figure_id: str, out_dir: str) -> str:
 
 
 def run_mode(config: ExperimentConfig, jobs: int = 1) -> dict:
-    """Dispatch on config.mode, write canonical outputs, return file paths."""
+    """Dispatch on config.mode, write canonical outputs, return file paths.
+
+    Raises EmptyPointError, after every output is written, when a run point
+    ends with no surviving replicate.
+    """
     out = config.output_dir
     paths = {}
+    records = []
     if config.mode == "calibrate":
-        rec = run_calibration(config, jobs=jobs)
+        records = [run_calibration(config, jobs=jobs)]
         paths["record"] = os.path.join(out, "run_record.json")
-        write_json(paths["record"], rec.to_json_dict())
+        write_json(paths["record"], records[0].to_json_dict())
     elif config.mode in ("sweep-depth", "sweep-shots"):
         records = run_sweep(config, jobs=jobs)
         paths["records"] = os.path.join(out, "sweep_records.json")
@@ -669,4 +696,12 @@ def run_mode(config: ExperimentConfig, jobs: int = 1) -> dict:
         result = run_confusion_check(config)
         paths["report"] = os.path.join(out, "confusion_check.json")
         write_json(paths["report"], result)
+    empty = [
+        f"point {r.point_index} (grid value {r.grid_value}): all {len(r.failures)} replicates failed, "
+        f"first with {r.failures[0]['reason']}"
+        for r in records
+        if not r.replicates
+    ]
+    if empty:
+        raise EmptyPointError("; ".join(empty) + f"; outputs written to {out}")
     return paths

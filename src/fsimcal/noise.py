@@ -11,7 +11,6 @@ subspace signal lives in outcomes 01/10 and depolarizing leaks weight onto
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +31,6 @@ __all__ = [
     "apply_confusion",
     "invert_confusion",
     "confusion_sample_size",
-    "simulate_noisy_circuit",
-    "simulate_noisy_counts",
     "simulate_probability_batch",
 ]
 
@@ -198,6 +195,7 @@ def apply_confusion(q4, confusion: ConfusionMatrix) -> np.ndarray:
 def invert_confusion(q4_measured, confusion: ConfusionMatrix) -> np.ndarray:
     """Solve R^T p = q_measured; the corrected vector is not clipped to [0, 1].
 
+    q_measured is one (4,) distribution or a (4, n) stack of columns.
     Clipping would bias the Fourier coefficients downstream, so small
     negative components are passed through as-is.
     """
@@ -222,28 +220,29 @@ def confusion_sample_size(kappa: float, epsilon: float, alpha_conf: float, const
 
 
 def _drifted_survival(d, omegas, params, drift, rngs, beta):
-    """|<01| circuit |beta>|^2 with fresh per-gate drift per circuit."""
-    nc = len(omegas)
-    gates = np.empty((nc, d, 2, 2), dtype=complex)
+    """|<01| circuit |beta>|^2 with fresh per-gate drift per circuit.
+
+    Each gate, with the Z rotation folded in, is [[a, b], [-conj(b), conj(a)]],
+    a = cos(th) e^{-i(ph - omega)}, b = sin(th) (sin(ch + omega) - i cos(ch + omega)).
+    Only row 0 of the product reaches the amplitude; it is carried as a row
+    vector from the last gate back to the first.
+    """
+    # Each circuit's draws come from its own stream, before its shot draw.
+    u = np.stack([rng.uniform(-1.0, 1.0, size=(d, 3)) for rng in rngs])
+    u = np.ascontiguousarray(u.transpose(2, 1, 0))  # (3, d, nc)
     dth, ramp = drift.half_widths(d, params.theta)
-    for i, rng in enumerate(rngs):
-        u = rng.uniform(-1.0, 1.0, size=(d, 3))
-        th = params.theta + dth * u[:, 0]
-        ph = params.varphi + ramp * u[:, 1]
-        ch = params.chi + ramp * u[:, 2]
-        ct, st = np.cos(th), np.sin(th)
-        gates[i, :, 0, 0] = np.exp(-1j * ph) * ct
-        gates[i, :, 0, 1] = -1j * np.exp(1j * ch) * st
-        gates[i, :, 1, 0] = -1j * np.exp(-1j * ch) * st
-        gates[i, :, 1, 1] = np.exp(1j * ph) * ct
-    zp = np.exp(1j * np.asarray(omegas, dtype=float))
-    gates[:, :, 0, :] *= zp[:, None, None]
-    gates[:, :, 1, :] *= np.conj(zp)[:, None, None]
-    v = np.broadcast_to(np.eye(2, dtype=complex), (nc, 2, 2)).copy()
-    for g in range(d):
-        v = gates[:, g] @ v
-    amp = (v[:, 0, 0] + beta * v[:, 0, 1]) / np.sqrt(2.0)
-    return np.abs(amp) ** 2
+    ramp = ramp[:, None]
+    th = params.theta + dth * u[0]
+    ph = params.varphi + ramp * u[1] - omegas
+    ch = params.chi + ramp * u[2] + omegas
+    ct, st = np.cos(th), np.sin(th)
+    a = ct * np.cos(ph) - 1j * (ct * np.sin(ph))
+    b = st * np.sin(ch) - 1j * (st * np.cos(ch))
+    a_conj, b_conj = a.conj(), b.conj()
+    r0, r1 = a[-1], b[-1]
+    for g in range(d - 2, -1, -1):
+        r0, r1 = r0 * a[g] - r1 * b_conj[g], r0 * b[g] + r1 * a_conj[g]
+    return np.abs(r0 + beta * r1) ** 2 / 2.0
 
 
 def _measured_distributions(d, omegas, params, noise, input_state, rngs):
@@ -260,8 +259,6 @@ def _measured_distributions(d, omegas, params, noise, input_state, rngs):
     q4[:, 1] = alpha * p + (1.0 - alpha) / 4.0
     q4[:, 2] = alpha * (1.0 - p) + (1.0 - alpha) / 4.0
     if noise.confusion is not None:
-        if noise.confusion.dominance <= 0.0:
-            warnings.warn("confusion matrix is not diagonally dominant; downstream inversion will fail", stacklevel=3)
         q4 = q4 @ noise.confusion.entries
     return q4
 
@@ -299,49 +296,5 @@ def simulate_probability_batch(
     for i, rng in enumerate(rngs):
         freq[i] = rng.multinomial(noise.shots, q4[i] / q4[i].sum()) / noise.shots
     if correct_readout and noise.confusion is not None:
-        freq = np.linalg.solve(noise.confusion.entries.T, freq.T).T
+        freq = invert_confusion(freq.T, noise.confusion).T
     return freq[:, 1]
-
-
-def simulate_noisy_counts(
-    d: int,
-    omega: float,
-    params: FsimParams,
-    noise: NoiseConfig,
-    input_state: str,
-    *,
-    point: int = 0,
-    replicate: int = 0,
-    circuit_id: int = 0,
-) -> np.ndarray:
-    """Raw 4-outcome counts of one noisy circuit execution."""
-    if input_state not in INPUT_STATES:
-        raise ValueError(f"input_state must be one of {INPUT_STATES}")
-    rng = stream(noise.seed, point, replicate, circuit_id)
-    q4 = _measured_distributions(d, np.array([float(omega)]), params, noise, input_state, [rng])[0]
-    return rng.multinomial(noise.shots, q4 / q4.sum())
-
-
-def simulate_noisy_circuit(
-    d: int,
-    omega: float,
-    params: FsimParams,
-    noise: NoiseConfig,
-    input_state: str,
-    *,
-    point: int = 0,
-    replicate: int = 0,
-    circuit_id: int = 0,
-) -> float:
-    """Empirical |01> probability of one circuit (measured, no readout correction).
-
-    exact=True configs return the analytic probability instead of sampling.
-    Deterministic given (seed, point, replicate, circuit_id).
-    """
-    if noise.exact:
-        h = complex(exact_signal(d, float(omega), params))
-        return 0.5 + (np.conj(_BETA[input_state]) * h).real
-    counts = simulate_noisy_counts(
-        d, omega, params, noise, input_state, point=point, replicate=replicate, circuit_id=circuit_id
-    )
-    return counts[1] / noise.shots

@@ -59,6 +59,8 @@ class FsimParams:
     chi: float
 
     def __post_init__(self):
+        if not all(math.isfinite(a) for a in (self.theta, self.varphi, self.chi)):
+            raise ValueError("gate angles must be finite")
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "varphi", wrap_angle(self.varphi))
         object.__setattr__(self, "chi", wrap_angle(self.chi))

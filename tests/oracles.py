@@ -163,3 +163,66 @@ def binomial_signal_replicates(d, params_tuple, m_shots, n_replicates, seed):
     ex = rng.binomial(m_shots, px, size=(n_replicates, len(grid))) / m_shots
     ey = rng.binomial(m_shots, py, size=(n_replicates, len(grid))) / m_shots
     return ex - 0.5 + 1j * (ey - 0.5)
+
+
+def brute_noisy_counts(d, omega, params, noise, beta, key):
+    """4-outcome counts of one noisy circuit, gate by gate, from stream(*key).
+
+    The circuit's (d, 3) drift uniforms come first on its stream, then one
+    multinomial shot draw of the depolarized, readout-confused distribution.
+    """
+    from fsimcal.noise import stream
+
+    rng = stream(*key)
+    angles = np.tile([params.theta, params.varphi, params.chi], (d, 1))
+    if noise.drift is not None:
+        dth, ramp = noise.drift.half_widths(d, params.theta)
+        angles += np.column_stack([np.full(d, dth), ramp, ramp]) * rng.uniform(-1.0, 1.0, size=(d, 3))
+    v = np.eye(2, dtype=complex)
+    for theta, varphi, chi in angles:
+        v = z_rot(omega) @ fsim_matrix(theta, varphi, chi) @ v
+    p = float(abs((v @ bell_state(beta))[0]) ** 2)
+    n_gates = 2 * d + (6 if beta == 1j else 5)
+    alpha = (1.0 - noise.depol_rate) ** n_gates
+    q4 = np.array([0.0, alpha * p, alpha * (1.0 - p), 0.0]) + (1.0 - alpha) / 4.0
+    if noise.confusion is not None:
+        q4 = noise.confusion.entries.T @ q4
+    return rng.multinomial(noise.shots, q4 / q4.sum())
+
+
+def drifted_survival_matmul(d, omegas, params, drift, rngs, beta):
+    """|<01| circuit |beta>|^2 with per-gate drift, by stacked 2x2 matmuls.
+
+    Builds every circuit's full (d, 2, 2) gate stack from complex exponentials
+    and multiplies the whole product out; each circuit draws its (d, 3)
+    uniforms from its own generator, in circuit order.
+    """
+    nc = len(omegas)
+    gates = np.empty((nc, d, 2, 2), dtype=complex)
+    dth, ramp = drift.half_widths(d, params.theta)
+    for i, rng in enumerate(rngs):
+        u = rng.uniform(-1.0, 1.0, size=(d, 3))
+        th = params.theta + dth * u[:, 0]
+        ph = params.varphi + ramp * u[:, 1]
+        ch = params.chi + ramp * u[:, 2]
+        ct, st = np.cos(th), np.sin(th)
+        gates[i, :, 0, 0] = np.exp(-1j * ph) * ct
+        gates[i, :, 0, 1] = -1j * np.exp(1j * ch) * st
+        gates[i, :, 1, 0] = -1j * np.exp(-1j * ch) * st
+        gates[i, :, 1, 1] = np.exp(1j * ph) * ct
+    zp = np.exp(1j * np.asarray(omegas, dtype=float))
+    gates[:, :, 0, :] *= zp[:, None, None]
+    gates[:, :, 1, :] *= np.conj(zp)[:, None, None]
+    v = np.broadcast_to(np.eye(2, dtype=complex), (nc, 2, 2)).copy()
+    for g in range(d):
+        v = gates[:, g] @ v
+    amp = (v[:, 0, 0] + beta * v[:, 0, 1]) / np.sqrt(2.0)
+    return np.abs(amp) ** 2
+
+
+def bootstrap_means_loop(sq, rng, resamples=1000):
+    """Percentile-bootstrap resample means, one size-n draw per resample."""
+    boot = np.empty(resamples)
+    for b in range(resamples):
+        boot[b] = sq[rng.integers(0, len(sq), size=len(sq))].mean()
+    return boot

@@ -13,6 +13,7 @@ from fsimcal import (
     DriftModel,
     ExperimentConfig,
     FsimParams,
+    InversionRejectedError,
     NoiseConfig,
     PeakFitConfig,
     emit_figure_data,
@@ -22,8 +23,12 @@ from fsimcal import (
     run_mode,
     run_sweep,
 )
+from fsimcal import harness
 from fsimcal.cli import main as cli_main
-from fsimcal.harness import _summarize, alpha_scan_rows, run_alpha_scan, sweep_rows
+from fsimcal.harness import _BOOT_BASE, _summarize, alpha_scan_rows, run_alpha_scan, sweep_rows
+from fsimcal.noise import stream
+
+from oracles import bootstrap_means_loop
 
 TRUTH = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
 
@@ -68,6 +73,22 @@ class TestConfig:
             ExperimentConfig(mode="sweep-shots", gate_truth=TRUTH, noise=NoiseConfig(), depth=4)
         with pytest.raises(ValueError):
             ExperimentConfig(mode="nonsense", gate_truth=TRUTH, noise=NoiseConfig(), depth=4)
+
+    def test_non_dominant_confusion_rejected_outside_confusion_check(self):
+        noise = NoiseConfig(shots=10, seed=3, confusion=ConfusionMatrix.uniform(0.4))
+        with pytest.raises(InversionRejectedError):
+            small_config(noise=noise)
+        ExperimentConfig(mode="confusion-check", gate_truth=TRUTH, noise=noise)
+
+    @pytest.mark.parametrize("n_pf", [-1, 0, 1, 2])
+    def test_peak_fit_needs_three_points(self, n_pf):
+        with pytest.raises(ValueError, match="n_pf"):
+            PeakFitConfig(n_pf=n_pf)
+
+    @pytest.mark.parametrize("beta_thr", [0.0, -0.1, float("nan")])
+    def test_peak_fit_threshold_must_be_positive(self, beta_thr):
+        with pytest.raises(ValueError, match="beta_thr"):
+            PeakFitConfig(beta_thr=beta_thr)
 
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -114,6 +135,16 @@ class TestRunCalibration:
         kept = [r["theta_pf"] for r in reports if r["theta_pf"] is not None]
         assert summary["theta_pf"]["n"] == len(kept)
         assert summary["theta_pf"]["mean"] == pytest.approx(np.mean(kept))
+
+    @pytest.mark.parametrize("n", [1, 2, 48, 129])
+    def test_bootstrap_matches_resample_loop(self, n):
+        cfg = small_config()
+        vals = TRUTH.theta + np.random.default_rng(n).normal(0.0, 1e-4, size=n)
+        reports = [{"theta_hat": float(v), "var_theory_theta": 1e-8, "diagnostics": {}} for v in vals]
+        entry = _summarize(cfg, reports, point=3)["theta_hat"]
+        boot = bootstrap_means_loop((vals - TRUTH.theta) ** 2, stream(cfg.noise.seed, 3, _BOOT_BASE))
+        assert entry["ci_low"] == float(np.percentile(boot, 2.5))
+        assert entry["ci_high"] == float(np.percentile(boot, 97.5))
 
     def test_readout_correction_end_to_end(self):
         # shots high enough that the modulus noise floor sits well below 10%
@@ -306,6 +337,21 @@ class TestCli:
             == 0
         )
         assert os.path.exists(tmp_path / "figs" / "figure_mse-vs-depth.csv")
+
+    def test_nonzero_exit_when_no_replicate_survives(self, tmp_path, monkeypatch, capsys):
+        def failing_replicate(config, *, point=0, replicate=0):
+            raise ValueError("injected replicate failure")
+
+        monkeypatch.setattr(harness, "run_replicate", failing_replicate)
+        cfg = small_config(replicates=2, output_dir=str(tmp_path / "out"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+        assert cli_main(["calibrate", "--config", str(cfg_path)]) != 0
+        err = capsys.readouterr().err
+        assert "point 0 (grid value 8)" in err
+        assert "injected replicate failure" in err
+        record = json.loads((tmp_path / "out" / "run_record.json").read_text(encoding="utf-8"))
+        assert len(record["failures"]) == 2
 
     def test_mode_subcommand_mismatch(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

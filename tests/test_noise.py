@@ -24,12 +24,11 @@ from fsimcal import (
     invert_confusion,
     omega_grid,
     sample_counts,
-    simulate_noisy_circuit,
     simulate_probability_batch,
 )
-from fsimcal.noise import stream
+from fsimcal.noise import _BETA, INPUT_STATES, _drifted_survival, stream
 
-from oracles import brute_depolarized_probability, dense_laplacian
+from oracles import brute_depolarized_probability, brute_noisy_counts, dense_laplacian, drifted_survival_matmul
 
 PARAMS = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
 
@@ -112,7 +111,7 @@ class TestDepolarizing:
         d, omega, m, r, reps = 9, 0.7, 10_000, 1e-3, 500
         noise = NoiseConfig(shots=m, depol_rate=r, seed=21)
         vals = np.array(
-            [simulate_noisy_circuit(d, omega, PARAMS, noise, "plus", replicate=rep) for rep in range(reps)]
+            [simulate_probability_batch(d, [omega], PARAMS, noise, "plus", replicate=rep)[0] for rep in range(reps)]
         )
         expected = apply_depolarizing(exact_probabilities(d, omega, PARAMS).p_x, dem_fidelity(r, gate_count(d, "plus")))
         se = math.sqrt(expected * (1 - expected) / (m * reps))
@@ -123,32 +122,35 @@ class TestSimulate:
     def test_exact_mode_returns_analytic_values(self):
         noise = NoiseConfig(shots=10, depol_rate=0.5, drift=DriftModel(), seed=9, exact=True)
         s = exact_probabilities(8, 1.1, PARAMS)
-        assert simulate_noisy_circuit(8, 1.1, PARAMS, noise, "plus") == pytest.approx(s.p_x, abs=1e-15)
-        assert simulate_noisy_circuit(8, 1.1, PARAMS, noise, "i") == pytest.approx(s.p_y, abs=1e-15)
+        assert simulate_probability_batch(8, [1.1], PARAMS, noise, "plus")[0] == pytest.approx(s.p_x, abs=1e-15)
+        assert simulate_probability_batch(8, [1.1], PARAMS, noise, "i")[0] == pytest.approx(s.p_y, abs=1e-15)
 
     def test_invalid_state_tag(self):
         with pytest.raises(ValueError):
-            simulate_noisy_circuit(3, 0.1, PARAMS, NoiseConfig(shots=10), "x")
+            simulate_probability_batch(3, [0.1], PARAMS, NoiseConfig(shots=10), "x")
 
     def test_determinism_and_key_separation(self):
         noise = NoiseConfig(shots=1000, drift=DriftModel(), seed=5)
-        a = simulate_noisy_circuit(6, 0.4, PARAMS, noise, "plus", replicate=3, circuit_id=12)
-        b = simulate_noisy_circuit(6, 0.4, PARAMS, noise, "plus", replicate=3, circuit_id=12)
-        c = simulate_noisy_circuit(6, 0.4, PARAMS, noise, "plus", replicate=4, circuit_id=12)
+        a = simulate_probability_batch(6, [0.4], PARAMS, noise, "plus", replicate=3, circuit_ids=[12])
+        b = simulate_probability_batch(6, [0.4], PARAMS, noise, "plus", replicate=3, circuit_ids=[12])
+        c = simulate_probability_batch(6, [0.4], PARAMS, noise, "plus", replicate=4, circuit_ids=[12])
         assert a == b
         assert a != c
 
     def test_batch_matches_single_circuit_path(self):
-        noise = NoiseConfig(shots=500, depol_rate=1e-2, drift=DriftModel(), seed=13)
-        omegas = np.array([0.2, 1.5])
-        batch = simulate_probability_batch(
-            7, omegas, PARAMS, noise, "plus", point=2, replicate=1, circuit_ids=[4, 9], correct_readout=False
+        noise = NoiseConfig(
+            shots=500, depol_rate=1e-2, drift=DriftModel(), confusion=ConfusionMatrix.uniform(0.97), seed=13
         )
-        singles = [
-            simulate_noisy_circuit(7, w, PARAMS, noise, "plus", point=2, replicate=1, circuit_id=c)
-            for w, c in zip(omegas, [4, 9])
-        ]
-        assert np.allclose(batch, singles, atol=0)
+        omegas = np.array([0.2, 1.5])
+        for state, beta in (("plus", 1.0), ("i", 1.0j)):
+            batch = simulate_probability_batch(
+                7, omegas, PARAMS, noise, state, point=2, replicate=1, circuit_ids=[4, 9], correct_readout=False
+            )
+            singles = [
+                brute_noisy_counts(7, w, PARAMS, noise, beta, (noise.seed, 2, 1, c))[1] / noise.shots
+                for w, c in zip(omegas, [4, 9])
+            ]
+            assert np.allclose(batch, singles, atol=0)
 
     def test_drift_half_widths(self):
         drift = DriftModel()
@@ -172,6 +174,24 @@ class TestSimulate:
         clean = abs(complex(exact_signal(d, params.varphi, params)))
         assert drifted < clean
         assert drifted > 0.3 * clean
+
+
+class TestDriftKernel:
+    @pytest.mark.parametrize("params", [PARAMS, FsimParams(0.4, 1.1, -0.7)])
+    @pytest.mark.parametrize("state", INPUT_STATES)
+    @pytest.mark.parametrize("d", [2, 3, 20, 100])
+    def test_matches_matmul_reference_and_draw_order(self, d, state, params):
+        nc = 2 * d - 1
+        omegas = np.random.default_rng(d).uniform(-np.pi, np.pi, size=nc)
+        drift = DriftModel(theta_frac=0.3, phase_max=0.5)
+        fast = [stream(17, d, 1, c) for c in range(nc)]
+        reference = [stream(17, d, 1, c) for c in range(nc)]
+        p = _drifted_survival(d, omegas, params, drift, fast, _BETA[state])
+        p_ref = drifted_survival_matmul(d, omegas, params, drift, reference, _BETA[state])
+        assert np.abs(p - p_ref).max() <= 1e-12
+        # every circuit's generator is left where the reference leaves it, so
+        # the shot draw that follows reads the same stream
+        assert [g.bit_generator.state for g in fast] == [g.bit_generator.state for g in reference]
 
 
 class TestConfusion:
@@ -203,6 +223,21 @@ class TestConfusion:
         with pytest.raises(InversionRejectedError) as err:
             invert_confusion(np.array([0.25, 0.25, 0.25, 0.25]), r)
         assert err.value.kappa == math.inf
+
+    def test_column_batch_matches_single_vectors(self):
+        r = ConfusionMatrix.uniform(0.9)
+        q = np.random.default_rng(4).dirichlet(np.ones(4), size=5).T
+        batch = invert_confusion(q, r)
+        assert batch.shape == (4, 5)
+        for j in range(5):
+            assert np.abs(batch[:, j] - invert_confusion(q[:, j], r)).max() < 1e-14
+
+    def test_batch_readout_correction_rejects_non_dominant_matrix(self):
+        noise = NoiseConfig(shots=1000, seed=3, confusion=ConfusionMatrix.uniform(0.4))
+        with pytest.raises(InversionRejectedError):
+            simulate_probability_batch(5, [0.1, 0.2], PARAMS, noise, "plus")
+        raw = simulate_probability_batch(5, [0.1, 0.2], PARAMS, noise, "plus", correct_readout=False)
+        assert raw.shape == (2,)
 
     def test_kappa(self):
         r = ConfusionMatrix.uniform(0.55)

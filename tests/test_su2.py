@@ -52,6 +52,11 @@ class TestFsimUnitary:
         assert abs(p.varphi - np.pi) < 1e-12
         assert abs(p.chi - np.pi) < 1e-12
 
+    @pytest.mark.parametrize("angles", [(np.nan, 0.1, 0.2), (0.1, np.inf, 0.2), (0.1, 0.2, -np.inf)])
+    def test_non_finite_angle_rejected(self, angles):
+        with pytest.raises(ValueError, match="finite"):
+            FsimParams(*angles)
+
 
 class TestQspUnitary:
     def test_x_one_collapses_to_diagonal(self):
