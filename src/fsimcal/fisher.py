@@ -1,11 +1,12 @@
 """Fisher information and Cramer-Rao lower bounds for the calibration design.
 
 The per-shot information of the 2(2d-1) binomial measurements is summed over
-the modulation grid with weights 1/(p(1-p)); partial derivatives come from
-central finite differences with Richardson extrapolation, cross-validated
-against a second step size before any entry is accepted.  The pre-asymptotic
-closed forms (valid for d*theta << 1) and a depth-scan with log-log slope
-estimates expose the variance-scaling transition around d ~ 1/theta.
+the modulation grid with weights 1/(p(1-p)); the partial derivatives of p
+are exact (spectral differentiation on the grid for the phases, Chebyshev
+derivative identities for the swap angle), so no step size is tuned and no
+point fails for want of a converged gradient.  The pre-asymptotic closed
+forms (valid for d*theta << 1) and a depth-scan with log-log slope estimates
+expose the variance-scaling transition around d ~ 1/theta.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal_model import exact_signal, omega_grid
-from .su2 import FsimParams
+from .signal_model import exact_signal, k_values, omega_grid
+from .su2 import FsimParams, chebyshev_t, chebyshev_u
 
 __all__ = [
     "FisherMatrix",
     "CrlbReport",
-    "GradientValidationError",
     "SingularFisherError",
     "PARAM_NAMES",
     "fisher_matrix",
@@ -34,11 +34,6 @@ __all__ = [
 PARAM_NAMES = ("theta", "varphi", "chi")
 
 _PROB_CLIP = 1e-12
-_VALIDATION_RTOL = 1e-6
-
-
-class GradientValidationError(RuntimeError):
-    """Finite-difference gradients disagreed across step sizes."""
 
 
 class SingularFisherError(np.linalg.LinAlgError):
@@ -79,57 +74,53 @@ class CrlbReport:
     regime_flag: str
 
 
-def _probabilities(d: int, omegas: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Stacked (p_X, p_Y) over the grid at parameter vector xi."""
-    h = exact_signal(d, omegas, FsimParams(*xi))
-    return np.concatenate([0.5 + h.real, 0.5 + h.imag])
-
-
-def _fd_step(d: int, value: float) -> float:
-    # Truncation of the central difference grows like (2 d h)^2; shrink the
-    # step with depth so the Richardson pair keeps agreeing to 1e-6.
-    return min(1e-6, 1e-3 / d) * max(1.0, abs(value))
-
-
 def gradient_grid(d: int, params: FsimParams) -> np.ndarray:
-    """(3, 2(2d-1)) array of dp/dxi over the grid, Richardson-extrapolated.
+    """(3, 2(2d-1)) array of dp/dxi over the grid, exact up to rounding.
 
-    Raises GradientValidationError unless the half-step estimate agrees with
-    the extrapolated one to 1e-6 in vector norm.
+    Rows are xi = (theta, varphi, chi), columns p_X then p_Y.  With
+    w = omega - varphi, x = cos(w) cos(theta), T = T_d(x), Q = U_{d-1}(x):
+    h = i e^{-i(chi+omega)} sin(theta) Q (T + i Q sin(w) cos(theta)).
+    dh/dchi = -i h; dh/dvarphi = -i h - dh/domega, the spectral derivative
+    being exact because the 2d-1 grid resolves h's harmonics |k| <= d-1.
+    dh/dtheta uses T_d' = d U_{d-1} and U_{d-1}' = (x U_{d-1} - d T_d)/(1 - x^2).
+    A signal at the probabilities' rounding level (theta = 0 or pi/2, where h
+    vanishes for every phase) carries no phase information: those rows are 0.
     """
     omegas = omega_grid(d)
-    xi = np.array([params.theta, params.varphi, params.chi])
-    grads = np.empty((3, 2 * len(omegas)))
-    for k in range(3):
-        h = _fd_step(d, xi[k])
-
-        def shifted(delta, k=k):
-            z = xi.copy()
-            z[k] += delta
-            return _probabilities(d, omegas, z)
-
-        coarse = (shifted(h) - shifted(-h)) / (2.0 * h)
-        fine = (shifted(h / 2.0) - shifted(-h / 2.0)) / h
-        extrap = (4.0 * fine - coarse) / 3.0
-        scale = np.linalg.norm(extrap)
-        # Absolute allowance at the difference-quotient rounding-noise level,
-        # so near-zero gradients (e.g. every phase row as theta -> 0) are not
-        # rejected by a purely relative gate.
-        noise_floor = 100.0 * np.finfo(float).eps / h * np.sqrt(extrap.size)
-        if np.linalg.norm(fine - extrap) > _VALIDATION_RTOL * scale + noise_floor:
-            raise GradientValidationError(
-                f"step sizes disagree for {PARAM_NAMES[k]} at d={d}: "
-                f"{np.linalg.norm(fine - extrap):.3e} vs scale {scale:.3e}"
-            )
-        grads[k] = extrap
+    n = len(omegas)
+    sw, cw = np.sin(omegas - params.varphi), np.cos(omegas - params.varphi)
+    st, ct = np.sin(params.theta), np.cos(params.theta)
+    x = cw * ct
+    q, t = chebyshev_u(d - 1, x), chebyshev_t(d, x)
+    # sq = sin(theta) dQ/dtheta, with 1 - x^2 = sin^2 w + cos^2 w sin^2 theta
+    # (no cancellation); sin^2 theta / (1 - x^2) <= 1/cos^2 w, 0 where both vanish.
+    one_minus_x2 = sw * sw + (cw * st) ** 2
+    sq = np.divide(st * st, one_minus_x2, out=np.zeros(n), where=one_minus_x2 > 0.0)
+    sq *= cw * (d * t - x * q)
+    del x, one_minus_x2
+    # Rows go straight into grads and temporaries die early: deep grids are
+    # tens of thousands of points.
+    grads = np.empty((3, 2 * n))
+    phase = 1j * np.exp(-1j * (params.chi + omegas))
+    dh = ct * q * t + t * sq - d * st * st * cw * q * q
+    dh = phase * (dh + 1j * sw * q * (np.cos(2 * params.theta) * q + 2 * ct * sq))
+    grads[0, :n], grads[0, n:] = dh.real, dh.imag
+    h = phase * st * q * (t + 1j * ct * sw * q)
+    del sq, dh, phase, q, t
+    if np.abs(h).max() <= n * np.finfo(float).eps:
+        grads[1:] = 0.0
+        return grads
+    dh = -1j * h - np.fft.ifft(2j * k_values(d) * np.fft.fft(h))
+    grads[1, :n], grads[1, n:] = dh.real, dh.imag
+    grads[2, :n], grads[2, n:] = h.imag, -h.real
     return grads
 
 
 def fisher_matrix(d: int, params: FsimParams, m_shots: int) -> FisherMatrix:
     """I_kk' = M sum_j dp/dxi_k dp/dxi_k' / (p (1 - p)) over both input states."""
-    omegas = omega_grid(d)
     grads = gradient_grid(d, params)
-    p = _probabilities(d, omegas, np.array([params.theta, params.varphi, params.chi]))
+    h = exact_signal(d, omega_grid(d), params)
+    p = np.concatenate([0.5 + h.real, 0.5 + h.imag])
     clamped = int(((p < _PROB_CLIP) | (p > 1.0 - _PROB_CLIP)).sum())
     p = np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
     weights = 1.0 / (p * (1.0 - p))

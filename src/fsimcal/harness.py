@@ -135,8 +135,14 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.mode == "calibrate" and (self.depth is None or self.depth < 2):
             raise ValueError("calibrate mode needs depth >= 2")
-        if self.mode in ("sweep-depth", "crlb-scan", "alpha-scan") and not self.depth_grid:
-            raise ValueError(f"{self.mode} needs a depth_grid")
+        if self.mode in ("sweep-depth", "crlb-scan", "alpha-scan"):
+            # The estimators and the CRLB closed forms need d >= 2, the
+            # fidelity correction d >= 3; slopes need the depths in order.
+            low = 3 if self.mode == "alpha-scan" else 2
+            if not self.depth_grid or min(self.depth_grid) < low:
+                raise ValueError(f"{self.mode} needs a depth_grid with every depth >= {low}")
+            if self.mode == "crlb-scan" and list(self.depth_grid) != sorted(self.depth_grid):
+                raise ValueError("crlb-scan needs an ascending depth_grid")
         if self.mode == "sweep-shots" and (not self.shots_grid or self.depth is None):
             raise ValueError("sweep-shots needs shots_grid and depth")
         if self.mode == "confusion-check" and self.noise.confusion is None:
@@ -314,10 +320,12 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicate: int = 
 
 
 def _replicate_task(args):
+    # Only the expected domain failures of one replicate are recorded;
+    # anything else is a bug and stops the run.
     config, point, replicate = args
     try:
         return replicate, run_replicate(config, point=point, replicate=replicate).to_json_dict(), None
-    except (DegenerateCoefficientError, FidelityCollapseError, ValueError) as exc:
+    except (DegenerateCoefficientError, FidelityCollapseError) as exc:
         return replicate, None, f"{type(exc).__name__}: {exc}"
 
 

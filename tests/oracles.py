@@ -226,3 +226,37 @@ def bootstrap_means_loop(sq, rng, resamples=1000):
     for b in range(resamples):
         boot[b] = sq[rng.integers(0, len(sq), size=len(sq))].mean()
     return boot
+
+
+def richardson_gradient_grid(d, params):
+    """(3, 2(2d-1)) array of dp/dxi by central differences with Richardson
+    extrapolation, the step shrinking with depth; asserts that the half-step
+    estimate agrees with the extrapolated one to 1e-6 in vector norm.
+    """
+    from fsimcal import FsimParams, exact_signal, omega_grid
+
+    omegas = omega_grid(d)
+    xi = np.array([params.theta, params.varphi, params.chi])
+
+    def probabilities(z):
+        h = exact_signal(d, omegas, FsimParams(*z))
+        return np.concatenate([0.5 + h.real, 0.5 + h.imag])
+
+    grads = np.empty((3, 2 * len(omegas)))
+    for k in range(3):
+        # Truncation of the central difference grows like (2 d h)^2.
+        h = min(1e-6, 1e-3 / d) * max(1.0, abs(xi[k]))
+
+        def shifted(delta):
+            z = xi.copy()
+            z[k] += delta
+            return probabilities(z)
+
+        coarse = (shifted(h) - shifted(-h)) / (2.0 * h)
+        fine = (shifted(h / 2.0) - shifted(-h / 2.0)) / h
+        extrap = (4.0 * fine - coarse) / 3.0
+        # Absolute allowance at the difference-quotient rounding-noise level.
+        noise_floor = 100.0 * np.finfo(float).eps / h * np.sqrt(extrap.size)
+        assert np.linalg.norm(fine - extrap) <= 1e-6 * np.linalg.norm(extrap) + noise_floor
+        grads[k] = extrap
+    return grads

@@ -12,7 +12,7 @@ from fsimcal.fisher import (
     windowed_slopes,
 )
 
-from oracles import hand_inverse_3x3
+from oracles import hand_inverse_3x3, richardson_gradient_grid
 
 M = 100_000
 PARAMS = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
@@ -27,9 +27,15 @@ class TestGradients:
             analytic = np.concatenate([h.imag, -h.real])
             assert np.abs(grads[2] - analytic).max() < 1e-7
 
-    def test_validation_holds_across_the_envelope(self):
-        for d, theta in ((3000, 1e-3), (300, 1e-2), (2, 1e-2)):
-            gradient_grid(d, FsimParams(theta, PARAMS.varphi, PARAMS.chi))  # must not raise
+    @pytest.mark.parametrize("theta", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("d", [2, 3, 50, 1000, 4096])
+    def test_matches_richardson_oracle(self, d, theta):
+        params = FsimParams(theta, PARAMS.varphi, PARAMS.chi)
+        grads = gradient_grid(d, params)
+        ref = richardson_gradient_grid(d, params)
+        assert grads.shape == (3, 2 * (2 * d - 1))
+        rel = np.linalg.norm(grads - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert rel.max() <= 1e-5
 
 
 class TestFisherMatrix:
@@ -90,8 +96,19 @@ class TestCrlb:
         assert rep.crlb_chi == pytest.approx(inv[2, 2], rel=1e-8)
 
     def test_singular_at_theta_zero(self):
-        with pytest.raises(SingularFisherError):
-            crlb(6, FsimParams(0.0, 0.1, 0.2), 1000)
+        # theta = 0: no signal at all.  theta = pi/2: h vanishes for every
+        # (varphi, chi), so only theta carries information.  varphi = 0 puts
+        # the phase-matched angle on the grid.
+        for d in (6, 7):
+            for theta in (0.0, np.pi / 2):
+                for varphi in (0.0, 0.1):
+                    with pytest.raises(SingularFisherError):
+                        crlb(d, FsimParams(theta, varphi, 0.2), 1000)
+
+    @pytest.mark.parametrize("d", [8192, 16384])
+    def test_finite_in_the_deep_regime(self, d):
+        rep = crlb(d, FsimParams(1e-4, PARAMS.varphi, PARAMS.chi), M)
+        assert all(np.isfinite(v) and v > 0 for v in (rep.crlb_theta, rep.crlb_varphi, rep.crlb_chi))
 
     def test_regime_flags(self):
         assert regime_flag(50, 1e-3) == "pre-asymptotic"

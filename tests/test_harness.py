@@ -25,6 +25,7 @@ from fsimcal import (
 )
 from fsimcal import harness
 from fsimcal.cli import main as cli_main
+from fsimcal.estimators import DegenerateCoefficientError
 from fsimcal.harness import _BOOT_BASE, _summarize, alpha_scan_rows, run_alpha_scan, sweep_rows
 from fsimcal.noise import stream
 
@@ -80,6 +81,19 @@ class TestConfig:
             small_config(noise=noise)
         ExperimentConfig(mode="confusion-check", gate_truth=TRUTH, noise=noise)
 
+    @pytest.mark.parametrize(
+        "mode, grid",
+        [("alpha-scan", (2, 6)), ("alpha-scan", (6, 1)), ("sweep-depth", (1, 4)), ("crlb-scan", (16, 8, 4))],
+    )
+    def test_invalid_depth_grid_rejected(self, mode, grid):
+        kwargs = dict(mode=mode, gate_truth=TRUTH, noise=NoiseConfig(), depth_grid=grid)
+        with pytest.raises(ValueError, match="depth"):
+            ExperimentConfig(**kwargs)
+        data = ExperimentConfig(**{**kwargs, "depth_grid": (4, 8, 16)}).to_dict()
+        data["depth_grid"] = list(grid)
+        with pytest.raises(ValueError, match="depth"):
+            ExperimentConfig.from_dict(data)
+
     @pytest.mark.parametrize("n_pf", [-1, 0, 1, 2])
     def test_peak_fit_needs_three_points(self, n_pf):
         with pytest.raises(ValueError, match="n_pf"):
@@ -125,6 +139,15 @@ class TestRunCalibration:
         assert all("Degenerate" in f["reason"] for f in rec.failures)
         assert rec.replicates == []
         assert rec.summary == {}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_program_errors_propagate(self, monkeypatch, jobs):
+        def broken_replicate(config, *, point=0, replicate=0):
+            raise ValueError("injected program error")
+
+        monkeypatch.setattr(harness, "run_replicate", broken_replicate)
+        with pytest.raises(ValueError, match="injected program error"):
+            run_calibration(small_config(replicates=2), jobs=jobs)
 
     def test_summary_ignores_missing_values(self):
         rec = run_calibration(small_config(replicates=5))
@@ -340,7 +363,7 @@ class TestCli:
 
     def test_nonzero_exit_when_no_replicate_survives(self, tmp_path, monkeypatch, capsys):
         def failing_replicate(config, *, point=0, replicate=0):
-            raise ValueError("injected replicate failure")
+            raise DegenerateCoefficientError("injected replicate failure")
 
         monkeypatch.setattr(harness, "run_replicate", failing_replicate)
         cfg = small_config(replicates=2, output_dir=str(tmp_path / "out"))
