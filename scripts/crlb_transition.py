@@ -15,9 +15,9 @@ import numpy as np
 sys.path.insert(0, "src")
 
 from fsimcal import transition_scan
-from fsimcal.harness import write_csv, write_json
+from fsimcal.harness import MODES, write_csv, write_json
 
-CRLB_COLUMNS = ["d", "crlb_theta", "crlb_varphi", "crlb_chi", "slope_theta", "slope_varphi", "slope_chi"]
+CRLB_COLUMNS = MODES["crlb-scan"].header
 
 
 def window_slope(rows, lo, hi):

@@ -16,7 +16,7 @@ import numpy as np
 sys.path.insert(0, "src")
 
 from fsimcal import DriftModel, ExperimentConfig, FsimParams, NoiseConfig, PeakFitConfig
-from fsimcal.harness import alpha_scan_rows, run_alpha_scan, run_sweep, write_csv, write_json
+from fsimcal.harness import MODES, alpha_scan_rows, run_sweep, write_csv, write_json
 
 
 def main():
@@ -58,8 +58,9 @@ def main():
         depth_grid=(10, 20, 30, 40, 50, 60),
         output_dir=args.out,
     )
-    rows = alpha_scan_rows(alpha_cfg, run_alpha_scan(alpha_cfg, jobs=args.jobs))
-    write_csv(f"{args.out}/alpha_scan.csv", ["d", "alpha_dem", "median_alpha_hat", "median_abs_deviation", "n"], rows)
+    rows = alpha_scan_rows(alpha_cfg, run_sweep(alpha_cfg, jobs=args.jobs))
+    table = MODES["alpha-scan"]
+    write_csv(f"{args.out}/{table.files['table']}", table.header, rows)
     print(f"\n{'d':>5} {'alpha_dem':>10} {'median dev':>11}")
     for d, alpha_dem, _, dev, _ in rows:
         print(f"{d:>5} {alpha_dem:>10.4f} {dev:>11.2e}")

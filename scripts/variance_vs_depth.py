@@ -7,14 +7,14 @@ mse-vs-depth and variance-vs-depth figure CSVs.
 """
 
 import argparse
+import json
 import sys
 
 import numpy as np
 
 sys.path.insert(0, "src")
 
-from fsimcal import ExperimentConfig, FsimParams, NoiseConfig, PeakFitConfig, emit_figure_data
-from fsimcal.harness import run_sweep, sweep_rows, write_csv, write_json
+from fsimcal import ExperimentConfig, FsimParams, NoiseConfig, PeakFitConfig, emit_figure_data, run_mode
 
 
 def main():
@@ -38,21 +38,16 @@ def main():
         theta_pd=True,
         output_dir=args.out,
     )
-    records = run_sweep(config, jobs=args.jobs)
-    write_json(f"{args.out}/sweep_records.json", [r.to_json_dict() for r in records])
-    write_csv(
-        f"{args.out}/sweep.csv",
-        ["grid_var", "grid_value", "estimator", "mse", "var", "bias2", "ci_low", "ci_high"],
-        sweep_rows(config, records),
-    )
-    emit_figure_data([r.to_json_dict() for r in records], "mse-vs-depth", args.out)
-    emit_figure_data([r.to_json_dict() for r in records], "variance-vs-depth", args.out)
+    with open(run_mode(config, jobs=args.jobs)["records"], encoding="utf-8") as fh:
+        records = json.load(fh)
+    emit_figure_data(records, "mse-vs-depth", args.out)
+    emit_figure_data(records, "variance-vs-depth", args.out)
 
     print(f"{'d':>5} {'mse(theta)':>12} {'var theory':>12} {'mse(varphi)':>12} {'mse(theta_pf)':>13}")
     for rec in records:
-        s = rec.summary
+        s = rec["summary"]
         print(
-            f"{rec.grid_value:>5} {s['theta_hat']['mse']:>12.3e} {s['theta_hat']['var_theory']:>12.3e} "
+            f"{rec['grid_value']:>5} {s['theta_hat']['mse']:>12.3e} {s['theta_hat']['var_theory']:>12.3e} "
             f"{s['varphi_hat']['mse']:>12.3e} {s['theta_pf']['mse']:>13.3e}"
         )
     print(f"wrote {args.out}/")

@@ -18,7 +18,6 @@ from .estimators import (
     sequential_phase_diffs,
     theta_pd_estimate,
     wpa_solve,
-    wpa_weights,
 )
 from .fisher import CrlbReport, FisherMatrix, crlb, fisher_matrix, preasymptotic_variances, transition_scan
 from .harness import (
@@ -27,7 +26,6 @@ from .harness import (
     PeakFitConfig,
     RunRecord,
     emit_figure_data,
-    run_alpha_scan,
     run_calibration,
     run_confusion_check,
     run_crlb_scan,
@@ -40,40 +38,14 @@ from .noise import (
     DriftModel,
     InversionRejectedError,
     NoiseConfig,
-    apply_confusion,
     apply_depolarizing,
     confusion_sample_size,
     dem_fidelity,
     gate_count,
     invert_confusion,
-    sample_counts,
     simulate_probability_batch,
 )
-from .signal_model import (
-    CircuitSpec,
-    FourierSpectrum,
-    GridMismatchError,
-    RegimeViolationError,
-    SignalSample,
-    amplitude_profile,
-    approx_coefficients,
-    dft_spectrum,
-    exact_probabilities,
-    exact_signal,
-    omega_grid,
-    snr_leading_order,
-    snr_lower_bound,
-    spectrum_from_h,
-)
-from .su2 import (
-    FsimParams,
-    PolyPair,
-    closed_form_pq,
-    fsim_subspace_unitary,
-    periodic_unitary_product,
-    pq_values,
-    qsp_unitary,
-    special_point_pq,
-)
+from .signal_model import FourierSpectrum, GridMismatchError, exact_signal, omega_grid, spectrum_from_h
+from .su2 import FsimParams, pq_values
 
 __version__ = "0.1.0"

@@ -15,23 +15,7 @@ import os
 import sys
 import time
 
-from .harness import FIGURE_IDS, EmptyPointError, ExperimentConfig, emit_figure_data, run_mode
-
-_SUBCOMMAND_MODES = {
-    "calibrate": ("calibrate",),
-    "sweep": ("sweep-depth", "sweep-shots"),
-    "crlb-scan": ("crlb-scan",),
-    "alpha-scan": ("alpha-scan",),
-    "confusion-check": ("confusion-check",),
-}
-
-_FIGURE_SOURCES = {
-    "mse-vs-depth": "sweep_records.json",
-    "mse-vs-shots": "sweep_records.json",
-    "variance-vs-depth": "sweep_records.json",
-    "crlb-vs-depth": "crlb_scan.json",
-    "fidelity-vs-depth": "alpha_scan.json",
-}
+from .harness import FIGURES, MODES, EmptyPointError, ExperimentConfig, emit_figure_data, run_mode
 
 
 def _add_run_flags(sub):
@@ -46,18 +30,18 @@ def _add_run_flags(sub):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fsimcal", description="FsimGate calibration experiments")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMAND_MODES:
+    for name in dict.fromkeys(m.subcommand for m in MODES.values()):
         _add_run_flags(subs.add_parser(name))
     fig = subs.add_parser("emit-figures")
     fig.add_argument("--records", required=True, help="directory holding a previous run's outputs")
-    fig.add_argument("--figure", required=True, choices=FIGURE_IDS)
+    fig.add_argument("--figure", required=True, choices=FIGURES)
     fig.add_argument("--out", required=True, help="directory for the figure CSV")
     return parser
 
 
 def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_json_file(args.config)
-    if config.mode not in _SUBCOMMAND_MODES[args.command]:
+    if MODES[config.mode].subcommand != args.command:
         raise SystemExit(f"config mode {config.mode!r} does not match subcommand {args.command!r}")
     noise = config.noise
     if args.seed is not None:
@@ -75,7 +59,8 @@ def _load_config(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "emit-figures":
-        source_path = os.path.join(args.records, _FIGURE_SOURCES[args.figure])
+        mode, kind = FIGURES[args.figure]
+        source_path = os.path.join(args.records, MODES[mode].files[kind])
         with open(source_path, encoding="utf-8") as fh:
             source = json.load(fh)
         path = emit_figure_data(source, args.figure, args.out)

@@ -24,8 +24,6 @@ __all__ = [
     "EstimateReport",
     "PeakFitResult",
     "LOW_SNR_FLOOR_SCALE",
-    "tridiag_solve",
-    "wpa_weights",
     "wpa_solve",
     "sequential_phase_diffs",
     "fourier_estimate",
@@ -93,51 +91,11 @@ def variance_theory_theta_pd(d: int, m_shots: int) -> float:
     return 3.0 / (4.0 * m_shots * d * (d + 1) * (d + 2))
 
 
-def tridiag_solve(lower, diag, upper, rhs) -> np.ndarray:
-    """Thomas algorithm for a tridiagonal system, O(n).
-
-    lower[0] and upper[-1] are ignored padding so all bands share length n.
-    """
-    lower = np.asarray(lower, dtype=float)
-    diag = np.asarray(diag, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    n = len(diag)
-    cp = np.empty(n)
-    dp = np.empty(n)
-    cp[0] = upper[0] / diag[0]
-    dp[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - lower[i] * cp[i - 1]
-        cp[i] = upper[i] / denom if i < n - 1 else 0.0
-        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
-    x = np.empty(n)
-    x[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
-
-
-def wpa_weights(n: int) -> np.ndarray:
-    """Parabolic-window weights mu_k of the weighted phase average, sum 1.
-
-    mu_k = (3/2)(n+1)/((n+1)^2 - 1) * (1 - ((k - (n-1)/2)/((n+1)/2))^2),
-    the closed form of 1^T D^{-1} e_k / 1^T D^{-1} 1 for the discrete
-    Laplacian D = tridiag(-1, 2, -1).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return np.ones(1)
-    k = np.arange(n, dtype=float)
-    scale = 1.5 * (n + 1) / ((n + 1) ** 2 - 1)
-    return scale * (1.0 - ((k - (n - 1) / 2.0) / ((n + 1) / 2.0)) ** 2)
-
-
 def wpa_solve(values) -> float:
-    """(1^T D^{-1} v) / (1^T D^{-1} 1) via one O(n) tridiagonal solve.
+    """(1^T D^{-1} v) / (1^T D^{-1} 1) for the discrete Laplacian D = tridiag(-1, 2, -1).
 
-    D is symmetric, so both contractions reuse the single solve D a = 1.
+    D is symmetric, so both contractions reuse the single solve D a = 1: one
+    O(n) Thomas sweep with the constant bands folded in.
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
@@ -145,7 +103,17 @@ def wpa_solve(values) -> float:
         raise ValueError("values must be non-empty")
     if n == 1:
         return float(values[0])
-    a = tridiag_solve(np.full(n, -1.0), np.full(n, 2.0), np.full(n, -1.0), np.ones(n))
+    # The float operations of the general Thomas sweep on these bands, so the
+    # result keeps its bits; the closed-form parabolic weights would not.
+    c, e = [-0.5], [0.5]
+    for _ in range(n - 1):
+        denom = 2.0 + c[-1]
+        c.append(-1.0 / denom)
+        e.append((1.0 + e[-1]) / denom)
+    a = np.empty(n)
+    a[-1] = e[-1]
+    for i in range(n - 2, -1, -1):
+        a[i] = e[i] - c[i] * a[i + 1]
     return float(a @ values / a.sum())
 
 

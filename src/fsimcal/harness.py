@@ -17,6 +17,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .su2 import FsimParams
 __all__ = [
     "ARTIFACT_VERSION",
     "MODES",
-    "FIGURE_IDS",
+    "FIGURES",
     "PeakFitConfig",
     "ConfusionCheckConfig",
     "ExperimentConfig",
@@ -53,7 +54,6 @@ __all__ = [
     "run_calibration",
     "run_sweep",
     "run_crlb_scan",
-    "run_alpha_scan",
     "run_confusion_check",
     "emit_figure_data",
     "write_json",
@@ -65,8 +65,44 @@ __all__ = [
 
 ARTIFACT_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
-MODES = ("calibrate", "sweep-depth", "sweep-shots", "crlb-scan", "alpha-scan", "confusion-check")
-FIGURE_IDS = ("mse-vs-depth", "mse-vs-shots", "variance-vs-depth", "crlb-vs-depth", "fidelity-vs-depth")
+
+
+class _Mode(NamedTuple):
+    subcommand: str  # the CLI subcommand that runs the mode
+    files: dict  # output kind -> file name, in the order run_mode writes them
+    header: tuple | None = None  # columns of the "table" CSV
+
+
+# The mode table: every mode, its subcommand, its canonical files and CSV header.
+_SWEEP = _Mode(
+    "sweep",
+    {"records": "sweep_records.json", "table": "sweep.csv"},
+    ("grid_var", "grid_value", "estimator", "mse", "var", "bias2", "ci_low", "ci_high"),
+)
+MODES = {
+    "calibrate": _Mode("calibrate", {"record": "run_record.json"}),
+    "sweep-depth": _SWEEP,
+    "sweep-shots": _SWEEP,
+    "crlb-scan": _Mode(
+        "crlb-scan",
+        {"rows": "crlb_scan.json", "table": "crlb_scan.csv"},
+        ("d", "crlb_theta", "crlb_varphi", "crlb_chi", "slope_theta", "slope_varphi", "slope_chi"),
+    ),
+    "alpha-scan": _Mode(
+        "alpha-scan",
+        {"records": "alpha_records.json", "rows": "alpha_scan.json", "table": "alpha_scan.csv"},
+        ("d", "alpha_dem", "median_alpha_hat", "median_abs_deviation", "n"),
+    ),
+    "confusion-check": _Mode("confusion-check", {"report": "confusion_check.json"}),
+}
+# Figure id -> the mode, and the kind of its output file, the figure is built from.
+FIGURES = {
+    "mse-vs-depth": ("sweep-depth", "records"),
+    "mse-vs-shots": ("sweep-shots", "records"),
+    "variance-vs-depth": ("sweep-depth", "records"),
+    "crlb-vs-depth": ("crlb-scan", "rows"),
+    "fidelity-vs-depth": ("alpha-scan", "rows"),
+}
 
 # Circuit-id blocks keep every random stream in a run distinct.
 _LADDER_BASE = 1_000_000
@@ -130,7 +166,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise ValueError(f"mode must be one of {tuple(MODES)}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.mode == "calibrate" and (self.depth is None or self.depth < 2):
@@ -147,10 +183,9 @@ class ExperimentConfig:
             raise ValueError("sweep-shots needs shots_grid and depth")
         if self.mode == "confusion-check" and self.noise.confusion is None:
             raise ValueError("confusion-check needs noise.confusion")
-        # Readout correction inverts the matrix; only confusion-check studies
-        # matrices it cannot invert.
+        # Readout correction and the confusion check both invert the matrix.
         confusion = self.noise.confusion
-        if self.mode != "confusion-check" and confusion is not None and confusion.dominance <= 0.0:
+        if confusion is not None and confusion.dominance <= 0.0:
             raise InversionRejectedError(confusion.kappa)
 
     def to_dict(self) -> dict:
@@ -176,22 +211,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {
-            "schema_version",
-            "mode",
-            "gate_truth",
-            "depth",
-            "depth_grid",
-            "shots_grid",
-            "replicates",
-            "noise",
-            "peak_fit",
-            "theta_pd",
-            "alpha_correction",
-            "confusion_check",
-            "output_dir",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)} - {"schema_version"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         version = data.get("schema_version", SCHEMA_VERSION)
@@ -436,21 +456,26 @@ def run_calibration(config: ExperimentConfig, jobs: int = 1) -> RunRecord:
 
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
-    """One RunRecord per grid point (depth or shot-count sweep)."""
-    if config.mode == "sweep-depth":
-        grid = config.depth_grid
-        make = lambda g: dataclasses.replace(config, mode="calibrate", depth=int(g), depth_grid=None)
-    elif config.mode == "sweep-shots":
+    """One RunRecord per grid point of a depth or shot-count sweep.
+
+    alpha-scan is a depth sweep with the peak fit and the theta_pd ladder off.
+    """
+    if config.mode == "sweep-shots":
         grid = config.shots_grid
         make = lambda g: dataclasses.replace(
-            config, mode="calibrate", shots_grid=None, noise=dataclasses.replace(config.noise, shots=int(g))
+            config, mode="calibrate", shots_grid=None, noise=dataclasses.replace(config.noise, shots=g)
         )
+    elif config.mode in ("sweep-depth", "alpha-scan"):
+        grid = config.depth_grid
+        # A fresh PeakFitConfig: the point snapshots record the default n_pf and beta_thr.
+        off = dict(peak_fit=PeakFitConfig(enabled=False), theta_pd=False) if config.mode == "alpha-scan" else {}
+        make = lambda g: dataclasses.replace(config, mode="calibrate", depth=g, depth_grid=None, **off)
     else:
-        raise ValueError("run_sweep needs mode 'sweep-depth' or 'sweep-shots'")
+        raise ValueError("run_sweep needs mode 'sweep-depth', 'sweep-shots' or 'alpha-scan'")
     records = []
     with _executor(jobs) as pool:
         for pi, g in enumerate(grid):
-            rec = _run_point(make(g), point=pi, grid_value=int(g), pool=pool)
+            rec = _run_point(make(int(g)), point=pi, grid_value=int(g), pool=pool)
             rec.mode = config.mode
             records.append(rec)
     return records
@@ -479,27 +504,6 @@ def run_crlb_scan(config: ExperimentConfig) -> list[dict]:
         varphi=config.gate_truth.varphi,
         chi=config.gate_truth.chi,
     )
-
-
-def run_alpha_scan(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
-    """Depth sweep of the fidelity estimate under depolarizing noise."""
-    if config.mode != "alpha-scan":
-        raise ValueError("run_alpha_scan needs mode='alpha-scan'")
-    records = []
-    with _executor(jobs) as pool:
-        for pi, d in enumerate(config.depth_grid):
-            sub = dataclasses.replace(
-                config,
-                mode="calibrate",
-                depth=int(d),
-                depth_grid=None,
-                peak_fit=PeakFitConfig(enabled=False),
-                theta_pd=False,
-            )
-            rec = _run_point(sub, point=pi, grid_value=int(d), pool=pool)
-            rec.mode = "alpha-scan"
-            records.append(rec)
-    return records
 
 
 def alpha_scan_rows(config: ExperimentConfig, records: list[RunRecord]) -> list[list]:
@@ -534,8 +538,6 @@ def run_confusion_check(config: ExperimentConfig) -> dict:
     cc = config.confusion_check or ConfusionCheckConfig()
     confusion = config.noise.confusion
     kappa = confusion.kappa
-    if not math.isfinite(kappa):
-        raise ValueError("confusion matrix fails diagonal dominance")
     m_cmt = cc.shots if cc.shots is not None else confusion_sample_size(kappa, cc.epsilon, cc.alpha, cc.constant)
     r_true = confusion.entries
     failures = 0
@@ -599,9 +601,6 @@ def write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-_CRLB_HEADER = ["d", "crlb_theta", "crlb_varphi", "crlb_chi", "slope_theta", "slope_varphi", "slope_chi"]
-
-
 def _mse_columns(records: list[dict], grid_var: str) -> tuple[list[str], list[list]]:
     header = [grid_var]
     for name in ("theta_hat", "varphi_hat", "theta_pf", "theta_pd"):
@@ -619,12 +618,11 @@ def _mse_columns(records: list[dict], grid_var: str) -> tuple[list[str], list[li
 def emit_figure_data(source, figure_id: str, out_dir: str) -> str:
     """Write the CSV behind one figure; returns the path.
 
-    Sources: sweep-depth records for mse-vs-depth/variance-vs-depth,
-    sweep-shots records for mse-vs-shots, crlb-scan rows for crlb-vs-depth,
-    alpha-scan rows for fidelity-vs-depth.  A mode/figure mismatch raises.
+    source is the output of the mode FIGURES names for the figure (records
+    or rows); a mode/figure mismatch raises.
     """
-    if figure_id not in FIGURE_IDS:
-        raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
+    if figure_id not in FIGURES:
+        raise ValueError(f"unknown figure id {figure_id!r}; expected one of {tuple(FIGURES)}")
     path = os.path.join(out_dir, f"figure_{figure_id}.csv")
     if figure_id == "crlb-vs-depth":
         rows = list(source)
@@ -638,12 +636,13 @@ def emit_figure_data(source, figure_id: str, out_dir: str) -> str:
         return path
     if figure_id == "fidelity-vs-depth":
         rows = list(source)
-        if not rows or len(rows[0]) != 5:
+        header = MODES["alpha-scan"].header
+        if not rows or len(rows[0]) != len(header):
             raise ValueError("fidelity-vs-depth needs alpha-scan rows")
-        write_csv(path, ["d", "alpha_dem", "median_alpha_hat", "median_abs_deviation", "n"], rows)
+        write_csv(path, header, rows)
         return path
     records = [r.to_json_dict() if isinstance(r, RunRecord) else r for r in source]
-    want_mode = "sweep-shots" if figure_id == "mse-vs-shots" else "sweep-depth"
+    want_mode = FIGURES[figure_id][0]
     if not records or any(r["mode"] != want_mode for r in records):
         raise ValueError(f"{figure_id} needs {want_mode} records")
     if figure_id in ("mse-vs-depth", "mse-vs-shots"):
@@ -661,49 +660,35 @@ def emit_figure_data(source, figure_id: str, out_dir: str) -> str:
 
 
 def run_mode(config: ExperimentConfig, jobs: int = 1) -> dict:
-    """Dispatch on config.mode, write canonical outputs, return file paths.
+    """Run config.mode, write its canonical outputs, return the file paths.
 
     Raises EmptyPointError, after every output is written, when a run point
     ends with no surviving replicate.
     """
     out = config.output_dir
-    paths = {}
+    mode = MODES[config.mode]
+    paths = {kind: os.path.join(out, name) for kind, name in mode.files.items()}
     records = []
     if config.mode == "calibrate":
         records = [run_calibration(config, jobs=jobs)]
-        paths["record"] = os.path.join(out, "run_record.json")
         write_json(paths["record"], records[0].to_json_dict())
-    elif config.mode in ("sweep-depth", "sweep-shots"):
-        records = run_sweep(config, jobs=jobs)
-        paths["records"] = os.path.join(out, "sweep_records.json")
-        write_json(paths["records"], [r.to_json_dict() for r in records])
-        paths["table"] = os.path.join(out, "sweep.csv")
-        write_csv(
-            paths["table"],
-            ["grid_var", "grid_value", "estimator", "mse", "var", "bias2", "ci_low", "ci_high"],
-            sweep_rows(config, records),
-        )
     elif config.mode == "crlb-scan":
         rows = run_crlb_scan(config)
-        paths["rows"] = os.path.join(out, "crlb_scan.json")
         write_json(paths["rows"], rows)
-        paths["table"] = os.path.join(out, "crlb_scan.csv")
-        write_csv(paths["table"], _CRLB_HEADER, [[r[c] for c in _CRLB_HEADER] for r in rows])
+        write_csv(paths["table"], mode.header, [[r[c] for c in mode.header] for r in rows])
         paths["figure"] = emit_figure_data(rows, "crlb-vs-depth", out)
-    elif config.mode == "alpha-scan":
-        records = run_alpha_scan(config, jobs=jobs)
-        paths["records"] = os.path.join(out, "alpha_records.json")
-        write_json(paths["records"], [r.to_json_dict() for r in records])
-        rows = alpha_scan_rows(config, records)
-        paths["rows"] = os.path.join(out, "alpha_scan.json")
-        write_json(paths["rows"], rows)
-        paths["table"] = os.path.join(out, "alpha_scan.csv")
-        write_csv(paths["table"], ["d", "alpha_dem", "median_alpha_hat", "median_abs_deviation", "n"], rows)
-        paths["figure"] = emit_figure_data(rows, "fidelity-vs-depth", out)
     elif config.mode == "confusion-check":
-        result = run_confusion_check(config)
-        paths["report"] = os.path.join(out, "confusion_check.json")
-        write_json(paths["report"], result)
+        write_json(paths["report"], run_confusion_check(config))
+    else:
+        records = run_sweep(config, jobs=jobs)
+        write_json(paths["records"], [r.to_json_dict() for r in records])
+        if config.mode == "alpha-scan":
+            rows = alpha_scan_rows(config, records)
+            write_json(paths["rows"], rows)
+            write_csv(paths["table"], mode.header, rows)
+            paths["figure"] = emit_figure_data(rows, "fidelity-vs-depth", out)
+        else:
+            write_csv(paths["table"], mode.header, sweep_rows(config, records))
     empty = [
         f"point {r.point_index} (grid value {r.grid_value}): all {len(r.failures)} replicates failed, "
         f"first with {r.failures[0]['reason']}"

@@ -11,7 +11,7 @@ subspace signal lives in outcomes 01/10 and depolarizing leaks weight onto
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,11 +24,9 @@ __all__ = [
     "NoiseConfig",
     "InversionRejectedError",
     "stream",
-    "sample_counts",
     "apply_depolarizing",
     "dem_fidelity",
     "gate_count",
-    "apply_confusion",
     "invert_confusion",
     "confusion_sample_size",
     "simulate_probability_batch",
@@ -139,8 +137,7 @@ class NoiseConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseConfig":
-        known = {"shots", "depol_rate", "drift", "confusion", "seed", "exact"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown noise keys: {sorted(unknown)}")
         drift = data.get("drift")
@@ -153,13 +150,6 @@ class NoiseConfig:
             seed=int(data.get("seed", 0)),
             exact=bool(data.get("exact", False)),
         )
-
-
-def sample_counts(p_true: float, shots: int, rng: np.random.Generator) -> int:
-    """Binomial(shots, p_true) draw of the success count."""
-    if not 0.0 <= p_true <= 1.0:
-        raise ValueError("p_true must be a probability")
-    return int(rng.binomial(shots, p_true))
 
 
 def apply_depolarizing(p: float, alpha: float):
@@ -184,12 +174,6 @@ def gate_count(d: int, input_state: str) -> int:
     if input_state not in INPUT_STATES:
         raise ValueError(f"input_state must be one of {INPUT_STATES}")
     return 2 * d + 5 + (1 if input_state == "i" else 0)
-
-
-def apply_confusion(q4, confusion: ConfusionMatrix) -> np.ndarray:
-    """Measured distribution R^T q for a prepared 4-outcome distribution q."""
-    q4 = np.asarray(q4, dtype=float)
-    return confusion.entries.T @ q4
 
 
 def invert_confusion(q4_measured, confusion: ConfusionMatrix) -> np.ndarray:
@@ -256,8 +240,8 @@ def _measured_distributions(d, omegas, params, noise, input_state, rngs):
     alpha = dem_fidelity(noise.depol_rate, gate_count(d, input_state)) if noise.depol_rate > 0.0 else 1.0
     q4 = np.empty((nc, 4))
     q4[:, 0] = q4[:, 3] = (1.0 - alpha) / 4.0
-    q4[:, 1] = alpha * p + (1.0 - alpha) / 4.0
-    q4[:, 2] = alpha * (1.0 - p) + (1.0 - alpha) / 4.0
+    q4[:, 1] = apply_depolarizing(p, alpha)
+    q4[:, 2] = apply_depolarizing(1.0 - p, alpha)
     if noise.confusion is not None:
         q4 = q4 @ noise.confusion.entries
     return q4

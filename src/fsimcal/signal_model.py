@@ -16,33 +16,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .su2 import FsimParams, chebyshev_u, pq_values
+from .su2 import FsimParams, pq_values
 
 __all__ = [
-    "CircuitSpec",
-    "SignalSample",
     "FourierSpectrum",
     "GridMismatchError",
-    "RegimeViolationError",
     "omega_grid",
     "k_values",
     "exact_signal",
-    "exact_probabilities",
-    "amplitude_profile",
-    "dft_spectrum",
     "spectrum_from_h",
-    "approx_coefficients",
-    "snr_lower_bound",
-    "snr_leading_order",
 ]
 
 
 class GridMismatchError(ValueError):
-    """Samples do not lie, in order, on the canonical omega grid."""
-
-
-class RegimeViolationError(ValueError):
-    """A bound was requested outside the regime where it is nonnegative."""
+    """A signal vector does not hold one value per point of the canonical grid."""
 
 
 def omega_grid(depth: int) -> np.ndarray:
@@ -58,38 +45,6 @@ def k_values(depth: int) -> np.ndarray:
     n = 2 * depth - 1
     k = np.arange(n)
     return np.where(k < depth, k, k - n)
-
-
-@dataclass(frozen=True)
-class CircuitSpec:
-    """Depth and canonical modulation grid of one calibration experiment."""
-
-    depth: int
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-
-    @property
-    def size(self) -> int:
-        return 2 * self.depth - 1
-
-    @property
-    def omega_grid(self) -> np.ndarray:
-        return omega_grid(self.depth)
-
-
-@dataclass(frozen=True)
-class SignalSample:
-    """Transition probabilities at one modulation angle."""
-
-    omega: float
-    p_x: float
-    p_y: float
-
-    @property
-    def h(self) -> complex:
-        return complex(self.p_x - 0.5, self.p_y - 0.5)
 
 
 @dataclass(frozen=True)
@@ -127,46 +82,6 @@ def exact_signal(d: int, omegas, params: FsimParams) -> np.ndarray:
     return np.exp(1j * (params.varphi - params.chi - 2.0 * omegas)) * p * (1j * np.sin(params.theta)) * q
 
 
-def exact_probabilities(d: int, omega: float, params: FsimParams) -> SignalSample:
-    """Noiseless p_X, p_Y at one angle: p_beta = 1/2 + Re(conj(beta) h)."""
-    h = complex(exact_signal(d, float(omega), params))
-    return SignalSample(omega=float(omega), p_x=0.5 + h.real, p_y=0.5 + h.imag)
-
-
-def amplitude_profile(d: int, omega, params: FsimParams):
-    """|h|^2 = sin^2(t) u^2 (1 - sin^2(t) u^2), u = sin(d sigma)/sin(sigma).
-
-    sigma = arccos(cos(omega - varphi) cos(theta)); the profile peaks at the
-    phase-matched angle omega = varphi with height about (d theta)^2.
-    """
-    if d < 1:
-        raise ValueError("depth must be >= 1")
-    omega = np.asarray(omega, dtype=float)
-    u = chebyshev_u(d - 1, np.cos(omega - params.varphi) * np.cos(params.theta))
-    a = np.sin(params.theta) ** 2 * u * u
-    return a * (1.0 - a)
-
-
-def dft_spectrum(samples) -> FourierSpectrum:
-    """Forward DFT (1/(2d-1)) sum_j h_j e^{-2 pi i jk/(2d-1)} of grid samples.
-
-    samples must be exactly the 2d-1 SignalSamples on omega_grid(d), in
-    order; anything else raises GridMismatchError.  The inverse expansion
-    sum_k c_k e^{2 i k omega_j} returns h_j to machine precision.
-    """
-    samples = list(samples)
-    n = len(samples)
-    if n < 1 or n % 2 == 0:
-        raise GridMismatchError(f"expected an odd sample count 2d-1, got {n}")
-    depth = (n + 1) // 2
-    grid = omega_grid(depth)
-    omegas = np.array([s.omega for s in samples])
-    if not np.allclose(omegas, grid, rtol=0.0, atol=1e-12):
-        raise GridMismatchError("samples are not in order on the canonical grid")
-    h = np.array([s.h for s in samples])
-    return spectrum_from_h(h, depth)
-
-
 def spectrum_from_h(h, depth: int) -> FourierSpectrum:
     """Spectrum from an already-reconstructed h vector on the canonical grid."""
     h = np.asarray(h, dtype=complex)
@@ -174,39 +89,3 @@ def spectrum_from_h(h, depth: int) -> FourierSpectrum:
     if h.shape != (n,):
         raise GridMismatchError(f"expected {n} values for depth {depth}, got {h.shape}")
     return FourierSpectrum(coefficients=np.fft.fft(h) / n, depth=depth)
-
-
-def approx_coefficients(d: int, theta: float) -> np.ndarray:
-    """First-order coefficient profile chat_k, in slot order.
-
-    For 0 <= k <= d-1:
-        1 - (1/2) (3 d^2 - k^2 - (k+1)^2 - (d - (2k+1))^2) (1 - cos theta)
-    and for negative k:
-        -(1/2) (d^2 + (d+2k+1)^2 - k^2 - (k+1)^2) (1 - cos theta).
-    The noiseless moduli satisfy |ctilde_k - sin(theta) chat_k| <= 2 (d theta)^5.
-    """
-    if d < 1:
-        raise ValueError("depth must be >= 1")
-    ks = k_values(d).astype(float)
-    onec = 1.0 - np.cos(theta)
-    pos = 1.0 - 0.5 * (3.0 * d * d - ks**2 - (ks + 1.0) ** 2 - (d - (2.0 * ks + 1.0)) ** 2) * onec
-    neg = -0.5 * (d * d + (d + 2.0 * ks + 1.0) ** 2 - ks**2 - (ks + 1.0) ** 2) * onec
-    return np.where(ks >= 0, pos, neg)
-
-
-def snr_lower_bound(d: int, m_shots: int, theta: float) -> float:
-    """Elementwise SNR floor 2(2d-1) M sin^2(t) (1 - (4/3)(dt)^2 (1 + 3 d^3 t^2)).
-
-    Valid when d^5 theta^4 << 1; a negative value means the regime assumption
-    failed, reported as RegimeViolationError rather than a small number.
-    """
-    dt = d * theta
-    bound = 2.0 * (2 * d - 1) * m_shots * np.sin(theta) ** 2 * (1.0 - (4.0 / 3.0) * dt * dt * (1.0 + 3.0 * d**3 * theta**2))
-    if bound < 0.0:
-        raise RegimeViolationError(f"SNR bound negative at d^5 theta^4 = {d**5 * theta**4:.3g}")
-    return float(bound)
-
-
-def snr_leading_order(d: int, m_shots: int, theta: float) -> float:
-    """Leading-order SNR 4 d M theta^2 (regime 1 << d << theta^{-4/5})."""
-    return 4.0 * d * m_shots * theta * theta

@@ -1,9 +1,16 @@
-"""Independent brute-force oracles shared by the test modules.
+"""Independent oracles and closed-form references shared by the test modules.
 
-Everything here is deliberately written from first principles (explicit
-matrix products, dense linear algebra, direct channel composition) so the
-package's closed forms and fast paths are checked against a second route.
+The brute-force oracles are deliberately written from first principles
+(explicit matrix products, dense linear algebra, direct channel composition)
+so the package's closed forms and fast paths are checked against a second
+route.  The closed-form references are the paper's formulas the package
+itself does not need: the power-of-two doubling recurrence, the first-order
+coefficient profile, the amplitude profile, the SNR bounds and the
+parabolic weights of the weighted phase average.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +30,142 @@ def fsim_matrix(theta, varphi, chi):
             [-1j * np.exp(-1j * chi) * np.sin(theta), np.exp(1j * varphi) * np.cos(theta)],
         ]
     )
+
+
+def periodic_unitary_product(d, omega, theta):
+    """(e^{i omega Z} e^{i theta X})^d e^{i omega Z} by repeated multiplication."""
+    if d < 1:
+        raise ValueError("depth d must be >= 1")
+    block = z_rot(omega) @ x_rot(theta)
+    u = z_rot(omega)
+    for _ in range(d):
+        u = block @ u
+    return u
+
+
+@dataclass(frozen=True)
+class PolyPair:
+    """Pointwise values (P, Q) of the periodic-circuit polynomials.
+
+    The depth-d product equals [[P, i s Q], [i s Q, conj(P)]] with
+    x = cos(theta), s = sin(theta) >= 0 and Q real, so special unitarity pins
+    |P|^2 + s^2 Q^2 = 1.  s is carried explicitly because 1 - cos(theta)^2
+    cancels to zero in floating point once theta drops below ~1e-8.
+    """
+
+    p_value: complex
+    q_value: float
+    x: float
+    s_value: float
+
+    def __post_init__(self):
+        defect = abs(abs(self.p_value) ** 2 + self.s_value**2 * self.q_value**2 - 1.0)
+        if defect > 1e-9:
+            raise ValueError(f"normalization defect {defect:.3e} exceeds guard")
+
+    def unitary(self):
+        off = 1j * self.s_value * self.q_value
+        return np.array([[self.p_value, off], [off, np.conj(self.p_value)]])
+
+
+def closed_form_pq(d, omega, theta):
+    """The package's closed-form (P, Q) (fsimcal.su2.pq_values) at one point."""
+    from fsimcal.su2 import pq_values
+
+    p, q = pq_values(d, float(omega), theta)
+    return PolyPair(complex(p), float(q), math.cos(theta), abs(math.sin(theta)))
+
+
+def special_point_pq(j, omega, theta):
+    """(P, Q) at depth d = 2^j via the doubling recurrence.
+
+    Doubling steps: Q(2m) = 2 Q(m) Re(e^{-i omega} P(m)) and
+    Re(e^{-i omega} P(2m)) = 2 Re(e^{-i omega} P(m))^2 - 1, seeded at d = 1;
+    independent of the trig closed form.
+    """
+    x = math.cos(theta)
+    re = math.cos(omega) * x
+    im = math.sin(omega) * x
+    q = 1.0
+    for _ in range(j):
+        q = 2.0 * q * re
+        im = 2.0 * im * re
+        re = 2.0 * re * re - 1.0
+    return PolyPair(complex(np.exp(1j * omega) * (re + 1j * im)), q, x, abs(math.sin(theta)))
+
+
+@dataclass(frozen=True)
+class SignalSample:
+    """Transition probabilities at one modulation angle."""
+
+    omega: float
+    p_x: float
+    p_y: float
+
+    @property
+    def h(self):
+        return complex(self.p_x - 0.5, self.p_y - 0.5)
+
+
+def exact_probabilities(d, omega, params):
+    """Noiseless p_X, p_Y at one angle from the exact signal: p_beta = 1/2 + Re(conj(beta) h)."""
+    from fsimcal import exact_signal
+
+    h = complex(exact_signal(d, float(omega), params))
+    return SignalSample(omega=float(omega), p_x=0.5 + h.real, p_y=0.5 + h.imag)
+
+
+def amplitude_profile(d, omega, params):
+    """|h|^2 = sin^2(t) u^2 (1 - sin^2(t) u^2), u = sin(d sigma)/sin(sigma).
+
+    sigma = arccos(cos(omega - varphi) cos(theta)); the profile peaks at the
+    phase-matched angle omega = varphi with height about (d theta)^2.
+    """
+    from fsimcal.su2 import chebyshev_u
+
+    u = chebyshev_u(d - 1, np.cos(np.asarray(omega, dtype=float) - params.varphi) * np.cos(params.theta))
+    a = np.sin(params.theta) ** 2 * u * u
+    return a * (1.0 - a)
+
+
+def approx_coefficients(d, theta):
+    """First-order coefficient profile chat_k, in DFT slot order.
+
+    For 0 <= k <= d-1:
+        1 - (1/2) (3 d^2 - k^2 - (k+1)^2 - (d - (2k+1))^2) (1 - cos theta)
+    and for negative k:
+        -(1/2) (d^2 + (d+2k+1)^2 - k^2 - (k+1)^2) (1 - cos theta).
+    The noiseless moduli satisfy |ctilde_k - sin(theta) chat_k| <= 2 (d theta)^5.
+    """
+    from fsimcal.signal_model import k_values
+
+    ks = k_values(d).astype(float)
+    onec = 1.0 - np.cos(theta)
+    pos = 1.0 - 0.5 * (3.0 * d * d - ks**2 - (ks + 1.0) ** 2 - (d - (2.0 * ks + 1.0)) ** 2) * onec
+    neg = -0.5 * (d * d + (d + 2.0 * ks + 1.0) ** 2 - ks**2 - (ks + 1.0) ** 2) * onec
+    return np.where(ks >= 0, pos, neg)
+
+
+class RegimeViolationError(ValueError):
+    """A bound was requested outside the regime where it is nonnegative."""
+
+
+def snr_lower_bound(d, m_shots, theta):
+    """Elementwise SNR floor 2(2d-1) M sin^2(t) (1 - (4/3)(dt)^2 (1 + 3 d^3 t^2)).
+
+    Valid when d^5 theta^4 << 1; a negative value means the regime assumption
+    failed, reported as RegimeViolationError rather than a small number.
+    """
+    dt = d * theta
+    bound = 2.0 * (2 * d - 1) * m_shots * np.sin(theta) ** 2 * (1.0 - (4.0 / 3.0) * dt * dt * (1.0 + 3.0 * d**3 * theta**2))
+    if bound < 0.0:
+        raise RegimeViolationError(f"SNR bound negative at d^5 theta^4 = {d**5 * theta**4:.3g}")
+    return float(bound)
+
+
+def snr_leading_order(d, m_shots, theta):
+    """Leading-order SNR 4 d M theta^2 (regime 1 << d << theta^{-4/5})."""
+    return 4.0 * d * m_shots * theta * theta
 
 
 def bell_state(beta):
@@ -129,6 +272,57 @@ def dense_wpa(values):
     return float(ones @ inv @ values / (ones @ inv @ ones))
 
 
+def tridiag_solve(lower, diag, upper, rhs):
+    """Thomas algorithm for a general tridiagonal system, O(n).
+
+    lower[0] and upper[-1] are ignored padding so all bands share length n.
+    """
+    lower, diag, upper, rhs = (np.asarray(b, dtype=float) for b in (lower, diag, upper, rhs))
+    n = len(diag)
+    cp = np.empty(n)
+    dp = np.empty(n)
+    cp[0] = upper[0] / diag[0]
+    dp[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        denom = diag[i] - lower[i] * cp[i - 1]
+        cp[i] = upper[i] / denom if i < n - 1 else 0.0
+        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
+    x = np.empty(n)
+    x[-1] = dp[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = dp[i] - cp[i] * x[i + 1]
+    return x
+
+
+def thomas_wpa(values):
+    """(1^T D^{-1} v)/(1^T D^{-1} 1) with D a = 1 solved on explicit bands."""
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    if n == 1:
+        return float(values[0])
+    a = tridiag_solve(np.full(n, -1.0), np.full(n, 2.0), np.full(n, -1.0), np.ones(n))
+    return float(a @ values / a.sum())
+
+
+def wpa_weights(n):
+    """Parabolic-window weights mu_k of the weighted phase average, sum 1.
+
+    mu_k = (3/2)(n+1)/((n+1)^2 - 1) * (1 - ((k - (n-1)/2)/((n+1)/2))^2),
+    the closed form of 1^T D^{-1} e_k / 1^T D^{-1} 1 for the discrete
+    Laplacian D = tridiag(-1, 2, -1).
+    """
+    if n == 1:
+        return np.ones(1)
+    k = np.arange(n, dtype=float)
+    scale = 1.5 * (n + 1) / ((n + 1) ** 2 - 1)
+    return scale * (1.0 - ((k - (n - 1) / 2.0) / ((n + 1) / 2.0)) ** 2)
+
+
+def apply_confusion(q4, confusion):
+    """Measured distribution R^T q for a prepared 4-outcome distribution q."""
+    return confusion.entries.T @ np.asarray(q4, dtype=float)
+
+
 def hand_inverse_3x3(m):
     """Adjugate-formula inverse, independent of numpy.linalg."""
     a, b, c = m[0]
@@ -186,7 +380,7 @@ def brute_noisy_counts(d, omega, params, noise, beta, key):
     alpha = (1.0 - noise.depol_rate) ** n_gates
     q4 = np.array([0.0, alpha * p, alpha * (1.0 - p), 0.0]) + (1.0 - alpha) / 4.0
     if noise.confusion is not None:
-        q4 = noise.confusion.entries.T @ q4
+        q4 = apply_confusion(q4, noise.confusion)
     return rng.multinomial(noise.shots, q4 / q4.sum())
 
 

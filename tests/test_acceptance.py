@@ -20,21 +20,25 @@ from fsimcal import (
     FsimParams,
     NoiseConfig,
     PeakFitConfig,
-    approx_coefficients,
-    closed_form_pq,
     crlb,
     exact_signal,
     omega_grid,
-    periodic_unitary_product,
     run_calibration,
     run_confusion_check,
     run_sweep,
     spectrum_from_h,
-    special_point_pq,
 )
 from fsimcal.cli import main as cli_main
 
-from oracles import extract_pq_coefficients, symmetric_phases
+from oracles import (
+    approx_coefficients,
+    closed_form_pq,
+    extract_pq_coefficients,
+    periodic_unitary_product,
+    special_point_pq,
+    symmetric_phases,
+    wpa_weights,
+)
 
 D, M, THETA = 50, 100_000, 1e-3
 VARPHI, CHI = np.pi / 16, 5 * np.pi / 32
@@ -198,9 +202,9 @@ def test_criterion_07_depolarizing_mitigation():
         replicates=96,
         depth_grid=(10, 20, 30, 40, 50, 60),
     )
-    from fsimcal.harness import alpha_scan_rows, run_alpha_scan
+    from fsimcal.harness import alpha_scan_rows
 
-    rows = alpha_scan_rows(config, run_alpha_scan(config))
+    rows = alpha_scan_rows(config, run_sweep(config))
     depths = np.array([r[0] for r in rows], dtype=float)
     medians = np.array([r[3] for r in rows])
     at_50 = medians[list(depths).index(50)]
@@ -261,8 +265,6 @@ def test_criterion_09_confusion_coverage():
 
 def _ladder_conditional_mean(priors):
     """E[theta_pd | phi_pri] from the exact amplitude ladder, per prior."""
-    from fsimcal import wpa_weights
-
     priors = np.asarray(priors, dtype=float)
     depths = np.arange(D, 3 * D + 1, 2)
     params = FsimParams(THETA, VARPHI, CHI)

@@ -21,11 +21,10 @@ from fsimcal import (
     spectrum_from_h,
     theta_pd_estimate,
     wpa_solve,
-    wpa_weights,
 )
 from fsimcal.estimators import variance_theory_theta, variance_theory_theta_pd, variance_theory_varphi
 
-from oracles import binomial_signal_replicates, dense_wpa
+from oracles import binomial_signal_replicates, dense_wpa, thomas_wpa, wpa_weights
 
 D, M, THETA = 50, 100_000, 1e-3
 PARAMS = FsimParams(THETA, np.pi / 16, 5 * np.pi / 32)
@@ -88,6 +87,12 @@ class TestWpa:
     def test_matches_dense_inverse(self, n, seed):
         values = np.random.default_rng(seed).normal(size=n)
         assert wpa_solve(values) == pytest.approx(dense_wpa(values), abs=1e-10)
+
+    def test_bit_identical_to_general_thomas_solve(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 201):
+            for values in (rng.normal(size=n), rng.uniform(-np.pi, np.pi, size=n)):
+                assert wpa_solve(values) == thomas_wpa(values)
 
     def test_weights_closed_form_large_n(self):
         for n in (2, 17, 1000, 10_000):

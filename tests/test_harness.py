@@ -26,7 +26,7 @@ from fsimcal import (
 from fsimcal import harness
 from fsimcal.cli import main as cli_main
 from fsimcal.estimators import DegenerateCoefficientError
-from fsimcal.harness import _BOOT_BASE, _summarize, alpha_scan_rows, run_alpha_scan, sweep_rows
+from fsimcal.harness import FIGURES, MODES, _BOOT_BASE, _summarize, alpha_scan_rows, sweep_rows
 from fsimcal.noise import stream
 
 from oracles import bootstrap_means_loop
@@ -75,11 +75,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(mode="nonsense", gate_truth=TRUTH, noise=NoiseConfig(), depth=4)
 
-    def test_non_dominant_confusion_rejected_outside_confusion_check(self):
+    def test_non_dominant_confusion_rejected_in_every_mode(self):
         noise = NoiseConfig(shots=10, seed=3, confusion=ConfusionMatrix.uniform(0.4))
         with pytest.raises(InversionRejectedError):
             small_config(noise=noise)
-        ExperimentConfig(mode="confusion-check", gate_truth=TRUTH, noise=noise)
+        with pytest.raises(InversionRejectedError):
+            ExperimentConfig(mode="confusion-check", gate_truth=TRUTH, noise=noise)
 
     @pytest.mark.parametrize(
         "mode, grid",
@@ -262,13 +263,31 @@ class TestAlphaScan:
             replicates=8,
             depth_grid=(6, 10),
         )
-        records = run_alpha_scan(cfg)
+        records = run_sweep(cfg)
         rows = alpha_scan_rows(cfg, records)
         assert [r[0] for r in rows] == [6, 10]
         for d, alpha_dem, med, dev, n in rows:
             assert alpha_dem == pytest.approx((1 - 1e-3) ** (2 * d + 5))
             assert n == 8
             assert 0.8 < med < 1.05
+
+    def test_points_run_without_peak_fit_and_ladder(self):
+        cfg = ExperimentConfig(
+            mode="alpha-scan",
+            gate_truth=TRUTH,
+            noise=NoiseConfig(shots=20_000, depol_rate=1e-3, seed=2),
+            replicates=2,
+            depth_grid=(6,),
+            peak_fit=PeakFitConfig(enabled=True, n_pf=9, beta_thr=0.5),
+            theta_pd=True,
+        )
+        (rec,) = run_sweep(cfg)
+        assert rec.mode == "alpha-scan"
+        assert (rec.config["mode"], rec.config["depth"], rec.config["depth_grid"]) == ("calibrate", 6, None)
+        # the stored snapshot holds a default peak-fit section, switched off
+        assert rec.config["peak_fit"] == {"enabled": False, "n_pf": 15, "beta_thr": None}
+        assert rec.config["theta_pd"] is False
+        assert all(r["theta_pf"] is None and r["theta_pd"] is None for r in rec.replicates)
 
 
 class TestConfusionCheck:
@@ -375,6 +394,24 @@ class TestCli:
         assert "injected replicate failure" in err
         record = json.loads((tmp_path / "out" / "run_record.json").read_text(encoding="utf-8"))
         assert len(record["failures"]) == 2
+
+    @pytest.mark.parametrize("mode, grid", [("crlb-scan", (4, 8, 16)), ("alpha-scan", (6, 8))])
+    def test_figures_rebuild_from_the_files_run_mode_writes(self, tmp_path, mode, grid):
+        cfg = ExperimentConfig(
+            mode=mode,
+            gate_truth=TRUTH,
+            noise=NoiseConfig(shots=20_000, depol_rate=1e-3, seed=2),
+            replicates=3,
+            depth_grid=grid,
+            output_dir=str(tmp_path / "run"),
+        )
+        paths = run_mode(cfg)
+        written = {kind: os.path.basename(path) for kind, path in paths.items() if kind != "figure"}
+        assert written == MODES[mode].files
+        (figure,) = [fig for fig, (source, _) in FIGURES.items() if source == mode]
+        argv = ["emit-figures", "--records", str(tmp_path / "run"), "--figure", figure, "--out", str(tmp_path / "figs")]
+        assert cli_main(argv) == 0
+        assert (tmp_path / "figs" / f"figure_{figure}.csv").read_bytes() == open(paths["figure"], "rb").read()
 
     def test_mode_subcommand_mismatch(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

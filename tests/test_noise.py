@@ -14,44 +14,60 @@ from fsimcal import (
     FsimParams,
     InversionRejectedError,
     NoiseConfig,
-    apply_confusion,
     apply_depolarizing,
     confusion_sample_size,
     dem_fidelity,
-    exact_probabilities,
     exact_signal,
     gate_count,
     invert_confusion,
     omega_grid,
-    sample_counts,
     simulate_probability_batch,
 )
 from fsimcal.noise import _BETA, INPUT_STATES, _drifted_survival, stream
 
-from oracles import brute_depolarized_probability, brute_noisy_counts, dense_laplacian, drifted_survival_matmul
+from oracles import (
+    apply_confusion,
+    brute_depolarized_probability,
+    brute_noisy_counts,
+    dense_laplacian,
+    drifted_survival_matmul,
+    exact_probabilities,
+)
 
 PARAMS = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
 
 
 class TestSampleCounts:
+    """The shot draw of simulate_probability_batch, one circuit per sample.
+
+    theta = 0 leaves every circuit at p = 1/2 exactly, so depolarizing alone
+    sets the |01> probability the counts must follow.
+    """
+
+    FLAT = FsimParams(0.0, 0.3, -0.7)
+
     def test_degenerate_probabilities(self):
-        rng = stream(1, 2, 3)
-        assert sample_counts(0.0, 1000, rng) == 0
-        assert sample_counts(1.0, 1000, rng) == 1000
-        with pytest.raises(ValueError):
-            sample_counts(1.5, 10, rng)
+        # A readout that reports every outcome as 01 (or as 00) pins the
+        # measured frequency at 1 (or 0) whatever the circuit.
+        for column, expected in ((1, 1.0), (0, 0.0)):
+            entries = np.zeros((4, 4))
+            entries[:, column] = 1.0
+            noise = NoiseConfig(shots=1000, seed=1, confusion=ConfusionMatrix(entries))
+            p = simulate_probability_batch(5, [0.1, 0.7], PARAMS, noise, "plus", correct_readout=False)
+            assert (p == expected).all()
 
     def test_variance_window(self):
         m = 100_000
-        rng = stream(7)
-        freqs = np.array([sample_counts(0.5, m, rng) for _ in range(1000)]) / m
+        noise = NoiseConfig(shots=m, seed=7)
+        freqs = simulate_probability_batch(3, np.zeros(1000), self.FLAT, noise, "plus")
         assert 0.8 / (4 * m) < freqs.var() < 1.2 / (4 * m)
         assert freqs.mean() == pytest.approx(0.5, abs=5e-4)
 
     def test_chi_square_goodness_of_fit(self):
-        p, m, reps = 0.3, 10_000, 1000
-        rng = stream(11)
-        counts = np.array([sample_counts(p, m, rng) for _ in range(reps)])
+        d, m, reps, rate = 3, 10_000, 1000, 0.1
+        p = apply_depolarizing(0.5, dem_fidelity(rate, gate_count(d, "plus")))
+        noise = NoiseConfig(shots=m, depol_rate=rate, seed=11)
+        counts = np.rint(simulate_probability_batch(d, np.zeros(reps), self.FLAT, noise, "plus") * m).astype(int)
         # bin the binomial around its bulk, folding the tails in
         lo = int(m * p - 4 * math.sqrt(m * p * (1 - p)))
         hi = int(m * p + 4 * math.sqrt(m * p * (1 - p)))
@@ -196,16 +212,22 @@ class TestDriftKernel:
 
 class TestConfusion:
     def test_apply_identity(self):
-        q = np.array([0.1, 0.2, 0.3, 0.4])
-        r = ConfusionMatrix(np.eye(4))
-        assert np.array_equal(apply_confusion(q, r), q)
+        # An identity readout leaves the sampled frequencies bit for bit.
+        plain = NoiseConfig(shots=1000, depol_rate=1e-2, seed=4)
+        ideal = NoiseConfig(shots=1000, depol_rate=1e-2, seed=4, confusion=ConfusionMatrix(np.eye(4)))
+        omegas = np.linspace(0.0, 3.0, 7)
+        for correct in (True, False):
+            a = simulate_probability_batch(5, omegas, PARAMS, plain, "i", correct_readout=correct)
+            b = simulate_probability_batch(5, omegas, PARAMS, ideal, "i", correct_readout=correct)
+            assert np.array_equal(a, b)
 
     def test_single_row_readout(self):
         entries = np.eye(4)
         entries[1] = [0.02, 0.98, 0.0, 0.0]
         r = ConfusionMatrix(entries)
-        out = apply_confusion(np.array([0.0, 1.0, 0.0, 0.0]), r)
-        assert np.allclose(out, [0.02, 0.98, 0.0, 0.0])
+        q = np.array([0.0, 1.0, 0.0, 0.0])
+        assert np.allclose(apply_confusion(q, r), [0.02, 0.98, 0.0, 0.0])
+        assert np.allclose(q @ r.entries, [0.02, 0.98, 0.0, 0.0])  # the row form simulation uses
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

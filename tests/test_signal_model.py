@@ -6,24 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fsimcal import (
-    FsimParams,
-    GridMismatchError,
+from fsimcal import FsimParams, GridMismatchError, exact_signal, omega_grid, spectrum_from_h
+from fsimcal.signal_model import k_values
+from fsimcal.su2 import pq_values
+
+from oracles import (
     RegimeViolationError,
     amplitude_profile,
     approx_coefficients,
-    dft_spectrum,
+    binomial_signal_replicates,
+    brute_circuit_probability,
     exact_probabilities,
-    exact_signal,
-    omega_grid,
     snr_leading_order,
     snr_lower_bound,
-    spectrum_from_h,
 )
-from fsimcal.signal_model import CircuitSpec, k_values
-from fsimcal.su2 import pq_values
-
-from oracles import binomial_signal_replicates, brute_circuit_probability
 
 PARAMS = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
 
@@ -113,14 +109,13 @@ class TestDftSpectrum:
 
     def test_grid_contract(self):
         d = 4
-        grid = omega_grid(d)
-        samples = [exact_probabilities(d, w, PARAMS) for w in grid]
-        spec = dft_spectrum(samples)
+        h = exact_signal(d, omega_grid(d), PARAMS)
+        spec = spectrum_from_h(h, d)
         assert spec.depth == d
         with pytest.raises(GridMismatchError):
-            dft_spectrum(samples[:-1])
+            spectrum_from_h(h[:-1], d)
         with pytest.raises(GridMismatchError):
-            dft_spectrum(list(reversed(samples)))
+            spectrum_from_h(h, d + 1)
 
     def test_inverse_reconstruction(self):
         d = 9
@@ -257,10 +252,8 @@ class TestSnrBound:
         assert snr.mean() >= snr_lower_bound(d, m, theta)
 
 
-def test_circuit_spec_grid():
-    spec = CircuitSpec(6)
-    assert spec.size == 11
-    grid = spec.omega_grid
+def test_omega_grid_spacing():
+    grid = omega_grid(6)
     assert len(grid) == 11
     assert grid[0] == 0.0
     assert np.allclose(np.diff(grid), np.pi / 11)
