@@ -66,7 +66,11 @@ def main(argv=None) -> int:
         path = emit_figure_data(source, args.figure, args.out)
         print(f"wrote {path}")
         return 0
-    config = _load_config(args)
+    try:
+        config = _load_config(args)
+    except ValueError as exc:  # a config rejected when it is built
+        print(f"fsimcal {args.command}: {exc}", file=sys.stderr)
+        return 2
     t0 = time.perf_counter()
     try:
         paths = run_mode(config, jobs=args.jobs)

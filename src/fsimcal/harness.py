@@ -32,6 +32,7 @@ from .estimators import (
     theta_pd_estimate,
 )
 from .noise import (
+    INPUT_STATES,
     InversionRejectedError,
     NoiseConfig,
     confusion_sample_size,
@@ -278,19 +279,25 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicate: int = 
 
     Simulates the 2(2d-1) grid circuits, reconstructs h, applies the Fourier
     estimators, then (as configured) the fidelity correction, the
-    progressive-difference ladder and the peak fit, both using varphi_hat as
-    the a-priori phase.
+    progressive-difference ladder (depths d, d+2, ..., 3d, one batch per
+    input state) and the peak fit, both using varphi_hat as the a-priori
+    phase.
     """
     d = config.depth
     params, noise = config.gate_truth, config.noise
+
+    def simulate(depth, omegas, base):
+        # p_X from circuits base + 2j, p_Y from circuits base + 2j + 1
+        ids = base + 2 * np.arange(len(omegas))
+        return [
+            simulate_probability_batch(
+                depth, omegas, params, noise, state, point=point, replicate=replicate, circuit_ids=ids + k
+            )
+            for k, state in enumerate(INPUT_STATES)
+        ]
+
     grid = omega_grid(d)
-    n = len(grid)
-    px = simulate_probability_batch(
-        d, grid, params, noise, "plus", point=point, replicate=replicate, circuit_ids=2 * np.arange(n)
-    )
-    py = simulate_probability_batch(
-        d, grid, params, noise, "i", point=point, replicate=replicate, circuit_ids=2 * np.arange(n) + 1
-    )
+    px, py = simulate(d, grid, 0)
     spectrum = spectrum_from_h(px - 0.5 + 1j * (py - 0.5), d)
     report = fourier_estimate(spectrum, noise.shots)
     if config.alpha_correction and d >= 3:
@@ -302,17 +309,9 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicate: int = 
             report.warnings.append(str(exc))
     phi_pri = report.varphi_hat
     if config.theta_pd:
-        amps = []
-        for li, depth_j in enumerate(range(d, 3 * d + 1, 2)):
-            pxl = simulate_probability_batch(
-                depth_j, [phi_pri], params, noise, "plus",
-                point=point, replicate=replicate, circuit_ids=[_LADDER_BASE + 2 * li],
-            )
-            pyl = simulate_probability_batch(
-                depth_j, [phi_pri], params, noise, "i",
-                point=point, replicate=replicate, circuit_ids=[_LADDER_BASE + 2 * li + 1],
-            )
-            amps.append(math.hypot(pxl[0] - 0.5, pyl[0] - 0.5))
+        depths = np.arange(d, 3 * d + 1, 2)
+        pxl, pyl = simulate(depths, np.full(len(depths), phi_pri), _LADDER_BASE)
+        amps = [math.hypot(x - 0.5, y - 0.5) for x, y in zip(pxl.tolist(), pyl.tolist())]
         theta_pd, var_pd, budget = theta_pd_estimate(amps, d, noise.shots, var_phi_pri=report.var_theory_varphi)
         report.theta_pd = theta_pd
         report.diagnostics["theta_pd_var_theory"] = var_pd
@@ -320,14 +319,7 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicate: int = 
     if config.peak_fit.enabled:
         n_pf = config.peak_fit.n_pf
         local = phi_pri + (np.pi / d) * (np.arange(n_pf) / (n_pf - 1) - 0.5)
-        pxp = simulate_probability_batch(
-            d, local, params, noise, "plus",
-            point=point, replicate=replicate, circuit_ids=_PEAK_BASE + 2 * np.arange(n_pf),
-        )
-        pyp = simulate_probability_batch(
-            d, local, params, noise, "i",
-            point=point, replicate=replicate, circuit_ids=_PEAK_BASE + 2 * np.arange(n_pf) + 1,
-        )
+        pxp, pyp = simulate(d, local, _PEAK_BASE)
         result = peak_fit(local, np.hypot(pxp - 0.5, pyp - 0.5), d, phi_pri, config.peak_fit.beta_thr)
         report.theta_pf = result.theta_pf
         report.diagnostics["peak_fit"] = {

@@ -10,6 +10,7 @@ subspace signal lives in outcomes 01/10 and depolarizing leaks weight onto
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -47,6 +48,71 @@ class InversionRejectedError(ValueError):
 def stream(*key) -> np.random.Generator:
     """Independent generator keyed by a tuple of non-negative integers."""
     return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
+
+
+# numpy's SeedSequence constants (a pool of four 32-bit words) and PCG64's
+# LCG multiplier, replayed by _stream_states.
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int):
+    """(xor, multiplier) constants of successive SeedSequence hashmix calls."""
+    return itertools.pairwise(itertools.accumulate(itertools.repeat(mult), lambda h, m: h * m & _MASK32, initial=init))
+
+
+def _hashmix(v, consts):
+    x, m = next(consts)
+    v = (v ^ x) * m & _MASK32
+    return v ^ v >> 16
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _stream_states(prefix, ids) -> list:
+    """bit_generator.state of stream(*prefix, i) for every i in ids, in one pass.
+
+    Splits each key word into little-endian 32-bit words as SeedSequence
+    does, runs its entropy mixing and generate_state(4, uint64) as uint32
+    arithmetic in uint64 arrays over all keys, then PCG64's two seeding LCG
+    steps on Python ints.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if min(prefix, default=0) < 0 or (ids < 0).any():
+        raise ValueError("stream key words must be non-negative")
+    head = [k >> s & _MASK32 for k in map(int, prefix) for s in range(0, max(k.bit_length(), 1), 32)]
+    n_words = len(head) + 1 + (ids >> 32 > 0)
+    entropy = np.zeros((max(4, n_words.max()), len(ids)), dtype=np.uint64)
+    entropy[: len(head)] = np.reshape(head, (-1, 1))
+    entropy[len(head)] = ids & _MASK32
+    entropy[len(head) + 1 : n_words.max()] = ids >> 32
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(entropy[i], consts) for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for src, dst in itertools.product(range(4, len(entropy)), range(4)):  # words past the pool
+        pool[dst] = np.where(n_words > src, _mix(pool[dst], _hashmix(entropy[src], consts)), pool[dst])
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    out = [_hashmix(pool[i % 4], consts) for i in range(8)]
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(*((out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4))):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _each_stream(rng, states, idx):
+    """rng set to each circuit's stream in turn, keeping where each one stops."""
+    for i in idx:
+        rng.bit_generator.state = states[i]
+        yield rng
+        states[i] = rng.bit_generator.state
 
 
 @dataclass(frozen=True)
@@ -122,6 +188,8 @@ class NoiseConfig:
             raise ValueError("shots must be >= 1")
         if not 0.0 <= self.depol_rate < 1.0:
             raise ValueError("depol_rate must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         return {
@@ -229,26 +297,8 @@ def _drifted_survival(d, omegas, params, drift, rngs, beta):
     return np.abs(r0 + beta * r1) ** 2 / 2.0
 
 
-def _measured_distributions(d, omegas, params, noise, input_state, rngs):
-    """Exact 4-outcome distributions per circuit, before shot sampling."""
-    if noise.drift is not None:
-        p = _drifted_survival(d, omegas, params, noise.drift, rngs, _BETA[input_state])
-    else:
-        h = exact_signal(d, omegas, params)
-        p = 0.5 + (np.conj(_BETA[input_state]) * h).real
-    nc = len(p)
-    alpha = dem_fidelity(noise.depol_rate, gate_count(d, input_state)) if noise.depol_rate > 0.0 else 1.0
-    q4 = np.empty((nc, 4))
-    q4[:, 0] = q4[:, 3] = (1.0 - alpha) / 4.0
-    q4[:, 1] = apply_depolarizing(p, alpha)
-    q4[:, 2] = apply_depolarizing(1.0 - p, alpha)
-    if noise.confusion is not None:
-        q4 = q4 @ noise.confusion.entries
-    return q4
-
-
 def simulate_probability_batch(
-    d: int,
+    d,
     omegas,
     params: FsimParams,
     noise: NoiseConfig,
@@ -261,24 +311,49 @@ def simulate_probability_batch(
 ) -> np.ndarray:
     """Empirical |01> probabilities for a batch of circuits at angles omegas.
 
-    One generator per circuit, keyed (seed, point, replicate, circuit_id); a
-    circuit's drift draws precede its shot draw on its own stream.  With
-    correct_readout the sampled 4-outcome frequencies are pushed through the
-    inverse confusion matrix before the 01 component is returned.
+    d is one depth or one depth per circuit.  One stream per circuit, keyed
+    (seed, point, replicate, circuit_id); a circuit's drift draws precede its
+    shot draw on its own stream.  With correct_readout the sampled 4-outcome
+    frequencies are pushed through the inverse confusion matrix before the
+    01 component is returned.
     """
     if input_state not in INPUT_STATES:
         raise ValueError(f"input_state must be one of {INPUT_STATES}")
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if noise.exact:
-        h = exact_signal(d, omegas, params)
-        return 0.5 + (np.conj(_BETA[input_state]) * h).real
+    depths = np.broadcast_to(d, omegas.shape)
+    beta = _BETA[input_state]
+    if noise.exact or noise.drift is None:
+        p = 0.5 + (np.conj(beta) * exact_signal(depths, omegas, params)).real
+        if noise.exact:
+            return p
+    else:
+        p = np.empty(len(omegas))
     if circuit_ids is None:
         circuit_ids = np.arange(len(omegas))
-    rngs = [stream(noise.seed, point, replicate, cid) for cid in circuit_ids]
-    q4 = _measured_distributions(d, omegas, params, noise, input_state, rngs)
-    freq = np.empty_like(q4)
-    for i, rng in enumerate(rngs):
-        freq[i] = rng.multinomial(noise.shots, q4[i] / q4[i].sum()) / noise.shots
+    states = _stream_states((noise.seed, point, replicate), circuit_ids)
+    rng = np.random.Generator(np.random.PCG64(0))
+    # Drift, confusion mixing and its inverse run once per depth, so each
+    # row's bits match a call with that depth alone.
+    groups = [(int(dj), np.flatnonzero(depths == dj)) for dj in np.unique(depths)]
+    alpha = np.empty(len(omegas))
+    for dj, idx in groups:
+        if noise.drift is not None:
+            p[idx] = _drifted_survival(dj, omegas[idx], params, noise.drift, _each_stream(rng, states, idx), beta)
+        alpha[idx] = dem_fidelity(noise.depol_rate, gate_count(dj, input_state))
+    q4 = np.empty((len(omegas), 4))
+    q4[:, 0] = q4[:, 3] = (1.0 - alpha) / 4.0
+    q4[:, 1] = apply_depolarizing(p, alpha)
+    q4[:, 2] = apply_depolarizing(1.0 - p, alpha)
+    if noise.confusion is not None:
+        for _, idx in groups:
+            q4[idx] = q4[idx] @ noise.confusion.entries
+    pvals = q4 / q4.sum(axis=1, keepdims=True)
+    counts = np.empty(q4.shape, dtype=np.int64)
+    for i, state in enumerate(states):
+        rng.bit_generator.state = state
+        counts[i] = rng.multinomial(noise.shots, pvals[i])
+    freq = counts / noise.shots
     if correct_readout and noise.confusion is not None:
-        freq = invert_confusion(freq.T, noise.confusion).T
+        for _, idx in groups:
+            freq[idx] = invert_confusion(freq[idx].T, noise.confusion).T
     return freq[:, 1]

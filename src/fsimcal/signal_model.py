@@ -60,23 +60,16 @@ class FourierSpectrum:
             raise ValueError("spectrum must hold exactly 2d-1 coefficients")
 
     @property
-    def k_values(self) -> np.ndarray:
-        return k_values(self.depth)
-
-    @property
     def nonnegative(self) -> np.ndarray:
         """Coefficients c_0 .. c_{d-1}."""
         return self.coefficients[: self.depth]
 
-    def coefficient(self, k: int) -> complex:
-        n = 2 * self.depth - 1
-        if not -self.depth < k < self.depth:
-            raise IndexError(f"harmonic index {k} outside +-(d-1)")
-        return complex(self.coefficients[k % n])
 
+def exact_signal(d, omegas, params: FsimParams) -> np.ndarray:
+    """Noiseless h(omega) = i e^{-i(chi+varphi)} e^{-2i(omega-varphi)} sin(theta) P Q.
 
-def exact_signal(d: int, omegas, params: FsimParams) -> np.ndarray:
-    """Noiseless h(omega) = i e^{-i(chi+varphi)} e^{-2i(omega-varphi)} sin(theta) P Q."""
+    d is one depth or an array of depths, one per omega.
+    """
     omegas = np.asarray(omegas, dtype=float)
     p, q = pq_values(d, omegas - params.varphi, params.theta)
     return np.exp(1j * (params.varphi - params.chi - 2.0 * omegas)) * p * (1j * np.sin(params.theta)) * q

@@ -77,8 +77,8 @@ def _u_recurrence(n: int, x: float) -> float:
     return cur
 
 
-def chebyshev_u(n: int, x):
-    """Chebyshev polynomial of the second kind U_n on [-1, 1].
+def chebyshev_u(n, x):
+    """Chebyshev polynomial of the second kind U_n on [-1, 1]; n is one degree or one per x.
 
     Evaluates sin((n+1) arccos x)/sin(arccos x) away from the endpoints and
     falls back to the three-term recurrence where 1 - x^2 < 1e-6, avoiding
@@ -87,25 +87,27 @@ def chebyshev_u(n: int, x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
+    n = np.asarray(n)
     out = np.empty_like(arr)
     s2 = 1.0 - arr * arr
     near = s2 < _U_SWITCH
     far = ~near
     if far.any():
         sigma = np.arccos(np.clip(arr[far], -1.0, 1.0))
-        out[far] = np.sin((n + 1) * sigma) / np.sin(sigma)
+        out[far] = np.sin(((n[far] if n.ndim else n) + 1) * sigma) / np.sin(sigma)
     if near.any():
-        out[near] = [_u_recurrence(n, float(v)) for v in arr[near]]
+        degrees = np.broadcast_to(n, arr.shape)[near]
+        out[near] = [_u_recurrence(int(k), float(v)) for k, v in zip(degrees, arr[near])]
     return float(out[0]) if scalar else out
 
 
-def pq_values(d: int, omega, theta: float):
-    """Vectorized (P, Q) over an array of modulation angles omega.
+def pq_values(d, omega, theta: float):
+    """Vectorized (P, Q) over modulation angles omega; d is one depth or one per omega.
 
     P = e^{i omega} (cos(d sigma) + i sin(d sigma)/sin(sigma) sin(omega) cos(theta)),
     Q = sin(d sigma)/sin(sigma), with sigma = arccos(cos(omega) cos(theta)).
     """
-    if d < 1:
+    if np.min(d) < 1:
         raise ValueError("depth d must be >= 1")
     omega = np.asarray(omega, dtype=float)
     x = np.cos(theta)

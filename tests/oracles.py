@@ -146,6 +146,14 @@ def approx_coefficients(d, theta):
     return np.where(ks >= 0, pos, neg)
 
 
+def coefficient(spectrum, k):
+    """Harmonic c_k of a FourierSpectrum, for -(d-1) <= k <= d-1."""
+    d = spectrum.depth
+    if not -d < k < d:
+        raise IndexError(f"harmonic index {k} outside +-(d-1)")
+    return complex(spectrum.coefficients[k % (2 * d - 1)])
+
+
 class RegimeViolationError(ValueError):
     """A bound was requested outside the regime where it is nonnegative."""
 
@@ -382,6 +390,26 @@ def brute_noisy_counts(d, omega, params, noise, beta, key):
     if noise.confusion is not None:
         q4 = apply_confusion(q4, noise.confusion)
     return rng.multinomial(noise.shots, q4 / q4.sum())
+
+
+def ladder_amplitudes_loop(d, phi_pri, params, noise, point, replicate):
+    """theta_pd ladder amplitudes |h(phi_pri)| on depths d, d+2, ..., 3d, one
+    single-circuit simulation call per depth and input state (circuit ids
+    1_000_000 + 2 li for the X input, + 1 for the Y input).
+    """
+    from fsimcal.noise import simulate_probability_batch
+
+    amps = []
+    for li, depth_j in enumerate(range(d, 3 * d + 1, 2)):
+        cid = 1_000_000 + 2 * li
+        pxl = simulate_probability_batch(
+            depth_j, [phi_pri], params, noise, "plus", point=point, replicate=replicate, circuit_ids=[cid]
+        )
+        pyl = simulate_probability_batch(
+            depth_j, [phi_pri], params, noise, "i", point=point, replicate=replicate, circuit_ids=[cid + 1]
+        )
+        amps.append(math.hypot(pxl[0] - 0.5, pyl[0] - 0.5))
+    return amps
 
 
 def drifted_survival_matmul(d, omegas, params, drift, rngs, beta):

@@ -29,6 +29,7 @@ from fsimcal import (
     spectrum_from_h,
 )
 from fsimcal.cli import main as cli_main
+from fsimcal.signal_model import k_values
 
 from oracles import (
     approx_coefficients,
@@ -115,7 +116,7 @@ def test_criterion_03_fourier_structure_bound():
         for theta in (1e-2, 1e-3):
             params = FsimParams(theta, VARPHI, CHI)
             spec = spectrum_from_h(exact_signal(d, omega_grid(d), params), d)
-            ks = spec.k_values
+            ks = k_values(d)
             ctilde = (spec.coefficients * (-1j) * np.exp(1j * (CHI + (2 * ks + 1) * VARPHI))).real
             err = np.abs(ctilde - np.sin(theta) * approx_coefficients(d, theta)).max()
             worst_mod = max(worst_mod, float(err / (2 * (d * theta) ** 5)))

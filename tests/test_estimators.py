@@ -23,6 +23,7 @@ from fsimcal import (
     wpa_solve,
 )
 from fsimcal.estimators import variance_theory_theta, variance_theory_theta_pd, variance_theory_varphi
+from fsimcal.signal_model import k_values
 
 from oracles import binomial_signal_replicates, dense_wpa, thomas_wpa, wpa_weights
 
@@ -156,7 +157,7 @@ class TestFourierEstimate:
         spec = exact_spectrum(20, FsimParams(1e-2, 0.3, -0.4))
         base = fourier_estimate(spec, M)
         a, b = 0.83, 0.05
-        ks = spec.k_values
+        ks = k_values(20)
         shifted = FourierSpectrum(spec.coefficients * np.exp(1j * (a + b * ks)), 20)
         moved = fourier_estimate(shifted, M)
         assert moved.theta_hat == base.theta_hat  # exact invariance

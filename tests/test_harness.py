@@ -413,6 +413,28 @@ class TestCli:
         assert cli_main(argv) == 0
         assert (tmp_path / "figs" / f"figure_{figure}.csv").read_bytes() == open(paths["figure"], "rb").read()
 
+    @pytest.mark.parametrize(
+        "edit, flags",
+        [
+            ({"depth": 1}, []),
+            ({"mode": "confusion-check", "noise": {"confusion": ConfusionMatrix.uniform(0.4).entries.tolist()}}, []),
+            ({}, ["--seed", "-1"]),
+            ({}, ["--replicates", "0"]),
+        ],
+    )
+    def test_config_rejected_at_build_time_exits_with_one_line(self, tmp_path, capsys, edit, flags):
+        data = small_config(output_dir=str(tmp_path / "out")).to_dict()
+        data.update(edit)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data), encoding="utf-8")
+        command = MODES[data["mode"]].subcommand
+        assert cli_main([command, "--config", str(cfg_path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"fsimcal {command}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_mode_subcommand_mismatch(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_config().to_dict()), encoding="utf-8")

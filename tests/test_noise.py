@@ -11,9 +11,11 @@ from scipy import stats
 from fsimcal import (
     ConfusionMatrix,
     DriftModel,
+    ExperimentConfig,
     FsimParams,
     InversionRejectedError,
     NoiseConfig,
+    PeakFitConfig,
     apply_depolarizing,
     confusion_sample_size,
     dem_fidelity,
@@ -23,7 +25,9 @@ from fsimcal import (
     omega_grid,
     simulate_probability_batch,
 )
-from fsimcal.noise import _BETA, INPUT_STATES, _drifted_survival, stream
+from fsimcal import harness
+from fsimcal.estimators import theta_pd_estimate
+from fsimcal.noise import _BETA, INPUT_STATES, _drifted_survival, _stream_states, stream
 
 from oracles import (
     apply_confusion,
@@ -32,6 +36,7 @@ from oracles import (
     dense_laplacian,
     drifted_survival_matmul,
     exact_probabilities,
+    ladder_amplitudes_loop,
 )
 
 PARAMS = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
@@ -208,6 +213,83 @@ class TestDriftKernel:
         # every circuit's generator is left where the reference leaves it, so
         # the shot draw that follows reads the same stream
         assert [g.bit_generator.state for g in fast] == [g.bit_generator.state for g in reference]
+
+
+# Key words as SeedSequence sees them: zero, one 32-bit word, or several.
+KEY_WORDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**70))
+CIRCUIT_IDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**63 - 1))
+
+NOISE_KINDS = {
+    "shots": NoiseConfig(shots=100_000, seed=21),
+    "depolarizing": NoiseConfig(shots=100_000, depol_rate=1e-2, seed=21),
+    "drift": NoiseConfig(shots=100_000, drift=DriftModel(), seed=21),
+    "confusion": NoiseConfig(shots=100_000, confusion=ConfusionMatrix.uniform(0.97), seed=21),
+    "all": NoiseConfig(
+        shots=100_000, depol_rate=1e-2, drift=DriftModel(), confusion=ConfusionMatrix.uniform(0.97), seed=21
+    ),
+}
+
+
+class TestBatchSeeding:
+    @given(st.lists(KEY_WORDS, max_size=5), st.lists(CIRCUIT_IDS, min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_states_match_stream(self, prefix, ids):
+        # Also catches a change to numpy's SeedSequence or PCG64 seeding.
+        rng = np.random.Generator(np.random.PCG64(0))
+        for cid, state in zip(ids, _stream_states(prefix, ids)):
+            reference = stream(*prefix, cid)
+            assert state == reference.bit_generator.state
+            rng.bit_generator.state = state
+            assert rng.random(4).tobytes() == reference.random(4).tobytes()
+
+    @pytest.mark.parametrize("prefix, ids", [((3, -1, 0), [5]), ((3, 1, 0), [5, -2]), ((-7,), [0])])
+    def test_negative_key_word_rejected(self, prefix, ids):
+        with pytest.raises(ValueError):
+            _stream_states(prefix, ids)
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("state", INPUT_STATES)
+    def test_mixed_depth_batch_matches_one_call_per_depth(self, kind, state):
+        # Circuits of one depth keep their batch order; a depth that occurs
+        # once is a single-circuit call.  The readout mixing and its inverse
+        # shift the returned bits of only about one circuit in fifty when
+        # rows are coupled, hence the batch size.
+        noise = NOISE_KINDS[kind]
+        rng = np.random.default_rng(8)
+        depths = rng.permutation([4] * 20 + [9] * 20 + list(range(10, 130)))
+        omegas = rng.uniform(0.0, np.pi, size=len(depths))
+        ids = rng.permutation(1000)[: len(depths)] + 1_000_000
+        batch = simulate_probability_batch(depths, omegas, PARAMS, noise, state, point=3, replicate=2, circuit_ids=ids)
+        expected = np.empty(len(depths))
+        for dj in np.unique(depths):
+            at = depths == dj
+            expected[at] = simulate_probability_batch(
+                int(dj), omegas[at], PARAMS, noise, state, point=3, replicate=2, circuit_ids=ids[at]
+            )
+        assert batch.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["depolarizing", "drift", "confusion", "all"])
+    def test_ladder_matches_per_depth_loop(self, kind, monkeypatch):
+        seen = []
+
+        def spy(amps, *args, **kwargs):
+            seen.append(list(amps))
+            return theta_pd_estimate(amps, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "theta_pd_estimate", spy)
+        noise = NOISE_KINDS[kind]
+        config = ExperimentConfig(
+            mode="calibrate",
+            gate_truth=FsimParams(0.02, 0.3, -0.2),
+            noise=noise,
+            depth=20,
+            theta_pd=True,
+            peak_fit=PeakFitConfig(enabled=False),
+        )
+        report = harness.run_replicate(config, point=1, replicate=4)
+        expected = ladder_amplitudes_loop(20, report.varphi_hat, config.gate_truth, noise, point=1, replicate=4)
+        assert len(expected) == 21
+        assert seen == [expected]
 
 
 class TestConfusion:
@@ -389,5 +471,7 @@ class TestNoiseConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             NoiseConfig(shots=0)
+        with pytest.raises(ValueError, match="seed"):
+            NoiseConfig(shots=10, seed=-1)
         with pytest.raises(ValueError):
             NoiseConfig(shots=10, depol_rate=1.0)
