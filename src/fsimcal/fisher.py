@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .signal_model import exact_signal, k_values, omega_grid
-from .su2 import FsimParams, chebyshev_t, chebyshev_u
+from .su2 import FsimParams, chebyshev_tu
 
 __all__ = [
     "FisherMatrix",
@@ -88,10 +88,11 @@ def gradient_grid(d: int, params: FsimParams) -> np.ndarray:
     """
     omegas = omega_grid(d)
     n = len(omegas)
-    sw, cw = np.sin(omegas - params.varphi), np.cos(omegas - params.varphi)
+    w = omegas - params.varphi
+    sw, cw = np.sin(w), np.cos(w)
     st, ct = np.sin(params.theta), np.cos(params.theta)
     x = cw * ct
-    q, t = chebyshev_u(d - 1, x), chebyshev_t(d, x)
+    t, q = chebyshev_tu(d, w, params.theta)
     # sq = sin(theta) dQ/dtheta, with 1 - x^2 = sin^2 w + cos^2 w sin^2 theta
     # (no cancellation); sin^2 theta / (1 - x^2) <= 1/cos^2 w, 0 where both vanish.
     one_minus_x2 = sw * sw + (cw * st) ** 2

@@ -1,10 +1,11 @@
 """Batch experiment runner: configs, seeded replication, records, CSV output.
 
 A run is (config, seed) -> RunRecord, reproducible byte-for-byte across
-process counts: every random draw is keyed by (seed, point, replicate,
-circuit id), replicates fan out to a process pool, and aggregation walks the
-results in replicate order.  Records serialize to JSON with a stable key
-order; tables are UTF-8 CSV with LF line endings and repr-exact floats.
+process counts: every random draw is keyed by (kind, seed, point,
+replicate, block), replicates fan out to a process pool, and aggregation
+walks the results in replicate order.  Records serialize to JSON with a
+stable key order; tables are UTF-8 CSV with LF line endings and repr-exact
+floats.
 """
 
 from __future__ import annotations
@@ -32,9 +33,14 @@ from .estimators import (
     theta_pd_estimate,
 )
 from .noise import (
+    BOOTSTRAP,
+    CONFUSION,
     INPUT_STATES,
+    STREAM_VERSION,
     InversionRejectedError,
     NoiseConfig,
+    checked_bool,
+    checked_int,
     confusion_sample_size,
     dem_fidelity,
     simulate_probability_batch,
@@ -105,12 +111,6 @@ FIGURES = {
     "fidelity-vs-depth": ("alpha-scan", "rows"),
 }
 
-# Circuit-id blocks keep every random stream in a run distinct.
-_LADDER_BASE = 1_000_000
-_PEAK_BASE = 2_000_000
-_BOOT_BASE = 3_000_000
-_CONFUSION_BASE = 5_000_000
-
 _SUMMARY_ESTIMATORS = ("theta_hat", "varphi_hat", "alpha_hat", "theta_corrected", "theta_pd", "theta_pf")
 
 
@@ -121,6 +121,8 @@ class PeakFitConfig:
     beta_thr: float | None = None  # None -> pi/(2d)
 
     def __post_init__(self):
+        checked_bool("peak_fit.enabled", self.enabled)
+        object.__setattr__(self, "n_pf", checked_int("peak_fit.n_pf", self.n_pf))
         if self.n_pf < 3:
             raise ValueError("peak fit needs n_pf >= 3 points for a parabola")
         if self.beta_thr is not None and not self.beta_thr > 0.0:
@@ -137,6 +139,11 @@ class ConfusionCheckConfig:
     trials: int = 2000
     constant: float = 8.0
     shots: int | None = None  # None -> confusion_sample_size
+
+    def __post_init__(self):
+        object.__setattr__(self, "trials", checked_int("confusion_check.trials", self.trials))
+        if self.shots is not None:
+            object.__setattr__(self, "shots", checked_int("confusion_check.shots", self.shots))
 
     def to_dict(self):
         return {
@@ -168,6 +175,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {tuple(MODES)}")
+        # Integers and flags are checked, not coerced: 1.5 or true is rejected.
+        object.__setattr__(self, "replicates", checked_int("replicates", self.replicates))
+        if self.depth is not None:
+            object.__setattr__(self, "depth", checked_int("depth", self.depth))
+        for grid in ("depth_grid", "shots_grid"):
+            if getattr(self, grid) is not None:
+                object.__setattr__(self, grid, tuple(checked_int(grid, g) for g in getattr(self, grid)))
+        checked_bool("theta_pd", self.theta_pd)
+        checked_bool("alpha_correction", self.alpha_correction)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.mode == "calibrate" and (self.depth is None or self.depth < 2):
@@ -224,13 +240,13 @@ class ExperimentConfig:
             mode=data["mode"],
             gate_truth=FsimParams(**data["gate_truth"]),
             noise=NoiseConfig.from_dict(data.get("noise") or {}),
-            replicates=int(data.get("replicates", 96)),
-            depth=None if data.get("depth") is None else int(data["depth"]),
-            depth_grid=None if data.get("depth_grid") is None else tuple(int(d) for d in data["depth_grid"]),
-            shots_grid=None if data.get("shots_grid") is None else tuple(int(m) for m in data["shots_grid"]),
+            replicates=data.get("replicates", 96),
+            depth=data.get("depth"),
+            depth_grid=None if data.get("depth_grid") is None else tuple(data["depth_grid"]),
+            shots_grid=None if data.get("shots_grid") is None else tuple(data["shots_grid"]),
             peak_fit=PeakFitConfig(**pf),
-            theta_pd=bool(data.get("theta_pd", False)),
-            alpha_correction=bool(data.get("alpha_correction", True)),
+            theta_pd=data.get("theta_pd", False),
+            alpha_correction=data.get("alpha_correction", True),
             confusion_check=None if cc is None else ConfusionCheckConfig(**cc),
             output_dir=data.get("output_dir", "out"),
         )
@@ -258,11 +274,13 @@ class RunRecord:
     failures: list
     replicates: list
     artifact_version: str = ARTIFACT_VERSION
+    stream_version: int = STREAM_VERSION
     wall_clock_seconds: float = 0.0  # kept off the canonical JSON for byte determinism
 
     def to_json_dict(self) -> dict:
         return {
             "artifact_version": self.artifact_version,
+            "stream_version": self.stream_version,
             "mode": self.mode,
             "seed": self.seed,
             "point_index": self.point_index,
@@ -286,12 +304,11 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicate: int = 
     d = config.depth
     params, noise = config.gate_truth, config.noise
 
-    def simulate(depth, omegas, base):
-        # p_X from circuits base + 2j, p_Y from circuits base + 2j + 1
-        ids = base + 2 * np.arange(len(omegas))
+    def simulate(depth, omegas, stage):
+        # One block per (stage, input state): grid 0/1, ladder 2/3, peak fit 4/5.
         return [
             simulate_probability_batch(
-                depth, omegas, params, noise, state, point=point, replicate=replicate, circuit_ids=ids + k
+                depth, omegas, params, noise, state, point=point, replicate=replicate, block=2 * stage + k
             )
             for k, state in enumerate(INPUT_STATES)
         ]
@@ -310,7 +327,7 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicate: int = 
     phi_pri = report.varphi_hat
     if config.theta_pd:
         depths = np.arange(d, 3 * d + 1, 2)
-        pxl, pyl = simulate(depths, np.full(len(depths), phi_pri), _LADDER_BASE)
+        pxl, pyl = simulate(depths, np.full(len(depths), phi_pri), 1)
         amps = [math.hypot(x - 0.5, y - 0.5) for x, y in zip(pxl.tolist(), pyl.tolist())]
         theta_pd, var_pd, budget = theta_pd_estimate(amps, d, noise.shots, var_phi_pri=report.var_theory_varphi)
         report.theta_pd = theta_pd
@@ -319,7 +336,7 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicate: int = 
     if config.peak_fit.enabled:
         n_pf = config.peak_fit.n_pf
         local = phi_pri + (np.pi / d) * (np.arange(n_pf) / (n_pf - 1) - 0.5)
-        pxp, pyp = simulate(d, local, _PEAK_BASE)
+        pxp, pyp = simulate(d, local, 2)
         result = peak_fit(local, np.hypot(pxp - 0.5, pyp - 0.5), d, phi_pri, config.peak_fit.beta_thr)
         report.theta_pf = result.theta_pf
         report.diagnostics["peak_fit"] = {
@@ -380,7 +397,7 @@ def _summarize(config: ExperimentConfig, reports: list[dict], point: int) -> dic
         bias = float(res.mean())
         mse = float((res**2).mean())
         var = float(((res - bias) ** 2).mean())
-        rng = stream(config.noise.seed, point, _BOOT_BASE + slot)
+        rng = stream(BOOTSTRAP, config.noise.seed, point, 0, slot)
         sq = res**2
         # Same draws, in the same order, as 1000 successive size-n calls.
         boot = sq[rng.integers(0, len(sq), size=(1000, len(sq)))].mean(axis=1)
@@ -459,8 +476,9 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
         )
     elif config.mode in ("sweep-depth", "alpha-scan"):
         grid = config.depth_grid
-        # A fresh PeakFitConfig: the point snapshots record the default n_pf and beta_thr.
-        off = dict(peak_fit=PeakFitConfig(enabled=False), theta_pd=False) if config.mode == "alpha-scan" else {}
+        off = {}
+        if config.mode == "alpha-scan":
+            off = dict(peak_fit=dataclasses.replace(config.peak_fit, enabled=False), theta_pd=False)
         make = lambda g: dataclasses.replace(config, mode="calibrate", depth=g, depth_grid=None, **off)
     else:
         raise ValueError("run_sweep needs mode 'sweep-depth', 'sweep-shots' or 'alpha-scan'")
@@ -535,11 +553,9 @@ def run_confusion_check(config: ExperimentConfig) -> dict:
     failures = 0
     worst = 0.0
     for trial in range(cc.trials):
-        rows = np.empty((4, 4))
-        for i in range(4):
-            rng = stream(config.noise.seed, _CONFUSION_BASE + trial, i)
-            rows[i] = rng.multinomial(m_cmt, r_true[i]) / m_cmt
-        q = stream(config.noise.seed, _CONFUSION_BASE + trial, 4).dirichlet(np.ones(4))
+        rng = stream(CONFUSION, config.noise.seed, 0, trial, 0)
+        rows = rng.multinomial(m_cmt, r_true) / m_cmt
+        q = rng.dirichlet(np.ones(4))
         p_exact = np.linalg.solve(r_true.T, q)
         p_fs = np.linalg.solve(rows.T, q)
         err = float(np.linalg.norm(p_exact - p_fs))
@@ -547,6 +563,7 @@ def run_confusion_check(config: ExperimentConfig) -> dict:
         if err > cc.epsilon:
             failures += 1
     return {
+        "stream_version": STREAM_VERSION,
         "kappa": kappa,
         "epsilon": cc.epsilon,
         "alpha": cc.alpha,

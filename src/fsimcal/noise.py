@@ -1,17 +1,17 @@
 """Noisy data generation: finite shots, depolarizing, drift, readout error.
 
-Every random draw comes from a dedicated generator keyed by small integers
-(seed, then context indices), so datasets are bit-identical regardless of
-evaluation order or parallelism.  The measured object is always the
-4-outcome distribution over two-qubit bitstrings (00, 01, 10, 11); the
-subspace signal lives in outcomes 01/10 and depolarizing leaks weight onto
-00/11.
+Every random draw comes from a generator keyed by (kind, seed, point,
+replicate, block), one per batch of circuits, so datasets are bit-identical
+regardless of evaluation order or parallelism.  The measured object is
+always the 4-outcome distribution over two-qubit bitstrings (00, 01, 10,
+11); the subspace signal lives in outcomes 01/10 and depolarizing leaks
+weight onto 00/11.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -45,74 +45,38 @@ class InversionRejectedError(ValueError):
         super().__init__(f"confusion matrix fails diagonal dominance (kappa={kappa})")
 
 
+# Version of the random-stream layout; bumped whenever a sampled value of a
+# given (config, seed) changes, and recorded with every run.
+STREAM_VERSION = 2
+# What a generator is for, the first word of its key.
+CIRCUIT, BOOTSTRAP, CONFUSION = 0, 1, 2
+
+
 def stream(*key) -> np.random.Generator:
-    """Independent generator keyed by a tuple of non-negative integers."""
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
+    """Independent generator keyed by a non-empty tuple of integers in [0, 2**64).
 
-
-# numpy's SeedSequence constants (a pool of four 32-bit words) and PCG64's
-# LCG multiplier, replayed by _stream_states.
-_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash_consts(init: int, mult: int):
-    """(xor, multiplier) constants of successive SeedSequence hashmix calls."""
-    return itertools.pairwise(itertools.accumulate(itertools.repeat(mult), lambda h, m: h * m & _MASK32, initial=init))
-
-
-def _hashmix(v, consts):
-    x, m = next(consts)
-    v = (v ^ x) * m & _MASK32
-    return v ^ v >> 16
-
-
-def _mix(x, y):
-    r = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _stream_states(prefix, ids) -> list:
-    """bit_generator.state of stream(*prefix, i) for every i in ids, in one pass.
-
-    Splits each key word into little-endian 32-bit words as SeedSequence
-    does, runs its entropy mixing and generate_state(4, uint64) as uint32
-    arithmetic in uint64 arrays over all keys, then PCG64's two seeding LCG
-    steps on Python ints.
+    SeedSequence sees (STREAM_VERSION, *key), each word as two uint32 halves
+    (lo, hi).  Every entropy array then fills SeedSequence's 4-word pool, so
+    keys that differ in length, in trailing zeros or above 2**32 never alias
+    through its zero padding or its own word splitting.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    if min(prefix, default=0) < 0 or (ids < 0).any():
-        raise ValueError("stream key words must be non-negative")
-    head = [k >> s & _MASK32 for k in map(int, prefix) for s in range(0, max(k.bit_length(), 1), 32)]
-    n_words = len(head) + 1 + (ids >> 32 > 0)
-    entropy = np.zeros((max(4, n_words.max()), len(ids)), dtype=np.uint64)
-    entropy[: len(head)] = np.reshape(head, (-1, 1))
-    entropy[len(head)] = ids & _MASK32
-    entropy[len(head) + 1 : n_words.max()] = ids >> 32
-    consts = _hash_consts(_INIT_A, _MULT_A)
-    pool = [_hashmix(entropy[i], consts) for i in range(4)]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    for src, dst in itertools.product(range(4, len(entropy)), range(4)):  # words past the pool
-        pool[dst] = np.where(n_words > src, _mix(pool[dst], _hashmix(entropy[src], consts)), pool[dst])
-    consts = _hash_consts(_INIT_B, _MULT_B)
-    out = [_hashmix(pool[i % 4], consts) for i in range(8)]
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in zip(*((out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4))):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
-    return states
+    words = [int(k) for k in key]
+    if not words or any(not 0 <= k < 1 << 64 for k in words):
+        raise ValueError(f"stream key words must lie in [0, 2**64), got {key}")
+    halves = [k >> shift & 0xFFFFFFFF for k in (STREAM_VERSION, *words) for shift in (0, 32)]
+    return np.random.default_rng(np.random.SeedSequence(np.array(halves, dtype=np.uint32)))
 
 
-def _each_stream(rng, states, idx):
-    """rng set to each circuit's stream in turn, keeping where each one stops."""
-    for i in idx:
-        rng.bit_generator.state = states[i]
-        yield rng
-        states[i] = rng.bit_generator.state
+def checked_int(name: str, value) -> int:
+    """A config integer: integral numbers pass as int, bools and fractions are rejected."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def checked_bool(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -158,6 +122,9 @@ class ConfusionMatrix:
         off = (1.0 - p_correct) / 3.0
         return cls(np.full((4, 4), off) + np.eye(4) * (p_correct - off))
 
+    def __eq__(self, other):
+        return isinstance(other, ConfusionMatrix) and np.array_equal(self.entries, other.entries)
+
     @property
     def dominance(self) -> float:
         return float(min(2.0 * np.diag(self.entries) - 1.0))
@@ -184,12 +151,15 @@ class NoiseConfig:
     exact: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "shots", checked_int("shots", self.shots))
+        object.__setattr__(self, "seed", checked_int("seed", self.seed))
+        checked_bool("exact", self.exact)
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         if not 0.0 <= self.depol_rate < 1.0:
             raise ValueError("depol_rate must be in [0, 1)")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must lie in [0, 2**64)")
 
     def to_dict(self) -> dict:
         return {
@@ -211,12 +181,12 @@ class NoiseConfig:
         drift = data.get("drift")
         confusion = data.get("confusion")
         return cls(
-            shots=int(data.get("shots", 100_000)),
+            shots=data.get("shots", 100_000),
             depol_rate=float(data.get("depol_rate", 0.0)),
             drift=None if drift is None else DriftModel(**drift),
             confusion=None if confusion is None else ConfusionMatrix(np.array(confusion)),
-            seed=int(data.get("seed", 0)),
-            exact=bool(data.get("exact", False)),
+            seed=data.get("seed", 0),
+            exact=data.get("exact", False),
         )
 
 
@@ -247,13 +217,16 @@ def gate_count(d: int, input_state: str) -> int:
 def invert_confusion(q4_measured, confusion: ConfusionMatrix) -> np.ndarray:
     """Solve R^T p = q_measured; the corrected vector is not clipped to [0, 1].
 
-    q_measured is one (4,) distribution or a (4, n) stack of columns.
-    Clipping would bias the Fourier coefficients downstream, so small
+    q_measured is one (4,) distribution or a (4, n) stack of columns, each
+    solved on its own, so a column's bits do not depend on the columns beside
+    it.  Clipping would bias the Fourier coefficients downstream, so small
     negative components are passed through as-is.
     """
     if confusion.dominance <= 0.0:
         raise InversionRejectedError(confusion.kappa)
-    return np.linalg.solve(confusion.entries.T, np.asarray(q4_measured, dtype=float))
+    rows = np.asarray(q4_measured, dtype=float).T
+    rt = np.broadcast_to(confusion.entries.T, rows.shape[:-1] + (4, 4))
+    return np.linalg.solve(rt, rows[..., None])[..., 0].T
 
 
 def confusion_sample_size(kappa: float, epsilon: float, alpha_conf: float, constant: float = 8.0) -> int:
@@ -271,17 +244,17 @@ def confusion_sample_size(kappa: float, epsilon: float, alpha_conf: float, const
     return math.ceil(constant * kappa**2 * (kappa + epsilon) ** 2 * math.log(32.0 / alpha_conf) / epsilon**2)
 
 
-def _drifted_survival(d, omegas, params, drift, rngs, beta):
+def _drifted_survival(d, omegas, params, drift, rng, beta):
     """|<01| circuit |beta>|^2 with fresh per-gate drift per circuit.
 
-    Each gate, with the Z rotation folded in, is [[a, b], [-conj(b), conj(a)]],
+    The drift uniforms are one (3, d, nc) draw from rng: the (theta, varphi,
+    chi) offsets of every gate of every circuit.  Each gate, with the Z
+    rotation folded in, is [[a, b], [-conj(b), conj(a)]],
     a = cos(th) e^{-i(ph - omega)}, b = sin(th) (sin(ch + omega) - i cos(ch + omega)).
     Only row 0 of the product reaches the amplitude; it is carried as a row
     vector from the last gate back to the first.
     """
-    # Each circuit's draws come from its own stream, before its shot draw.
-    u = np.stack([rng.uniform(-1.0, 1.0, size=(d, 3)) for rng in rngs])
-    u = np.ascontiguousarray(u.transpose(2, 1, 0))  # (3, d, nc)
+    u = rng.uniform(-1.0, 1.0, size=(3, d, len(omegas)))
     dth, ramp = drift.half_widths(d, params.theta)
     ramp = ramp[:, None]
     th = params.theta + dth * u[0]
@@ -306,16 +279,18 @@ def simulate_probability_batch(
     *,
     point: int = 0,
     replicate: int = 0,
-    circuit_ids=None,
+    block: int = 0,
     correct_readout: bool = True,
 ) -> np.ndarray:
     """Empirical |01> probabilities for a batch of circuits at angles omegas.
 
-    d is one depth or one depth per circuit.  One stream per circuit, keyed
-    (seed, point, replicate, circuit_id); a circuit's drift draws precede its
-    shot draw on its own stream.  With correct_readout the sampled 4-outcome
+    d is one depth or one depth per circuit.  The batch draws from one
+    generator, keyed (CIRCUIT, seed, point, replicate, block): the drift
+    uniforms of each distinct depth in ascending depth order, then one
+    multinomial over all rows.  With correct_readout the sampled 4-outcome
     frequencies are pushed through the inverse confusion matrix before the
-    01 component is returned.
+    01 component is returned.  Depolarizing, readout mixing and correction
+    act on each row alone.
     """
     if input_state not in INPUT_STATES:
         raise ValueError(f"input_state must be one of {INPUT_STATES}")
@@ -326,34 +301,20 @@ def simulate_probability_batch(
         p = 0.5 + (np.conj(beta) * exact_signal(depths, omegas, params)).real
         if noise.exact:
             return p
-    else:
+    rng = stream(CIRCUIT, noise.seed, point, replicate, block)
+    if noise.drift is not None:
         p = np.empty(len(omegas))
-    if circuit_ids is None:
-        circuit_ids = np.arange(len(omegas))
-    states = _stream_states((noise.seed, point, replicate), circuit_ids)
-    rng = np.random.Generator(np.random.PCG64(0))
-    # Drift, confusion mixing and its inverse run once per depth, so each
-    # row's bits match a call with that depth alone.
-    groups = [(int(dj), np.flatnonzero(depths == dj)) for dj in np.unique(depths)]
-    alpha = np.empty(len(omegas))
-    for dj, idx in groups:
-        if noise.drift is not None:
-            p[idx] = _drifted_survival(dj, omegas[idx], params, noise.drift, _each_stream(rng, states, idx), beta)
-        alpha[idx] = dem_fidelity(noise.depol_rate, gate_count(dj, input_state))
+        for dj in np.unique(depths):
+            at = depths == dj
+            p[at] = _drifted_survival(int(dj), omegas[at], params, noise.drift, rng, beta)
+    alpha = (1.0 - noise.depol_rate) ** gate_count(depths, input_state)
     q4 = np.empty((len(omegas), 4))
     q4[:, 0] = q4[:, 3] = (1.0 - alpha) / 4.0
     q4[:, 1] = apply_depolarizing(p, alpha)
     q4[:, 2] = apply_depolarizing(1.0 - p, alpha)
     if noise.confusion is not None:
-        for _, idx in groups:
-            q4[idx] = q4[idx] @ noise.confusion.entries
-    pvals = q4 / q4.sum(axis=1, keepdims=True)
-    counts = np.empty(q4.shape, dtype=np.int64)
-    for i, state in enumerate(states):
-        rng.bit_generator.state = state
-        counts[i] = rng.multinomial(noise.shots, pvals[i])
-    freq = counts / noise.shots
+        q4 = (q4[:, None, :] @ noise.confusion.entries)[:, 0]
+    freq = rng.multinomial(noise.shots, q4 / q4.sum(axis=1, keepdims=True)) / noise.shots
     if correct_readout and noise.confusion is not None:
-        for _, idx in groups:
-            freq[idx] = invert_confusion(freq[idx].T, noise.confusion).T
+        freq = invert_confusion(freq.T, noise.confusion).T
     return freq[:, 1]

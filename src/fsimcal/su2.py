@@ -22,8 +22,7 @@ __all__ = [
     "FsimParams",
     "wrap_angle",
     "pq_values",
-    "chebyshev_t",
-    "chebyshev_u",
+    "chebyshev_tu",
 ]
 
 
@@ -57,62 +56,32 @@ class FsimParams:
         object.__setattr__(self, "chi", wrap_angle(self.chi))
 
 
-def chebyshev_t(n: int, x):
-    """Chebyshev polynomial of the first kind T_n on [-1, 1], via cos(n arccos x)."""
-    return np.cos(n * np.arccos(np.clip(x, -1.0, 1.0)))
+def chebyshev_tu(d, w, theta: float):
+    """(T_d(x), U_{d-1}(x)) at x = cos(w) cos(theta); d is one degree or one per w.
 
-
-# Below this value of sin^2(sigma) the trig quotient loses the 1e-10 accuracy
-# contract; switch to the recurrence, which is exact in the sigma -> 0, pi
-# limits (values +-(n+1)).
-_U_SWITCH = 1e-6
-
-
-def _u_recurrence(n: int, x: float) -> float:
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 2.0 * x
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
-
-
-def chebyshev_u(n, x):
-    """Chebyshev polynomial of the second kind U_n on [-1, 1]; n is one degree or one per x.
-
-    Evaluates sin((n+1) arccos x)/sin(arccos x) away from the endpoints and
-    falls back to the three-term recurrence where 1 - x^2 < 1e-6, avoiding
-    the 0/0 singularity so the x -> +-1 limits come out exactly +-(n+1).
+    sigma = arccos|x| is formed as atan2(sqrt(sin^2 w + cos^2 w sin^2 theta), |x|),
+    with no cancellation in 1 - x^2 as |x| -> 1.  Then T_d = cos(d sigma) and
+    U_{d-1} = sin(d sigma)/sin(sigma) = d sinc(d sigma/pi)/sinc(sigma/pi), exactly
+    d at sigma = 0, and x < 0 uses T_n(-x) = (-1)^n T_n(x), U_n(-x) = (-1)^n U_n(x).
     """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    n = np.asarray(n)
-    out = np.empty_like(arr)
-    s2 = 1.0 - arr * arr
-    near = s2 < _U_SWITCH
-    far = ~near
-    if far.any():
-        sigma = np.arccos(np.clip(arr[far], -1.0, 1.0))
-        out[far] = np.sin(((n[far] if n.ndim else n) + 1) * sigma) / np.sin(sigma)
-    if near.any():
-        degrees = np.broadcast_to(n, arr.shape)[near]
-        out[near] = [_u_recurrence(int(k), float(v)) for k, v in zip(degrees, arr[near])]
-    return float(out[0]) if scalar else out
+    cw, sw = np.cos(w), np.sin(w)
+    x = cw * math.cos(theta)
+    sigma = np.arctan2(np.sqrt(sw * sw + (cw * math.sin(theta)) ** 2), np.abs(x))
+    sign = np.where(x < 0.0, -1.0, 1.0)
+    t = sign**d * np.cos(d * sigma)
+    u = sign ** (d - 1) * d * np.sinc(d * sigma / np.pi) / np.sinc(sigma / np.pi)
+    return t, u
 
 
 def pq_values(d, omega, theta: float):
     """Vectorized (P, Q) over modulation angles omega; d is one depth or one per omega.
 
-    P = e^{i omega} (cos(d sigma) + i sin(d sigma)/sin(sigma) sin(omega) cos(theta)),
-    Q = sin(d sigma)/sin(sigma), with sigma = arccos(cos(omega) cos(theta)).
+    P = e^{i omega} (T_d(x) + i U_{d-1}(x) sin(omega) cos(theta)),
+    Q = U_{d-1}(x), with x = cos(omega) cos(theta).
     """
     if np.min(d) < 1:
         raise ValueError("depth d must be >= 1")
     omega = np.asarray(omega, dtype=float)
-    x = np.cos(theta)
-    cs = np.cos(omega) * x
-    q = chebyshev_u(d - 1, cs)
-    t = chebyshev_t(d, cs)
-    p = np.exp(1j * omega) * (t + 1j * q * np.sin(omega) * x)
+    t, q = chebyshev_tu(d, omega, theta)
+    p = np.exp(1j * omega) * (t + 1j * q * np.sin(omega) * math.cos(theta))
     return p, q

@@ -121,9 +121,9 @@ def amplitude_profile(d, omega, params):
     sigma = arccos(cos(omega - varphi) cos(theta)); the profile peaks at the
     phase-matched angle omega = varphi with height about (d theta)^2.
     """
-    from fsimcal.su2 import chebyshev_u
+    from fsimcal.su2 import chebyshev_tu
 
-    u = chebyshev_u(d - 1, np.cos(np.asarray(omega, dtype=float) - params.varphi) * np.cos(params.theta))
+    _, u = chebyshev_tu(d, np.asarray(omega, dtype=float) - params.varphi, params.theta)
     a = np.sin(params.theta) ** 2 * u * u
     return a * (1.0 - a)
 
@@ -367,66 +367,56 @@ def binomial_signal_replicates(d, params_tuple, m_shots, n_replicates, seed):
     return ex - 0.5 + 1j * (ey - 0.5)
 
 
-def brute_noisy_counts(d, omega, params, noise, beta, key):
-    """4-outcome counts of one noisy circuit, gate by gate, from stream(*key).
+def brute_noisy_counts(depths, omegas, params, noise, beta, key):
+    """4-outcome counts of a block of noisy circuits, gate by gate, from stream(*key).
 
-    The circuit's (d, 3) drift uniforms come first on its stream, then one
-    multinomial shot draw of the depolarized, readout-confused distribution.
+    The block draws as the simulator documents: for each distinct depth in
+    ascending order, one (3, d, n_d) array of drift uniforms for the circuits
+    of that depth in block order, then one multinomial shot draw over the
+    depolarized, readout-confused distributions of all circuits.
     """
     from fsimcal.noise import stream
 
     rng = stream(*key)
-    angles = np.tile([params.theta, params.varphi, params.chi], (d, 1))
+    depths = np.broadcast_to(depths, np.shape(omegas))
+    offsets = [np.zeros((d, 3)) for d in depths]
     if noise.drift is not None:
-        dth, ramp = noise.drift.half_widths(d, params.theta)
-        angles += np.column_stack([np.full(d, dth), ramp, ramp]) * rng.uniform(-1.0, 1.0, size=(d, 3))
-    v = np.eye(2, dtype=complex)
-    for theta, varphi, chi in angles:
-        v = z_rot(omega) @ fsim_matrix(theta, varphi, chi) @ v
-    p = float(abs((v @ bell_state(beta))[0]) ** 2)
-    n_gates = 2 * d + (6 if beta == 1j else 5)
-    alpha = (1.0 - noise.depol_rate) ** n_gates
-    q4 = np.array([0.0, alpha * p, alpha * (1.0 - p), 0.0]) + (1.0 - alpha) / 4.0
-    if noise.confusion is not None:
-        q4 = apply_confusion(q4, noise.confusion)
-    return rng.multinomial(noise.shots, q4 / q4.sum())
+        for d in np.unique(depths):
+            at = np.flatnonzero(depths == d)
+            dth, ramp = noise.drift.half_widths(d, params.theta)
+            u = rng.uniform(-1.0, 1.0, size=(3, d, len(at)))
+            for j, i in enumerate(at):
+                offsets[i] = np.column_stack([np.full(d, dth), ramp, ramp]) * u[:, :, j].T
+    q4s = []
+    for d, omega, offset in zip(depths, omegas, offsets):
+        v = np.eye(2, dtype=complex)
+        for theta, varphi, chi in np.array([params.theta, params.varphi, params.chi]) + offset:
+            v = z_rot(omega) @ fsim_matrix(theta, varphi, chi) @ v
+        p = float(abs((v @ bell_state(beta))[0]) ** 2)
+        n_gates = 2 * d + (6 if beta == 1j else 5)
+        alpha = (1.0 - noise.depol_rate) ** n_gates
+        q4 = np.array([0.0, alpha * p, alpha * (1.0 - p), 0.0]) + (1.0 - alpha) / 4.0
+        if noise.confusion is not None:
+            q4 = apply_confusion(q4, noise.confusion)
+        q4s.append(q4 / q4.sum())
+    return rng.multinomial(noise.shots, np.array(q4s))
 
 
-def ladder_amplitudes_loop(d, phi_pri, params, noise, point, replicate):
-    """theta_pd ladder amplitudes |h(phi_pri)| on depths d, d+2, ..., 3d, one
-    single-circuit simulation call per depth and input state (circuit ids
-    1_000_000 + 2 li for the X input, + 1 for the Y input).
-    """
-    from fsimcal.noise import simulate_probability_batch
-
-    amps = []
-    for li, depth_j in enumerate(range(d, 3 * d + 1, 2)):
-        cid = 1_000_000 + 2 * li
-        pxl = simulate_probability_batch(
-            depth_j, [phi_pri], params, noise, "plus", point=point, replicate=replicate, circuit_ids=[cid]
-        )
-        pyl = simulate_probability_batch(
-            depth_j, [phi_pri], params, noise, "i", point=point, replicate=replicate, circuit_ids=[cid + 1]
-        )
-        amps.append(math.hypot(pxl[0] - 0.5, pyl[0] - 0.5))
-    return amps
-
-
-def drifted_survival_matmul(d, omegas, params, drift, rngs, beta):
+def drifted_survival_matmul(d, omegas, params, drift, rng, beta):
     """|<01| circuit |beta>|^2 with per-gate drift, by stacked 2x2 matmuls.
 
     Builds every circuit's full (d, 2, 2) gate stack from complex exponentials
-    and multiplies the whole product out; each circuit draws its (d, 3)
-    uniforms from its own generator, in circuit order.
+    and multiplies the whole product out; the uniforms are one (3, d, nc)
+    draw from rng, column i belonging to circuit i.
     """
     nc = len(omegas)
     gates = np.empty((nc, d, 2, 2), dtype=complex)
     dth, ramp = drift.half_widths(d, params.theta)
-    for i, rng in enumerate(rngs):
-        u = rng.uniform(-1.0, 1.0, size=(d, 3))
-        th = params.theta + dth * u[:, 0]
-        ph = params.varphi + ramp * u[:, 1]
-        ch = params.chi + ramp * u[:, 2]
+    u = rng.uniform(-1.0, 1.0, size=(3, d, nc))
+    for i in range(nc):
+        th = params.theta + dth * u[0, :, i]
+        ph = params.varphi + ramp * u[1, :, i]
+        ch = params.chi + ramp * u[2, :, i]
         ct, st = np.cos(th), np.sin(th)
         gates[i, :, 0, 0] = np.exp(-1j * ph) * ct
         gates[i, :, 0, 1] = -1j * np.exp(1j * ch) * st

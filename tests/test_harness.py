@@ -26,8 +26,8 @@ from fsimcal import (
 from fsimcal import harness
 from fsimcal.cli import main as cli_main
 from fsimcal.estimators import DegenerateCoefficientError
-from fsimcal.harness import FIGURES, MODES, _BOOT_BASE, _summarize, alpha_scan_rows, sweep_rows
-from fsimcal.noise import stream
+from fsimcal.harness import FIGURES, MODES, _summarize, alpha_scan_rows, sweep_rows
+from fsimcal.noise import BOOTSTRAP, STREAM_VERSION, stream
 
 from oracles import bootstrap_means_loop
 
@@ -105,6 +105,41 @@ class TestConfig:
         with pytest.raises(ValueError, match="beta_thr"):
             PeakFitConfig(beta_thr=beta_thr)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"noise": {"seed": 1.5}},
+            {"noise": {"shots": 10.7}},
+            {"noise": {"seed": True}},
+            {"noise": {"exact": "no"}},
+            {"noise": {"exact": 1}},
+            {"replicates": 6.5},
+            {"replicates": True},
+            {"depth": 8.25},
+            {"depth": "8"},
+            {"mode": "sweep-depth", "depth_grid": [4, 6.5]},
+            {"mode": "sweep-shots", "shots_grid": [100, False]},
+            {"peak_fit": {"n_pf": 7.5}},
+            {"peak_fit": {"enabled": 1}},
+            {"theta_pd": "yes"},
+            {"alpha_correction": 0},
+            {"confusion_check": {"trials": 2.5}},
+            {"confusion_check": {"shots": True}},
+        ],
+    )
+    def test_non_integral_numbers_and_non_bool_flags_rejected(self, edit):
+        data = small_config().to_dict()
+        for key, value in edit.items():
+            data[key] = {**data[key], **value} if isinstance(value, dict) and data.get(key) else value
+        with pytest.raises(ValueError, match="must be"):
+            ExperimentConfig.from_dict(data)
+
+    def test_integral_floats_are_read_as_integers(self):
+        data = small_config().to_dict()
+        data["noise"]["shots"], data["replicates"] = 2e4, 6.0
+        assert ExperimentConfig.from_dict(data) == small_config()
+        assert type(ExperimentConfig.from_dict(data).noise.shots) is int
+
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(small_config().to_dict()), encoding="utf-8")
@@ -166,7 +201,7 @@ class TestRunCalibration:
         vals = TRUTH.theta + np.random.default_rng(n).normal(0.0, 1e-4, size=n)
         reports = [{"theta_hat": float(v), "var_theory_theta": 1e-8, "diagnostics": {}} for v in vals]
         entry = _summarize(cfg, reports, point=3)["theta_hat"]
-        boot = bootstrap_means_loop((vals - TRUTH.theta) ** 2, stream(cfg.noise.seed, 3, _BOOT_BASE))
+        boot = bootstrap_means_loop((vals - TRUTH.theta) ** 2, stream(BOOTSTRAP, cfg.noise.seed, 3, 0, 0))
         assert entry["ci_low"] == float(np.percentile(boot, 2.5))
         assert entry["ci_high"] == float(np.percentile(boot, 97.5))
 
@@ -186,6 +221,7 @@ class TestRunCalibration:
         payload = rec.to_json_dict()
         assert list(payload) == [
             "artifact_version",
+            "stream_version",
             "mode",
             "seed",
             "point_index",
@@ -195,6 +231,7 @@ class TestRunCalibration:
             "failures",
             "replicates",
         ]
+        assert payload["stream_version"] == STREAM_VERSION == 2
         assert "wall_clock" not in json.dumps(payload)
         assert rec.wall_clock_seconds > 0.0
 
@@ -284,8 +321,8 @@ class TestAlphaScan:
         (rec,) = run_sweep(cfg)
         assert rec.mode == "alpha-scan"
         assert (rec.config["mode"], rec.config["depth"], rec.config["depth_grid"]) == ("calibrate", 6, None)
-        # the stored snapshot holds a default peak-fit section, switched off
-        assert rec.config["peak_fit"] == {"enabled": False, "n_pf": 15, "beta_thr": None}
+        # the stored snapshot keeps the configured peak-fit section, switched off
+        assert rec.config["peak_fit"] == {"enabled": False, "n_pf": 9, "beta_thr": 0.5}
         assert rec.config["theta_pd"] is False
         assert all(r["theta_pf"] is None and r["theta_pd"] is None for r in rec.replicates)
 
@@ -420,6 +457,8 @@ class TestCli:
             ({"mode": "confusion-check", "noise": {"confusion": ConfusionMatrix.uniform(0.4).entries.tolist()}}, []),
             ({}, ["--seed", "-1"]),
             ({}, ["--replicates", "0"]),
+            ({"noise": {"seed": 1.5, "shots": 10.7}}, []),
+            ({"theta_pd": "no"}, []),
         ],
     )
     def test_config_rejected_at_build_time_exits_with_one_line(self, tmp_path, capsys, edit, flags):

@@ -26,8 +26,9 @@ from fsimcal import (
     simulate_probability_batch,
 )
 from fsimcal import harness
+from fsimcal import noise as noise_module
 from fsimcal.estimators import theta_pd_estimate
-from fsimcal.noise import _BETA, INPUT_STATES, _drifted_survival, _stream_states, stream
+from fsimcal.noise import _BETA, CIRCUIT, INPUT_STATES, _drifted_survival, stream
 
 from oracles import (
     apply_confusion,
@@ -36,7 +37,6 @@ from oracles import (
     dense_laplacian,
     drifted_survival_matmul,
     exact_probabilities,
-    ladder_amplitudes_loop,
 )
 
 PARAMS = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
@@ -152,26 +152,25 @@ class TestSimulate:
 
     def test_determinism_and_key_separation(self):
         noise = NoiseConfig(shots=1000, drift=DriftModel(), seed=5)
-        a = simulate_probability_batch(6, [0.4], PARAMS, noise, "plus", replicate=3, circuit_ids=[12])
-        b = simulate_probability_batch(6, [0.4], PARAMS, noise, "plus", replicate=3, circuit_ids=[12])
-        c = simulate_probability_batch(6, [0.4], PARAMS, noise, "plus", replicate=4, circuit_ids=[12])
+        a = simulate_probability_batch(6, [0.4], PARAMS, noise, "plus", replicate=3, block=12)
+        b = simulate_probability_batch(6, [0.4], PARAMS, noise, "plus", replicate=3, block=12)
+        c = simulate_probability_batch(6, [0.4], PARAMS, noise, "plus", replicate=4, block=12)
+        e = simulate_probability_batch(6, [0.4], PARAMS, noise, "plus", replicate=3, block=13)
         assert a == b
-        assert a != c
+        assert a != c and a != e
 
     def test_batch_matches_single_circuit_path(self):
-        noise = NoiseConfig(
-            shots=500, depol_rate=1e-2, drift=DriftModel(), confusion=ConfusionMatrix.uniform(0.97), seed=13
-        )
-        omegas = np.array([0.2, 1.5])
-        for state, beta in (("plus", 1.0), ("i", 1.0j)):
-            batch = simulate_probability_batch(
-                7, omegas, PARAMS, noise, state, point=2, replicate=1, circuit_ids=[4, 9], correct_readout=False
-            )
-            singles = [
-                brute_noisy_counts(7, w, PARAMS, noise, beta, (noise.seed, 2, 1, c))[1] / noise.shots
-                for w, c in zip(omegas, [4, 9])
-            ]
-            assert np.allclose(batch, singles, atol=0)
+        # Each circuit gate by gate, drawing from the block's generator in the
+        # documented order: drift uniforms per depth, ascending, then the shots.
+        depths = np.array([7, 3, 7, 5, 3, 7])
+        omegas = np.linspace(0.2, 2.9, len(depths))
+        for kind, noise in NOISE_KINDS.items():
+            for state, beta in (("plus", 1.0), ("i", 1.0j)):
+                batch = simulate_probability_batch(
+                    depths, omegas, PARAMS, noise, state, point=2, replicate=1, block=9, correct_readout=False
+                )
+                counts = brute_noisy_counts(depths, omegas, PARAMS, noise, beta, (CIRCUIT, noise.seed, 2, 1, 9))
+                assert np.allclose(batch, counts[:, 1] / noise.shots, atol=0), kind
 
     def test_drift_half_widths(self):
         drift = DriftModel()
@@ -185,12 +184,8 @@ class TestSimulate:
         d, theta = 30, 0.01
         params = FsimParams(theta, 0.3, -0.2)
         noise = NoiseConfig(shots=1_000_000, drift=DriftModel(), seed=31)
-        px = simulate_probability_batch(
-            d, np.full(300, params.varphi), params, noise, "plus", circuit_ids=2 * np.arange(300)
-        )
-        py = simulate_probability_batch(
-            d, np.full(300, params.varphi), params, noise, "i", circuit_ids=2 * np.arange(300) + 1
-        )
+        px = simulate_probability_batch(d, np.full(300, params.varphi), params, noise, "plus", block=0)
+        py = simulate_probability_batch(d, np.full(300, params.varphi), params, noise, "i", block=1)
         drifted = np.hypot(px - 0.5, py - 0.5).mean()
         clean = abs(complex(exact_signal(d, params.varphi, params)))
         assert drifted < clean
@@ -205,19 +200,17 @@ class TestDriftKernel:
         nc = 2 * d - 1
         omegas = np.random.default_rng(d).uniform(-np.pi, np.pi, size=nc)
         drift = DriftModel(theta_frac=0.3, phase_max=0.5)
-        fast = [stream(17, d, 1, c) for c in range(nc)]
-        reference = [stream(17, d, 1, c) for c in range(nc)]
+        fast, reference = stream(17, d, 1), stream(17, d, 1)
         p = _drifted_survival(d, omegas, params, drift, fast, _BETA[state])
         p_ref = drifted_survival_matmul(d, omegas, params, drift, reference, _BETA[state])
         assert np.abs(p - p_ref).max() <= 1e-12
-        # every circuit's generator is left where the reference leaves it, so
-        # the shot draw that follows reads the same stream
-        assert [g.bit_generator.state for g in fast] == [g.bit_generator.state for g in reference]
+        # the kernel takes exactly one (3, d, nc) draw, so the shot draw that
+        # follows reads the block's generator where the reference leaves it
+        assert fast.bit_generator.state == reference.bit_generator.state
 
 
-# Key words as SeedSequence sees them: zero, one 32-bit word, or several.
-KEY_WORDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**70))
-CIRCUIT_IDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**63 - 1))
+# Key words: zero, one 32-bit half, or both halves.
+KEY_WORDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1))
 
 NOISE_KINDS = {
     "shots": NoiseConfig(shots=100_000, seed=21),
@@ -230,46 +223,143 @@ NOISE_KINDS = {
 }
 
 
+def _block(args):
+    """One drifted, confused block; module level so a worker process can run it."""
+    block, noise = args
+    depths = np.arange(2, 14)
+    return simulate_probability_batch(depths, np.linspace(0.0, 3.0, 12), PARAMS, noise, "i", point=1, block=block)
+
+
+class _Recording:
+    """Generator stand-in that logs each draw; it hands out the replay uniforms first."""
+
+    def __init__(self, rng, log, replay=()):
+        self.rng, self.log, self.replay = rng, log, list(replay)
+
+    def uniform(self, low, high, size):
+        u = self.replay.pop(0) if self.replay else self.rng.uniform(low, high, size)
+        self.log.append(("uniform", u))
+        return u
+
+    def multinomial(self, n, pvals):
+        self.log.append(("multinomial", np.array(pvals)))
+        return self.rng.multinomial(n, pvals)
+
+
 class TestBatchSeeding:
-    @given(st.lists(KEY_WORDS, max_size=5), st.lists(CIRCUIT_IDS, min_size=1, max_size=6))
-    @settings(max_examples=150, deadline=None)
-    def test_states_match_stream(self, prefix, ids):
-        # Also catches a change to numpy's SeedSequence or PCG64 seeding.
-        rng = np.random.Generator(np.random.PCG64(0))
-        for cid, state in zip(ids, _stream_states(prefix, ids)):
-            reference = stream(*prefix, cid)
-            assert state == reference.bit_generator.state
-            rng.bit_generator.state = state
-            assert rng.random(4).tobytes() == reference.random(4).tobytes()
+    """One generator per block, keyed (CIRCUIT, seed, point, replicate, block)."""
+
+    @given(st.tuples(KEY_WORDS, KEY_WORDS, KEY_WORDS, KEY_WORDS))
+    @settings(max_examples=60, deadline=None)
+    def test_states_match_stream(self, key):
+        # The whole key reaches the block's generator, words above 2**32 included.
+        seed, point, replicate, block = key
+        noise = NoiseConfig(shots=1000, drift=DriftModel(), seed=seed)
+        depths, omegas = [3, 2, 3], [0.1, 0.9, 2.0]
+        batch = simulate_probability_batch(
+            depths, omegas, PARAMS, noise, "plus", point=point, replicate=replicate, block=block
+        )
+        counts = brute_noisy_counts(depths, omegas, PARAMS, noise, 1.0, (CIRCUIT, *key))
+        assert np.allclose(batch, counts[:, 1] / noise.shots, atol=0)
 
     @pytest.mark.parametrize("prefix, ids", [((3, -1, 0), [5]), ((3, 1, 0), [5, -2]), ((-7,), [0])])
     def test_negative_key_word_rejected(self, prefix, ids):
         with pytest.raises(ValueError):
-            _stream_states(prefix, ids)
+            stream(*prefix, *ids)
+
+    def test_empty_key_rejected(self):
+        with pytest.raises(ValueError):
+            stream()
+
+    @pytest.mark.parametrize("key", [(2**64,), (0, 1, 2**64 + 5), (2**70, 0)])
+    def test_key_word_beyond_64_bits_rejected(self, key):
+        with pytest.raises(ValueError):
+            stream(*key)
+        with pytest.raises(ValueError):
+            simulate_probability_batch(3, [0.1], PARAMS, NOISE_KINDS["shots"], "plus", block=max(key))
+
+    @pytest.mark.parametrize(
+        "a, b", [((7, 0, 3), (7, 0, 3, 0)), ((5, 0, 0, 0), (5,)), ((2**32, 5), (0, 1, 5)), ((5,), (5, 0)), ((0,), (0, 0))]
+    )
+    def test_known_alias_pairs_are_distinct(self, a, b):
+        assert stream(*a).bit_generator.state != stream(*b).bit_generator.state
+
+    @given(st.lists(KEY_WORDS, min_size=1, max_size=7), st.lists(KEY_WORDS, min_size=1, max_size=7))
+    @settings(max_examples=300, deadline=None)
+    def test_distinct_keys_give_distinct_states(self, a, b):
+        # Zeros, trailing zeros and words past 32 bits: SeedSequence pads short
+        # entropy with zeros and splits large words itself, which aliased
+        # keys under stream version 1.
+        for key in (a + [0], [0] + a, a + [2**32]):
+            assert stream(*a).bit_generator.state != stream(*key).bit_generator.state
+        if a != b:
+            assert stream(*a).bit_generator.state != stream(*b).bit_generator.state
 
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     @pytest.mark.parametrize("state", INPUT_STATES)
-    def test_mixed_depth_batch_matches_one_call_per_depth(self, kind, state):
-        # Circuits of one depth keep their batch order; a depth that occurs
-        # once is a single-circuit call.  The readout mixing and its inverse
-        # shift the returned bits of only about one circuit in fifty when
-        # rows are coupled, hence the batch size.
+    def test_mixed_depth_batch_matches_one_call_per_depth(self, kind, state, monkeypatch):
+        # A block draws one (3, d, n_d) array of drift uniforms per depth, in
+        # ascending order.  Handed those uniforms, a call holding one depth
+        # alone gives its circuits the block's shot probabilities bit for bit:
+        # drift runs per depth, depolarizing and readout mixing per row.
         noise = NOISE_KINDS[kind]
         rng = np.random.default_rng(8)
         depths = rng.permutation([4] * 20 + [9] * 20 + list(range(10, 130)))
         omegas = rng.uniform(0.0, np.pi, size=len(depths))
-        ids = rng.permutation(1000)[: len(depths)] + 1_000_000
-        batch = simulate_probability_batch(depths, omegas, PARAMS, noise, state, point=3, replicate=2, circuit_ids=ids)
-        expected = np.empty(len(depths))
-        for dj in np.unique(depths):
+        log, replay = [], []
+        monkeypatch.setattr(noise_module, "stream", lambda *key: _Recording(stream(*key), log, replay))
+        simulate_probability_batch(depths, omegas, PARAMS, noise, state, point=3, replicate=2, block=7)
+        uniforms = [u for what, u in log if what == "uniform"]
+        (pvals,) = [p for what, p in log if what == "multinomial"]
+        expected = np.empty_like(pvals)
+        assert len(uniforms) == (len(np.unique(depths)) if noise.drift else 0)
+        for j, dj in enumerate(np.unique(depths)):
             at = depths == dj
-            expected[at] = simulate_probability_batch(
-                int(dj), omegas[at], PARAMS, noise, state, point=3, replicate=2, circuit_ids=ids[at]
-            )
-        assert batch.tobytes() == expected.tobytes()
+            replay[:] = [uniforms[j]] if noise.drift else []
+            if noise.drift:
+                assert uniforms[j].shape == (3, dj, at.sum())
+            simulate_probability_batch(int(dj), omegas[at], PARAMS, noise, state, point=3, replicate=2, block=7)
+            expected[at] = log[-1][1]
+        assert pvals.tobytes() == expected.tobytes()
+
+    def test_block_draws_are_reproducible_across_processes(self):
+        tasks = [(block, NOISE_KINDS["all"]) for block in range(4)]
+        here = [_block(t).tobytes() for t in tasks]
+        assert here == [_block(t).tobytes() for t in tasks]
+        with harness._executor(2) as pool:  # the worker pool of a --jobs 2 run
+            assert [p.tobytes() for p in pool.map(_block, tasks)] == here
+        assert len(set(here)) == len(here)
+
+    def test_readout_rows_are_independent_of_the_block(self, monkeypatch):
+        # The confusion mixing and its inverse act on each row alone: a row's
+        # shot probabilities and corrected frequencies keep their bits whatever
+        # rows share its block.
+        log, corrections = [], []
+        real_invert = noise_module.invert_confusion
+
+        def spy_invert(q, confusion):
+            corrections.append((np.array(q), real_invert(q, confusion)))
+            return corrections[-1][1]
+
+        monkeypatch.setattr(noise_module, "stream", lambda *key: _Recording(stream(*key), log))
+        monkeypatch.setattr(noise_module, "invert_confusion", spy_invert)
+        noise = NoiseConfig(shots=10_000, depol_rate=1e-2, confusion=ConfusionMatrix.uniform(0.93), seed=5)
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n = int(rng.integers(2, 121))
+            depths = rng.integers(2, 40, size=n)
+            omegas = rng.uniform(0.0, np.pi, size=n)
+            simulate_probability_batch(depths, omegas, PARAMS, noise, "plus")
+            pvals, (measured, corrected) = log[-1][1], corrections[-1]
+            for i in rng.choice(n, size=5, replace=False):
+                simulate_probability_batch(depths[i], omegas[i : i + 1], PARAMS, noise, "plus")
+                assert log[-1][1][0].tobytes() == pvals[i].tobytes()
+                assert real_invert(measured[:, i], noise.confusion).tobytes() == corrected[:, i].tobytes()
 
     @pytest.mark.parametrize("kind", ["depolarizing", "drift", "confusion", "all"])
     def test_ladder_matches_per_depth_loop(self, kind, monkeypatch):
+        # The ladder d, d+2, ..., 3d is blocks 2 (X input) and 3 (Y input),
+        # checked against the gate-by-gate loop over its depths.
         seen = []
 
         def spy(amps, *args, **kwargs):
@@ -287,9 +377,18 @@ class TestBatchSeeding:
             peak_fit=PeakFitConfig(enabled=False),
         )
         report = harness.run_replicate(config, point=1, replicate=4)
-        expected = ladder_amplitudes_loop(20, report.varphi_hat, config.gate_truth, noise, point=1, replicate=4)
-        assert len(expected) == 21
-        assert seen == [expected]
+        depths = np.arange(20, 61, 2)
+        omegas = np.full(len(depths), report.varphi_hat)
+        freqs = []
+        for block, beta in ((2, 1.0), (3, 1.0j)):
+            f = brute_noisy_counts(depths, omegas, config.gate_truth, noise, beta, (CIRCUIT, noise.seed, 1, 4, block))
+            f = f / noise.shots
+            if noise.confusion is not None:
+                f = np.linalg.solve(noise.confusion.entries.T, f.T).T
+            freqs.append(f[:, 1])
+        expected = np.hypot(freqs[0] - 0.5, freqs[1] - 0.5)
+        assert len(seen) == 1 and len(seen[0]) == 21
+        assert np.allclose(seen[0], expected, rtol=1e-9, atol=0)
 
 
 class TestConfusion:
@@ -334,7 +433,7 @@ class TestConfusion:
         batch = invert_confusion(q, r)
         assert batch.shape == (4, 5)
         for j in range(5):
-            assert np.abs(batch[:, j] - invert_confusion(q[:, j], r)).max() < 1e-14
+            assert batch[:, j].tobytes() == invert_confusion(q[:, j], r).tobytes()
 
     def test_batch_readout_correction_rejects_non_dominant_matrix(self):
         noise = NoiseConfig(shots=1000, seed=3, confusion=ConfusionMatrix.uniform(0.4))
@@ -402,8 +501,8 @@ def spectrum_noise_dataset():
     truth = np.fft.fft(exact_signal(d, grid, PARAMS)) / (2 * d - 1)
     vs = np.empty((reps, 2 * d - 1), dtype=complex)
     for rep in range(reps):
-        px = simulate_probability_batch(d, grid, PARAMS, noise, "plus", replicate=rep, circuit_ids=2 * np.arange(2 * d - 1))
-        py = simulate_probability_batch(d, grid, PARAMS, noise, "i", replicate=rep, circuit_ids=2 * np.arange(2 * d - 1) + 1)
+        px = simulate_probability_batch(d, grid, PARAMS, noise, "plus", replicate=rep, block=0)
+        py = simulate_probability_batch(d, grid, PARAMS, noise, "i", replicate=rep, block=1)
         vs[rep] = np.fft.fft(px - 0.5 + 1j * (py - 0.5)) / (2 * d - 1) - truth
     return d, noise.shots, vs
 

@@ -1,12 +1,15 @@
 """Gate angles, the closed-form polynomial pair, and the oracles it is checked against."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsimcal import FsimParams
-from fsimcal.su2 import chebyshev_u, wrap_angle
+from fsimcal.su2 import chebyshev_tu, wrap_angle
 
 from oracles import (
     closed_form_pq,
@@ -137,8 +140,11 @@ class TestClosedForm:
         # cos(sigma) = 1 exactly: the quotient sin(d sigma)/sin(sigma) -> d.
         pair = closed_form_pq(7, 0.0, 0.0)
         assert pair.q_value == 7.0
-        assert chebyshev_u(6, 1.0) == 7.0
-        assert chebyshev_u(6, -1.0) == 7.0
+        for d in (7, 8):
+            assert chebyshev_tu(d, 0.0, 0.0) == (1.0, d)  # x = 1
+            # x = -1 through w = pi and through theta = pi: T_d = (-1)^d, U_{d-1} = (-1)^(d-1) d
+            for w, theta in ((np.pi, 0.0), (0.0, np.pi)):
+                assert chebyshev_tu(d, w, theta) == ((-1.0) ** d, (-1.0) ** (d - 1) * d)
 
 
 class TestSpecialPoint:
@@ -160,7 +166,7 @@ class TestSpecialPoint:
     def test_j6_quarter_period_q(self):
         # cos(omega) = 0 makes cos(sigma) = 0; Q is U_63 at the origin.
         pair = special_point_pq(6, np.pi / 2, 0.3)
-        u63 = chebyshev_u(63, 0.0)
+        _, u63 = chebyshev_tu(64, np.pi / 2, 0.0)
         assert abs(pair.q_value - u63) < 1e-11
         assert abs(u63) < 1e-12  # U_63 is odd, so it vanishes at the origin
 
@@ -198,15 +204,13 @@ def test_wrap_angle_branch():
     assert wrap_angle(3 * np.pi / 2) == pytest.approx(-np.pi / 2)
 
 
-@given(st.integers(0, 40), st.floats(-1.0, 1.0))
+@given(st.integers(1, 41), ANGLE, THETA)
 @settings(max_examples=100, deadline=None)
-def test_chebyshev_u_matches_recurrence(n, x):
-    explicit = np.polynomial.chebyshev.Chebyshev.basis(n)(x)
-    assert chebyshev_u(n, x) == pytest.approx(_u_by_recurrence(n, x), abs=1e-9)
-    # and the T_n route used for cos(d sigma) agrees with numpy's basis
-    from fsimcal.su2 import chebyshev_t
-
-    assert chebyshev_t(n, x) == pytest.approx(explicit, abs=1e-9)
+def test_chebyshev_u_matches_recurrence(d, w, theta):
+    x = np.cos(w) * np.cos(theta)
+    t, u = chebyshev_tu(d, w, theta)
+    assert u == pytest.approx(_u_by_recurrence(d - 1, x), abs=1e-9)
+    assert t == pytest.approx(np.polynomial.chebyshev.Chebyshev.basis(d)(x), abs=1e-9)
 
 
 def _u_by_recurrence(n, x):
@@ -216,3 +220,16 @@ def _u_by_recurrence(n, x):
     for _ in range(n - 1):
         prev, cur = cur, 2.0 * x * cur - prev
     return cur
+
+
+REFERENCE = json.loads((pathlib.Path(__file__).parent / "fixtures" / "chebyshev_reference.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", REFERENCE["cases"], ids=lambda c: f"d{c['d']}-theta{c['theta']}")
+def test_chebyshev_tu_matches_60_digit_reference(case):
+    # Phases spread over [-pi, pi] and the grid phases next to the phase-matched
+    # point, where |x| -> 1; the references come from mpmath at 60 digits.
+    t, u = chebyshev_tu(case["d"], np.array(case["w"]), case["theta"])
+    ref_t, ref_u = np.array(case["t"]), np.array(case["u"])
+    assert np.abs(u - ref_u).max() <= 1e-14 * np.abs(ref_u).max()
+    assert np.abs(t - ref_t).max() <= 1e-15 * case["d"]
