@@ -4,20 +4,19 @@
 Computes the exact Cramer-Rao diagonal on a log depth grid for two swap
 angles and prints the fitted log-log slopes in the shallow (d << 1/theta)
 and deep (d >> 1/theta) windows, where the scaling crosses from about
-1/d^4 to the 1/d^3 limit.
+1/d^4 to the 1/d^3 limit.  Each angle is one crlb-scan run, written to
+<out>/theta_0p01/ and <out>/theta_0p001/.
 """
 
 import argparse
+import json
 import sys
 
 import numpy as np
 
 sys.path.insert(0, "src")
 
-from fsimcal import transition_scan
-from fsimcal.harness import MODES, write_csv, write_json
-
-CRLB_COLUMNS = MODES["crlb-scan"].header
+from fsimcal import ExperimentConfig, FsimParams, NoiseConfig, run_mode
 
 
 def window_slope(rows, lo, hi):
@@ -36,10 +35,16 @@ def main():
 
     for theta in (1e-2, 1e-3):
         depths = np.unique(np.round(np.geomspace(2, 30.0 / theta, args.points)).astype(int))
-        rows = transition_scan(theta, args.shots, depths.tolist())
         tag = f"theta_{theta:g}".replace(".", "p")
-        write_json(f"{args.out}/crlb_scan_{tag}.json", rows)
-        write_csv(f"{args.out}/crlb_scan_{tag}.csv", CRLB_COLUMNS, [[r[c] for c in CRLB_COLUMNS] for r in rows])
+        config = ExperimentConfig(
+            mode="crlb-scan",
+            gate_truth=FsimParams(theta, np.pi / 16, 5 * np.pi / 32),
+            noise=NoiseConfig(shots=args.shots),
+            depth_grid=tuple(depths.tolist()),
+            output_dir=f"{args.out}/{tag}",
+        )
+        with open(run_mode(config)["rows"], encoding="utf-8") as fh:
+            rows = json.load(fh)
         shallow = window_slope(rows, 0.02 / theta, 0.2 / theta)
         deep = window_slope(rows, 3.0 / theta, 30.0 / theta)
         print(f"theta={theta:g}: slope(crlb_varphi) = {shallow:+.2f} for d*theta in [0.02, 0.2], "

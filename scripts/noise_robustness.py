@@ -9,14 +9,14 @@ Fourier coefficient.
 """
 
 import argparse
+import json
 import sys
 
 import numpy as np
 
 sys.path.insert(0, "src")
 
-from fsimcal import DriftModel, ExperimentConfig, FsimParams, NoiseConfig, PeakFitConfig
-from fsimcal.harness import MODES, alpha_scan_rows, run_sweep, write_csv, write_json
+from fsimcal import DriftModel, ExperimentConfig, FsimParams, NoiseConfig, PeakFitConfig, run_mode
 
 
 def main():
@@ -38,15 +38,15 @@ def main():
         peak_fit=PeakFitConfig(enabled=False),
         output_dir=args.out,
     )
-    records = run_sweep(sweep, jobs=args.jobs)
-    write_json(f"{args.out}/full_noise_records.json", [r.to_json_dict() for r in records])
+    with open(run_mode(sweep, jobs=args.jobs)["records"], encoding="utf-8") as fh:
+        records = json.load(fh)
     print(f"{'d':>5} {'mse(theta_corr)':>16} {'median rel err':>15}")
     for rec in records:
-        s = rec.summary["theta_corrected"]
+        s = rec["summary"]["theta_corrected"]
         rels = np.median(
-            [abs(r["diagnostics"]["theta_corrected"] - truth.theta) / truth.theta for r in rec.replicates]
+            [abs(r["diagnostics"]["theta_corrected"] - truth.theta) / truth.theta for r in rec["replicates"]]
         )
-        print(f"{rec.grid_value:>5} {s['mse']:>16.3e} {rels:>15.3f}")
+        print(f"{rec['grid_value']:>5} {s['mse']:>16.3e} {rels:>15.3f}")
 
     # fidelity scan: chi + varphi = 5 pi/4 keeps the k = 0 offset colinear
     # with the signal coefficient, where the modulus-difference form is exact
@@ -58,9 +58,8 @@ def main():
         depth_grid=(10, 20, 30, 40, 50, 60),
         output_dir=args.out,
     )
-    rows = alpha_scan_rows(alpha_cfg, run_sweep(alpha_cfg, jobs=args.jobs))
-    table = MODES["alpha-scan"]
-    write_csv(f"{args.out}/{table.files['table']}", table.header, rows)
+    with open(run_mode(alpha_cfg, jobs=args.jobs)["rows"], encoding="utf-8") as fh:
+        rows = json.load(fh)
     print(f"\n{'d':>5} {'alpha_dem':>10} {'median dev':>11}")
     for d, alpha_dem, _, dev, _ in rows:
         print(f"{d:>5} {alpha_dem:>10.4f} {dev:>11.2e}")

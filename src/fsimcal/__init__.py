@@ -27,8 +27,6 @@ from .harness import (
     RunRecord,
     emit_figure_data,
     run_calibration,
-    run_confusion_check,
-    run_crlb_scan,
     run_mode,
     run_replicate,
     run_sweep,

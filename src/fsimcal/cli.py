@@ -40,9 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     config = ExperimentConfig.from_json_file(args.config)
     if MODES[config.mode].subcommand != args.command:
-        raise SystemExit(f"config mode {config.mode!r} does not match subcommand {args.command!r}")
+        raise ValueError(f"config mode {config.mode!r} does not match subcommand {args.command!r}")
     noise = config.noise
     if args.seed is not None:
         noise = dataclasses.replace(noise, seed=args.seed)
@@ -58,17 +60,15 @@ def _load_config(args) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "emit-figures":
-        mode, kind = FIGURES[args.figure]
-        source_path = os.path.join(args.records, MODES[mode].files[kind])
-        with open(source_path, encoding="utf-8") as fh:
-            source = json.load(fh)
-        path = emit_figure_data(source, args.figure, args.out)
-        print(f"wrote {path}")
-        return 0
     try:
+        if args.command == "emit-figures":
+            figure = FIGURES[args.figure]
+            with open(os.path.join(args.records, MODES[figure.mode].files[figure.kind]), encoding="utf-8") as fh:
+                path = emit_figure_data(json.load(fh), args.figure, args.out)
+            print(f"wrote {path}")
+            return 0
         config = _load_config(args)
-    except ValueError as exc:  # a config rejected when it is built
+    except (OSError, ValueError) as exc:  # unreadable input, or a config rejected when it is built
         print(f"fsimcal {args.command}: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()

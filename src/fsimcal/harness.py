@@ -16,6 +16,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,6 +42,7 @@ from .noise import (
     NoiseConfig,
     checked_bool,
     checked_int,
+    config_section,
     confusion_sample_size,
     dem_fidelity,
     simulate_probability_batch,
@@ -60,13 +62,7 @@ __all__ = [
     "run_replicate",
     "run_calibration",
     "run_sweep",
-    "run_crlb_scan",
-    "run_confusion_check",
     "emit_figure_data",
-    "write_json",
-    "write_csv",
-    "sweep_rows",
-    "alpha_scan_rows",
     "run_mode",
 ]
 
@@ -76,41 +72,21 @@ SCHEMA_VERSION = 1
 
 class _Mode(NamedTuple):
     subcommand: str  # the CLI subcommand that runs the mode
+    run: Callable  # (config, jobs) -> {kind: payload}, one payload per file
     files: dict  # output kind -> file name, in the order run_mode writes them
     header: tuple | None = None  # columns of the "table" CSV
+    figure: str | None = None  # the figure run_mode writes next to the files
 
 
-# The mode table: every mode, its subcommand, its canonical files and CSV header.
-_SWEEP = _Mode(
-    "sweep",
-    {"records": "sweep_records.json", "table": "sweep.csv"},
-    ("grid_var", "grid_value", "estimator", "mse", "var", "bias2", "ci_low", "ci_high"),
-)
-MODES = {
-    "calibrate": _Mode("calibrate", {"record": "run_record.json"}),
-    "sweep-depth": _SWEEP,
-    "sweep-shots": _SWEEP,
-    "crlb-scan": _Mode(
-        "crlb-scan",
-        {"rows": "crlb_scan.json", "table": "crlb_scan.csv"},
-        ("d", "crlb_theta", "crlb_varphi", "crlb_chi", "slope_theta", "slope_varphi", "slope_chi"),
-    ),
-    "alpha-scan": _Mode(
-        "alpha-scan",
-        {"records": "alpha_records.json", "rows": "alpha_scan.json", "table": "alpha_scan.csv"},
-        ("d", "alpha_dem", "median_alpha_hat", "median_abs_deviation", "n"),
-    ),
-    "confusion-check": _Mode("confusion-check", {"report": "confusion_check.json"}),
-}
-# Figure id -> the mode, and the kind of its output file, the figure is built from.
-FIGURES = {
-    "mse-vs-depth": ("sweep-depth", "records"),
-    "mse-vs-shots": ("sweep-shots", "records"),
-    "variance-vs-depth": ("sweep-depth", "records"),
-    "crlb-vs-depth": ("crlb-scan", "rows"),
-    "fidelity-vs-depth": ("alpha-scan", "rows"),
-}
+class _Figure(NamedTuple):
+    mode: str  # the mode whose output the figure is built from
+    kind: str  # the kind of that mode's output file
+    header: tuple  # columns of the figure CSV
+    row: Callable  # one item of that file -> one CSV row
 
+
+_CRLB_COLUMNS = ("d", "crlb_theta", "crlb_varphi", "crlb_chi", "slope_theta", "slope_varphi", "slope_chi")
+_ALPHA_COLUMNS = ("d", "alpha_dem", "median_alpha_hat", "median_abs_deviation", "n")
 _SUMMARY_ESTIMATORS = ("theta_hat", "varphi_hat", "alpha_hat", "theta_corrected", "theta_pd", "theta_pf")
 
 
@@ -128,9 +104,6 @@ class PeakFitConfig:
         if self.beta_thr is not None and not self.beta_thr > 0.0:
             raise ValueError("peak fit beta_thr must be positive")
 
-    def to_dict(self):
-        return {"enabled": self.enabled, "n_pf": self.n_pf, "beta_thr": self.beta_thr}
-
 
 @dataclass(frozen=True)
 class ConfusionCheckConfig:
@@ -144,15 +117,6 @@ class ConfusionCheckConfig:
         object.__setattr__(self, "trials", checked_int("confusion_check.trials", self.trials))
         if self.shots is not None:
             object.__setattr__(self, "shots", checked_int("confusion_check.shots", self.shots))
-
-    def to_dict(self):
-        return {
-            "epsilon": self.epsilon,
-            "alpha": self.alpha,
-            "trials": self.trials,
-            "constant": self.constant,
-            "shots": self.shots,
-        }
 
 
 @dataclass(frozen=True)
@@ -209,47 +173,32 @@ class ExperimentConfig:
         return {
             "schema_version": SCHEMA_VERSION,
             "mode": self.mode,
-            "gate_truth": {
-                "theta": self.gate_truth.theta,
-                "varphi": self.gate_truth.varphi,
-                "chi": self.gate_truth.chi,
-            },
+            "gate_truth": dataclasses.asdict(self.gate_truth),
             "depth": self.depth,
             "depth_grid": None if self.depth_grid is None else list(self.depth_grid),
             "shots_grid": None if self.shots_grid is None else list(self.shots_grid),
             "replicates": self.replicates,
             "noise": self.noise.to_dict(),
-            "peak_fit": self.peak_fit.to_dict(),
+            "peak_fit": dataclasses.asdict(self.peak_fit),
             "theta_pd": self.theta_pd,
             "alpha_correction": self.alpha_correction,
-            "confusion_check": None if self.confusion_check is None else self.confusion_check.to_dict(),
+            "confusion_check": None if self.confusion_check is None else dataclasses.asdict(self.confusion_check),
             "output_dir": self.output_dir,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)} - {"schema_version"}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        version = data.get("schema_version", SCHEMA_VERSION)
+        kwargs = config_section(cls, "config", data, schema_version=SCHEMA_VERSION, noise=None)
+        version = kwargs.pop("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {version}")
-        pf = data.get("peak_fit") or {}
-        cc = data.get("confusion_check")
-        return cls(
-            mode=data["mode"],
-            gate_truth=FsimParams(**data["gate_truth"]),
-            noise=NoiseConfig.from_dict(data.get("noise") or {}),
-            replicates=data.get("replicates", 96),
-            depth=data.get("depth"),
-            depth_grid=None if data.get("depth_grid") is None else tuple(data["depth_grid"]),
-            shots_grid=None if data.get("shots_grid") is None else tuple(data["shots_grid"]),
-            peak_fit=PeakFitConfig(**pf),
-            theta_pd=data.get("theta_pd", False),
-            alpha_correction=data.get("alpha_correction", True),
-            confusion_check=None if cc is None else ConfusionCheckConfig(**cc),
-            output_dir=data.get("output_dir", "out"),
-        )
+        kwargs["gate_truth"] = FsimParams(**config_section(FsimParams, "gate_truth", kwargs["gate_truth"]))
+        kwargs["noise"] = NoiseConfig.from_dict(kwargs["noise"] or {})
+        kwargs["peak_fit"] = PeakFitConfig(**config_section(PeakFitConfig, "peak_fit", kwargs.get("peak_fit") or {}))
+        if kwargs.get("confusion_check") is not None:
+            section = config_section(ConfusionCheckConfig, "confusion_check", kwargs["confusion_check"])
+            kwargs["confusion_check"] = ConfusionCheckConfig(**section)
+        return cls(**kwargs)
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
@@ -424,7 +373,10 @@ def _summarize(config: ExperimentConfig, reports: list[dict], point: int) -> dic
 
 
 def _executor(jobs: int):
-    """One worker pool for a whole run; jobs <= 1 runs replicates in this process."""
+    """One worker pool for a whole run; jobs <= 1 runs replicates in this process.
+
+    The pool forks all its workers at the first task; callers cap jobs at one point's replicates.
+    """
     return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
 
 
@@ -460,7 +412,7 @@ def run_calibration(config: ExperimentConfig, jobs: int = 1) -> RunRecord:
     """All replicates at a single depth, with summary statistics."""
     if config.mode != "calibrate":
         raise ValueError("run_calibration needs mode='calibrate'")
-    with _executor(jobs) as pool:
+    with _executor(min(jobs, config.replicates)) as pool:
         return _run_point(config, point=0, grid_value=config.depth, pool=pool)
 
 
@@ -483,7 +435,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     else:
         raise ValueError("run_sweep needs mode 'sweep-depth', 'sweep-shots' or 'alpha-scan'")
     records = []
-    with _executor(jobs) as pool:
+    with _executor(min(jobs, config.replicates)) as pool:
         for pi, g in enumerate(grid):
             rec = _run_point(make(int(g)), point=pi, grid_value=int(g), pool=pool)
             rec.mode = config.mode
@@ -491,7 +443,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     return records
 
 
-def sweep_rows(config: ExperimentConfig, records: list[RunRecord]) -> list[list]:
+def _sweep_rows(config: ExperimentConfig, records: list[RunRecord]) -> list[list]:
     """Tidy table: one row per (grid point, estimator)."""
     grid_var = "d" if config.mode == "sweep-depth" else "shots"
     rows = []
@@ -503,20 +455,7 @@ def sweep_rows(config: ExperimentConfig, records: list[RunRecord]) -> list[list]
     return rows
 
 
-def run_crlb_scan(config: ExperimentConfig) -> list[dict]:
-    """Exact CRLB and slope table over the configured depth grid."""
-    if config.mode != "crlb-scan":
-        raise ValueError("run_crlb_scan needs mode='crlb-scan'")
-    return fisher.transition_scan(
-        config.gate_truth.theta,
-        config.noise.shots,
-        config.depth_grid,
-        varphi=config.gate_truth.varphi,
-        chi=config.gate_truth.chi,
-    )
-
-
-def alpha_scan_rows(config: ExperimentConfig, records: list[RunRecord]) -> list[list]:
+def _alpha_scan_rows(config: ExperimentConfig, records: list[RunRecord]) -> list[list]:
     """(d, alpha_dem, median_alpha_hat, median_abs_deviation, n) per depth."""
     rows = []
     for rec in records:
@@ -543,8 +482,6 @@ def run_confusion_check(config: ExperimentConfig) -> dict:
     exact matrix, and count || p - p_fs ||_2 > epsilon events.  The empirical
     failure rate must stay below the configured alpha.
     """
-    if config.mode != "confusion-check":
-        raise ValueError("run_confusion_check needs mode='confusion-check'")
     cc = config.confusion_check or ConfusionCheckConfig()
     confusion = config.noise.confusion
     kappa = confusion.kappa
@@ -610,99 +547,149 @@ def write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _mse_columns(records: list[dict], grid_var: str) -> tuple[list[str], list[list]]:
-    header = [grid_var]
-    for name in ("theta_hat", "varphi_hat", "theta_pf", "theta_pd"):
-        header += [f"mse_{name}", f"ci_{name}_low", f"ci_{name}_high"]
-    rows = []
-    for rec in records:
-        row = [rec["grid_value"]]
-        for name in ("theta_hat", "varphi_hat", "theta_pf", "theta_pd"):
-            s = rec["summary"].get(name)
-            row += [None, None, None] if s is None else [s["mse"], s["ci_low"], s["ci_high"]]
-        rows.append(row)
-    return header, rows
+_MSE_ESTIMATORS = ("theta_hat", "varphi_hat", "theta_pf", "theta_pd")
 
 
-def emit_figure_data(source, figure_id: str, out_dir: str) -> str:
+def _mse_header(grid_var: str) -> tuple:
+    return (grid_var, *(c for name in _MSE_ESTIMATORS for c in (f"mse_{name}", f"ci_{name}_low", f"ci_{name}_high")))
+
+
+def _mse_row(rec: dict) -> list:
+    row = [rec["grid_value"]]
+    for name in _MSE_ESTIMATORS:
+        s = rec["summary"].get(name)
+        row += [None, None, None] if s is None else [s["mse"], s["ci_low"], s["ci_high"]]
+    return row
+
+
+def _variance_row(rec: dict) -> list:
+    st, sv = rec["summary"]["theta_hat"], rec["summary"]["varphi_hat"]
+    return [rec["grid_value"], st["var"], st["var_theory"], st["mse"], sv["var"], sv["var_theory"], sv["mse"]]
+
+
+def _sweep_payloads(config: ExperimentConfig, jobs: int) -> dict:
+    records = run_sweep(config, jobs=jobs)
+    return {"records": [r.to_json_dict() for r in records], "table": _sweep_rows(config, records)}
+
+
+def _alpha_scan_payloads(config: ExperimentConfig, jobs: int) -> dict:
+    records = run_sweep(config, jobs=jobs)
+    rows = _alpha_scan_rows(config, records)
+    return {"records": [r.to_json_dict() for r in records], "rows": rows, "table": rows}
+
+
+def _crlb_scan_payloads(config: ExperimentConfig, jobs: int) -> dict:
+    """Exact CRLB and slope table over the configured depth grid."""
+    truth = config.gate_truth
+    rows = fisher.transition_scan(
+        truth.theta, config.noise.shots, config.depth_grid, varphi=truth.varphi, chi=truth.chi
+    )
+    return {"rows": rows, "table": [[r[c] for c in _CRLB_COLUMNS] for r in rows]}
+
+
+# The mode table: every mode, its subcommand, runner, canonical files, CSV
+# header and figure.  Runners look the pipeline up as module globals when
+# called, so a function rebound on the module is the one every mode runs.
+_SWEEP = _Mode(
+    "sweep",
+    _sweep_payloads,
+    {"records": "sweep_records.json", "table": "sweep.csv"},
+    ("grid_var", "grid_value", "estimator", "mse", "var", "bias2", "ci_low", "ci_high"),
+)
+MODES = {
+    "calibrate": _Mode(
+        "calibrate",
+        lambda config, jobs: {"record": run_calibration(config, jobs=jobs).to_json_dict()},
+        {"record": "run_record.json"},
+    ),
+    "sweep-depth": _SWEEP,
+    "sweep-shots": _SWEEP,
+    "crlb-scan": _Mode(
+        "crlb-scan",
+        _crlb_scan_payloads,
+        {"rows": "crlb_scan.json", "table": "crlb_scan.csv"},
+        _CRLB_COLUMNS,
+        "crlb-vs-depth",
+    ),
+    "alpha-scan": _Mode(
+        "alpha-scan",
+        _alpha_scan_payloads,
+        {"records": "alpha_records.json", "rows": "alpha_scan.json", "table": "alpha_scan.csv"},
+        _ALPHA_COLUMNS,
+        "fidelity-vs-depth",
+    ),
+    "confusion-check": _Mode(
+        "confusion-check",
+        lambda config, jobs: {"report": run_confusion_check(config)},
+        {"report": "confusion_check.json"},
+    ),
+}
+# The figure table: every figure, the mode output it is built from and its CSV.
+FIGURES = {
+    "mse-vs-depth": _Figure("sweep-depth", "records", _mse_header("d"), _mse_row),
+    "mse-vs-shots": _Figure("sweep-shots", "records", _mse_header("shots"), _mse_row),
+    "variance-vs-depth": _Figure(
+        "sweep-depth",
+        "records",
+        ("d", "var_theta", "var_theory_theta", "mse_theta", "var_varphi", "var_theory_varphi", "mse_varphi"),
+        _variance_row,
+    ),
+    "crlb-vs-depth": _Figure(
+        "crlb-scan",
+        "rows",
+        ("d", "crlb_varphi", "preasymptotic_varphi"),
+        lambda r: [r["d"], r["crlb_varphi"], r["preasymptotic_varphi"]],
+    ),
+    "fidelity-vs-depth": _Figure("alpha-scan", "rows", _ALPHA_COLUMNS, list),
+}
+
+
+def emit_figure_data(source: list, figure_id: str, out_dir: str) -> str:
     """Write the CSV behind one figure; returns the path.
 
-    source is the output of the mode FIGURES names for the figure (records
-    or rows); a mode/figure mismatch raises.
+    source is the parsed JSON of the file FIGURES names for the figure, as
+    run_mode writes it; the output of another mode or file raises ValueError.
     """
     if figure_id not in FIGURES:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of {tuple(FIGURES)}")
+    fig = FIGURES[figure_id]
+    try:
+        # Records carry their mode; rows are told apart by their shape.
+        wrong_mode = fig.kind == "records" and any(r["mode"] != fig.mode for r in source)
+        rows = [] if wrong_mode else [fig.row(item) for item in source]
+    except (KeyError, TypeError):
+        rows = []
+    if not rows or any(len(row) != len(fig.header) for row in rows):
+        raise ValueError(f"{figure_id} needs the {fig.kind} of a {fig.mode} run")
     path = os.path.join(out_dir, f"figure_{figure_id}.csv")
-    if figure_id == "crlb-vs-depth":
-        rows = list(source)
-        if not rows or "crlb_varphi" not in rows[0]:
-            raise ValueError("crlb-vs-depth needs crlb-scan rows")
-        write_csv(
-            path,
-            ["d", "crlb_varphi", "preasymptotic_varphi"],
-            [[r["d"], r["crlb_varphi"], r["preasymptotic_varphi"]] for r in rows],
-        )
-        return path
-    if figure_id == "fidelity-vs-depth":
-        rows = list(source)
-        header = MODES["alpha-scan"].header
-        if not rows or len(rows[0]) != len(header):
-            raise ValueError("fidelity-vs-depth needs alpha-scan rows")
-        write_csv(path, header, rows)
-        return path
-    records = [r.to_json_dict() if isinstance(r, RunRecord) else r for r in source]
-    want_mode = FIGURES[figure_id][0]
-    if not records or any(r["mode"] != want_mode for r in records):
-        raise ValueError(f"{figure_id} needs {want_mode} records")
-    if figure_id in ("mse-vs-depth", "mse-vs-shots"):
-        header, rows = _mse_columns(records, "d" if figure_id == "mse-vs-depth" else "shots")
-        write_csv(path, header, rows)
-        return path
-    # variance-vs-depth
-    header = ["d", "var_theta", "var_theory_theta", "mse_theta", "var_varphi", "var_theory_varphi", "mse_varphi"]
-    rows = []
-    for rec in records:
-        st, sv = rec["summary"]["theta_hat"], rec["summary"]["varphi_hat"]
-        rows.append([rec["grid_value"], st["var"], st["var_theory"], st["mse"], sv["var"], sv["var_theory"], sv["mse"]])
-    write_csv(path, header, rows)
+    write_csv(path, fig.header, rows)
     return path
 
 
 def run_mode(config: ExperimentConfig, jobs: int = 1) -> dict:
-    """Run config.mode, write its canonical outputs, return the file paths.
+    """Run config.mode, write its canonical outputs, return the file paths by kind.
 
     Raises EmptyPointError, after every output is written, when a run point
     ends with no surviving replicate.
     """
     out = config.output_dir
     mode = MODES[config.mode]
-    paths = {kind: os.path.join(out, name) for kind, name in mode.files.items()}
-    records = []
-    if config.mode == "calibrate":
-        records = [run_calibration(config, jobs=jobs)]
-        write_json(paths["record"], records[0].to_json_dict())
-    elif config.mode == "crlb-scan":
-        rows = run_crlb_scan(config)
-        write_json(paths["rows"], rows)
-        write_csv(paths["table"], mode.header, [[r[c] for c in mode.header] for r in rows])
-        paths["figure"] = emit_figure_data(rows, "crlb-vs-depth", out)
-    elif config.mode == "confusion-check":
-        write_json(paths["report"], run_confusion_check(config))
-    else:
-        records = run_sweep(config, jobs=jobs)
-        write_json(paths["records"], [r.to_json_dict() for r in records])
-        if config.mode == "alpha-scan":
-            rows = alpha_scan_rows(config, records)
-            write_json(paths["rows"], rows)
-            write_csv(paths["table"], mode.header, rows)
-            paths["figure"] = emit_figure_data(rows, "fidelity-vs-depth", out)
+    payloads = mode.run(config, jobs)
+    paths = {}
+    for kind, name in mode.files.items():
+        paths[kind] = os.path.join(out, name)
+        if kind == "table":
+            write_csv(paths[kind], mode.header, payloads[kind])
         else:
-            write_csv(paths["table"], mode.header, sweep_rows(config, records))
+            write_json(paths[kind], payloads[kind])
+    if mode.figure is not None:
+        paths["figure"] = emit_figure_data(payloads[FIGURES[mode.figure].kind], mode.figure, out)
+    records = [payloads["record"]] if "record" in payloads else payloads.get("records", [])
     empty = [
-        f"point {r.point_index} (grid value {r.grid_value}): all {len(r.failures)} replicates failed, "
-        f"first with {r.failures[0]['reason']}"
+        f"point {r['point_index']} (grid value {r['grid_value']}): all {len(r['failures'])} replicates failed, "
+        f"first with {r['failures'][0]['reason']}"
         for r in records
-        if not r.replicates
+        if not r["replicates"]
     ]
     if empty:
         raise EmptyPointError("; ".join(empty) + f"; outputs written to {out}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -77,6 +77,24 @@ def checked_int(name: str, value) -> int:
 def checked_bool(name: str, value) -> None:
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+def config_section(cls, name: str, data, **defaults) -> dict:
+    """Keyword arguments for dataclass cls from a config section, defaults filling omitted keys.
+
+    A non-object, a key that is neither a field nor a default, or a missing required field raises ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be a JSON object, got {data!r}")
+    kwargs = {**defaults, **data}
+    unknown = set(kwargs) - set(defaults) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    missing = [key for key in required if key not in kwargs]
+    if missing:
+        raise ValueError(f"missing {name} keys: {missing}")
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -165,9 +183,7 @@ class NoiseConfig:
         return {
             "shots": self.shots,
             "depol_rate": self.depol_rate,
-            "drift": None
-            if self.drift is None
-            else {"theta_frac": self.drift.theta_frac, "phase_max": self.drift.phase_max},
+            "drift": None if self.drift is None else asdict(self.drift),
             "confusion": None if self.confusion is None else [list(map(float, row)) for row in self.confusion.entries],
             "seed": self.seed,
             "exact": self.exact,
@@ -175,19 +191,14 @@ class NoiseConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseConfig":
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown noise keys: {sorted(unknown)}")
-        drift = data.get("drift")
-        confusion = data.get("confusion")
-        return cls(
-            shots=data.get("shots", 100_000),
-            depol_rate=float(data.get("depol_rate", 0.0)),
-            drift=None if drift is None else DriftModel(**drift),
-            confusion=None if confusion is None else ConfusionMatrix(np.array(confusion)),
-            seed=data.get("seed", 0),
-            exact=data.get("exact", False),
-        )
+        kwargs = config_section(cls, "noise", data)
+        if "depol_rate" in kwargs:
+            kwargs["depol_rate"] = float(kwargs["depol_rate"])
+        if kwargs.get("drift") is not None:
+            kwargs["drift"] = DriftModel(**config_section(DriftModel, "noise.drift", kwargs["drift"]))
+        if kwargs.get("confusion") is not None:
+            kwargs["confusion"] = ConfusionMatrix(np.array(kwargs["confusion"]))
+        return cls(**kwargs)
 
 
 def apply_depolarizing(p: float, alpha: float):

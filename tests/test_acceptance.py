@@ -24,11 +24,11 @@ from fsimcal import (
     exact_signal,
     omega_grid,
     run_calibration,
-    run_confusion_check,
     run_sweep,
     spectrum_from_h,
 )
 from fsimcal.cli import main as cli_main
+from fsimcal.harness import _alpha_scan_rows, run_confusion_check
 from fsimcal.signal_model import k_values
 
 from oracles import (
@@ -203,9 +203,7 @@ def test_criterion_07_depolarizing_mitigation():
         replicates=96,
         depth_grid=(10, 20, 30, 40, 50, 60),
     )
-    from fsimcal.harness import alpha_scan_rows
-
-    rows = alpha_scan_rows(config, run_sweep(config))
+    rows = _alpha_scan_rows(config, run_sweep(config))
     depths = np.array([r[0] for r in rows], dtype=float)
     medians = np.array([r[3] for r in rows])
     at_50 = medians[list(depths).index(50)]

@@ -18,20 +18,20 @@ from fsimcal import (
     PeakFitConfig,
     emit_figure_data,
     run_calibration,
-    run_confusion_check,
-    run_crlb_scan,
     run_mode,
     run_sweep,
+    transition_scan,
 )
 from fsimcal import harness
 from fsimcal.cli import main as cli_main
 from fsimcal.estimators import DegenerateCoefficientError
-from fsimcal.harness import FIGURES, MODES, _summarize, alpha_scan_rows, sweep_rows
+from fsimcal.harness import FIGURES, MODES, _alpha_scan_rows, _summarize, _sweep_rows, run_confusion_check
 from fsimcal.noise import BOOTSTRAP, STREAM_VERSION, stream
 
 from oracles import bootstrap_means_loop
 
 TRUTH = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
+DROP = object()  # an edit value that removes the key from a config
 
 
 def small_config(**over):
@@ -176,6 +176,33 @@ class TestRunCalibration:
         assert rec.replicates == []
         assert rec.summary == {}
 
+    @pytest.mark.parametrize("run, jobs, workers", [("calibrate", 500, 3), ("sweep", 500, 3), ("calibrate", 2, 2)])
+    def test_worker_pool_never_exceeds_the_replicates(self, monkeypatch, run, jobs, workers):
+        # The pool forks all of its workers at the first task: it is sized
+        # before any is started, here by a stand-in that runs tasks in-process.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        if run == "calibrate":
+            run_calibration(small_config(replicates=3, peak_fit=PeakFitConfig(enabled=False)), jobs=jobs)
+        else:
+            cfg = small_config(mode="sweep-depth", depth=None, depth_grid=(4, 6), replicates=3)
+            run_sweep(cfg, jobs=jobs)
+        assert sizes == [workers]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_program_errors_propagate(self, monkeypatch, jobs):
         def broken_replicate(config, *, point=0, replicate=0):
@@ -252,7 +279,7 @@ class TestSweeps:
             s = rec.summary["theta_hat"]
             assert s["var"] == 0.0
             assert s["mse"] == pytest.approx(s["bias"] ** 2)
-        rows = sweep_rows(cfg, records)
+        rows = _sweep_rows(cfg, records)
         assert all(row[0] == "d" for row in rows)
 
     def test_full_noise_retains_digits_in_most_replicates(self):
@@ -301,7 +328,7 @@ class TestAlphaScan:
             depth_grid=(6, 10),
         )
         records = run_sweep(cfg)
-        rows = alpha_scan_rows(cfg, records)
+        rows = _alpha_scan_rows(cfg, records)
         assert [r[0] for r in rows] == [6, 10]
         for d, alpha_dem, med, dev, n in rows:
             assert alpha_dem == pytest.approx((1 - 1e-3) ** (2 * d + 5))
@@ -353,13 +380,7 @@ class TestConfusionCheck:
 
 class TestFigures:
     def test_crlb_figure_schema(self, tmp_path):
-        cfg = ExperimentConfig(
-            mode="crlb-scan",
-            gate_truth=FsimParams(1e-2, np.pi / 16, 5 * np.pi / 32),
-            noise=NoiseConfig(shots=1000, seed=0),
-            depth_grid=(4, 8, 16),
-        )
-        rows = run_crlb_scan(cfg)
+        rows = transition_scan(1e-2, 1000, (4, 8, 16))
         path = emit_figure_data(rows, "crlb-vs-depth", str(tmp_path))
         lines = open(path, encoding="utf-8", newline="").read().splitlines()
         assert lines[0] == "d,crlb_varphi,preasymptotic_varphi"
@@ -374,7 +395,7 @@ class TestFigures:
             depth_grid=(4, 6),
             peak_fit=PeakFitConfig(enabled=False),
         )
-        records = run_sweep(cfg)
+        records = [r.to_json_dict() for r in run_sweep(cfg)]
         path = emit_figure_data(records, "mse-vs-depth", str(tmp_path))
         header = open(path, encoding="utf-8").readline().strip().split(",")
         assert header[0] == "d"
@@ -445,7 +466,7 @@ class TestCli:
         paths = run_mode(cfg)
         written = {kind: os.path.basename(path) for kind, path in paths.items() if kind != "figure"}
         assert written == MODES[mode].files
-        (figure,) = [fig for fig, (source, _) in FIGURES.items() if source == mode]
+        (figure,) = [fig for fig, spec in FIGURES.items() if spec.mode == mode]
         argv = ["emit-figures", "--records", str(tmp_path / "run"), "--figure", figure, "--out", str(tmp_path / "figs")]
         assert cli_main(argv) == 0
         assert (tmp_path / "figs" / f"figure_{figure}.csv").read_bytes() == open(paths["figure"], "rb").read()
@@ -459,14 +480,22 @@ class TestCli:
             ({}, ["--replicates", "0"]),
             ({"noise": {"seed": 1.5, "shots": 10.7}}, []),
             ({"theta_pd": "no"}, []),
+            ({}, ["--jobs", "0"]),
+            ({"peak_fit": {"enabled": True, "n_pf": 7, "typo": 1}}, []),
+            ({"peak_fit": 3}, []),
+            ({"gate_truth": {"theta": 1e-3, "varphi": 0.1, "chi": 0.2, "typo": 1}}, []),
+            ({"noise": {"drift": {"x": 1}}}, []),
+            ({"gate_truth": DROP}, []),
+            ({"mode": DROP}, []),
         ],
     )
     def test_config_rejected_at_build_time_exits_with_one_line(self, tmp_path, capsys, edit, flags):
         data = small_config(output_dir=str(tmp_path / "out")).to_dict()
         data.update(edit)
+        data = {key: value for key, value in data.items() if value is not DROP}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(data), encoding="utf-8")
-        command = MODES[data["mode"]].subcommand
+        command = MODES[data.get("mode", "calibrate")].subcommand
         assert cli_main([command, "--config", str(cfg_path), *flags]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
@@ -474,11 +503,34 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_mode_subcommand_mismatch(self, tmp_path):
+    def test_mode_subcommand_mismatch(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(small_config().to_dict()), encoding="utf-8")
-        with pytest.raises(SystemExit):
-            cli_main(["sweep", "--config", str(cfg_path)])
+        cfg_path.write_text(json.dumps(small_config(output_dir=str(tmp_path / "out")).to_dict()), encoding="utf-8")
+        assert cli_main(["sweep", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["fsimcal sweep: config mode 'calibrate' does not match subcommand 'sweep'"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("records", ["missing", "wrong-mode"])
+    def test_emit_figures_fails_in_one_line(self, tmp_path, capsys, records):
+        if records == "wrong-mode":
+            cfg = ExperimentConfig(
+                mode="sweep-shots",
+                gate_truth=TRUTH,
+                noise=NoiseConfig(shots=500, seed=5, exact=True),
+                replicates=2,
+                depth=4,
+                shots_grid=(100, 200),
+                peak_fit=PeakFitConfig(enabled=False),
+                output_dir=str(tmp_path / records),
+            )
+            run_mode(cfg)
+        argv = ["emit-figures", "--records", str(tmp_path / records), "--figure", "mse-vs-depth"]
+        assert cli_main([*argv, "--out", str(tmp_path / "figs")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("fsimcal emit-figures: ")
+        assert not (tmp_path / "figs").exists()
 
     def test_overrides(self, tmp_path):
         cfg = small_config(replicates=2, output_dir=str(tmp_path / "a"))
