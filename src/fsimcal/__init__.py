@@ -24,12 +24,10 @@ from .harness import (
     ConfusionCheckConfig,
     ExperimentConfig,
     PeakFitConfig,
-    RunRecord,
     emit_figure_data,
-    run_calibration,
     run_mode,
+    run_points,
     run_replicate,
-    run_sweep,
 )
 from .noise import (
     ConfusionMatrix,

@@ -1,9 +1,10 @@
 """Batch experiment runner: configs, seeded replication, records, CSV output.
 
-A run is (config, seed) -> RunRecord, reproducible byte-for-byte across
-process counts: every random draw is keyed by (kind, seed, point,
-replicate, block), replicates fan out to a process pool, and aggregation
-walks the results in replicate order.  Records serialize to JSON with a
+Every sampled mode is a list of run points, each a calibrate config at one
+grid value.  A point runs to one record, the dict its JSON is written from,
+reproducible byte-for-byte across process counts: every random draw is keyed
+by (kind, seed, point, replicate, block), replicates fan out to a process
+pool, and aggregation walks the results in replicate order.  Records keep a
 stable key order; tables are UTF-8 CSV with LF line endings and repr-exact
 floats.
 """
@@ -15,7 +16,6 @@ import dataclasses
 import json
 import math
 import os
-import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -41,6 +41,7 @@ from .noise import (
     InversionRejectedError,
     NoiseConfig,
     checked_bool,
+    checked_float,
     checked_int,
     config_section,
     confusion_sample_size,
@@ -58,10 +59,8 @@ __all__ = [
     "PeakFitConfig",
     "ConfusionCheckConfig",
     "ExperimentConfig",
-    "RunRecord",
     "run_replicate",
-    "run_calibration",
-    "run_sweep",
+    "run_points",
     "emit_figure_data",
     "run_mode",
 ]
@@ -76,6 +75,7 @@ class _Mode(NamedTuple):
     files: dict  # output kind -> file name, in the order run_mode writes them
     header: tuple | None = None  # columns of the "table" CSV
     figure: str | None = None  # the figure run_mode writes next to the files
+    points: Callable | None = None  # config -> [(grid value, calibrate config)], the run points in grid order
 
 
 class _Figure(NamedTuple):
@@ -101,8 +101,10 @@ class PeakFitConfig:
         object.__setattr__(self, "n_pf", checked_int("peak_fit.n_pf", self.n_pf))
         if self.n_pf < 3:
             raise ValueError("peak fit needs n_pf >= 3 points for a parabola")
-        if self.beta_thr is not None and not self.beta_thr > 0.0:
-            raise ValueError("peak fit beta_thr must be positive")
+        if self.beta_thr is not None:
+            object.__setattr__(self, "beta_thr", checked_float("peak_fit.beta_thr", self.beta_thr))
+            if not self.beta_thr > 0.0:
+                raise ValueError("peak fit beta_thr must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,9 +116,15 @@ class ConfusionCheckConfig:
     shots: int | None = None  # None -> confusion_sample_size
 
     def __post_init__(self):
+        for name in ("epsilon", "alpha", "constant"):
+            object.__setattr__(self, name, checked_float(f"confusion_check.{name}", getattr(self, name)))
         object.__setattr__(self, "trials", checked_int("confusion_check.trials", self.trials))
         if self.shots is not None:
             object.__setattr__(self, "shots", checked_int("confusion_check.shots", self.shots))
+        if self.trials < 1 or self.shots is not None and self.shots < 1:
+            raise ValueError("confusion_check trials and shots must be >= 1")
+        if not (self.epsilon > 0.0 and 0.0 < self.alpha < 1.0 and self.constant > 0.0):
+            raise ValueError("confusion_check needs epsilon > 0, alpha in (0, 1) and constant > 0")
 
 
 @dataclass(frozen=True)
@@ -137,31 +145,37 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if not isinstance(self.mode, str) or self.mode not in MODES:
             raise ValueError(f"mode must be one of {tuple(MODES)}")
         # Integers and flags are checked, not coerced: 1.5 or true is rejected.
         object.__setattr__(self, "replicates", checked_int("replicates", self.replicates))
         if self.depth is not None:
             object.__setattr__(self, "depth", checked_int("depth", self.depth))
         for grid in ("depth_grid", "shots_grid"):
-            if getattr(self, grid) is not None:
-                object.__setattr__(self, grid, tuple(checked_int(grid, g) for g in getattr(self, grid)))
+            values = getattr(self, grid)
+            if values is not None:
+                if not isinstance(values, (list, tuple)):
+                    raise ValueError(f"{grid} must be an array, got {values!r}")
+                object.__setattr__(self, grid, tuple(checked_int(grid, g) for g in values))
         checked_bool("theta_pd", self.theta_pd)
         checked_bool("alpha_correction", self.alpha_correction)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        # A sampled mode is valid when each of its run points is: building a
+        # point builds its calibrate config, which checks itself.
         if self.mode == "calibrate" and (self.depth is None or self.depth < 2):
-            raise ValueError("calibrate mode needs depth >= 2")
-        if self.mode in ("sweep-depth", "crlb-scan", "alpha-scan"):
-            # The estimators and the CRLB closed forms need d >= 2, the
-            # fidelity correction d >= 3; slopes need the depths in order.
-            low = 3 if self.mode == "alpha-scan" else 2
-            if not self.depth_grid or min(self.depth_grid) < low:
-                raise ValueError(f"{self.mode} needs a depth_grid with every depth >= {low}")
-            if self.mode == "crlb-scan" and list(self.depth_grid) != sorted(self.depth_grid):
-                raise ValueError("crlb-scan needs an ascending depth_grid")
-        if self.mode == "sweep-shots" and (not self.shots_grid or self.depth is None):
-            raise ValueError("sweep-shots needs shots_grid and depth")
+            raise ValueError(f"every run point needs depth >= 2, got depth {self.depth}")
+        points = MODES[self.mode].points
+        if points is not None and not points(self):
+            raise ValueError(f"{self.mode} needs a non-empty grid")
+        # The fidelity correction needs d >= 3; the CRLB closed forms d >= 2
+        # and the slopes the depths in order.
+        if self.mode == "alpha-scan" and min(self.depth_grid) < 3:
+            raise ValueError("alpha-scan needs a depth_grid with every depth >= 3")
+        if self.mode == "crlb-scan" and (
+            not self.depth_grid or min(self.depth_grid) < 2 or list(self.depth_grid) != sorted(self.depth_grid)
+        ):
+            raise ValueError("crlb-scan needs an ascending depth_grid with every depth >= 2")
         if self.mode == "confusion-check" and self.noise.confusion is None:
             raise ValueError("confusion-check needs noise.confusion")
         # Readout correction and the confusion check both invert the matrix.
@@ -208,37 +222,6 @@ class ExperimentConfig:
 
 class EmptyPointError(RuntimeError):
     """A run point ended with no surviving replicate."""
-
-
-@dataclass
-class RunRecord:
-    """Outcome of one (config, seed) run at one grid point."""
-
-    mode: str
-    seed: int
-    point_index: int
-    grid_value: float | int | None
-    config: dict
-    summary: dict
-    failures: list
-    replicates: list
-    artifact_version: str = ARTIFACT_VERSION
-    stream_version: int = STREAM_VERSION
-    wall_clock_seconds: float = 0.0  # kept off the canonical JSON for byte determinism
-
-    def to_json_dict(self) -> dict:
-        return {
-            "artifact_version": self.artifact_version,
-            "stream_version": self.stream_version,
-            "mode": self.mode,
-            "seed": self.seed,
-            "point_index": self.point_index,
-            "grid_value": self.grid_value,
-            "config": self.config,
-            "summary": self.summary,
-            "failures": self.failures,
-            "replicates": self.replicates,
-        }
 
 
 def run_replicate(config: ExperimentConfig, *, point: int = 0, replicate: int = 0) -> EstimateReport:
@@ -380,14 +363,10 @@ def _executor(jobs: int):
     return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
 
 
-def _run_point(config: ExperimentConfig, *, point: int, grid_value, pool) -> RunRecord:
-    t0 = time.perf_counter()
+def _run_point(config: ExperimentConfig, *, mode: str, point: int, grid_value, pool) -> dict:
+    """All replicates of one calibrate config, summarized into the record of one run point."""
     tasks = [(config, point, rep) for rep in range(config.replicates)]
-    if pool is None:
-        results = [_replicate_task(t) for t in tasks]
-    else:
-        results = list(pool.map(_replicate_task, tasks))
-    results.sort(key=lambda r: r[0])
+    results = sorted((map if pool is None else pool.map)(_replicate_task, tasks), key=lambda r: r[0])
     reports = [r[1] for r in results if r[1] is not None]
     failures = [{"replicate": r[0], "reason": r[2]} for r in results if r[2] is not None]
     # The stored snapshot identifies the experiment; where the record is
@@ -395,82 +374,50 @@ def _run_point(config: ExperimentConfig, *, point: int, grid_value, pool) -> Run
     # across output locations.
     snapshot = config.to_dict()
     del snapshot["output_dir"]
-    return RunRecord(
-        mode=config.mode,
-        seed=config.noise.seed,
-        point_index=point,
-        grid_value=grid_value,
-        config=snapshot,
-        summary=_summarize(config, reports, point),
-        failures=failures,
-        replicates=reports,
-        wall_clock_seconds=time.perf_counter() - t0,
-    )
+    return {
+        "artifact_version": ARTIFACT_VERSION,
+        "stream_version": STREAM_VERSION,
+        "mode": mode,
+        "seed": config.noise.seed,
+        "point_index": point,
+        "grid_value": grid_value,
+        "config": snapshot,
+        "summary": _summarize(config, reports, point),
+        "failures": failures,
+        "replicates": reports,
+    }
 
 
-def run_calibration(config: ExperimentConfig, jobs: int = 1) -> RunRecord:
-    """All replicates at a single depth, with summary statistics."""
-    if config.mode != "calibrate":
-        raise ValueError("run_calibration needs mode='calibrate'")
+def run_points(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
+    """One record per run point of config's mode, in grid order, from one worker pool."""
+    points = MODES[config.mode].points
+    if points is None:
+        raise ValueError(f"mode {config.mode!r} samples no run points")
     with _executor(min(jobs, config.replicates)) as pool:
-        return _run_point(config, point=0, grid_value=config.depth, pool=pool)
+        return [
+            _run_point(point, mode=config.mode, point=i, grid_value=g, pool=pool)
+            for i, (g, point) in enumerate(points(config))
+        ]
 
 
-def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
-    """One RunRecord per grid point of a depth or shot-count sweep.
-
-    alpha-scan is a depth sweep with the peak fit and the theta_pd ladder off.
-    """
-    if config.mode == "sweep-shots":
-        grid = config.shots_grid
-        make = lambda g: dataclasses.replace(
-            config, mode="calibrate", shots_grid=None, noise=dataclasses.replace(config.noise, shots=g)
-        )
-    elif config.mode in ("sweep-depth", "alpha-scan"):
-        grid = config.depth_grid
-        off = {}
-        if config.mode == "alpha-scan":
-            off = dict(peak_fit=dataclasses.replace(config.peak_fit, enabled=False), theta_pd=False)
-        make = lambda g: dataclasses.replace(config, mode="calibrate", depth=g, depth_grid=None, **off)
-    else:
-        raise ValueError("run_sweep needs mode 'sweep-depth', 'sweep-shots' or 'alpha-scan'")
-    records = []
-    with _executor(min(jobs, config.replicates)) as pool:
-        for pi, g in enumerate(grid):
-            rec = _run_point(make(int(g)), point=pi, grid_value=int(g), pool=pool)
-            rec.mode = config.mode
-            records.append(rec)
-    return records
-
-
-def _sweep_rows(config: ExperimentConfig, records: list[RunRecord]) -> list[list]:
+def _sweep_rows(config: ExperimentConfig, records: list[dict]) -> list[list]:
     """Tidy table: one row per (grid point, estimator)."""
     grid_var = "d" if config.mode == "sweep-depth" else "shots"
-    rows = []
-    for rec in records:
-        for name, s in rec.summary.items():
-            rows.append(
-                [grid_var, rec.grid_value, name, s["mse"], s["var"], s["bias"] ** 2, s["ci_low"], s["ci_high"]]
-            )
-    return rows
+    return [
+        [grid_var, rec["grid_value"], name, s["mse"], s["var"], s["bias"] ** 2, s["ci_low"], s["ci_high"]]
+        for rec in records
+        for name, s in rec["summary"].items()
+    ]
 
 
-def _alpha_scan_rows(config: ExperimentConfig, records: list[RunRecord]) -> list[list]:
+def _alpha_scan_rows(config: ExperimentConfig, records: list[dict]) -> list[list]:
     """(d, alpha_dem, median_alpha_hat, median_abs_deviation, n) per depth."""
     rows = []
     for rec in records:
-        d = int(rec.grid_value)
+        d = int(rec["grid_value"])
         alpha_dem = dem_fidelity(config.noise.depol_rate, 2 * d + 5)
-        alphas = np.array([r["alpha_hat"] for r in rec.replicates if r["alpha_hat"] is not None])
-        rows.append(
-            [
-                d,
-                alpha_dem,
-                float(np.median(alphas)),
-                float(np.median(np.abs(alphas - alpha_dem))),
-                len(alphas),
-            ]
-        )
+        alphas = np.array([r["alpha_hat"] for r in rec["replicates"] if r["alpha_hat"] is not None])
+        rows.append([d, alpha_dem, float(np.median(alphas)), float(np.median(np.abs(alphas - alpha_dem))), len(alphas)])
     return rows
 
 
@@ -568,14 +515,27 @@ def _variance_row(rec: dict) -> list:
 
 
 def _sweep_payloads(config: ExperimentConfig, jobs: int) -> dict:
-    records = run_sweep(config, jobs=jobs)
-    return {"records": [r.to_json_dict() for r in records], "table": _sweep_rows(config, records)}
+    records = run_points(config, jobs=jobs)
+    return {"records": records, "table": _sweep_rows(config, records)}
 
 
 def _alpha_scan_payloads(config: ExperimentConfig, jobs: int) -> dict:
-    records = run_sweep(config, jobs=jobs)
+    records = run_points(config, jobs=jobs)
     rows = _alpha_scan_rows(config, records)
-    return {"records": [r.to_json_dict() for r in records], "rows": rows, "table": rows}
+    return {"records": records, "rows": rows, "table": rows}
+
+
+def _at_depths(config: ExperimentConfig, **change) -> list:
+    """Run points of a depth sweep: (d, the calibrate config at depth d)."""
+    grid = config.depth_grid or ()
+    return [(d, dataclasses.replace(config, mode="calibrate", depth=d, depth_grid=None, **change)) for d in grid]
+
+
+def _at_shots(config: ExperimentConfig) -> list:
+    """Run points of a shot-count sweep: (m, the calibrate config at m shots)."""
+    grid = config.shots_grid or ()
+    noise = lambda m: dataclasses.replace(config.noise, shots=m)
+    return [(m, dataclasses.replace(config, mode="calibrate", shots_grid=None, noise=noise(m))) for m in grid]
 
 
 def _crlb_scan_payloads(config: ExperimentConfig, jobs: int) -> dict:
@@ -588,8 +548,9 @@ def _crlb_scan_payloads(config: ExperimentConfig, jobs: int) -> dict:
 
 
 # The mode table: every mode, its subcommand, runner, canonical files, CSV
-# header and figure.  Runners look the pipeline up as module globals when
-# called, so a function rebound on the module is the one every mode runs.
+# header, figure and run points.  Runners look the pipeline up as module
+# globals when called, so a function rebound on the module is the one every
+# mode runs.
 _SWEEP = _Mode(
     "sweep",
     _sweep_payloads,
@@ -599,11 +560,12 @@ _SWEEP = _Mode(
 MODES = {
     "calibrate": _Mode(
         "calibrate",
-        lambda config, jobs: {"record": run_calibration(config, jobs=jobs).to_json_dict()},
+        lambda config, jobs: {"record": run_points(config, jobs=jobs)[0]},
         {"record": "run_record.json"},
+        points=lambda config: [(config.depth, config)],
     ),
-    "sweep-depth": _SWEEP,
-    "sweep-shots": _SWEEP,
+    "sweep-depth": _SWEEP._replace(points=_at_depths),
+    "sweep-shots": _SWEEP._replace(points=_at_shots),
     "crlb-scan": _Mode(
         "crlb-scan",
         _crlb_scan_payloads,
@@ -617,6 +579,9 @@ MODES = {
         {"records": "alpha_records.json", "rows": "alpha_scan.json", "table": "alpha_scan.csv"},
         _ALPHA_COLUMNS,
         "fidelity-vs-depth",
+        # a depth sweep with the peak fit and the theta_pd ladder off; the
+        # snapshots keep the configured n_pf and beta_thr
+        lambda config: _at_depths(config, theta_pd=False, peak_fit=dataclasses.replace(config.peak_fit, enabled=False)),
     ),
     "confusion-check": _Mode(
         "confusion-check",

@@ -74,6 +74,13 @@ def checked_int(name: str, value) -> int:
     return int(value)
 
 
+def checked_float(name: str, value) -> float:
+    """A config real: finite numbers pass as float; bools, strings and inf/nan are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def checked_bool(name: str, value) -> None:
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be true or false, got {value!r}")
@@ -108,6 +115,10 @@ class DriftModel:
 
     theta_frac: float = 0.1
     phase_max: float = 0.3
+
+    def __post_init__(self):
+        for name in ("theta_frac", "phase_max"):
+            object.__setattr__(self, name, checked_float(f"noise.drift.{name}", getattr(self, name)))
 
     def half_widths(self, depth: int, theta: float):
         ramp = self.phase_max * np.arange(1, depth + 1) / depth
@@ -171,6 +182,7 @@ class NoiseConfig:
     def __post_init__(self):
         object.__setattr__(self, "shots", checked_int("shots", self.shots))
         object.__setattr__(self, "seed", checked_int("seed", self.seed))
+        object.__setattr__(self, "depol_rate", checked_float("depol_rate", self.depol_rate))
         checked_bool("exact", self.exact)
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
@@ -192,8 +204,6 @@ class NoiseConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseConfig":
         kwargs = config_section(cls, "noise", data)
-        if "depol_rate" in kwargs:
-            kwargs["depol_rate"] = float(kwargs["depol_rate"])
         if kwargs.get("drift") is not None:
             kwargs["drift"] = DriftModel(**config_section(DriftModel, "noise.drift", kwargs["drift"]))
         if kwargs.get("confusion") is not None:

@@ -14,6 +14,7 @@ All functions are pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,11 @@ class FsimParams:
     chi: float
 
     def __post_init__(self):
-        if not all(math.isfinite(a) for a in (self.theta, self.varphi, self.chi)):
-            raise ValueError("gate angles must be finite")
+        # Checked here, not with noise.checked_float: noise imports this module.
+        for name in ("theta", "varphi", "chi"):
+            angle = getattr(self, name)
+            if isinstance(angle, bool) or not isinstance(angle, numbers.Real) or not math.isfinite(angle):
+                raise ValueError(f"gate angle {name} must be a finite number, got {angle!r}")
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "varphi", wrap_angle(self.varphi))
         object.__setattr__(self, "chi", wrap_angle(self.chi))

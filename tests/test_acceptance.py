@@ -23,8 +23,7 @@ from fsimcal import (
     crlb,
     exact_signal,
     omega_grid,
-    run_calibration,
-    run_sweep,
+    run_points,
     spectrum_from_h,
 )
 from fsimcal.cli import main as cli_main
@@ -63,7 +62,7 @@ def calibration_record():
         theta_pd=True,
     )
     t0 = time.perf_counter()
-    record = run_calibration(config)
+    (record,) = run_points(config)
     return record, time.perf_counter() - t0
 
 
@@ -133,8 +132,8 @@ def test_criterion_03_fourier_structure_bound():
 
 def test_criterion_04_variance_reproduction(calibration_record):
     record, fixture_time = calibration_record
-    st = record.summary["theta_hat"]
-    sv = record.summary["varphi_hat"]
+    st = record["summary"]["theta_hat"]
+    sv = record["summary"]["varphi_hat"]
     ratio_t = st["var"] / (1.0 / (8 * D * D * M))
     ratio_v = sv["var"] / (3.0 / (8 * D**4 * THETA**2 * M))
     # Bias gate: below the 3-sigma noise scale of a single calibration.  The
@@ -186,8 +185,8 @@ def test_criterion_05_crlb_transition():
 def test_criterion_06_estimator_optimality(calibration_record):
     record, _ = calibration_record
     bound = crlb(D, FsimParams(THETA, VARPHI, CHI), M)
-    ratio_t = record.summary["theta_hat"]["var"] / bound.crlb_theta
-    ratio_v = record.summary["varphi_hat"]["var"] / bound.crlb_varphi
+    ratio_t = record["summary"]["theta_hat"]["var"] / bound.crlb_theta
+    ratio_v = record["summary"]["varphi_hat"]["var"] / bound.crlb_varphi
     ok = 0.7 <= ratio_t <= 1.3 and 0.7 <= ratio_v <= 1.3
     _report(6, ok, f"Var/CRLB theta {ratio_t:.3f}, varphi {ratio_v:.3f}")
 
@@ -203,7 +202,7 @@ def test_criterion_07_depolarizing_mitigation():
         replicates=96,
         depth_grid=(10, 20, 30, 40, 50, 60),
     )
-    rows = _alpha_scan_rows(config, run_sweep(config))
+    rows = _alpha_scan_rows(config, run_points(config))
     depths = np.array([r[0] for r in rows], dtype=float)
     medians = np.array([r[3] for r in rows])
     at_50 = medians[list(depths).index(50)]
@@ -226,11 +225,11 @@ def test_criterion_08_drift_robustness():
         depth_grid=(10, 20, 30, 40, 50, 60, 70, 80, 90, 100),
         peak_fit=PeakFitConfig(enabled=False),
     )
-    records = run_sweep(config)
-    mses = np.array([rec.summary["theta_corrected"]["mse"] for rec in records])
+    records = run_points(config)
+    mses = np.array([rec["summary"]["theta_corrected"]["mse"] for rec in records])
     at_50 = records[config.depth_grid.index(50)]
     rels = np.array(
-        [abs(r["diagnostics"]["theta_corrected"] - THETA) / THETA for r in at_50.replicates]
+        [abs(r["diagnostics"]["theta_corrected"] - THETA) / THETA for r in at_50["replicates"]]
     )
     median_rel = float(np.median(rels))
     argmin = int(np.argmin(mses))
@@ -275,15 +274,15 @@ def _ladder_conditional_mean(priors):
 
 def test_criterion_10_ladder_and_peak_fit(calibration_record):
     record, _ = calibration_record
-    mse_pf = record.summary["theta_pf"]["mse"]
-    mse_theta = record.summary["theta_hat"]["mse"]
-    spd = record.summary["theta_pd"]
+    mse_pf = record["summary"]["theta_pf"]["mse"]
+    mse_theta = record["summary"]["theta_hat"]["mse"]
+    spd = record["summary"]["theta_pd"]
     var_theory = 3.0 / (4 * M * D * (D + 1) * (D + 2))
     # The stated variance is conditional on the a-priori phase; subtract each
     # replicate's prior-induced deterministic mean (exact amplitude ladder at
     # its own varphi_hat) so only the shot noise the formula describes remains.
-    priors = np.array([r["varphi_hat"] for r in record.replicates])
-    values = np.array([r["theta_pd"] for r in record.replicates])
+    priors = np.array([r["varphi_hat"] for r in record["replicates"]])
+    values = np.array([r["theta_pd"] for r in record["replicates"]])
     residuals = values - _ladder_conditional_mean(priors)
     var_ratio = residuals.var() / var_theory
     raw_ratio = spd["var"] / var_theory
@@ -295,7 +294,7 @@ def test_criterion_10_ladder_and_peak_fit(calibration_record):
         f"MSE(theta_pf) {mse_pf:.2e} <= MSE(theta_hat) {mse_theta:.2e}; "
         f"Var(theta_pd) ratio {var_ratio:.3f} (raw, prior-inflated: {raw_ratio:.3f}); "
         f"|bias| {abs(spd['bias']):.2e} <= {budget:.2e} "
-        f"(n_pf accepted {record.summary['theta_pf']['n']}/{spd['n']})",
+        f"(n_pf accepted {record['summary']['theta_pf']['n']}/{spd['n']})",
     )
 
 

@@ -17,9 +17,8 @@ from fsimcal import (
     NoiseConfig,
     PeakFitConfig,
     emit_figure_data,
-    run_calibration,
     run_mode,
-    run_sweep,
+    run_points,
     transition_scan,
 )
 from fsimcal import harness
@@ -125,6 +124,7 @@ class TestConfig:
             {"alpha_correction": 0},
             {"confusion_check": {"trials": 2.5}},
             {"confusion_check": {"shots": True}},
+            {"mode": ["calibrate"]},
         ],
     )
     def test_non_integral_numbers_and_non_bool_flags_rejected(self, edit):
@@ -149,32 +149,32 @@ class TestConfig:
 class TestRunCalibration:
     def test_exact_mode_is_deterministic_across_replicates(self):
         cfg = small_config(noise=NoiseConfig(shots=10, seed=3, exact=True), replicates=4)
-        rec = run_calibration(cfg)
-        thetas = {r["theta_hat"] for r in rec.replicates}
-        varphis = {r["varphi_hat"] for r in rec.replicates}
+        (rec,) = run_points(cfg)
+        thetas = {r["theta_hat"] for r in rec["replicates"]}
+        varphis = {r["varphi_hat"] for r in rec["replicates"]}
         assert len(thetas) == 1 and len(varphis) == 1
-        assert rec.summary["theta_hat"]["var"] == 0.0
-        assert rec.summary["theta_hat"]["mse"] == pytest.approx(rec.summary["theta_hat"]["bias"] ** 2)
+        assert rec["summary"]["theta_hat"]["var"] == 0.0
+        assert rec["summary"]["theta_hat"]["mse"] == pytest.approx(rec["summary"]["theta_hat"]["bias"] ** 2)
 
     def test_mse_decomposition_identity(self):
-        rec = run_calibration(small_config())
-        for name, s in rec.summary.items():
+        (rec,) = run_points(small_config())
+        for name, s in rec["summary"].items():
             assert s["mse"] == pytest.approx(s["var"] + s["bias"] ** 2, rel=1e-12)
 
     def test_jobs_do_not_change_results(self):
         cfg = small_config(replicates=5)
-        a = run_calibration(cfg, jobs=1)
-        b = run_calibration(cfg, jobs=2)
-        c = run_calibration(cfg, jobs=1)
-        assert a.to_json_dict() == b.to_json_dict() == c.to_json_dict()
+        a = run_points(cfg, jobs=1)
+        b = run_points(cfg, jobs=2)
+        c = run_points(cfg, jobs=1)
+        assert a == b == c
 
     def test_failing_replicates_are_isolated(self):
         cfg = small_config(gate_truth=FsimParams(0.0, 0.1, 0.2), noise=NoiseConfig(shots=5, seed=1, exact=True))
-        rec = run_calibration(cfg)
-        assert len(rec.failures) == cfg.replicates
-        assert all("Degenerate" in f["reason"] for f in rec.failures)
-        assert rec.replicates == []
-        assert rec.summary == {}
+        (rec,) = run_points(cfg)
+        assert len(rec["failures"]) == cfg.replicates
+        assert all("Degenerate" in f["reason"] for f in rec["failures"])
+        assert rec["replicates"] == []
+        assert rec["summary"] == {}
 
     @pytest.mark.parametrize("run, jobs, workers", [("calibrate", 500, 3), ("sweep", 500, 3), ("calibrate", 2, 2)])
     def test_worker_pool_never_exceeds_the_replicates(self, monkeypatch, run, jobs, workers):
@@ -197,10 +197,10 @@ class TestRunCalibration:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
         if run == "calibrate":
-            run_calibration(small_config(replicates=3, peak_fit=PeakFitConfig(enabled=False)), jobs=jobs)
+            run_points(small_config(replicates=3, peak_fit=PeakFitConfig(enabled=False)), jobs=jobs)
         else:
             cfg = small_config(mode="sweep-depth", depth=None, depth_grid=(4, 6), replicates=3)
-            run_sweep(cfg, jobs=jobs)
+            run_points(cfg, jobs=jobs)
         assert sizes == [workers]
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -210,11 +210,11 @@ class TestRunCalibration:
 
         monkeypatch.setattr(harness, "run_replicate", broken_replicate)
         with pytest.raises(ValueError, match="injected program error"):
-            run_calibration(small_config(replicates=2), jobs=jobs)
+            run_points(small_config(replicates=2), jobs=jobs)
 
     def test_summary_ignores_missing_values(self):
-        rec = run_calibration(small_config(replicates=5))
-        reports = copy.deepcopy(rec.replicates)
+        (rec,) = run_points(small_config(replicates=5))
+        reports = copy.deepcopy(rec["replicates"])
         reports[1]["theta_pf"] = None
         reports[3]["theta_pf"] = None
         summary = _summarize(small_config(replicates=5), reports, point=0)
@@ -240,12 +240,11 @@ class TestRunCalibration:
             noise=NoiseConfig(shots=400_000, seed=11, confusion=ConfusionMatrix.uniform(0.95)),
             peak_fit=PeakFitConfig(enabled=False),
         )
-        rec = run_calibration(cfg)
-        assert rec.summary["theta_hat"]["mean"] == pytest.approx(TRUTH.theta, rel=0.1)
+        (rec,) = run_points(cfg)
+        assert rec["summary"]["theta_hat"]["mean"] == pytest.approx(TRUTH.theta, rel=0.1)
 
     def test_record_json_shape(self):
-        rec = run_calibration(small_config(replicates=2))
-        payload = rec.to_json_dict()
+        (payload,) = run_points(small_config(replicates=2))
         assert list(payload) == [
             "artifact_version",
             "stream_version",
@@ -260,27 +259,38 @@ class TestRunCalibration:
         ]
         assert payload["stream_version"] == STREAM_VERSION == 2
         assert "wall_clock" not in json.dumps(payload)
-        assert rec.wall_clock_seconds > 0.0
 
 
 class TestSweeps:
-    def test_exact_depth_sweep_has_zero_variance(self):
+    @pytest.mark.parametrize("mode", ["sweep-depth", "sweep-shots"])
+    def test_exact_depth_sweep_has_zero_variance(self, mode):
+        grids = {"sweep-depth": dict(depth_grid=(4, 6)), "sweep-shots": dict(depth=6, shots_grid=(10, 500))}
         cfg = ExperimentConfig(
-            mode="sweep-depth",
+            mode=mode,
             gate_truth=TRUTH,
             noise=NoiseConfig(shots=10, seed=5, exact=True),
             replicates=3,
-            depth_grid=(4, 6),
             peak_fit=PeakFitConfig(enabled=False),
+            **grids[mode],
         )
-        records = run_sweep(cfg)
-        assert [r.grid_value for r in records] == [4, 6]
-        for rec in records:
-            s = rec.summary["theta_hat"]
+        records = run_points(cfg)
+        grid = cfg.depth_grid or cfg.shots_grid
+        assert [r["grid_value"] for r in records] == list(grid)
+        for rec, g in zip(records, grid):
+            assert rec["mode"] == mode
+            snap = rec["config"]
+            assert (snap["mode"], snap["depth_grid"], snap["shots_grid"]) == ("calibrate", None, None)
+            assert (snap["depth"], snap["noise"]["shots"]) == ((g, 10) if mode == "sweep-depth" else (6, g))
+            s = rec["summary"]["theta_hat"]
             assert s["var"] == 0.0
             assert s["mse"] == pytest.approx(s["bias"] ** 2)
         rows = _sweep_rows(cfg, records)
-        assert all(row[0] == "d" for row in rows)
+        assert all(row[0] == ("d" if mode == "sweep-depth" else "shots") for row in rows)
+
+    def test_run_points_refuses_a_mode_without_points(self):
+        cfg = ExperimentConfig(mode="crlb-scan", gate_truth=TRUTH, noise=NoiseConfig(), depth_grid=(4, 8))
+        with pytest.raises(ValueError, match="no run points"):
+            run_points(cfg)
 
     def test_full_noise_retains_digits_in_most_replicates(self):
         # shot + depolarizing + drift: the corrected swap angle keeps at least
@@ -293,9 +303,9 @@ class TestSweeps:
             depth=50,
             peak_fit=PeakFitConfig(enabled=False),
         )
-        rec = run_calibration(cfg)
+        (rec,) = run_points(cfg)
         rels = np.array(
-            [abs(r["diagnostics"]["theta_corrected"] - TRUTH.theta) / TRUTH.theta for r in rec.replicates]
+            [abs(r["diagnostics"]["theta_corrected"] - TRUTH.theta) / TRUTH.theta for r in rec["replicates"]]
         )
         assert (rels <= 0.5).mean() >= 0.8
 
@@ -312,8 +322,8 @@ class TestSweeps:
             peak_fit=PeakFitConfig(enabled=False),
             alpha_correction=False,
         )
-        records = run_sweep(cfg)
-        mses = np.array([rec.summary["theta_hat"]["mse"] for rec in records])
+        records = run_points(cfg)
+        mses = np.array([rec["summary"]["theta_hat"]["mse"] for rec in records])
         slope = np.polyfit(np.log(cfg.shots_grid), np.log(mses), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
 
@@ -327,7 +337,7 @@ class TestAlphaScan:
             replicates=8,
             depth_grid=(6, 10),
         )
-        records = run_sweep(cfg)
+        records = run_points(cfg)
         rows = _alpha_scan_rows(cfg, records)
         assert [r[0] for r in rows] == [6, 10]
         for d, alpha_dem, med, dev, n in rows:
@@ -345,13 +355,13 @@ class TestAlphaScan:
             peak_fit=PeakFitConfig(enabled=True, n_pf=9, beta_thr=0.5),
             theta_pd=True,
         )
-        (rec,) = run_sweep(cfg)
-        assert rec.mode == "alpha-scan"
-        assert (rec.config["mode"], rec.config["depth"], rec.config["depth_grid"]) == ("calibrate", 6, None)
+        (rec,) = run_points(cfg)
+        assert rec["mode"] == "alpha-scan"
+        assert (rec["config"]["mode"], rec["config"]["depth"], rec["config"]["depth_grid"]) == ("calibrate", 6, None)
         # the stored snapshot keeps the configured peak-fit section, switched off
-        assert rec.config["peak_fit"] == {"enabled": False, "n_pf": 9, "beta_thr": 0.5}
-        assert rec.config["theta_pd"] is False
-        assert all(r["theta_pf"] is None and r["theta_pd"] is None for r in rec.replicates)
+        assert rec["config"]["peak_fit"] == {"enabled": False, "n_pf": 9, "beta_thr": 0.5}
+        assert rec["config"]["theta_pd"] is False
+        assert all(r["theta_pf"] is None and r["theta_pd"] is None for r in rec["replicates"])
 
 
 class TestConfusionCheck:
@@ -395,7 +405,7 @@ class TestFigures:
             depth_grid=(4, 6),
             peak_fit=PeakFitConfig(enabled=False),
         )
-        records = [r.to_json_dict() for r in run_sweep(cfg)]
+        records = run_points(cfg)
         path = emit_figure_data(records, "mse-vs-depth", str(tmp_path))
         header = open(path, encoding="utf-8").readline().strip().split(",")
         assert header[0] == "d"
@@ -487,6 +497,33 @@ class TestCli:
             ({"noise": {"drift": {"x": 1}}}, []),
             ({"gate_truth": DROP}, []),
             ({"mode": DROP}, []),
+            ({"mode": "sweep-shots", "shots_grid": [0, 100]}, []),
+            ({"mode": "sweep-shots", "depth": 1, "shots_grid": [100]}, []),
+            ({"mode": "sweep-shots", "shots_grid": []}, []),
+            ({"mode": "sweep-depth", "depth_grid": 5}, []),
+            ({"mode": "sweep-depth", "depth_grid": "46"}, []),
+            *(
+                ({"mode": "confusion-check", "noise": {"confusion": ConfusionMatrix.uniform(0.95).entries.tolist()},
+                  "confusion_check": section}, [])
+                for section in (
+                    {"trials": 0},
+                    {"shots": 0},
+                    {"epsilon": 0.0},
+                    {"epsilon": -0.1},
+                    {"alpha": 2},
+                    {"alpha": 0.0},
+                    {"constant": 0},
+                    {"epsilon": "0.05"},
+                )
+            ),
+            ({"noise": {"depol_rate": None}}, []),
+            ({"noise": {"depol_rate": "0.001"}}, []),
+            ({"noise": {"depol_rate": True}}, []),
+            ({"gate_truth": {"theta": "x", "varphi": 0.1, "chi": 0.2}}, []),
+            ({"gate_truth": {"theta": 1e-3, "varphi": None, "chi": 0.2}}, []),
+            ({"peak_fit": {"beta_thr": "x"}}, []),
+            ({"noise": {"drift": {"phase_max": "a"}}}, []),
+            ({"noise": {"drift": {"theta_frac": False}}}, []),
         ],
     )
     def test_config_rejected_at_build_time_exits_with_one_line(self, tmp_path, capsys, edit, flags):
