@@ -4,19 +4,21 @@ The per-shot information of the 2(2d-1) binomial measurements is summed over
 the modulation grid with weights 1/(p(1-p)); the partial derivatives of p
 are exact (spectral differentiation on the grid for the phases, Chebyshev
 derivative identities for the swap angle), so no step size is tuned and no
-point fails for want of a converged gradient.  The pre-asymptotic closed
-forms (valid for d*theta << 1) and a depth-scan with log-log slope estimates
-expose the variance-scaling transition around d ~ 1/theta.
+point fails for want of a converged gradient.  Each point is one closed-form
+pass: one cos/sin of the grid and one Chebyshev pair give the derivatives and
+p, the latter with exact_signal's arithmetic and bits.  The pre-asymptotic
+closed forms (valid for d*theta << 1) and a depth-scan with log-log slope
+estimates expose the variance-scaling transition around d ~ 1/theta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .signal_model import exact_signal, k_values, omega_grid
-from .su2 import FsimParams, chebyshev_tu
+from .signal_model import _signal, k_values, omega_grid
+from .su2 import FsimParams, _p_value, chebyshev_tu
 
 __all__ = [
     "FisherMatrix",
@@ -74,10 +76,11 @@ class CrlbReport:
     regime_flag: str
 
 
-def gradient_grid(d: int, params: FsimParams) -> np.ndarray:
-    """(3, 2(2d-1)) array of dp/dxi over the grid, exact up to rounding.
+def gradient_grid(d: int, params: FsimParams) -> tuple[np.ndarray, np.ndarray]:
+    """((3, 2(2d-1)) array of dp/dxi over the grid, exact up to rounding; p itself).
 
-    Rows are xi = (theta, varphi, chi), columns p_X then p_Y.  With
+    Rows are xi = (theta, varphi, chi), columns p_X then p_Y, the order of p,
+    whose values are exact_signal's to the bit.  With
     w = omega - varphi, x = cos(w) cos(theta), T = T_d(x), Q = U_{d-1}(x):
     h = i e^{-i(chi+omega)} sin(theta) Q (T + i Q sin(w) cos(theta)).
     dh/dchi = -i h; dh/dvarphi = -i h - dh/domega, the spectral derivative
@@ -92,7 +95,7 @@ def gradient_grid(d: int, params: FsimParams) -> np.ndarray:
     sw, cw = np.sin(w), np.cos(w)
     st, ct = np.sin(params.theta), np.cos(params.theta)
     x = cw * ct
-    t, q = chebyshev_tu(d, w, params.theta)
+    t, q = chebyshev_tu(d, cw, sw, params.theta)
     # sq = sin(theta) dQ/dtheta, with 1 - x^2 = sin^2 w + cos^2 w sin^2 theta
     # (no cancellation); sin^2 theta / (1 - x^2) <= 1/cos^2 w, 0 where both vanish.
     one_minus_x2 = sw * sw + (cw * st) ** 2
@@ -107,21 +110,22 @@ def gradient_grid(d: int, params: FsimParams) -> np.ndarray:
     dh = phase * (dh + 1j * sw * q * (np.cos(2 * params.theta) * q + 2 * ct * sq))
     grads[0, :n], grads[0, n:] = dh.real, dh.imag
     h = phase * st * q * (t + 1j * ct * sw * q)
-    del sq, dh, phase, q, t
+    del sq, dh, phase
+    signal = _signal(omegas, _p_value(w, sw, t, q, params.theta), q, params)
+    p = np.concatenate([0.5 + signal.real, 0.5 + signal.imag])
+    del signal, q, t
     if np.abs(h).max() <= n * np.finfo(float).eps:
         grads[1:] = 0.0
-        return grads
+        return grads, p
     dh = -1j * h - np.fft.ifft(2j * k_values(d) * np.fft.fft(h))
     grads[1, :n], grads[1, n:] = dh.real, dh.imag
     grads[2, :n], grads[2, n:] = h.imag, -h.real
-    return grads
+    return grads, p
 
 
 def fisher_matrix(d: int, params: FsimParams, m_shots: int) -> FisherMatrix:
     """I_kk' = M sum_j dp/dxi_k dp/dxi_k' / (p (1 - p)) over both input states."""
-    grads = gradient_grid(d, params)
-    h = exact_signal(d, omega_grid(d), params)
-    p = np.concatenate([0.5 + h.real, 0.5 + h.imag])
+    grads, p = gradient_grid(d, params)
     clamped = int(((p < _PROB_CLIP) | (p > 1.0 - _PROB_CLIP)).sum())
     p = np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
     weights = 1.0 / (p * (1.0 - p))
@@ -215,28 +219,11 @@ def transition_scan(
     depths = [int(d) for d in depth_grid]
     if depths != sorted(depths):
         raise ValueError("depth grid must be ascending")
-    reports = [crlb(d, FsimParams(theta, varphi, chi), m_shots) for d in depths]
-    cols = {
-        "crlb_theta": [r.crlb_theta for r in reports],
-        "crlb_varphi": [r.crlb_varphi for r in reports],
-        "crlb_chi": [r.crlb_chi for r in reports],
-    }
-    slopes = {name: windowed_slopes(depths, vals) for name, vals in cols.items()}
+    reports = [asdict(crlb(d, FsimParams(theta, varphi, chi), m_shots)) for d in depths]
+    slopes = {f"slope_{n}": windowed_slopes(depths, [r[f"crlb_{n}"] for r in reports]) for n in PARAM_NAMES}
     rows = []
     for i, (d, rep) in enumerate(zip(depths, reports)):
-        rows.append(
-            {
-                "d": d,
-                "crlb_theta": rep.crlb_theta,
-                "crlb_varphi": rep.crlb_varphi,
-                "crlb_chi": rep.crlb_chi,
-                "slope_theta": float(slopes["crlb_theta"][i]),
-                "slope_varphi": float(slopes["crlb_varphi"][i]),
-                "slope_chi": float(slopes["crlb_chi"][i]),
-                "preasymptotic_theta": rep.preasymptotic_theta,
-                "preasymptotic_varphi": rep.preasymptotic_varphi,
-                "preasymptotic_chi": rep.preasymptotic_chi,
-                "regime_flag": rep.regime_flag,
-            }
-        )
+        # d, the three CRLBs and their slopes, then the rest of the report: closed forms, regime flag.
+        crlbs = {f"crlb_{n}": rep.pop(f"crlb_{n}") for n in PARAM_NAMES}
+        rows.append({"d": d, **crlbs, **{name: float(s[i]) for name, s in slopes.items()}, **rep})
     return rows

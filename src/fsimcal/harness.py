@@ -159,6 +159,8 @@ class ExperimentConfig:
                 object.__setattr__(self, grid, tuple(checked_int(grid, g) for g in values))
         checked_bool("theta_pd", self.theta_pd)
         checked_bool("alpha_correction", self.alpha_correction)
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ValueError(f"output_dir must be a non-empty string, got {self.output_dir!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         # A sampled mode is valid when each of its run points is: building a

@@ -60,20 +60,19 @@ class FsimParams:
         object.__setattr__(self, "chi", wrap_angle(self.chi))
 
 
-def chebyshev_tu(d, w, theta: float):
-    """(T_d(x), U_{d-1}(x)) at x = cos(w) cos(theta); d is one degree or one per w.
+def chebyshev_tu(d, cw, sw, theta: float):
+    """(T_d(x), U_{d-1}(x)) at x = cw cos(theta); cw = cos w and sw = sin w come from the caller.
 
-    sigma = arccos|x| is formed as atan2(sqrt(sin^2 w + cos^2 w sin^2 theta), |x|),
-    with no cancellation in 1 - x^2 as |x| -> 1.  Then T_d = cos(d sigma) and
-    U_{d-1} = sin(d sigma)/sin(sigma) = d sinc(d sigma/pi)/sinc(sigma/pi), exactly
-    d at sigma = 0, and x < 0 uses T_n(-x) = (-1)^n T_n(x), U_n(-x) = (-1)^n U_n(x).
+    sigma = arccos|x| is formed as atan2(sqrt(sw^2 + cw^2 sin^2 theta), |x|), with no
+    cancellation in 1 - x^2 as |x| -> 1.  Then T_d = cos(d sigma) and U_{d-1} = sin(d sigma)/sin(sigma)
+    = d sinc(d sigma/pi)/sinc(sigma/pi), exactly d at sigma = 0; d is one degree or one per point.
+    x < 0 uses T_n(-x) = (-1)^n T_n(x), U_n(-x) = (-1)^n U_n(x), the sign picked by the parity of n.
     """
-    cw, sw = np.cos(w), np.sin(w)
     x = cw * math.cos(theta)
     sigma = np.arctan2(np.sqrt(sw * sw + (cw * math.sin(theta)) ** 2), np.abs(x))
-    sign = np.where(x < 0.0, -1.0, 1.0)
-    t = sign**d * np.cos(d * sigma)
-    u = sign ** (d - 1) * d * np.sinc(d * sigma / np.pi) / np.sinc(sigma / np.pi)
+    sign, odd = np.where(x < 0.0, -1.0, 1.0), np.asarray(d) & 1
+    t = np.where(odd, sign, 1.0) * np.cos(d * sigma)
+    u = np.where(odd, 1.0, sign) * d * np.sinc(d * sigma / np.pi) / np.sinc(sigma / np.pi)
     return t, u
 
 
@@ -86,6 +85,11 @@ def pq_values(d, omega, theta: float):
     if np.min(d) < 1:
         raise ValueError("depth d must be >= 1")
     omega = np.asarray(omega, dtype=float)
-    t, q = chebyshev_tu(d, omega, theta)
-    p = np.exp(1j * omega) * (t + 1j * q * np.sin(omega) * math.cos(theta))
-    return p, q
+    sw = np.sin(omega)
+    t, q = chebyshev_tu(d, np.cos(omega), sw, theta)
+    return _p_value(omega, sw, t, q, theta), q
+
+
+def _p_value(omega, sw, t, q, theta: float):
+    """P from the Chebyshev pair at omega, sw = sin(omega): pq_values and the Fisher weights share it."""
+    return np.exp(1j * omega) * (t + 1j * q * sw * math.cos(theta))

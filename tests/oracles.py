@@ -121,9 +121,7 @@ def amplitude_profile(d, omega, params):
     sigma = arccos(cos(omega - varphi) cos(theta)); the profile peaks at the
     phase-matched angle omega = varphi with height about (d theta)^2.
     """
-    from fsimcal.su2 import chebyshev_tu
-
-    _, u = chebyshev_tu(d, np.asarray(omega, dtype=float) - params.varphi, params.theta)
+    _, u = chebyshev_tu_at(d, np.asarray(omega, dtype=float) - params.varphi, params.theta)
     a = np.sin(params.theta) ** 2 * u * u
     return a * (1.0 - a)
 
@@ -472,3 +470,67 @@ def richardson_gradient_grid(d, params):
         assert np.linalg.norm(fine - extrap) <= 1e-6 * np.linalg.norm(extrap) + noise_floor
         grads[k] = extrap
     return grads
+
+
+def chebyshev_tu_at(d, w, theta):
+    """fsimcal.su2.chebyshev_tu at angles w, with cos(w) and sin(w) evaluated here."""
+    from fsimcal.su2 import chebyshev_tu
+
+    return chebyshev_tu(d, np.cos(w), np.sin(w), theta)
+
+
+def chebyshev_tu_power_sign(d, w, theta):
+    """(T_d, U_{d-1}) with the trig of w evaluated inside and the x < 0 sign raised
+    to the powers d and d-1 elementwise: the reference for chebyshev_tu's parity pick."""
+    cw, sw = np.cos(w), np.sin(w)
+    x = cw * math.cos(theta)
+    sigma = np.arctan2(np.sqrt(sw * sw + (cw * math.sin(theta)) ** 2), np.abs(x))
+    sign = np.where(x < 0.0, -1.0, 1.0)
+    t = sign**d * np.cos(d * sigma)
+    u = sign ** (d - 1) * d * np.sinc(d * sigma / np.pi) / np.sinc(sigma / np.pi)
+    return t, u
+
+
+def exact_signal_power_sign(d, omegas, params):
+    """exact_signal's h from chebyshev_tu_power_sign, with sin(w) evaluated again for P."""
+    omegas = np.asarray(omegas, dtype=float)
+    w = omegas - params.varphi
+    t, q = chebyshev_tu_power_sign(d, w, params.theta)
+    p = np.exp(1j * w) * (t + 1j * q * np.sin(w) * math.cos(params.theta))
+    return np.exp(1j * (params.varphi - params.chi - 2.0 * omegas)) * p * (1j * np.sin(params.theta)) * q
+
+
+def fisher_matrix_two_pass(d, params, m_shots, prob_clip=1e-12):
+    """(entries, clamped points) of the Fisher matrix in two closed-form passes:
+    the exact gradients with chebyshev_tu_power_sign, then the 1/(p(1-p))
+    weights from exact_signal_power_sign over the whole grid again."""
+    from fsimcal.signal_model import k_values, omega_grid
+
+    omegas = omega_grid(d)
+    n = len(omegas)
+    w = omegas - params.varphi
+    sw, cw = np.sin(w), np.cos(w)
+    st, ct = np.sin(params.theta), np.cos(params.theta)
+    x = cw * ct
+    t, q = chebyshev_tu_power_sign(d, w, params.theta)
+    one_minus_x2 = sw * sw + (cw * st) ** 2
+    sq = np.divide(st * st, one_minus_x2, out=np.zeros(n), where=one_minus_x2 > 0.0)
+    sq *= cw * (d * t - x * q)
+    grads = np.empty((3, 2 * n))
+    phase = 1j * np.exp(-1j * (params.chi + omegas))
+    dh = ct * q * t + t * sq - d * st * st * cw * q * q
+    dh = phase * (dh + 1j * sw * q * (np.cos(2 * params.theta) * q + 2 * ct * sq))
+    grads[0, :n], grads[0, n:] = dh.real, dh.imag
+    h = phase * st * q * (t + 1j * ct * sw * q)
+    if np.abs(h).max() <= n * np.finfo(float).eps:
+        grads[1:] = 0.0
+    else:
+        dh = -1j * h - np.fft.ifft(2j * k_values(d) * np.fft.fft(h))
+        grads[1, :n], grads[1, n:] = dh.real, dh.imag
+        grads[2, :n], grads[2, n:] = h.imag, -h.real
+    signal = exact_signal_power_sign(d, omegas, params)
+    p = np.concatenate([0.5 + signal.real, 0.5 + signal.imag])
+    clamped = int(((p < prob_clip) | (p > 1.0 - prob_clip)).sum())
+    p = np.clip(p, prob_clip, 1.0 - prob_clip)
+    entries = m_shots * (grads * (1.0 / (p * (1.0 - p)))) @ grads.T
+    return 0.5 * (entries + entries.T), clamped

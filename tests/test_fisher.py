@@ -12,7 +12,7 @@ from fsimcal.fisher import (
     windowed_slopes,
 )
 
-from oracles import hand_inverse_3x3, richardson_gradient_grid
+from oracles import fisher_matrix_two_pass, hand_inverse_3x3, richardson_gradient_grid
 
 M = 100_000
 PARAMS = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
@@ -22,7 +22,7 @@ class TestGradients:
     def test_chi_derivative_identity(self):
         # d h / d chi = -i h, so dp_X/dchi = Im(h) and dp_Y/dchi = -Re(h).
         for d in (5, 50, 400):
-            grads = gradient_grid(d, PARAMS)
+            grads, _ = gradient_grid(d, PARAMS)
             h = exact_signal(d, omega_grid(d), PARAMS)
             analytic = np.concatenate([h.imag, -h.real])
             assert np.abs(grads[2] - analytic).max() < 1e-7
@@ -31,11 +31,32 @@ class TestGradients:
     @pytest.mark.parametrize("d", [2, 3, 50, 1000, 4096])
     def test_matches_richardson_oracle(self, d, theta):
         params = FsimParams(theta, PARAMS.varphi, PARAMS.chi)
-        grads = gradient_grid(d, params)
+        grads, _ = gradient_grid(d, params)
         ref = richardson_gradient_grid(d, params)
         assert grads.shape == (3, 2 * (2 * d - 1))
         rel = np.linalg.norm(grads - ref, axis=1) / np.linalg.norm(ref, axis=1)
         assert rel.max() <= 1e-5
+
+
+class TestOnePass:
+    """One closed-form pass per point gives the bytes of the two-pass matrix."""
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-4, 1e-3, 1e-2, 0.4, np.pi / 2])
+    @pytest.mark.parametrize("d", [2, 3, 4, 50, 1000, 4096, 6502])
+    def test_entries_match_two_pass_bytes(self, d, theta):
+        params = FsimParams(theta, -0.7, 1.3)
+        info = fisher_matrix(d, params, M)
+        entries, clamped = fisher_matrix_two_pass(d, params, M)
+        assert info.entries.tobytes() == entries.tobytes()
+        assert info.clamped_points == clamped
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-4, 1e-2, np.pi / 2])
+    @pytest.mark.parametrize("d", [2, 51, 4096])
+    def test_weight_probabilities_are_exact_signal_bytes(self, d, theta):
+        params = FsimParams(theta, 2.1, -0.4)
+        _, p = gradient_grid(d, params)
+        h = exact_signal(d, omega_grid(d), params)
+        assert p.tobytes() == np.concatenate([0.5 + h.real, 0.5 + h.imag]).tobytes()
 
 
 class TestFisherMatrix:

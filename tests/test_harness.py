@@ -3,6 +3,8 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -416,7 +418,53 @@ class TestFigures:
             emit_figure_data(records, "no-such-figure", str(tmp_path))
 
 
+# Runs fsimcal.cli.main on each argv of sys.argv[1] (JSON) with every scipy import
+# recorded and refused; prints the exit codes, the attempts and the loaded scipy modules.
+_WITHOUT_SCIPY = """
+import json, sys
+
+class RefuseScipy:
+    attempts = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            self.attempts.append(name)
+            raise ImportError(name)
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from fsimcal.cli import main
+
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+print(json.dumps({"codes": codes, "attempts": RefuseScipy.attempts, "loaded": loaded}))
+"""
+
+
 class TestCli:
+    def test_calibrate_and_crlb_scan_never_import_scipy(self, tmp_path):
+        argvs = []
+        for command, cfg in (
+            ("calibrate", small_config(replicates=2, depth=4, theta_pd=True)),
+            ("crlb-scan", ExperimentConfig(mode="crlb-scan", gate_truth=TRUTH, noise=NoiseConfig(), depth_grid=(2, 4, 8))),
+        ):
+            cfg_path = tmp_path / f"{command}.json"
+            cfg_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+            argvs.append([command, "--config", str(cfg_path), "--out", str(tmp_path / command)])
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report == {"codes": [0, 0], "attempts": [], "loaded": []}
+        assert (tmp_path / "calibrate" / "run_record.json").exists()
+        assert (tmp_path / "crlb-scan" / "crlb_scan.csv").exists()
+
     def test_calibrate_and_emit_figures(self, tmp_path, capsys):
         cfg = ExperimentConfig(
             mode="sweep-depth",
@@ -524,6 +572,9 @@ class TestCli:
             ({"peak_fit": {"beta_thr": "x"}}, []),
             ({"noise": {"drift": {"phase_max": "a"}}}, []),
             ({"noise": {"drift": {"theta_frac": False}}}, []),
+            ({"output_dir": 5}, []),
+            ({"output_dir": None}, []),
+            ({}, ["--out", ""]),
         ],
     )
     def test_config_rejected_at_build_time_exits_with_one_line(self, tmp_path, capsys, edit, flags):

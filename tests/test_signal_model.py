@@ -18,6 +18,7 @@ from oracles import (
     brute_circuit_probability,
     coefficient,
     exact_probabilities,
+    exact_signal_power_sign,
     snr_leading_order,
     snr_lower_bound,
 )
@@ -38,6 +39,15 @@ def real_profile(spectrum, params):
 
 
 class TestExactProbabilities:
+    @pytest.mark.parametrize("theta", [1e-3, 0.4, 2.9])
+    def test_bytes_match_the_power_sign_form(self, theta):
+        # A scalar depth over a grid, one scalar angle, and one depth per circuit as the noise path passes.
+        params = FsimParams(theta, -2.5, 0.8)
+        depths = np.array([2, 3, 10, 11, 50, 51, 4096, 6501] * 4)
+        omegas = np.linspace(-np.pi, np.pi, len(depths))
+        for d, om in ((51, omega_grid(51)), (50, omega_grid(50)), (7, 1.9), (depths, omegas)):
+            assert exact_signal(d, om, params).tobytes() == exact_signal_power_sign(d, om, params).tobytes()
+
     def test_theta_zero_gives_half(self):
         for omega in (0.0, 0.4, 2.9):
             s = exact_probabilities(6, omega, FsimParams(0.0, 0.3, -0.7))

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsimcal import FsimParams
-from fsimcal.su2 import chebyshev_tu, wrap_angle
+from fsimcal.su2 import wrap_angle
 
 from oracles import (
+    chebyshev_tu_at,
+    chebyshev_tu_power_sign,
     closed_form_pq,
     extract_pq_coefficients,
     fsim_matrix,
@@ -141,10 +143,10 @@ class TestClosedForm:
         pair = closed_form_pq(7, 0.0, 0.0)
         assert pair.q_value == 7.0
         for d in (7, 8):
-            assert chebyshev_tu(d, 0.0, 0.0) == (1.0, d)  # x = 1
+            assert chebyshev_tu_at(d, 0.0, 0.0) == (1.0, d)  # x = 1
             # x = -1 through w = pi and through theta = pi: T_d = (-1)^d, U_{d-1} = (-1)^(d-1) d
             for w, theta in ((np.pi, 0.0), (0.0, np.pi)):
-                assert chebyshev_tu(d, w, theta) == ((-1.0) ** d, (-1.0) ** (d - 1) * d)
+                assert chebyshev_tu_at(d, w, theta) == ((-1.0) ** d, (-1.0) ** (d - 1) * d)
 
 
 class TestSpecialPoint:
@@ -166,7 +168,7 @@ class TestSpecialPoint:
     def test_j6_quarter_period_q(self):
         # cos(omega) = 0 makes cos(sigma) = 0; Q is U_63 at the origin.
         pair = special_point_pq(6, np.pi / 2, 0.3)
-        _, u63 = chebyshev_tu(64, np.pi / 2, 0.0)
+        _, u63 = chebyshev_tu_at(64, np.pi / 2, 0.0)
         assert abs(pair.q_value - u63) < 1e-11
         assert abs(u63) < 1e-12  # U_63 is odd, so it vanishes at the origin
 
@@ -208,7 +210,7 @@ def test_wrap_angle_branch():
 @settings(max_examples=100, deadline=None)
 def test_chebyshev_u_matches_recurrence(d, w, theta):
     x = np.cos(w) * np.cos(theta)
-    t, u = chebyshev_tu(d, w, theta)
+    t, u = chebyshev_tu_at(d, w, theta)
     assert u == pytest.approx(_u_by_recurrence(d - 1, x), abs=1e-9)
     assert t == pytest.approx(np.polynomial.chebyshev.Chebyshev.basis(d)(x), abs=1e-9)
 
@@ -229,7 +231,18 @@ REFERENCE = json.loads((pathlib.Path(__file__).parent / "fixtures" / "chebyshev_
 def test_chebyshev_tu_matches_60_digit_reference(case):
     # Phases spread over [-pi, pi] and the grid phases next to the phase-matched
     # point, where |x| -> 1; the references come from mpmath at 60 digits.
-    t, u = chebyshev_tu(case["d"], np.array(case["w"]), case["theta"])
+    t, u = chebyshev_tu_at(case["d"], np.array(case["w"]), case["theta"])
     ref_t, ref_u = np.array(case["t"]), np.array(case["u"])
     assert np.abs(u - ref_u).max() <= 1e-14 * np.abs(ref_u).max()
     assert np.abs(t - ref_t).max() <= 1e-15 * case["d"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 50, 51, 4096, 6501, np.array([2, 3, 7, 50, 51, 4096, 6501] * 3)])
+def test_parity_sign_gives_the_power_sign_bits(d):
+    # Angles with x < 0 (cos w < 0 at theta < pi/2, cos w > 0 past it); one per depth for a depth array.
+    w = np.linspace(0.55 * np.pi, 1.45 * np.pi, np.size(d) if np.ndim(d) else 9)
+    for theta, angles in ((1e-3, w), (0.4, w), (2.9, w - np.pi)):
+        assert (np.cos(angles) * np.cos(theta) < 0.0).all()
+        got = chebyshev_tu_at(d, angles, theta)
+        ref = chebyshev_tu_power_sign(d, angles, theta)
+        assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
