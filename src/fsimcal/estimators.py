@@ -48,32 +48,19 @@ class FidelityCollapseError(ValueError):
     """The fidelity estimate came out nonpositive."""
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EstimateReport:
-    """All estimates from one calibration replicate, plus theoretical variances."""
+    """All estimates from one calibration replicate; the fields, in order, are its record's keys."""
 
     theta_hat: float
     varphi_hat: float
-    var_theory_theta: float
-    var_theory_varphi: float
     alpha_hat: float | None = None
     theta_pd: float | None = None
     theta_pf: float | None = None
+    var_theory_theta: float
+    var_theory_varphi: float
     warnings: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta_hat": self.theta_hat,
-            "varphi_hat": self.varphi_hat,
-            "alpha_hat": self.alpha_hat,
-            "theta_pd": self.theta_pd,
-            "theta_pf": self.theta_pf,
-            "var_theory_theta": self.var_theory_theta,
-            "var_theory_varphi": self.var_theory_varphi,
-            "warnings": list(self.warnings),
-            "diagnostics": self.diagnostics,
-        }
 
 
 def variance_theory_theta(d: int, m_shots: int) -> float:

@@ -43,9 +43,11 @@ from .noise import (
     checked_bool,
     checked_float,
     checked_int,
+    checked_type,
     config_section,
     confusion_sample_size,
     dem_fidelity,
+    gate_count,
     simulate_probability_batch,
     stream,
 )
@@ -67,6 +69,7 @@ __all__ = [
 
 ARTIFACT_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
+_MAX_DEPTH = 2**16  # the deepest circuit a config may ask for; a guard against typos, not a memory guarantee
 
 
 class _Mode(NamedTuple):
@@ -85,9 +88,23 @@ class _Figure(NamedTuple):
     row: Callable  # one item of that file -> one CSV row
 
 
+class _Estimator(NamedTuple):
+    value: Callable  # replicate record -> the estimate, or None where the replicate has none
+    var_theory: Callable | None = None  # replicate record -> its theoretical variance, or None
+    period: float | None = None  # the estimate is compared with the truth mod period
+
+
 _CRLB_COLUMNS = ("d", "crlb_theta", "crlb_varphi", "crlb_chi", "slope_theta", "slope_varphi", "slope_chi")
 _ALPHA_COLUMNS = ("d", "alpha_dem", "median_alpha_hat", "median_abs_deviation", "n")
-_SUMMARY_ESTIMATORS = ("theta_hat", "varphi_hat", "alpha_hat", "theta_corrected", "theta_pd", "theta_pf")
+# The summarized estimators, in bootstrap-slot order.
+_SUMMARY_ESTIMATORS = {
+    "theta_hat": _Estimator(lambda r: r.get("theta_hat"), lambda r: r["var_theory_theta"]),
+    "varphi_hat": _Estimator(lambda r: r.get("varphi_hat"), lambda r: r["var_theory_varphi"], math.pi),
+    "alpha_hat": _Estimator(lambda r: r.get("alpha_hat")),
+    "theta_corrected": _Estimator(lambda r: r["diagnostics"].get("theta_corrected")),
+    "theta_pd": _Estimator(lambda r: r.get("theta_pd"), lambda r: r["diagnostics"].get("theta_pd_var_theory")),
+    "theta_pf": _Estimator(lambda r: r.get("theta_pf")),
+}
 
 
 @dataclass(frozen=True)
@@ -145,6 +162,11 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        # Every later check reads the sections, so their types come first.
+        checked_type("gate_truth", self.gate_truth, FsimParams)
+        checked_type("noise", self.noise, NoiseConfig)
+        checked_type("peak_fit", self.peak_fit, PeakFitConfig)
+        checked_type("confusion_check", self.confusion_check, ConfusionCheckConfig, optional=True)
         if not isinstance(self.mode, str) or self.mode not in MODES:
             raise ValueError(f"mode must be one of {tuple(MODES)}")
         # Integers and flags are checked, not coerced: 1.5 or true is rejected.
@@ -157,6 +179,9 @@ class ExperimentConfig:
                 if not isinstance(values, (list, tuple)):
                     raise ValueError(f"{grid} must be an array, got {values!r}")
                 object.__setattr__(self, grid, tuple(checked_int(grid, g) for g in values))
+        deepest = max([self.depth or 0, *(self.depth_grid or ())])
+        if deepest > _MAX_DEPTH:
+            raise ValueError(f"depth and depth_grid entries must be <= {_MAX_DEPTH}, got {deepest}")
         checked_bool("theta_pd", self.theta_pd)
         checked_bool("alpha_correction", self.alpha_correction)
         if not isinstance(self.output_dir, str) or not self.output_dir:
@@ -273,66 +298,41 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicate: int = 
         pxp, pyp = simulate(d, local, 2)
         result = peak_fit(local, np.hypot(pxp - 0.5, pyp - 0.5), d, phi_pri, config.peak_fit.beta_thr)
         report.theta_pf = result.theta_pf
-        report.diagnostics["peak_fit"] = {
-            "beta0": result.beta0,
-            "beta1": result.beta1,
-            "beta2": result.beta2,
-            "accepted": result.accepted,
-        }
+        report.diagnostics["peak_fit"] = {key: getattr(result, key) for key in ("beta0", "beta1", "beta2", "accepted")}
     return report
 
 
 def _replicate_task(args):
-    # Only the expected domain failures of one replicate are recorded;
-    # anything else is a bug and stops the run.
+    # Only the expected domain failures of one replicate are recorded; anything else is a bug and stops the run.
     config, point, replicate = args
     try:
-        return replicate, run_replicate(config, point=point, replicate=replicate).to_json_dict(), None
+        report = run_replicate(config, point=point, replicate=replicate)
     except (DegenerateCoefficientError, FidelityCollapseError) as exc:
         return replicate, None, f"{type(exc).__name__}: {exc}"
-
-
-def _varphi_residual(est: float, truth: float) -> float:
-    # The phase is identifiable mod pi; compare on the centered branch.
-    return math.remainder(est - truth, math.pi)
-
-
-def _estimator_values(name: str, reports: list[dict]):
-    if name == "theta_corrected":
-        vals = [(i, r["diagnostics"].get("theta_corrected")) for i, r in enumerate(reports)]
-    else:
-        vals = [(i, r.get(name)) for i, r in enumerate(reports)]
-    return [(i, v) for i, v in vals if v is not None]
+    # The record is the report's fields, shallow: asdict would deep-copy the diagnostics.
+    return replicate, {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}, None
 
 
 def _truth_for(name: str, config: ExperimentConfig) -> float:
     if name == "varphi_hat":
         return config.gate_truth.varphi
     if name == "alpha_hat":
-        if config.noise.depol_rate > 0.0 and config.depth is not None:
-            # X-circuit gate count; the Y circuit differs by one gate, O(r).
-            return dem_fidelity(config.noise.depol_rate, 2 * config.depth + 5)
-        return 1.0
+        # X-circuit gate count; the Y circuit differs by one gate, O(r).
+        return dem_fidelity(config.noise.depol_rate, gate_count(config.depth, "plus"))
     return config.gate_truth.theta
 
 
 def _summarize(config: ExperimentConfig, reports: list[dict], point: int) -> dict:
     summary = {}
-    for slot, name in enumerate(_SUMMARY_ESTIMATORS):
-        pairs = _estimator_values(name, reports)
-        if not pairs:
+    for slot, (name, est) in enumerate(_SUMMARY_ESTIMATORS.items()):
+        vals = np.array([v for v in map(est.value, reports) if v is not None], dtype=float)
+        if not vals.size:
             continue
         truth = _truth_for(name, config)
-        vals = np.array([v for _, v in pairs], dtype=float)
-        if name == "varphi_hat":
-            res = np.array([_varphi_residual(v, truth) for v in vals])
-        else:
-            res = vals - truth
-        bias = float(res.mean())
-        mse = float((res**2).mean())
-        var = float(((res - bias) ** 2).mean())
-        rng = stream(BOOTSTRAP, config.noise.seed, point, 0, slot)
+        res = vals - truth if est.period is None else np.array([math.remainder(v - truth, est.period) for v in vals])
         sq = res**2
+        bias = float(res.mean())
+        rng = stream(BOOTSTRAP, config.noise.seed, point, 0, slot)
         # Same draws, in the same order, as 1000 successive size-n calls.
         boot = sq[rng.integers(0, len(sq), size=(1000, len(sq)))].mean(axis=1)
         entry = {
@@ -340,19 +340,13 @@ def _summarize(config: ExperimentConfig, reports: list[dict], point: int) -> dic
             "truth": truth,
             "mean": float(vals.mean()),
             "bias": bias,
-            "var": var,
-            "mse": mse,
+            "var": float(((res - bias) ** 2).mean()),
+            "mse": float(sq.mean()),
             "ci_low": float(np.percentile(boot, 2.5)),
             "ci_high": float(np.percentile(boot, 97.5)),
         }
-        if name == "theta_hat":
-            entry["var_theory"] = float(np.mean([r["var_theory_theta"] for r in reports]))
-        elif name == "varphi_hat":
-            entry["var_theory"] = float(np.mean([r["var_theory_varphi"] for r in reports]))
-        elif name == "theta_pd":
-            entry["var_theory"] = float(
-                np.mean([r["diagnostics"]["theta_pd_var_theory"] for r in reports if "theta_pd_var_theory" in r["diagnostics"]])
-            )
+        if est.var_theory is not None:
+            entry["var_theory"] = float(np.mean([v for v in map(est.var_theory, reports) if v is not None]))
         summary[name] = entry
     return summary
 
@@ -417,7 +411,7 @@ def _alpha_scan_rows(config: ExperimentConfig, records: list[dict]) -> list[list
     rows = []
     for rec in records:
         d = int(rec["grid_value"])
-        alpha_dem = dem_fidelity(config.noise.depol_rate, 2 * d + 5)
+        alpha_dem = dem_fidelity(config.noise.depol_rate, gate_count(d, "plus"))
         alphas = np.array([r["alpha_hat"] for r in rec["replicates"] if r["alpha_hat"] is not None])
         rows.append([d, alpha_dem, float(np.median(alphas)), float(np.median(np.abs(alphas - alpha_dem))), len(alphas)])
     return rows
@@ -481,19 +475,10 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
 def write_json(path: str, payload) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, default=_json_default))
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 _MSE_ESTIMATORS = ("theta_hat", "varphi_hat", "theta_pf", "theta_pd")

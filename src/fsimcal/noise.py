@@ -86,6 +86,12 @@ def checked_bool(name: str, value) -> None:
         raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
+def checked_type(name: str, value, cls, optional: bool = False) -> None:
+    """A config section: an instance of cls, or None where the field is optional."""
+    if not (isinstance(value, cls) or optional and value is None):
+        raise ValueError(f"{name} must be a {cls.__name__}{' or None' if optional else ''}, got a {type(value).__name__}")
+
+
 def config_section(cls, name: str, data, **defaults) -> dict:
     """Keyword arguments for dataclass cls from a config section, defaults filling omitted keys.
 
@@ -180,6 +186,8 @@ class NoiseConfig:
     exact: bool = False
 
     def __post_init__(self):
+        checked_type("noise.drift", self.drift, DriftModel, optional=True)
+        checked_type("noise.confusion", self.confusion, ConfusionMatrix, optional=True)
         object.__setattr__(self, "shots", checked_int("shots", self.shots))
         object.__setattr__(self, "seed", checked_int("seed", self.seed))
         object.__setattr__(self, "depol_rate", checked_float("depol_rate", self.depol_rate))

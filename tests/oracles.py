@@ -6,7 +6,8 @@ so the package's closed forms and fast paths are checked against a second
 route.  The closed-form references are the paper's formulas the package
 itself does not need: the power-of-two doubling recurrence, the first-order
 coefficient profile, the amplitude profile, the SNR bounds and the
-parabolic weights of the weighted phase average.
+parabolic weights of the weighted phase average.  The run summary is kept
+in its earlier per-name form, against which the table-driven one is checked.
 """
 
 import math
@@ -534,3 +535,78 @@ def fisher_matrix_two_pass(d, params, m_shots, prob_clip=1e-12):
     p = np.clip(p, prob_clip, 1.0 - prob_clip)
     entries = m_shots * (grads * (1.0 / (p * (1.0 - p)))) @ grads.T
     return 0.5 * (entries + entries.T), clamped
+
+
+# The run summary in its earlier form, before the estimator table: one
+# lookup, residual and theoretical-variance branch per estimator name.
+_SUMMARY_ESTIMATORS = ("theta_hat", "varphi_hat", "alpha_hat", "theta_corrected", "theta_pd", "theta_pf")
+
+
+def _varphi_residual(est: float, truth: float) -> float:
+    # The phase is identifiable mod pi; compare on the centered branch.
+    return math.remainder(est - truth, math.pi)
+
+
+def _estimator_values(name: str, reports: list[dict]):
+    if name == "theta_corrected":
+        vals = [(i, r["diagnostics"].get("theta_corrected")) for i, r in enumerate(reports)]
+    else:
+        vals = [(i, r.get(name)) for i, r in enumerate(reports)]
+    return [(i, v) for i, v in vals if v is not None]
+
+
+def _truth_for(name: str, config) -> float:
+    from fsimcal.noise import dem_fidelity
+
+    if name == "varphi_hat":
+        return config.gate_truth.varphi
+    if name == "alpha_hat":
+        if config.noise.depol_rate > 0.0 and config.depth is not None:
+            # X-circuit gate count; the Y circuit differs by one gate, O(r).
+            return dem_fidelity(config.noise.depol_rate, 2 * config.depth + 5)
+        return 1.0
+    return config.gate_truth.theta
+
+
+def summarize_by_name(config, reports: list[dict], point: int) -> dict:
+    """harness._summarize as it was before the estimator table, kept as the reference."""
+    from fsimcal.noise import BOOTSTRAP, stream
+
+    summary = {}
+    for slot, name in enumerate(_SUMMARY_ESTIMATORS):
+        pairs = _estimator_values(name, reports)
+        if not pairs:
+            continue
+        truth = _truth_for(name, config)
+        vals = np.array([v for _, v in pairs], dtype=float)
+        if name == "varphi_hat":
+            res = np.array([_varphi_residual(v, truth) for v in vals])
+        else:
+            res = vals - truth
+        bias = float(res.mean())
+        mse = float((res**2).mean())
+        var = float(((res - bias) ** 2).mean())
+        rng = stream(BOOTSTRAP, config.noise.seed, point, 0, slot)
+        sq = res**2
+        # Same draws, in the same order, as 1000 successive size-n calls.
+        boot = sq[rng.integers(0, len(sq), size=(1000, len(sq)))].mean(axis=1)
+        entry = {
+            "n": len(vals),
+            "truth": truth,
+            "mean": float(vals.mean()),
+            "bias": bias,
+            "var": var,
+            "mse": mse,
+            "ci_low": float(np.percentile(boot, 2.5)),
+            "ci_high": float(np.percentile(boot, 97.5)),
+        }
+        if name == "theta_hat":
+            entry["var_theory"] = float(np.mean([r["var_theory_theta"] for r in reports]))
+        elif name == "varphi_hat":
+            entry["var_theory"] = float(np.mean([r["var_theory_varphi"] for r in reports]))
+        elif name == "theta_pd":
+            entry["var_theory"] = float(
+                np.mean([r["diagnostics"]["theta_pd_var_theory"] for r in reports if "theta_pd_var_theory" in r["diagnostics"]])
+            )
+        summary[name] = entry
+    return summary

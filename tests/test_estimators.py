@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 
 from fsimcal import (
     DegenerateCoefficientError,
+    ExperimentConfig,
     FidelityCollapseError,
     FourierSpectrum,
     FsimParams,
+    NoiseConfig,
     estimate_alpha_corrected,
     exact_signal,
     fourier_estimate,
     omega_grid,
     peak_fit,
+    run_points,
     sequential_phase_diffs,
     spectrum_from_h,
     theta_pd_estimate,
@@ -142,8 +145,9 @@ class TestFourierEstimate:
         assert any("low-snr" in w for w in report.warnings)
 
     def test_json_field_names(self):
-        report = fourier_estimate(exact_spectrum(6, PARAMS), M)
-        assert list(report.to_json_dict()) == [
+        noise = NoiseConfig(shots=M, exact=True)
+        (rec,) = run_points(ExperimentConfig(mode="calibrate", gate_truth=PARAMS, noise=noise, replicates=1, depth=6))
+        assert list(rec["replicates"][0]) == [
             "theta_hat",
             "varphi_hat",
             "alpha_hat",

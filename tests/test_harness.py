@@ -96,6 +96,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="depth"):
             ExperimentConfig.from_dict(data)
 
+    def test_depth_bound_admits_two_to_the_sixteen(self):
+        cfg = ExperimentConfig(mode="crlb-scan", gate_truth=TRUTH, noise=NoiseConfig(), depth=2**16, depth_grid=(2, 2**16))
+        assert max(cfg.depth_grid) == cfg.depth == 2**16
+
     @pytest.mark.parametrize("n_pf", [-1, 0, 1, 2])
     def test_peak_fit_needs_three_points(self, n_pf):
         with pytest.raises(ValueError, match="n_pf"):
@@ -105,6 +109,21 @@ class TestConfig:
     def test_peak_fit_threshold_must_be_positive(self, beta_thr):
         with pytest.raises(ValueError, match="beta_thr"):
             PeakFitConfig(beta_thr=beta_thr)
+
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("peak_fit", lambda: small_config(peak_fit={"enabled": True, "n_pf": 7})),
+            ("noise.drift", lambda: NoiseConfig(drift={"theta_frac": 0.1, "phase_max": 0.3})),
+            ("noise.confusion", lambda: NoiseConfig(confusion=np.eye(4))),
+            ("gate_truth", lambda: small_config(gate_truth=(1e-3, 0.1, 0.2))),
+            ("noise", lambda: small_config(noise=None)),
+            ("confusion_check", lambda: small_config(confusion_check=3)),
+        ],
+    )
+    def test_wrong_typed_section_rejected_when_built(self, field, build):
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            build()
 
     @pytest.mark.parametrize(
         "edit",
@@ -394,7 +413,8 @@ class TestFigures:
     def test_crlb_figure_schema(self, tmp_path):
         rows = transition_scan(1e-2, 1000, (4, 8, 16))
         path = emit_figure_data(rows, "crlb-vs-depth", str(tmp_path))
-        lines = open(path, encoding="utf-8", newline="").read().splitlines()
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().splitlines()
         assert lines[0] == "d,crlb_varphi,preasymptotic_varphi"
         assert len(lines) == 4
 
@@ -409,7 +429,8 @@ class TestFigures:
         )
         records = run_points(cfg)
         path = emit_figure_data(records, "mse-vs-depth", str(tmp_path))
-        header = open(path, encoding="utf-8").readline().strip().split(",")
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
         assert header[0] == "d"
         assert "mse_theta_hat" in header and "mse_theta_pf" in header
         with pytest.raises(ValueError):
@@ -527,7 +548,8 @@ class TestCli:
         (figure,) = [fig for fig, spec in FIGURES.items() if spec.mode == mode]
         argv = ["emit-figures", "--records", str(tmp_path / "run"), "--figure", figure, "--out", str(tmp_path / "figs")]
         assert cli_main(argv) == 0
-        assert (tmp_path / "figs" / f"figure_{figure}.csv").read_bytes() == open(paths["figure"], "rb").read()
+        with open(paths["figure"], "rb") as fh:
+            assert (tmp_path / "figs" / f"figure_{figure}.csv").read_bytes() == fh.read()
 
     @pytest.mark.parametrize(
         "edit, flags",
@@ -573,6 +595,10 @@ class TestCli:
             ({"noise": {"drift": {"phase_max": "a"}}}, []),
             ({"noise": {"drift": {"theta_frac": False}}}, []),
             ({"output_dir": 5}, []),
+            ({"depth": 100_000_000}, []),
+            ({"depth": 2**16 + 1}, []),
+            ({"mode": "sweep-depth", "depth_grid": [8, 2**16 + 1]}, []),
+            ({"mode": "crlb-scan", "depth_grid": [2, 4, 100_000_000]}, []),
             ({"output_dir": None}, []),
             ({}, ["--out", ""]),
         ],
@@ -645,5 +671,6 @@ def test_run_mode_confusion(tmp_path):
         output_dir=str(tmp_path),
     )
     paths = run_mode(cfg)
-    report = json.loads(open(paths["report"], encoding="utf-8").read())
+    with open(paths["report"], encoding="utf-8") as fh:
+        report = json.loads(fh.read())
     assert report["trials"] == 20

@@ -1,11 +1,13 @@
 """Properties that hold whatever random stream the sampler uses.
 
 Exact-mode recovery is checked against the paper's closed forms, the byte
-identity across process counts against a second run, and the config
-round trip against the config itself; none of them pins a sampled value.
+identity across process counts against a second run, the config round trip
+against the config itself, and the run summary against its earlier per-name
+form; none of them pins a sampled value.
 """
 
 import dataclasses
+import json
 import math
 import os
 import pathlib
@@ -27,9 +29,9 @@ from fsimcal import (
     run_mode,
     run_replicate,
 )
-from fsimcal.harness import MODES
+from fsimcal.harness import MODES, _summarize
 
-from oracles import approx_coefficients
+from oracles import approx_coefficients, summarize_by_name
 
 PHASE = st.floats(-math.pi, math.pi, allow_nan=False)
 
@@ -149,3 +151,49 @@ def experiment_configs(draw):
 @settings(max_examples=200, deadline=None)
 def test_config_dict_round_trip(config):
     assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+
+SMALL = st.floats(-1e-2, 1e-2, allow_nan=False)
+
+
+@st.composite
+def replicate_records(draw):
+    """A record as _summarize reads it: every estimate None or a float, theta_corrected
+    present or absent, and theta_pd_var_theory present exactly when theta_pd is."""
+    maybe = lambda values: draw(st.none() | values)
+    record = {
+        "theta_hat": maybe(SMALL),
+        "varphi_hat": maybe(st.floats(-math.pi / 2, math.pi / 2)),
+        "alpha_hat": maybe(st.floats(0.5, 1.0)),
+        "theta_pd": maybe(SMALL),
+        "theta_pf": maybe(SMALL),
+        "var_theory_theta": draw(POSITIVE),
+        "var_theory_varphi": draw(POSITIVE),
+        "warnings": [],
+        "diagnostics": {},
+    }
+    if draw(st.booleans()):
+        record["diagnostics"]["theta_corrected"] = draw(SMALL)
+    if record["theta_pd"] is not None:
+        record["diagnostics"]["theta_pd_var_theory"] = draw(POSITIVE)
+    return record
+
+
+@given(
+    reports=st.lists(replicate_records(), max_size=12),
+    # a true phase at either side of the mod-pi wrap, so residuals cross it
+    varphi=st.sampled_from([math.pi / 2 - 0.01, -math.pi / 2 + 0.01]) | PHASE,
+    depol_rate=st.just(0.0) | st.floats(1e-4, 0.1),
+    depth=st.integers(2, 100),
+    point=st.integers(0, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_summary_matches_the_per_name_oracle(reports, varphi, depol_rate, depth, point):
+    config = ExperimentConfig(
+        mode="calibrate",
+        gate_truth=FsimParams(1e-3, varphi, 0.2),
+        noise=NoiseConfig(shots=1000, depol_rate=depol_rate, seed=11),
+        replicates=1,
+        depth=depth,
+    )
+    assert json.dumps(_summarize(config, reports, point)) == json.dumps(summarize_by_name(config, reports, point))
