@@ -15,6 +15,7 @@ import os
 import sys
 import time
 
+from .fisher import SingularFisherError
 from .harness import FIGURES, MODES, EmptyPointError, ExperimentConfig, emit_figure_data, run_mode
 
 
@@ -45,17 +46,9 @@ def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_json_file(args.config)
     if MODES[config.mode].subcommand != args.command:
         raise ValueError(f"config mode {config.mode!r} does not match subcommand {args.command!r}")
-    noise = config.noise
-    if args.seed is not None:
-        noise = dataclasses.replace(noise, seed=args.seed)
-    if args.exact:
-        noise = dataclasses.replace(noise, exact=True)
-    config = dataclasses.replace(config, noise=noise)
-    if args.replicates is not None:
-        config = dataclasses.replace(config, replicates=args.replicates)
-    if args.out is not None:
-        config = dataclasses.replace(config, output_dir=args.out)
-    return config
+    given = lambda overrides: {key: value for key, value in overrides.items() if value is not None}
+    noise = dataclasses.replace(config.noise, **given({"seed": args.seed, "exact": args.exact or None}))
+    return dataclasses.replace(config, noise=noise, **given({"replicates": args.replicates, "output_dir": args.out}))
 
 
 def main(argv=None) -> int:
@@ -74,7 +67,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         paths = run_mode(config, jobs=args.jobs)
-    except EmptyPointError as exc:
+    except (EmptyPointError, SingularFisherError) as exc:  # no replicate survived, or a CRLB is unbounded
         print(f"fsimcal {args.command}: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - t0

@@ -44,7 +44,7 @@ class SingularFisherError(np.linalg.LinAlgError):
     def __init__(self, direction: np.ndarray):
         self.direction = direction
         weights = ", ".join(f"{n}={w:+.3f}" for n, w in zip(PARAM_NAMES, direction))
-        super().__init__(f"unbounded direction ({weights})")
+        super().__init__(f"Fisher matrix is singular, unbounded direction ({weights})")
 
 
 @dataclass(frozen=True)

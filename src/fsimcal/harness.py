@@ -15,6 +15,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import operator
 import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -24,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fisher
+from .config import Section, setting
 from .estimators import (
     DegenerateCoefficientError,
     EstimateReport,
@@ -40,11 +42,6 @@ from .noise import (
     STREAM_VERSION,
     InversionRejectedError,
     NoiseConfig,
-    checked_bool,
-    checked_float,
-    checked_int,
-    checked_type,
-    config_section,
     confusion_sample_size,
     dem_fidelity,
     gate_count,
@@ -79,6 +76,7 @@ class _Mode(NamedTuple):
     header: tuple | None = None  # columns of the "table" CSV
     figure: str | None = None  # the figure run_mode writes next to the files
     points: Callable | None = None  # config -> [(grid value, calibrate config)], the run points in grid order
+    rules: tuple = ()  # (field path, rule, test of its value): what the mode asks of a config beyond its run points
 
 
 class _Figure(NamedTuple):
@@ -108,138 +106,66 @@ _SUMMARY_ESTIMATORS = {
 
 
 @dataclass(frozen=True)
-class PeakFitConfig:
-    enabled: bool = True
-    n_pf: int = 15
-    beta_thr: float | None = None  # None -> pi/(2d)
-
-    def __post_init__(self):
-        checked_bool("peak_fit.enabled", self.enabled)
-        object.__setattr__(self, "n_pf", checked_int("peak_fit.n_pf", self.n_pf))
-        if self.n_pf < 3:
-            raise ValueError("peak fit needs n_pf >= 3 points for a parabola")
-        if self.beta_thr is not None:
-            object.__setattr__(self, "beta_thr", checked_float("peak_fit.beta_thr", self.beta_thr))
-            if not self.beta_thr > 0.0:
-                raise ValueError("peak fit beta_thr must be positive")
+class PeakFitConfig(Section, path="peak_fit"):
+    enabled: bool = setting(bool, True)
+    n_pf: int = setting(int, 15, ge=3)  # a parabola needs three points
+    beta_thr: float | None = setting(float, None, optional=True, gt=0.0)  # None -> pi/(2d)
 
 
 @dataclass(frozen=True)
-class ConfusionCheckConfig:
-    epsilon: float = 0.05
-    alpha: float = 0.1
-    trials: int = 2000
-    constant: float = 8.0
-    shots: int | None = None  # None -> confusion_sample_size
+class ConfusionCheckConfig(Section, path="confusion_check"):
+    epsilon: float = setting(float, 0.05, gt=0.0)
+    alpha: float = setting(float, 0.1, gt=0.0, lt=1.0)
+    trials: int = setting(int, 2000, ge=1)
+    constant: float = setting(float, 8.0, gt=0.0)
+    shots: int | None = setting(int, None, optional=True, ge=1, lt=1 << 63)  # None -> confusion_sample_size
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(Section):
+    """One experiment: mode, true gate angles, grids, noise and options, in the field order records store."""
+
+    mode: str = setting(str)
+    gate_truth: FsimParams = setting(FsimParams)
+    depth: int | None = setting(int, None, optional=True, le=_MAX_DEPTH)
+    depth_grid: tuple | None = setting(tuple, None, optional=True, le=_MAX_DEPTH)
+    shots_grid: tuple | None = setting(tuple, None, optional=True)
+    replicates: int = setting(int, 96, ge=1)
+    noise: NoiseConfig = setting(NoiseConfig, NoiseConfig())
+    peak_fit: PeakFitConfig = setting(PeakFitConfig, PeakFitConfig())
+    theta_pd: bool = setting(bool, False)
+    alpha_correction: bool = setting(bool, True)
+    confusion_check: ConfusionCheckConfig | None = setting(ConfusionCheckConfig, None, optional=True)
+    output_dir: str = setting(str, "out")
 
     def __post_init__(self):
-        for name in ("epsilon", "alpha", "constant"):
-            object.__setattr__(self, name, checked_float(f"confusion_check.{name}", getattr(self, name)))
-        object.__setattr__(self, "trials", checked_int("confusion_check.trials", self.trials))
-        if self.shots is not None:
-            object.__setattr__(self, "shots", checked_int("confusion_check.shots", self.shots))
-        if self.trials < 1 or self.shots is not None and self.shots < 1:
-            raise ValueError("confusion_check trials and shots must be >= 1")
-        if not (self.epsilon > 0.0 and 0.0 < self.alpha < 1.0 and self.constant > 0.0):
-            raise ValueError("confusion_check needs epsilon > 0, alpha in (0, 1) and constant > 0")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment: mode, true gate angles, grids, noise, and options."""
-
-    mode: str
-    gate_truth: FsimParams
-    noise: NoiseConfig
-    replicates: int = 96
-    depth: int | None = None
-    depth_grid: tuple | None = None
-    shots_grid: tuple | None = None
-    peak_fit: PeakFitConfig = PeakFitConfig()
-    theta_pd: bool = False
-    alpha_correction: bool = True
-    confusion_check: ConfusionCheckConfig | None = None
-    output_dir: str = "out"
-
-    def __post_init__(self):
-        # Every later check reads the sections, so their types come first.
-        checked_type("gate_truth", self.gate_truth, FsimParams)
-        checked_type("noise", self.noise, NoiseConfig)
-        checked_type("peak_fit", self.peak_fit, PeakFitConfig)
-        checked_type("confusion_check", self.confusion_check, ConfusionCheckConfig, optional=True)
-        if not isinstance(self.mode, str) or self.mode not in MODES:
-            raise ValueError(f"mode must be one of {tuple(MODES)}")
-        # Integers and flags are checked, not coerced: 1.5 or true is rejected.
-        object.__setattr__(self, "replicates", checked_int("replicates", self.replicates))
-        if self.depth is not None:
-            object.__setattr__(self, "depth", checked_int("depth", self.depth))
-        for grid in ("depth_grid", "shots_grid"):
-            values = getattr(self, grid)
-            if values is not None:
-                if not isinstance(values, (list, tuple)):
-                    raise ValueError(f"{grid} must be an array, got {values!r}")
-                object.__setattr__(self, grid, tuple(checked_int(grid, g) for g in values))
-        deepest = max([self.depth or 0, *(self.depth_grid or ())])
-        if deepest > _MAX_DEPTH:
-            raise ValueError(f"depth and depth_grid entries must be <= {_MAX_DEPTH}, got {deepest}")
-        checked_bool("theta_pd", self.theta_pd)
-        checked_bool("alpha_correction", self.alpha_correction)
-        if not isinstance(self.output_dir, str) or not self.output_dir:
-            raise ValueError(f"output_dir must be a non-empty string, got {self.output_dir!r}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        # A sampled mode is valid when each of its run points is: building a
-        # point builds its calibrate config, which checks itself.
-        if self.mode == "calibrate" and (self.depth is None or self.depth < 2):
-            raise ValueError(f"every run point needs depth >= 2, got depth {self.depth}")
-        points = MODES[self.mode].points
-        if points is not None and not points(self):
-            raise ValueError(f"{self.mode} needs a non-empty grid")
-        # The fidelity correction needs d >= 3; the CRLB closed forms d >= 2
-        # and the slopes the depths in order.
-        if self.mode == "alpha-scan" and min(self.depth_grid) < 3:
-            raise ValueError("alpha-scan needs a depth_grid with every depth >= 3")
-        if self.mode == "crlb-scan" and (
-            not self.depth_grid or min(self.depth_grid) < 2 or list(self.depth_grid) != sorted(self.depth_grid)
-        ):
-            raise ValueError("crlb-scan needs an ascending depth_grid with every depth >= 2")
-        if self.mode == "confusion-check" and self.noise.confusion is None:
-            raise ValueError("confusion-check needs noise.confusion")
+        super().__post_init__()
+        mode = MODES.get(self.mode)
+        if mode is None:
+            raise ValueError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
+        for name, rule, holds in mode.rules:
+            value = operator.attrgetter(name)(self)
+            if not holds(value):
+                raise ValueError(f"{name} must be {rule} in {self.mode} mode, got {value!r}")
+        if mode.points is not None:
+            mode.points(self)  # building a run point builds its calibrate config, which checks itself
         # Readout correction and the confusion check both invert the matrix.
         confusion = self.noise.confusion
         if confusion is not None and confusion.dominance <= 0.0:
             raise InversionRejectedError(confusion.kappa)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "mode": self.mode,
-            "gate_truth": dataclasses.asdict(self.gate_truth),
-            "depth": self.depth,
-            "depth_grid": None if self.depth_grid is None else list(self.depth_grid),
-            "shots_grid": None if self.shots_grid is None else list(self.shots_grid),
-            "replicates": self.replicates,
-            "noise": self.noise.to_dict(),
-            "peak_fit": dataclasses.asdict(self.peak_fit),
-            "theta_pd": self.theta_pd,
-            "alpha_correction": self.alpha_correction,
-            "confusion_check": None if self.confusion_check is None else dataclasses.asdict(self.confusion_check),
-            "output_dir": self.output_dir,
-        }
+        return {"schema_version": SCHEMA_VERSION, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        kwargs = config_section(cls, "config", data, schema_version=SCHEMA_VERSION, noise=None)
-        version = kwargs.pop("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {version}")
-        kwargs["gate_truth"] = FsimParams(**config_section(FsimParams, "gate_truth", kwargs["gate_truth"]))
-        kwargs["noise"] = NoiseConfig.from_dict(kwargs["noise"] or {})
-        kwargs["peak_fit"] = PeakFitConfig(**config_section(PeakFitConfig, "peak_fit", kwargs.get("peak_fit") or {}))
-        if kwargs.get("confusion_check") is not None:
-            section = config_section(ConfusionCheckConfig, "confusion_check", kwargs["confusion_check"])
-            kwargs["confusion_check"] = ConfusionCheckConfig(**section)
-        return cls(**kwargs)
+        # Defined here, not only inherited: the benchmark traces it on this class.
+        if isinstance(data, dict):
+            data = dict(data)
+            version = data.pop("schema_version", SCHEMA_VERSION)
+            if version != SCHEMA_VERSION:
+                raise ValueError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+        return super().from_dict(data)
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
@@ -407,13 +333,14 @@ def _sweep_rows(config: ExperimentConfig, records: list[dict]) -> list[list]:
 
 
 def _alpha_scan_rows(config: ExperimentConfig, records: list[dict]) -> list[list]:
-    """(d, alpha_dem, median_alpha_hat, median_abs_deviation, n) per depth."""
+    """(d, alpha_dem, median_alpha_hat, median_abs_deviation, n) per depth; no alpha_hat leaves both medians None."""
+    median = lambda a: float(np.median(a)) if a.size else None
     rows = []
     for rec in records:
         d = int(rec["grid_value"])
         alpha_dem = dem_fidelity(config.noise.depol_rate, gate_count(d, "plus"))
         alphas = np.array([r["alpha_hat"] for r in rec["replicates"] if r["alpha_hat"] is not None])
-        rows.append([d, alpha_dem, float(np.median(alphas)), float(np.median(np.abs(alphas - alpha_dem))), len(alphas)])
+        rows.append([d, alpha_dem, median(alphas), median(np.abs(alphas - alpha_dem)), len(alphas)])
     return rows
 
 
@@ -463,22 +390,26 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    if not math.isfinite(value):
+        raise ValueError(f"a CSV cell must be finite or empty, got {value!r}")
     return repr(float(value))
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    """UTF-8 CSV with LF endings; floats via repr for byte-stable output."""
+def _write(path: str, text: str) -> None:
+    # The text is formed before the file is opened, so a rejected value leaves no partial file.
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(text)
+
+
+def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    """UTF-8 CSV with LF endings, floats via repr for byte-stable output; a non-finite float raises."""
+    _write(path, "".join(",".join(map(_fmt, line)) + "\n" for line in [header, *rows]))
 
 
 def write_json(path: str, payload) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+    """Strict JSON: a NaN or infinity raises."""
+    _write(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 _MSE_ESTIMATORS = ("theta_hat", "varphi_hat", "theta_pf", "theta_pd")
@@ -535,9 +466,11 @@ def _crlb_scan_payloads(config: ExperimentConfig, jobs: int) -> dict:
 
 
 # The mode table: every mode, its subcommand, runner, canonical files, CSV
-# header, figure and run points.  Runners look the pipeline up as module
-# globals when called, so a function rebound on the module is the one every
-# mode runs.
+# header, figure, run points and config rules.  Runners look the pipeline up
+# as module globals when called, so a function rebound on the module is the
+# one every mode runs.  The fidelity correction needs d >= 3 and is what
+# alpha-scan reports; the CRLB closed forms need d >= 2 and the slopes
+# distinct depths in order.
 _SWEEP = _Mode(
     "sweep",
     _sweep_payloads,
@@ -550,15 +483,17 @@ MODES = {
         lambda config, jobs: {"record": run_points(config, jobs=jobs)[0]},
         {"record": "run_record.json"},
         points=lambda config: [(config.depth, config)],
+        rules=(("depth", "an integer >= 2", lambda d: d is not None and d >= 2),),
     ),
-    "sweep-depth": _SWEEP._replace(points=_at_depths),
-    "sweep-shots": _SWEEP._replace(points=_at_shots),
+    "sweep-depth": _SWEEP._replace(points=_at_depths, rules=(("depth_grid", "a non-empty array", bool),)),
+    "sweep-shots": _SWEEP._replace(points=_at_shots, rules=(("shots_grid", "a non-empty array", bool),)),
     "crlb-scan": _Mode(
         "crlb-scan",
         _crlb_scan_payloads,
         {"rows": "crlb_scan.json", "table": "crlb_scan.csv"},
         _CRLB_COLUMNS,
         "crlb-vs-depth",
+        rules=(("depth_grid", "increasing depths >= 2", lambda g: g and g[0] >= 2 and g == tuple(sorted(set(g)))),),
     ),
     "alpha-scan": _Mode(
         "alpha-scan",
@@ -569,11 +504,13 @@ MODES = {
         # a depth sweep with the peak fit and the theta_pd ladder off; the
         # snapshots keep the configured n_pf and beta_thr
         lambda config: _at_depths(config, theta_pd=False, peak_fit=dataclasses.replace(config.peak_fit, enabled=False)),
+        rules=(("depth_grid", "depths >= 3", lambda g: g and min(g) >= 3), ("alpha_correction", "true", bool)),
     ),
     "confusion-check": _Mode(
         "confusion-check",
         lambda config, jobs: {"report": run_confusion_check(config)},
         {"report": "confusion_check.json"},
+        rules=(("noise.confusion", "a ConfusionMatrix", lambda c: c is not None),),
     ),
 }
 # The figure table: every figure, the mode output it is built from and its CSV.

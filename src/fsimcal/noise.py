@@ -11,11 +11,11 @@ weight onto 00/11.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Section, setting
 from .signal_model import exact_signal
 from .su2 import FsimParams
 
@@ -67,51 +67,8 @@ def stream(*key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(np.array(halves, dtype=np.uint32)))
 
 
-def checked_int(name: str, value) -> int:
-    """A config integer: integral numbers pass as int, bools and fractions are rejected."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def checked_float(name: str, value) -> float:
-    """A config real: finite numbers pass as float; bools, strings and inf/nan are rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def checked_bool(name: str, value) -> None:
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-
-
-def checked_type(name: str, value, cls, optional: bool = False) -> None:
-    """A config section: an instance of cls, or None where the field is optional."""
-    if not (isinstance(value, cls) or optional and value is None):
-        raise ValueError(f"{name} must be a {cls.__name__}{' or None' if optional else ''}, got a {type(value).__name__}")
-
-
-def config_section(cls, name: str, data, **defaults) -> dict:
-    """Keyword arguments for dataclass cls from a config section, defaults filling omitted keys.
-
-    A non-object, a key that is neither a field nor a default, or a missing required field raises ValueError.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"{name} must be a JSON object, got {data!r}")
-    kwargs = {**defaults, **data}
-    unknown = set(kwargs) - set(defaults) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
-    missing = [key for key in required if key not in kwargs]
-    if missing:
-        raise ValueError(f"missing {name} keys: {missing}")
-    return kwargs
-
-
 @dataclass(frozen=True)
-class DriftModel:
+class DriftModel(Section, path="noise.drift"):
     """Per-gate coherent angle uncertainty, uniform draws.
 
     At gate j of a depth-d circuit the half-widths are theta_frac * theta for
@@ -119,12 +76,8 @@ class DriftModel:
     drift ramps up over the circuit.
     """
 
-    theta_frac: float = 0.1
-    phase_max: float = 0.3
-
-    def __post_init__(self):
-        for name in ("theta_frac", "phase_max"):
-            object.__setattr__(self, name, checked_float(f"noise.drift.{name}", getattr(self, name)))
+    theta_frac: float = setting(float, 0.1)
+    phase_max: float = setting(float, 0.3)
 
     def half_widths(self, depth: int, theta: float):
         ramp = self.phase_max * np.arange(1, depth + 1) / depth
@@ -143,12 +96,9 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         r = np.asarray(self.entries, dtype=float)
-        if r.shape != (4, 4):
-            raise ValueError("confusion matrix must be 4x4")
-        if (r < -1e-15).any():
-            raise ValueError("confusion matrix entries must be nonnegative")
-        if np.abs(r.sum(axis=1) - 1.0).max() > 1e-12:
-            raise ValueError("confusion matrix rows must sum to 1")
+        # Written so that a NaN entry fails the test.
+        if r.shape != (4, 4) or not ((r >= -1e-15).all() and (np.abs(r.sum(axis=1) - 1.0) <= 1e-12).all()):
+            raise ValueError("confusion matrix must be 4x4 with nonnegative entries and rows that sum to 1")
         object.__setattr__(self, "entries", r)
 
     @classmethod
@@ -156,6 +106,17 @@ class ConfusionMatrix:
         """Diagonal p_correct with errors spread evenly over the other outcomes."""
         off = (1.0 - p_correct) / 3.0
         return cls(np.full((4, 4), off) + np.eye(4) * (p_correct - off))
+
+    @classmethod
+    def from_dict(cls, rows, path: str) -> "ConfusionMatrix":
+        """The matrix a config gives as a list of rows; path names it in a rejection."""
+        try:
+            return cls(np.array(rows, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path} must be a 4x4 row-stochastic matrix, got {rows!r}") from exc
+
+    def to_dict(self) -> list:
+        return self.entries.tolist()
 
     def __eq__(self, other):
         return isinstance(other, ConfusionMatrix) and np.array_equal(self.entries, other.entries)
@@ -171,52 +132,19 @@ class ConfusionMatrix:
 
 
 @dataclass(frozen=True)
-class NoiseConfig:
+class NoiseConfig(Section, path="noise"):
     """Full noise description of one experiment.
 
     exact=True disables every noise mechanism and sampling (the infinite-shot
     analytic limit); otherwise shots Bernoulli trials per circuit are drawn.
     """
 
-    shots: int = 100_000
-    depol_rate: float = 0.0
-    drift: DriftModel | None = None
-    confusion: ConfusionMatrix | None = None
-    seed: int = 0
-    exact: bool = False
-
-    def __post_init__(self):
-        checked_type("noise.drift", self.drift, DriftModel, optional=True)
-        checked_type("noise.confusion", self.confusion, ConfusionMatrix, optional=True)
-        object.__setattr__(self, "shots", checked_int("shots", self.shots))
-        object.__setattr__(self, "seed", checked_int("seed", self.seed))
-        object.__setattr__(self, "depol_rate", checked_float("depol_rate", self.depol_rate))
-        checked_bool("exact", self.exact)
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if not 0.0 <= self.depol_rate < 1.0:
-            raise ValueError("depol_rate must be in [0, 1)")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must lie in [0, 2**64)")
-
-    def to_dict(self) -> dict:
-        return {
-            "shots": self.shots,
-            "depol_rate": self.depol_rate,
-            "drift": None if self.drift is None else asdict(self.drift),
-            "confusion": None if self.confusion is None else [list(map(float, row)) for row in self.confusion.entries],
-            "seed": self.seed,
-            "exact": self.exact,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NoiseConfig":
-        kwargs = config_section(cls, "noise", data)
-        if kwargs.get("drift") is not None:
-            kwargs["drift"] = DriftModel(**config_section(DriftModel, "noise.drift", kwargs["drift"]))
-        if kwargs.get("confusion") is not None:
-            kwargs["confusion"] = ConfusionMatrix(np.array(kwargs["confusion"]))
-        return cls(**kwargs)
+    shots: int = setting(int, 100_000, ge=1, lt=1 << 63)  # the sampler counts in int64
+    depol_rate: float = setting(float, 0.0, ge=0.0, lt=1.0)
+    drift: DriftModel | None = setting(DriftModel, None, optional=True)
+    confusion: ConfusionMatrix | None = setting(ConfusionMatrix, None, optional=True)
+    seed: int = setting(int, 0, ge=0, lt=1 << 64)
+    exact: bool = setting(bool, False)
 
 
 def apply_depolarizing(p: float, alpha: float):

@@ -14,10 +14,11 @@ All functions are pure.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .config import Section, setting
 
 __all__ = [
     "FsimParams",
@@ -36,7 +37,7 @@ def wrap_angle(angle: float) -> float:
 
 
 @dataclass(frozen=True)
-class FsimParams:
+class FsimParams(Section, path="gate_truth"):
     """Gate angles on the single-excitation subspace.
 
     theta is the swap angle between |01> and |10>; varphi is the differential
@@ -45,19 +46,9 @@ class FsimParams:
     available to oracle tests even though calibration targets theta << 1.
     """
 
-    theta: float
-    varphi: float
-    chi: float
-
-    def __post_init__(self):
-        # Checked here, not with noise.checked_float: noise imports this module.
-        for name in ("theta", "varphi", "chi"):
-            angle = getattr(self, name)
-            if isinstance(angle, bool) or not isinstance(angle, numbers.Real) or not math.isfinite(angle):
-                raise ValueError(f"gate angle {name} must be a finite number, got {angle!r}")
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "varphi", wrap_angle(self.varphi))
-        object.__setattr__(self, "chi", wrap_angle(self.chi))
+    theta: float = setting(float)
+    varphi: float = setting(float, normalize=wrap_angle)
+    chi: float = setting(float, normalize=wrap_angle)
 
 
 def chebyshev_tu(d, cw, sw, theta: float):

@@ -85,7 +85,13 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "mode, grid",
-        [("alpha-scan", (2, 6)), ("alpha-scan", (6, 1)), ("sweep-depth", (1, 4)), ("crlb-scan", (16, 8, 4))],
+        [
+            ("alpha-scan", (2, 6)),
+            ("alpha-scan", (6, 1)),
+            ("sweep-depth", (1, 4)),
+            ("crlb-scan", (16, 8, 4)),
+            ("crlb-scan", (4, 4, 8)),
+        ],
     )
     def test_invalid_depth_grid_rejected(self, mode, grid):
         kwargs = dict(mode=mode, gate_truth=TRUTH, noise=NoiseConfig(), depth_grid=grid)
@@ -366,6 +372,18 @@ class TestAlphaScan:
             assert n == 8
             assert 0.8 < med < 1.05
 
+    def test_depth_without_alpha_hat_leaves_the_medians_empty(self, tmp_path):
+        noise = NoiseConfig(depol_rate=1e-3)
+        cfg = ExperimentConfig(mode="alpha-scan", gate_truth=TRUTH, noise=noise, depth_grid=(4, 6))
+        replicate = {"alpha_hat": None}
+        records = [{"grid_value": 4, "replicates": [replicate, replicate]}, {"grid_value": 6, "replicates": []}]
+        rows = _alpha_scan_rows(cfg, records)
+        assert [(d, med, dev, n) for d, _, med, dev, n in rows] == [(4, None, None, 0), (6, None, None, 0)]
+        harness.write_csv(str(tmp_path / "rows.csv"), MODES["alpha-scan"].header, rows)
+        harness.write_json(str(tmp_path / "rows.json"), rows)
+        assert (tmp_path / "rows.csv").read_text(encoding="utf-8").splitlines()[1].endswith(",,,0")
+        assert json.loads((tmp_path / "rows.json").read_text(encoding="utf-8"))[0][2:] == [None, None, 0]
+
     def test_points_run_without_peak_fit_and_ladder(self):
         cfg = ExperimentConfig(
             mode="alpha-scan",
@@ -532,6 +550,23 @@ class TestCli:
         record = json.loads((tmp_path / "out" / "run_record.json").read_text(encoding="utf-8"))
         assert len(record["failures"]) == 2
 
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 2])
+    def test_crlb_scan_at_a_singular_angle_exits_one_in_one_line(self, tmp_path, capsys, theta):
+        cfg = ExperimentConfig(
+            mode="crlb-scan",
+            gate_truth=FsimParams(theta, TRUTH.varphi, TRUTH.chi),
+            depth_grid=(2, 4, 8),
+            output_dir=str(tmp_path / "out"),
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+        assert cli_main(["crlb-scan", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("fsimcal crlb-scan: Fisher matrix is singular")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mode, grid", [("crlb-scan", (4, 8, 16)), ("alpha-scan", (6, 8))])
     def test_figures_rebuild_from_the_files_run_mode_writes(self, tmp_path, mode, grid):
         cfg = ExperimentConfig(
@@ -601,6 +636,10 @@ class TestCli:
             ({"mode": "crlb-scan", "depth_grid": [2, 4, 100_000_000]}, []),
             ({"output_dir": None}, []),
             ({}, ["--out", ""]),
+            ({"mode": "alpha-scan", "depth_grid": [4, 6, 8], "alpha_correction": False}, []),
+            ({"noise": {"shots": 2**63}}, []),
+            ({"gate_truth": {"theta": 10**400, "varphi": 0.1, "chi": 0.2}}, []),
+            ({"noise": {"confusion": [[None] * 4] * 4}}, []),
         ],
     )
     def test_config_rejected_at_build_time_exits_with_one_line(self, tmp_path, capsys, edit, flags):
@@ -660,6 +699,18 @@ class TestCli:
         record = json.loads((out / "run_record.json").read_text(encoding="utf-8"))
         assert record["seed"] == 42
         assert record["config"]["noise"]["exact"] is True
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("write", ["csv", "json"])
+def test_non_finite_numbers_never_reach_an_output(tmp_path, write, value):
+    path = tmp_path / f"out.{write}"
+    with pytest.raises(ValueError):
+        if write == "csv":
+            harness.write_csv(str(path), ["a", "b"], [[1.0, value]])
+        else:
+            harness.write_json(str(path), {"a": [1.0, value]})
+    assert not path.exists()
 
 
 def test_run_mode_confusion(tmp_path):

@@ -2,8 +2,9 @@
 
 Exact-mode recovery is checked against the paper's closed forms, the byte
 identity across process counts against a second run, the config round trip
-against the config itself, and the run summary against its earlier per-name
-form; none of them pins a sampled value.
+against the config itself, the run summary against its earlier per-name
+form, and small configs of every mode against the rule that no output holds a
+non-finite number; none of them pins a sampled value.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsimcal import (
@@ -29,8 +30,10 @@ from fsimcal import (
     run_mode,
     run_replicate,
 )
-from fsimcal.harness import MODES, _summarize
+from fsimcal.fisher import SingularFisherError
+from fsimcal.harness import MODES, EmptyPointError, _summarize
 
+from config_strategies import experiment_configs, sections
 from oracles import approx_coefficients, summarize_by_name
 
 PHASE = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -114,43 +117,64 @@ def test_outputs_are_byte_identical_at_one_and_two_jobs(mode, data, seed):
 POSITIVE = st.floats(1e-6, 1.0, allow_nan=False)
 
 
-@st.composite
-def experiment_configs(draw):
-    mode = draw(st.sampled_from(list(MODES)))
-    noise = NoiseConfig(
-        shots=draw(st.integers(1, 10**7)),
-        depol_rate=draw(st.floats(0.0, 0.5)),
-        drift=draw(st.none() | st.builds(DriftModel, POSITIVE, POSITIVE)),
-        confusion=draw(st.none() | st.builds(ConfusionMatrix.uniform, st.floats(0.6, 1.0))),
-        seed=draw(st.integers(0, 2**63)),
-        exact=draw(st.booleans()),
-    )
-    if mode == "confusion-check" and noise.confusion is None:
-        noise = NoiseConfig(shots=noise.shots, seed=noise.seed, confusion=ConfusionMatrix.uniform(0.9))
-    grid = st.lists(st.integers(3, 5000), min_size=1, max_size=5)
-    return ExperimentConfig(
-        mode=mode,
-        gate_truth=FsimParams(draw(st.floats(0.0, 3.0)), draw(PHASE), draw(PHASE)),
-        noise=noise,
-        replicates=draw(st.integers(1, 1000)),
-        depth=draw(st.integers(2, 5000)),
-        depth_grid=tuple(sorted(draw(grid))),
-        shots_grid=tuple(draw(st.lists(st.integers(1, 10**7), min_size=1, max_size=4))),
-        peak_fit=PeakFitConfig(draw(st.booleans()), draw(st.integers(3, 99)), draw(st.none() | POSITIVE)),
-        theta_pd=draw(st.booleans()),
-        alpha_correction=draw(st.booleans()),
-        confusion_check=draw(
-            st.none()
-            | st.builds(ConfusionCheckConfig, POSITIVE, POSITIVE, st.integers(1, 10**4), POSITIVE, st.none() | st.integers(1, 10**6))
-        ),
-        output_dir=draw(st.sampled_from(["out", "runs/a"])),
-    )
-
-
 @given(experiment_configs())
 @settings(max_examples=200, deadline=None)
 def test_config_dict_round_trip(config):
     assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+
+# Small configs of every mode; the declarations draw every field not named here.
+# Drift widths stay in [0, pi] and the confusion check's shots are always given:
+# widths near 1e308 overflow, and a tiny epsilon with no shots asks the sampler
+# for more than 2**63 shots, two faults that valid configs still reach.
+SMALL_CONFIGS = experiment_configs(
+    max_depth=7,
+    # theta = 0 and pi/2 leave the signal without phase information
+    gate_truth=st.builds(FsimParams, st.sampled_from([0.0, math.pi / 2, 1e-3]) | st.floats(1e-4, 0.3), PHASE, PHASE),
+    replicates=st.integers(1, 3),
+    noise=sections(
+        NoiseConfig,
+        shots=st.integers(1, 10**6),
+        drift=st.none() | st.builds(DriftModel, st.floats(0.0, 0.5), st.floats(0.0, math.pi)),
+    ),
+    peak_fit=sections(PeakFitConfig, n_pf=st.integers(3, 9)),
+    confusion_check=sections(ConfusionCheckConfig, trials=st.integers(1, 20), shots=st.integers(1, 2000)),
+)
+
+
+def _refuse(token):
+    raise ValueError(f"non-finite JSON number {token}")
+
+
+def _finite_or_text(cell):
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:  # a label, or an empty cell
+        return True
+
+
+@given(SMALL_CONFIGS)
+# In the noise-free limit at theta = 0 every replicate fails, so alpha-scan has no
+# alpha_hat at any depth; at theta = pi/2 the Fisher matrix of every depth is singular.
+@example(
+    ExperimentConfig(
+        mode="alpha-scan", gate_truth=FsimParams(0.0, 0.3, -0.2), noise=NoiseConfig(exact=True), depth_grid=(3, 5)
+    )
+)
+@example(ExperimentConfig(mode="crlb-scan", gate_truth=FsimParams(math.pi / 2, 0.3, -0.2), depth_grid=(2, 3)))
+@settings(max_examples=100, deadline=None)
+def test_every_mode_writes_only_finite_numbers(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            run_mode(dataclasses.replace(config, output_dir=tmp))
+        except (EmptyPointError, SingularFisherError):
+            pass  # the expected domain failures; what was written is still checked
+        for path in pathlib.Path(tmp).iterdir():
+            text = path.read_text(encoding="utf-8")
+            if path.suffix == ".json":
+                json.loads(text, parse_constant=_refuse)
+            else:
+                assert all(_finite_or_text(cell) for line in text.splitlines() for cell in line.split(","))
 
 
 SMALL = st.floats(-1e-2, 1e-2, allow_nan=False)
