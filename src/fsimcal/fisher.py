@@ -2,13 +2,13 @@
 
 The per-shot information of the 2(2d-1) binomial measurements is summed over
 the modulation grid with weights 1/(p(1-p)); the partial derivatives of p
-are exact (spectral differentiation on the grid for the phases, Chebyshev
-derivative identities for the swap angle), so no step size is tuned and no
-point fails for want of a converged gradient.  Each point is one closed-form
-pass: one cos/sin of the grid and one Chebyshev pair give the derivatives and
-p, the latter with exact_signal's arithmetic and bits.  The pre-asymptotic
-closed forms (valid for d*theta << 1) and a depth-scan with log-log slope
-estimates expose the variance-scaling transition around d ~ 1/theta.
+are exact closed forms (Chebyshev derivative identities for the swap angle
+and the phases), so no step size is tuned and no point fails for want of a
+converged gradient.  Each point is one closed-form pass: one cos/sin of the
+grid and one Chebyshev pair give the derivatives and p, the latter with
+exact_signal's arithmetic and bits.  The pre-asymptotic closed forms (valid
+for d*theta << 1) and a depth-scan with log-log slope estimates expose the
+variance-scaling transition around d ~ 1/theta.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .signal_model import _signal, k_values, omega_grid
+from .estimators import variance_theory_theta, variance_theory_varphi
+from .signal_model import _signal, omega_grid
 from .su2 import FsimParams, _p_value, chebyshev_tu
 
 __all__ = [
@@ -82,10 +83,9 @@ def gradient_grid(d: int, params: FsimParams) -> tuple[np.ndarray, np.ndarray]:
     Rows are xi = (theta, varphi, chi), columns p_X then p_Y, the order of p,
     whose values are exact_signal's to the bit.  With
     w = omega - varphi, x = cos(w) cos(theta), T = T_d(x), Q = U_{d-1}(x):
-    h = i e^{-i(chi+omega)} sin(theta) Q (T + i Q sin(w) cos(theta)).
-    dh/dchi = -i h; dh/dvarphi = -i h - dh/domega, the spectral derivative
-    being exact because the 2d-1 grid resolves h's harmonics |k| <= d-1.
-    dh/dtheta uses T_d' = d U_{d-1} and U_{d-1}' = (x U_{d-1} - d T_d)/(1 - x^2).
+    h = i e^{-i(chi+omega)} sin(theta) g, g = Q (T + i Q sin(w) cos(theta)).
+    dh/dchi = -i h and dh/dvarphi = -i e^{-i(chi+omega)} sin(theta) dg/dw.
+    All derivatives use T_d' = d U_{d-1} and U_{d-1}' = (x U_{d-1} - d T_d)/(1 - x^2).
     A signal at the probabilities' rounding level (theta = 0 or pi/2, where h
     vanishes for every phase) carries no phase information: those rows are 0.
     """
@@ -96,12 +96,15 @@ def gradient_grid(d: int, params: FsimParams) -> tuple[np.ndarray, np.ndarray]:
     st, ct = np.sin(params.theta), np.cos(params.theta)
     x = cw * ct
     t, q = chebyshev_tu(d, cw, sw, params.theta)
-    # sq = sin(theta) dQ/dtheta, with 1 - x^2 = sin^2 w + cos^2 w sin^2 theta
-    # (no cancellation); sin^2 theta / (1 - x^2) <= 1/cos^2 w, 0 where both vanish.
+    # sq = sin(theta) dQ/dtheta and dq = dQ/dw = sin(w) cos(theta) (d T - x Q)/(1 - x^2), with
+    # 1 - x^2 = sin^2 w + cos^2 w sin^2 theta (no cancellation); both are 0 where it vanishes.
     one_minus_x2 = sw * sw + (cw * st) ** 2
+    dtxq = d * t - x * q
     sq = np.divide(st * st, one_minus_x2, out=np.zeros(n), where=one_minus_x2 > 0.0)
-    sq *= cw * (d * t - x * q)
-    del x, one_minus_x2
+    sq *= cw * dtxq
+    dq = np.divide(dtxq, one_minus_x2, out=np.zeros(n), where=one_minus_x2 > 0.0)
+    dq *= sw * ct
+    del x, one_minus_x2, dtxq
     # Rows go straight into grads and temporaries die early: deep grids are
     # tens of thousands of points.
     grads = np.empty((3, 2 * n))
@@ -110,14 +113,16 @@ def gradient_grid(d: int, params: FsimParams) -> tuple[np.ndarray, np.ndarray]:
     dh = phase * (dh + 1j * sw * q * (np.cos(2 * params.theta) * q + 2 * ct * sq))
     grads[0, :n], grads[0, n:] = dh.real, dh.imag
     h = phase * st * q * (t + 1j * ct * sw * q)
-    del sq, dh, phase
+    del sq, dh
     signal = _signal(omegas, _p_value(w, sw, t, q, params.theta), q, params)
     p = np.concatenate([0.5 + signal.real, 0.5 + signal.imag])
-    del signal, q, t
+    del signal
     if np.abs(h).max() <= n * np.finfo(float).eps:
         grads[1:] = 0.0
         return grads, p
-    dh = -1j * h - np.fft.ifft(2j * k_values(d) * np.fft.fft(h))
+    # dg/dw = Q' T + Q T' + i cos(theta) (cos(w) Q^2 + 2 sin(w) Q Q'), T' = -d cos(theta) sin(w) Q.
+    dg = dq * t + q * (-d * ct * sw * q) + 1j * ct * (cw * q * q + 2.0 * sw * q * dq)
+    dh = -(phase * st) * dg
     grads[1, :n], grads[1, n:] = dh.real, dh.imag
     grads[2, :n], grads[2, n:] = h.imag, -h.real
     return grads, p
@@ -137,13 +142,13 @@ def fisher_matrix(d: int, params: FsimParams, m_shots: int) -> FisherMatrix:
 def preasymptotic_variances(d: int, theta: float, m_shots: int):
     """Closed-form optimal variances for d*theta << 1.
 
-    Var(theta) = 1/(4Md(2d-1)), Var(varphi) = 3/(4Md(2d-1)(d^2-1) theta^2),
-    Var(chi) = (4d^2-1)/((d^2-1) 4Md(2d-1) theta^2).
+    Var(theta) and Var(varphi) are the estimators' variance_theory_theta and
+    variance_theory_varphi; Var(chi) = (4d^2-1)/((d^2-1) 4Md(2d-1) theta^2).
     """
-    base = 1.0 / (4.0 * m_shots * d * (2 * d - 1))
+    base = variance_theory_theta(d, m_shots)
     return (
         base,
-        3.0 * base / ((d * d - 1) * theta * theta),
+        variance_theory_varphi(d, m_shots, theta),
         base * (4.0 * d * d - 1) / ((d * d - 1) * theta * theta),
     )
 

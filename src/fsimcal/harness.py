@@ -143,16 +143,27 @@ class ExperimentConfig(Section):
         mode = MODES.get(self.mode)
         if mode is None:
             raise ValueError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
+        # Readout correction and the confusion check both invert the matrix.
+        confusion = self.noise.confusion
+        if confusion is not None and confusion.dominance <= 0.0:
+            raise InversionRejectedError(confusion.kappa)
         for name, rule, holds in mode.rules:
             value = operator.attrgetter(name)(self)
             if not holds(value):
                 raise ValueError(f"{name} must be {rule} in {self.mode} mode, got {value!r}")
         if mode.points is not None:
             mode.points(self)  # building a run point builds its calibrate config, which checks itself
-        # Readout correction and the confusion check both invert the matrix.
-        confusion = self.noise.confusion
-        if confusion is not None and confusion.dominance <= 0.0:
-            raise InversionRejectedError(confusion.kappa)
+
+    @property
+    def confusion_shots(self):
+        """The confusion check's shots per row: confusion_check.shots, else confusion_sample_size (inf past floats)."""
+        cc = self.confusion_check or ConfusionCheckConfig()
+        if cc.shots is not None:
+            return cc.shots
+        try:
+            return confusion_sample_size(self.noise.confusion.kappa, cc.epsilon, cc.alpha, cc.constant)
+        except (OverflowError, ZeroDivisionError):
+            return math.inf
 
     def to_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, **super().to_dict()}
@@ -355,7 +366,7 @@ def run_confusion_check(config: ExperimentConfig) -> dict:
     cc = config.confusion_check or ConfusionCheckConfig()
     confusion = config.noise.confusion
     kappa = confusion.kappa
-    m_cmt = cc.shots if cc.shots is not None else confusion_sample_size(kappa, cc.epsilon, cc.alpha, cc.constant)
+    m_cmt = config.confusion_shots
     r_true = confusion.entries
     failures = 0
     worst = 0.0
@@ -469,8 +480,8 @@ def _crlb_scan_payloads(config: ExperimentConfig, jobs: int) -> dict:
 # header, figure, run points and config rules.  Runners look the pipeline up
 # as module globals when called, so a function rebound on the module is the
 # one every mode runs.  The fidelity correction needs d >= 3 and is what
-# alpha-scan reports; the CRLB closed forms need d >= 2 and the slopes
-# distinct depths in order.
+# alpha-scan reports; the CRLB closed forms need d >= 2 and the slopes two
+# or more distinct depths in order.
 _SWEEP = _Mode(
     "sweep",
     _sweep_payloads,
@@ -493,7 +504,10 @@ MODES = {
         {"rows": "crlb_scan.json", "table": "crlb_scan.csv"},
         _CRLB_COLUMNS,
         "crlb-vs-depth",
-        rules=(("depth_grid", "increasing depths >= 2", lambda g: g and g[0] >= 2 and g == tuple(sorted(set(g)))),),
+        rules=(
+            ("depth_grid", "two or more increasing depths >= 2",
+             lambda g: g and len(g) > 1 and g[0] >= 2 and g == tuple(sorted(set(g)))),
+        ),
     ),
     "alpha-scan": _Mode(
         "alpha-scan",
@@ -510,7 +524,10 @@ MODES = {
         "confusion-check",
         lambda config, jobs: {"report": run_confusion_check(config)},
         {"report": "confusion_check.json"},
-        rules=(("noise.confusion", "a ConfusionMatrix", lambda c: c is not None),),
+        rules=(  # the sampler draws at most 2**63 - 1 shots
+            ("noise.confusion", "a ConfusionMatrix", lambda c: c is not None),
+            ("confusion_shots", "below 2**63 (give confusion_check.shots or a larger epsilon)", lambda m: m < 1 << 63),
+        ),
     ),
 }
 # The figure table: every figure, the mode output it is built from and its CSV.

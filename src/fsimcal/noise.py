@@ -76,8 +76,8 @@ class DriftModel(Section, path="noise.drift"):
     drift ramps up over the circuit.
     """
 
-    theta_frac: float = setting(float, 0.1)
-    phase_max: float = setting(float, 0.3)
+    theta_frac: float = setting(float, 0.1, ge=0.0, le=math.pi)
+    phase_max: float = setting(float, 0.3, ge=0.0, le=math.pi)
 
     def half_widths(self, depth: int, theta: float):
         ramp = self.phase_max * np.arange(1, depth + 1) / depth

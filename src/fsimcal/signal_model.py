@@ -22,7 +22,6 @@ __all__ = [
     "FourierSpectrum",
     "GridMismatchError",
     "omega_grid",
-    "k_values",
     "exact_signal",
     "spectrum_from_h",
 ]
@@ -40,16 +39,9 @@ def omega_grid(depth: int) -> np.ndarray:
     return np.arange(n) * (np.pi / n)
 
 
-def k_values(depth: int) -> np.ndarray:
-    """DFT slot -> harmonic index: slots 0..d-1 are k, slots d..2d-2 are k-(2d-1)."""
-    n = 2 * depth - 1
-    k = np.arange(n)
-    return np.where(k < depth, k, k - n)
-
-
 @dataclass(frozen=True)
 class FourierSpectrum:
-    """DFT coefficients of the reconstruction, in slot order (see k_values)."""
+    """DFT coefficients of the reconstruction: slot j holds c_j for j < d and c_{j-(2d-1)} above."""
 
     coefficients: np.ndarray = field(repr=False)
     depth: int

@@ -3,14 +3,15 @@
 Each field is drawn from its setting(): its kind, its bounds and whether it
 may be None.  The mode rules (MODES[mode].rules) are predicates a strategy
 cannot invert, so a per-mode table draws the fields each mode constrains;
-any other field can be overridden by name.
+any other field can be overridden by name, and noise and confusion_check
+also in the modes that constrain them.
 """
 
 import dataclasses
 
 from hypothesis import strategies as st
 
-from fsimcal import ConfusionMatrix, ExperimentConfig, NoiseConfig
+from fsimcal import ConfusionCheckConfig, ConfusionMatrix, ExperimentConfig, NoiseConfig
 from fsimcal.config import Section
 from fsimcal.harness import MODES
 
@@ -60,26 +61,45 @@ def sections(cls, **fields):
     return st.builds(cls, **{f.name: fields.get(f.name, values(spec)) for f, spec in declared(cls)})
 
 
-def _grid(low, high, ascending=False):
-    grid = st.lists(st.integers(low, high), min_size=1, max_size=4, unique=ascending)
+_CHECK_SHOTS = next(spec for f, spec in declared(ConfusionCheckConfig) if f.name == "shots")
+
+
+def confusion_checks(**fields):
+    """None or a ConfusionCheckConfig whose shots fit the sampler at every matrix CONFUSIONS draws.
+
+    Given shots are drawn as declared, or from fields; null shots come with
+    epsilon >= 1e-3, alpha >= 1e-6 and constant <= 100, which keep
+    confusion_sample_size below 2**63 at kappa <= 5.
+    """
+    given = sections(ConfusionCheckConfig, **{"shots": _numbers(int, _CHECK_SHOTS.bounds), **fields})
+    sized = dict(shots=st.none(), epsilon=st.floats(1e-3, 10.0), alpha=st.floats(1e-6, 0.5),
+                 constant=st.floats(1e-3, 100.0))
+    return st.none() | given | sections(ConfusionCheckConfig, **{**fields, **sized})
+
+
+def _grid(low, high, ascending=False, min_size=1):
+    grid = st.lists(st.integers(low, high), min_size=min_size, max_size=4, unique=ascending)
     return (grid.map(sorted) if ascending else grid).map(tuple)
 
 
-def mode_fields(max_depth, noise):
-    """The fields each mode constrains, with depths up to max_depth and noise drawn from noise."""
+def mode_fields(max_depth, noise, confusion_check):
+    """The fields each mode constrains, with depths up to max_depth, noise drawn from noise and
+    the confusion check from confusion_check."""
     depth = st.integers(2, max_depth)
     return {
         "calibrate": dict(depth=depth),
         "sweep-depth": dict(depth_grid=_grid(2, max_depth)),
         "sweep-shots": dict(depth=depth, shots_grid=_grid(1, 10**6)),
-        "crlb-scan": dict(depth_grid=_grid(2, max_depth, ascending=True)),
+        "crlb-scan": dict(depth_grid=_grid(2, max_depth, ascending=True, min_size=2)),
         "alpha-scan": dict(depth_grid=_grid(3, max_depth), alpha_correction=st.just(True)),
-        "confusion-check": dict(noise=noise.filter(lambda n: n.confusion is not None)),
+        "confusion-check": dict(noise=noise.filter(lambda n: n.confusion is not None),
+                                confusion_check=confusion_check),
     }
 
 
 def experiment_configs(max_depth=2**16, **fields):
     """Valid ExperimentConfigs of every mode; fields override the declared draws of the fields the modes leave free."""
-    table = mode_fields(max_depth, fields.get("noise", sections(NoiseConfig)))
+    noise, confusion_check = fields.get("noise", sections(NoiseConfig)), fields.get("confusion_check", confusion_checks())
+    table = mode_fields(max_depth, noise, confusion_check)
     return st.one_of([sections(ExperimentConfig, mode=st.just(mode), **{**fields, **table[mode]}) for mode in MODES])
 

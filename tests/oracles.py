@@ -127,6 +127,13 @@ def amplitude_profile(d, omega, params):
     return a * (1.0 - a)
 
 
+def k_values(depth):
+    """DFT slot -> harmonic index: slots 0..d-1 are k, slots d..2d-2 are k-(2d-1)."""
+    n = 2 * depth - 1
+    k = np.arange(n)
+    return np.where(k < depth, k, k - n)
+
+
 def approx_coefficients(d, theta):
     """First-order coefficient profile chat_k, in DFT slot order.
 
@@ -136,8 +143,6 @@ def approx_coefficients(d, theta):
         -(1/2) (d^2 + (d+2k+1)^2 - k^2 - (k+1)^2) (1 - cos theta).
     The noiseless moduli satisfy |ctilde_k - sin(theta) chat_k| <= 2 (d theta)^5.
     """
-    from fsimcal.signal_model import k_values
-
     ks = k_values(d).astype(float)
     onec = 1.0 - np.cos(theta)
     pos = 1.0 - 0.5 * (3.0 * d * d - ks**2 - (ks + 1.0) ** 2 - (d - (2.0 * ks + 1.0)) ** 2) * onec
@@ -505,7 +510,7 @@ def fisher_matrix_two_pass(d, params, m_shots, prob_clip=1e-12):
     """(entries, clamped points) of the Fisher matrix in two closed-form passes:
     the exact gradients with chebyshev_tu_power_sign, then the 1/(p(1-p))
     weights from exact_signal_power_sign over the whole grid again."""
-    from fsimcal.signal_model import k_values, omega_grid
+    from fsimcal.signal_model import omega_grid
 
     omegas = omega_grid(d)
     n = len(omegas)
@@ -515,8 +520,11 @@ def fisher_matrix_two_pass(d, params, m_shots, prob_clip=1e-12):
     x = cw * ct
     t, q = chebyshev_tu_power_sign(d, w, params.theta)
     one_minus_x2 = sw * sw + (cw * st) ** 2
+    dtxq = d * t - x * q
     sq = np.divide(st * st, one_minus_x2, out=np.zeros(n), where=one_minus_x2 > 0.0)
-    sq *= cw * (d * t - x * q)
+    sq *= cw * dtxq
+    dq = np.divide(dtxq, one_minus_x2, out=np.zeros(n), where=one_minus_x2 > 0.0)
+    dq *= sw * ct
     grads = np.empty((3, 2 * n))
     phase = 1j * np.exp(-1j * (params.chi + omegas))
     dh = ct * q * t + t * sq - d * st * st * cw * q * q
@@ -526,7 +534,8 @@ def fisher_matrix_two_pass(d, params, m_shots, prob_clip=1e-12):
     if np.abs(h).max() <= n * np.finfo(float).eps:
         grads[1:] = 0.0
     else:
-        dh = -1j * h - np.fft.ifft(2j * k_values(d) * np.fft.fft(h))
+        dg = dq * t + q * (-d * ct * sw * q) + 1j * ct * (cw * q * q + 2.0 * sw * q * dq)
+        dh = -(phase * st) * dg
         grads[1, :n], grads[1, n:] = dh.real, dh.imag
         grads[2, :n], grads[2, n:] = h.imag, -h.real
     signal = exact_signal_power_sign(d, omegas, params)
@@ -535,6 +544,17 @@ def fisher_matrix_two_pass(d, params, m_shots, prob_clip=1e-12):
     p = np.clip(p, prob_clip, 1.0 - prob_clip)
     entries = m_shots * (grads * (1.0 / (p * (1.0 - p)))) @ grads.T
     return 0.5 * (entries + entries.T), clamped
+
+
+def spectral_phase_gradient(d, params):
+    """dh/dvarphi over the grid by spectral differentiation: dh/dvarphi = -i h - dh/domega,
+    dh/domega from an FFT/IFFT pair, exact because the 2d-1 grid resolves h's
+    harmonics |k| <= d-1.  The derivative gradient_grid took before its closed form."""
+    from fsimcal import exact_signal
+    from fsimcal.signal_model import omega_grid
+
+    h = exact_signal(d, omega_grid(d), params)
+    return -1j * h - np.fft.ifft(2j * k_values(d) * np.fft.fft(h))
 
 
 # The run summary in its earlier form, before the estimator table: one

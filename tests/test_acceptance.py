@@ -28,12 +28,12 @@ from fsimcal import (
 )
 from fsimcal.cli import main as cli_main
 from fsimcal.harness import _alpha_scan_rows, run_confusion_check
-from fsimcal.signal_model import k_values
 
 from oracles import (
     approx_coefficients,
     closed_form_pq,
     extract_pq_coefficients,
+    k_values,
     periodic_unitary_product,
     special_point_pq,
     symmetric_phases,

@@ -26,9 +26,8 @@ from fsimcal import (
     wpa_solve,
 )
 from fsimcal.estimators import variance_theory_theta, variance_theory_theta_pd, variance_theory_varphi
-from fsimcal.signal_model import k_values
 
-from oracles import binomial_signal_replicates, dense_wpa, thomas_wpa, wpa_weights
+from oracles import binomial_signal_replicates, dense_wpa, k_values, thomas_wpa, wpa_weights
 
 D, M, THETA = 50, 100_000, 1e-3
 PARAMS = FsimParams(THETA, np.pi / 16, 5 * np.pi / 32)

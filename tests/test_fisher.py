@@ -1,5 +1,8 @@
 """Fisher information, CRLB closed forms, and the depth-scaling scan."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -12,10 +15,35 @@ from fsimcal.fisher import (
     windowed_slopes,
 )
 
-from oracles import fisher_matrix_two_pass, hand_inverse_3x3, richardson_gradient_grid
+from oracles import fisher_matrix_two_pass, hand_inverse_3x3, richardson_gradient_grid, spectral_phase_gradient
 
 M = 100_000
 PARAMS = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
+REFERENCE = json.loads((pathlib.Path(__file__).parent / "fixtures" / "chebyshev_reference.json").read_text(encoding="utf-8"))
+
+
+def _phase_row(d, params):
+    """gradient_grid's dh/dvarphi as complex values over the grid."""
+    row = gradient_grid(d, params)[0][1]
+    return row[: 2 * d - 1] + 1j * row[2 * d - 1 :]
+
+
+def _scaled_errors(case, phase_row):
+    """|dh/dvarphi - reference| / max |dh/dvarphi| at each phase w of a reference case.
+
+    w is put at the grid angle omega = 0 by varphi = -w.  The principal branch
+    of varphi moves it by 2 pi where |w| >= pi: at w = pi the point lands on -w,
+    where g(-w) = conj(g(w)) gives dg/dw = -conj(dg/dw(w)); the d = 2 grid
+    phases past pi move by an ulp of w.
+    """
+    errors = []
+    for w, (re, im) in zip(case["w"], case["dg_dw"]):
+        params = FsimParams(case["theta"], -w, PARAMS.chi)
+        dg = -complex(re, -im) if -params.varphi == -w != w else complex(re, im)
+        ref = -1j * np.exp(-1j * params.chi) * np.sin(params.theta) * dg
+        dh = phase_row(case["d"], params)
+        errors.append(abs(dh[0] - ref) / np.abs(dh).max())
+    return np.array(errors)
 
 
 class TestGradients:
@@ -36,6 +64,26 @@ class TestGradients:
         assert grads.shape == (3, 2 * (2 * d - 1))
         rel = np.linalg.norm(grads - ref, axis=1) / np.linalg.norm(ref, axis=1)
         assert rel.max() <= 1e-5
+
+
+class TestPhaseDerivative:
+    """The closed-form dh/dvarphi against 60 digits and against the spectral route it replaced."""
+
+    @pytest.mark.parametrize("case", REFERENCE["cases"], ids=lambda c: f"d{c['d']}-theta{c['theta']}")
+    def test_matches_60_digit_reference(self, case):
+        closed = _scaled_errors(case, _phase_row)
+        assert closed.max() <= 1e-12
+        if case["d"] >= 4096 and case["theta"] == 1e-4:
+            assert closed.max() <= _scaled_errors(case, spectral_phase_gradient).max()
+
+    @pytest.mark.parametrize("theta", [1e-4, 1e-3, 1e-2, 0.4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 50, 1000, 4096, 6502])
+    def test_matches_spectral_oracle_within_rounding(self, d, theta):
+        # The spectral route's own error grows like d eps (about 5e-12 against
+        # 60 digits at d = 16384), so the two agree to a few d eps, not to eps.
+        params = FsimParams(theta, -0.7, 1.3)
+        closed, spectral = _phase_row(d, params), spectral_phase_gradient(d, params)
+        assert np.abs(closed - spectral).max() <= 10 * d * np.finfo(float).eps * np.abs(spectral).max()
 
 
 class TestOnePass:

@@ -640,6 +640,15 @@ class TestCli:
             ({"noise": {"shots": 2**63}}, []),
             ({"gate_truth": {"theta": 10**400, "varphi": 0.1, "chi": 0.2}}, []),
             ({"noise": {"confusion": [[None] * 4] * 4}}, []),
+            # null shots: confusion_sample_size would exceed 2**63
+            *(
+                ({"mode": "confusion-check", "noise": {"confusion": ConfusionMatrix.uniform(0.9).entries.tolist()},
+                  "confusion_check": section}, [])
+                for section in ({"epsilon": 1e-9, "trials": 2}, {"epsilon": 1e-9, "shots": None})
+            ),
+            ({"noise": {"drift": {"theta_frac": 0.1, "phase_max": 1e308}}}, []),
+            ({"noise": {"drift": {"theta_frac": -0.1, "phase_max": 0.3}}}, []),
+            ({"mode": "crlb-scan", "depth_grid": [8]}, []),
         ],
     )
     def test_config_rejected_at_build_time_exits_with_one_line(self, tmp_path, capsys, edit, flags):

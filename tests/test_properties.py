@@ -33,7 +33,7 @@ from fsimcal import (
 from fsimcal.fisher import SingularFisherError
 from fsimcal.harness import MODES, EmptyPointError, _summarize
 
-from config_strategies import experiment_configs, sections
+from config_strategies import confusion_checks, experiment_configs, sections
 from oracles import approx_coefficients, summarize_by_name
 
 PHASE = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -123,10 +123,8 @@ def test_config_dict_round_trip(config):
     assert ExperimentConfig.from_dict(config.to_dict()) == config
 
 
-# Small configs of every mode; the declarations draw every field not named here.
-# Drift widths stay in [0, pi] and the confusion check's shots are always given:
-# widths near 1e308 overflow, and a tiny epsilon with no shots asks the sampler
-# for more than 2**63 shots, two faults that valid configs still reach.
+# Small configs of every mode; the declarations draw every field not named here,
+# drift widths over their whole declared range [0, pi].
 SMALL_CONFIGS = experiment_configs(
     max_depth=7,
     # theta = 0 and pi/2 leave the signal without phase information
@@ -135,10 +133,10 @@ SMALL_CONFIGS = experiment_configs(
     noise=sections(
         NoiseConfig,
         shots=st.integers(1, 10**6),
-        drift=st.none() | st.builds(DriftModel, st.floats(0.0, 0.5), st.floats(0.0, math.pi)),
+        drift=st.none() | sections(DriftModel),
     ),
     peak_fit=sections(PeakFitConfig, n_pf=st.integers(3, 9)),
-    confusion_check=sections(ConfusionCheckConfig, trials=st.integers(1, 20), shots=st.integers(1, 2000)),
+    confusion_check=confusion_checks(trials=st.integers(1, 20), shots=st.integers(1, 2000)),
 )
 
 

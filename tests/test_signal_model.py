@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fsimcal import FsimParams, GridMismatchError, exact_signal, omega_grid, spectrum_from_h
-from fsimcal.signal_model import k_values
 from fsimcal.su2 import pq_values
 
 from oracles import (
@@ -19,6 +18,7 @@ from oracles import (
     coefficient,
     exact_probabilities,
     exact_signal_power_sign,
+    k_values,
     snr_leading_order,
     snr_lower_bound,
 )
