@@ -113,16 +113,13 @@ def fourier_estimate(spectrum: FourierSpectrum, m_shots: int) -> EstimateReport:
 
     theta_hat = (1/d) sum_{k=0}^{d-1} |c_k|; varphi_hat = wpa(Delta)/2,
     which lands in (-pi/2, pi/2] (the phase is only identifiable mod pi).
-    Theoretical variances are attached with theta_hat as plug-in.
+    Theoretical variances are attached with theta_hat as plug-in; the depth
+    and zero-coefficient checks are sequential_phase_diffs'.
     """
     d = spectrum.depth
-    if d < 2:
-        raise ValueError("the Fourier estimators need depth >= 2")
-    amps = np.abs(spectrum.nonnegative)
-    if (amps == 0.0).any():
-        raise DegenerateCoefficientError("zero coefficient among k = 0..d-1")
-    theta_hat = float(amps.mean())
     delta = sequential_phase_diffs(spectrum)
+    amps = np.abs(spectrum.nonnegative)
+    theta_hat = float(amps.mean())
     varphi_hat = 0.5 * wpa_solve(delta)
     warn = []
     floor = LOW_SNR_FLOOR_SCALE / math.sqrt(m_shots * (2 * d - 1))
@@ -161,14 +158,13 @@ def estimate_alpha_corrected(spectrum: FourierSpectrum):
     return alpha_hat, rest / alpha_hat
 
 
-def theta_pd_estimate(amplitudes, base_depth: int, m_shots: int, var_phi_pri: float | None = None):
+def theta_pd_estimate(amplitudes, base_depth: int, m_shots: int, var_phi_pri: float):
     """Progressive-difference swap angle from |h| on the depth ladder d..3d.
 
     amplitudes are the d+1 measured moduli at depths d, d+2, ..., 3d with the
-    modulation angle held at the a-priori phase estimate.  Returns
-    (theta_pd, var_theory, bias_budget); the bias budget
-    (13/2) d^2 theta Var(phi_pri) + 37 (d theta)^3 uses theta_pd as plug-in
-    and is None when no prior variance is supplied.
+    modulation angle held at the a-priori phase estimate, whose variance is
+    var_phi_pri.  Returns (theta_pd, var_theory, bias_budget); the bias budget
+    (13/2) d^2 theta Var(phi_pri) + 37 (d theta)^3 uses theta_pd as plug-in.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if amplitudes.shape != (base_depth + 1,):
@@ -176,10 +172,8 @@ def theta_pd_estimate(amplitudes, base_depth: int, m_shots: int, var_phi_pri: fl
     gamma = np.diff(amplitudes)
     theta_pd = 0.5 * wpa_solve(gamma)
     var_theory = variance_theory_theta_pd(base_depth, m_shots)
-    budget = None
-    if var_phi_pri is not None:
-        t = abs(theta_pd)
-        budget = 6.5 * base_depth**2 * t * var_phi_pri + 37.0 * (base_depth * t) ** 3
+    t = abs(theta_pd)
+    budget = 6.5 * base_depth**2 * t * var_phi_pri + 37.0 * (base_depth * t) ** 3
     return float(theta_pd), var_theory, budget
 
 

@@ -50,18 +50,10 @@ class SingularFisherError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class FisherMatrix:
-    """3x3 information matrix over (theta, varphi, chi) for M shots per circuit."""
+    """3x3 information over (theta, varphi, chi) for M shots per circuit, and how many grid p were clipped."""
 
     entries: np.ndarray = field(repr=False)
-    depth: int
-    shots: int
-    clamped_points: int = 0
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (3, 3):
-            raise ValueError("Fisher matrix must be 3x3")
-        object.__setattr__(self, "entries", e)
+    clamped_points: int
 
 
 @dataclass(frozen=True)
@@ -136,7 +128,7 @@ def fisher_matrix(d: int, params: FsimParams, m_shots: int) -> FisherMatrix:
     weights = 1.0 / (p * (1.0 - p))
     entries = m_shots * (grads * weights) @ grads.T
     entries = 0.5 * (entries + entries.T)
-    return FisherMatrix(entries=entries, depth=d, shots=m_shots, clamped_points=clamped)
+    return FisherMatrix(entries=entries, clamped_points=clamped)
 
 
 def preasymptotic_variances(d: int, theta: float, m_shots: int):
@@ -196,26 +188,20 @@ def crlb(d: int, params: FsimParams, m_shots: int) -> CrlbReport:
     )
 
 
-def windowed_slopes(depths, values, half_window: int = 2) -> np.ndarray:
-    """Per-point log-log slope via least squares over +-half_window neighbors."""
+def windowed_slopes(depths, values) -> np.ndarray:
+    """Per-point log-log slope via least squares over the point and up to two neighbors each side."""
     x = np.log(np.asarray(depths, dtype=float))
     y = np.log(np.asarray(values, dtype=float))
     n = len(x)
     out = np.empty(n)
     for i in range(n):
-        lo, hi = max(0, i - half_window), min(n, i + half_window + 1)
+        lo, hi = max(0, i - 2), min(n, i + 3)
         out[i] = np.polyfit(x[lo:hi], y[lo:hi], 1)[0]
     return out
 
 
-def transition_scan(
-    theta: float,
-    m_shots: int,
-    depth_grid,
-    varphi: float = np.pi / 16,
-    chi: float = 5 * np.pi / 32,
-) -> list[dict]:
-    """CRLB table over an ascending depth grid with windowed slope estimates.
+def transition_scan(params: FsimParams, m_shots: int, depth_grid) -> list[dict]:
+    """CRLB table at the gate angles params over an ascending depth grid, with windowed slope estimates.
 
     Rows carry (d, crlb_theta, crlb_varphi, crlb_chi, slope_theta,
     slope_varphi, slope_chi, the closed forms and the regime flag); the
@@ -224,7 +210,7 @@ def transition_scan(
     depths = [int(d) for d in depth_grid]
     if depths != sorted(depths):
         raise ValueError("depth grid must be ascending")
-    reports = [asdict(crlb(d, FsimParams(theta, varphi, chi), m_shots)) for d in depths]
+    reports = [asdict(crlb(d, params, m_shots)) for d in depths]
     slopes = {f"slope_{n}": windowed_slopes(depths, [r[f"crlb_{n}"] for r in reports]) for n in PARAM_NAMES}
     rows = []
     for i, (d, rep) in enumerate(zip(depths, reports)):

@@ -40,11 +40,13 @@ from .noise import (
     CONFUSION,
     INPUT_STATES,
     STREAM_VERSION,
+    ConfusionMatrix,
     InversionRejectedError,
     NoiseConfig,
     confusion_sample_size,
     dem_fidelity,
     gate_count,
+    invert_confusion,
     simulate_probability_batch,
     stream,
 )
@@ -115,7 +117,7 @@ class PeakFitConfig(Section, path="peak_fit"):
 @dataclass(frozen=True)
 class ConfusionCheckConfig(Section, path="confusion_check"):
     epsilon: float = setting(float, 0.05, gt=0.0)
-    alpha: float = setting(float, 0.1, gt=0.0, lt=1.0)
+    alpha: float = setting(float, 0.1, gt=1e-300, lt=1.0)  # 32/alpha stays finite
     trials: int = setting(int, 2000, ge=1)
     constant: float = setting(float, 8.0, gt=0.0)
     shots: int | None = setting(int, None, optional=True, ge=1, lt=1 << 63)  # None -> confusion_sample_size
@@ -162,7 +164,7 @@ class ExperimentConfig(Section):
             return cc.shots
         try:
             return confusion_sample_size(self.noise.confusion.kappa, cc.epsilon, cc.alpha, cc.constant)
-        except (OverflowError, ZeroDivisionError):
+        except OverflowError:
             return math.inf
 
     def to_dict(self) -> dict:
@@ -240,14 +242,14 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicate: int = 
 
 
 def _replicate_task(args):
-    # Only the expected domain failures of one replicate are recorded; anything else is a bug and stops the run.
+    # The record, or the failure of a degenerate coefficient (a fidelity collapse is a warning); a bug stops the run.
     config, point, replicate = args
     try:
         report = run_replicate(config, point=point, replicate=replicate)
-    except (DegenerateCoefficientError, FidelityCollapseError) as exc:
-        return replicate, None, f"{type(exc).__name__}: {exc}"
+    except DegenerateCoefficientError as exc:
+        return {"replicate": replicate, "reason": f"{type(exc).__name__}: {exc}"}
     # The record is the report's fields, shallow: asdict would deep-copy the diagnostics.
-    return replicate, {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}, None
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
 
 
 def _truth_for(name: str, config: ExperimentConfig) -> float:
@@ -299,9 +301,10 @@ def _executor(jobs: int):
 def _run_point(config: ExperimentConfig, *, mode: str, point: int, grid_value, pool) -> dict:
     """All replicates of one calibrate config, summarized into the record of one run point."""
     tasks = [(config, point, rep) for rep in range(config.replicates)]
-    results = sorted((map if pool is None else pool.map)(_replicate_task, tasks), key=lambda r: r[0])
-    reports = [r[1] for r in results if r[1] is not None]
-    failures = [{"replicate": r[0], "reason": r[2]} for r in results if r[2] is not None]
+    # Both maps yield in task order, that is replicate order.
+    results = list((map if pool is None else pool.map)(_replicate_task, tasks))
+    reports = [r for r in results if "reason" not in r]
+    failures = [r for r in results if "reason" in r]
     # The stored snapshot identifies the experiment; where the record is
     # written is environment, so the same (config, seed) stays byte-identical
     # across output locations.
@@ -360,29 +363,28 @@ def run_confusion_check(config: ExperimentConfig) -> dict:
 
     Per trial: estimate the confusion matrix row-wise from M_cmt shots,
     correct a random measured distribution with both the estimated and the
-    exact matrix, and count || p - p_fs ||_2 > epsilon events.  The empirical
-    failure rate must stay below the configured alpha.
+    exact matrix, and count || p - p_fs ||_2 > epsilon events.  An estimate
+    invert_confusion rejects is a failed trial with no error: max_error is
+    over the corrected trials.  The failure rate must stay below alpha.
     """
     cc = config.confusion_check or ConfusionCheckConfig()
     confusion = config.noise.confusion
-    kappa = confusion.kappa
     m_cmt = config.confusion_shots
-    r_true = confusion.entries
     failures = 0
     worst = 0.0
     for trial in range(cc.trials):
         rng = stream(CONFUSION, config.noise.seed, 0, trial, 0)
-        rows = rng.multinomial(m_cmt, r_true) / m_cmt
+        rows = rng.multinomial(m_cmt, confusion.entries) / m_cmt
         q = rng.dirichlet(np.ones(4))
-        p_exact = np.linalg.solve(r_true.T, q)
-        p_fs = np.linalg.solve(rows.T, q)
-        err = float(np.linalg.norm(p_exact - p_fs))
-        worst = max(worst, err)
-        if err > cc.epsilon:
-            failures += 1
+        try:
+            err = float(np.linalg.norm(invert_confusion(q, confusion) - invert_confusion(q, ConfusionMatrix(rows))))
+            worst = max(worst, err)
+        except InversionRejectedError:  # the estimate is not diagonally dominant, singular included
+            err = math.inf
+        failures += err > cc.epsilon
     return {
         "stream_version": STREAM_VERSION,
-        "kappa": kappa,
+        "kappa": confusion.kappa,
         "epsilon": cc.epsilon,
         "alpha": cc.alpha,
         "constant": cc.constant,
@@ -469,10 +471,7 @@ def _at_shots(config: ExperimentConfig) -> list:
 
 def _crlb_scan_payloads(config: ExperimentConfig, jobs: int) -> dict:
     """Exact CRLB and slope table over the configured depth grid."""
-    truth = config.gate_truth
-    rows = fisher.transition_scan(
-        truth.theta, config.noise.shots, config.depth_grid, varphi=truth.varphi, chi=truth.chi
-    )
+    rows = fisher.transition_scan(config.gate_truth, config.noise.shots, config.depth_grid)
     return {"rows": rows, "table": [[r[c] for c in _CRLB_COLUMNS] for r in rows]}
 
 

@@ -186,11 +186,11 @@ def invert_confusion(q4_measured, confusion: ConfusionMatrix) -> np.ndarray:
     return np.linalg.solve(rt, rows[..., None])[..., 0].T
 
 
-def confusion_sample_size(kappa: float, epsilon: float, alpha_conf: float, constant: float = 8.0) -> int:
+def confusion_sample_size(kappa: float, epsilon: float, alpha_conf: float, constant: float) -> int:
     """Shots per preparation row guaranteeing || p - p_fs ||_2 <= epsilon w.p. 1 - alpha.
 
-    ceil(C kappa^2 (kappa + eps)^2 ln(32/alpha) / eps^2); the default C = 8 is
-    the conservative proof-backed constant and may be overridden.
+    ceil(C kappa^2 ((kappa + eps)/eps)^2 ln(32/alpha)), the ratio formed first so a huge eps
+    cannot overflow; C = 8 is the conservative proof-backed constant.
     """
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
@@ -198,7 +198,7 @@ def confusion_sample_size(kappa: float, epsilon: float, alpha_conf: float, const
         raise ValueError("epsilon must be positive")
     if not 0.0 < alpha_conf < 1.0:
         raise ValueError("alpha_conf must be in (0, 1)")
-    return math.ceil(constant * kappa**2 * (kappa + epsilon) ** 2 * math.log(32.0 / alpha_conf) / epsilon**2)
+    return math.ceil(constant * kappa**2 * ((kappa + epsilon) / epsilon) ** 2 * math.log(32.0 / alpha_conf))
 
 
 def _drifted_survival(d, omegas, params, drift, rng, beta):
@@ -237,17 +237,16 @@ def simulate_probability_batch(
     point: int = 0,
     replicate: int = 0,
     block: int = 0,
-    correct_readout: bool = True,
 ) -> np.ndarray:
     """Empirical |01> probabilities for a batch of circuits at angles omegas.
 
     d is one depth or one depth per circuit.  The batch draws from one
     generator, keyed (CIRCUIT, seed, point, replicate, block): the drift
     uniforms of each distinct depth in ascending depth order, then one
-    multinomial over all rows.  With correct_readout the sampled 4-outcome
-    frequencies are pushed through the inverse confusion matrix before the
-    01 component is returned.  Depolarizing, readout mixing and correction
-    act on each row alone.
+    multinomial over all rows.  Under a confusion matrix the sampled 4-outcome
+    frequencies are pushed through its inverse before the 01 component is
+    returned.  Depolarizing, readout mixing and correction act on each row
+    alone.
     """
     if input_state not in INPUT_STATES:
         raise ValueError(f"input_state must be one of {INPUT_STATES}")
@@ -272,6 +271,6 @@ def simulate_probability_batch(
     if noise.confusion is not None:
         q4 = (q4[:, None, :] @ noise.confusion.entries)[:, 0]
     freq = rng.multinomial(noise.shots, q4 / q4.sum(axis=1, keepdims=True)) / noise.shots
-    if correct_readout and noise.confusion is not None:
+    if noise.confusion is not None:
         freq = invert_confusion(freq.T, noise.confusion).T
     return freq[:, 1]

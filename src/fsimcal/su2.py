@@ -42,11 +42,11 @@ class FsimParams(Section, path="gate_truth"):
 
     theta is the swap angle between |01> and |10>; varphi is the differential
     Z phase and chi the off-diagonal phase.  The phases are stored on the
-    principal branch (-pi, pi]; theta is kept as given so the full range is
-    available to oracle tests even though calibration targets theta << 1.
+    principal branch (-pi, pi]; theta is kept as given, and must lie in
+    [-pi, pi], even though calibration targets theta << 1.
     """
 
-    theta: float = setting(float)
+    theta: float = setting(float, ge=-math.pi, le=math.pi)
     varphi: float = setting(float, normalize=wrap_angle)
     chi: float = setting(float, normalize=wrap_angle)
 

@@ -240,12 +240,12 @@ class TestThetaPd:
         assert budget == pytest.approx(37 * (D * abs(theta_pd)) ** 3)
 
     def test_flat_ladder_gives_zero(self):
-        theta_pd, _, _ = theta_pd_estimate(np.full(11, 0.25), 10, 100)
+        theta_pd, _, _ = theta_pd_estimate(np.full(11, 0.25), 10, 100, 0.0)
         assert theta_pd == 0.0
 
     def test_missing_depths(self):
         with pytest.raises(ValueError):
-            theta_pd_estimate(np.zeros(10), 10, 100)
+            theta_pd_estimate(np.zeros(10), 10, 100, 0.0)
 
     def test_monte_carlo_variance_and_bias(self):
         reps = 600
@@ -259,7 +259,7 @@ class TestThetaPd:
         ex = rng.binomial(M, px, size=(reps, len(depths))) / M
         ey = rng.binomial(M, py, size=(reps, len(depths))) / M
         amps = np.hypot(ex - 0.5, ey - 0.5)
-        estimates = np.array([theta_pd_estimate(a, D, M)[0] for a in amps])
+        estimates = np.array([theta_pd_estimate(a, D, M, 0.0)[0] for a in amps])
         ratio = estimates.var() / variance_theory_theta_pd(D, M)
         assert 0.6 < ratio < 1.4
         corollary_budget = 39.0 / (16 * D * D * M * THETA) + 7.0 * D * THETA / M + 19.0 * (D * THETA) ** 3

@@ -194,7 +194,7 @@ class TestTransitionScan:
         assert np.abs(slopes + 1.0).max() < 1e-12
 
     def test_rows_and_ordering(self):
-        rows = transition_scan(1e-2, M, [4, 8, 16])
+        rows = transition_scan(FsimParams(1e-2, PARAMS.varphi, PARAMS.chi), M, [4, 8, 16])
         assert [r["d"] for r in rows] == [4, 8, 16]
         assert set(rows[0]) >= {
             "d",
@@ -208,9 +208,9 @@ class TestTransitionScan:
             "regime_flag",
         }
         with pytest.raises(ValueError):
-            transition_scan(1e-2, M, [8, 4])
+            transition_scan(FsimParams(1e-2, PARAMS.varphi, PARAMS.chi), M, [8, 4])
 
     def test_preasymptotic_slope_near_minus_four(self):
-        rows = transition_scan(1e-3, M, [20, 30, 45, 70, 100, 150])
+        rows = transition_scan(PARAMS, M, [20, 30, 45, 70, 100, 150])
         inner = rows[2]
         assert -4.4 < inner["slope_varphi"] < -3.7

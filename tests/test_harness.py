@@ -429,7 +429,7 @@ class TestConfusionCheck:
 
 class TestFigures:
     def test_crlb_figure_schema(self, tmp_path):
-        rows = transition_scan(1e-2, 1000, (4, 8, 16))
+        rows = transition_scan(FsimParams(1e-2, TRUTH.varphi, TRUTH.chi), 1000, (4, 8, 16))
         path = emit_figure_data(rows, "crlb-vs-depth", str(tmp_path))
         with open(path, encoding="utf-8", newline="") as fh:
             lines = fh.read().splitlines()
@@ -649,6 +649,7 @@ class TestCli:
             ({"noise": {"drift": {"theta_frac": 0.1, "phase_max": 1e308}}}, []),
             ({"noise": {"drift": {"theta_frac": -0.1, "phase_max": 0.3}}}, []),
             ({"mode": "crlb-scan", "depth_grid": [8]}, []),
+            ({"gate_truth": {"theta": 1e308, "varphi": 0.1, "chi": 0.2}}, []),
         ],
     )
     def test_config_rejected_at_build_time_exits_with_one_line(self, tmp_path, capsys, edit, flags):
@@ -664,6 +665,23 @@ class TestCli:
         assert err.startswith(f"fsimcal {command}: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, m_cmt",
+        [*(({"trials": 200, "shots": m}, m) for m in (1, 2, 3)), ({"trials": 200, "epsilon": 1e300}, 73)],
+    )
+    def test_confusion_check_runs_at_any_valid_shot_count(self, tmp_path, section, m_cmt):
+        # A few shots per row can estimate a singular matrix: a failed trial, not a traceback.
+        # A huge epsilon with null shots is sized at about C kappa^2 ln(32/alpha), not rejected as inf.
+        data = small_config(output_dir=str(tmp_path / "out")).to_dict()
+        data.update(mode="confusion-check", confusion_check=section)
+        data["noise"].update(confusion=ConfusionMatrix.uniform(0.9).entries.tolist(), seed=3)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data), encoding="utf-8")
+        assert cli_main(["confusion-check", "--config", str(cfg_path)]) == 0
+        text = (tmp_path / "out" / "confusion_check.json").read_text(encoding="utf-8")
+        report = json.loads(text, parse_constant=lambda token: pytest.fail(f"non-finite JSON number {token}"))
+        assert report["m_cmt"] == m_cmt
 
     def test_mode_subcommand_mismatch(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

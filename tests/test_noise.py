@@ -42,6 +42,14 @@ from oracles import (
 PARAMS = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
 
 
+def raw_readout(monkeypatch):
+    """Skip the sampler's readout correction, so it returns the measured frequencies.
+
+    simulate_probability_batch looks invert_confusion up as a module global.
+    """
+    monkeypatch.setattr(noise_module, "invert_confusion", lambda q4_measured, confusion: q4_measured)
+
+
 class TestSampleCounts:
     """The shot draw of simulate_probability_batch, one circuit per sample.
 
@@ -51,14 +59,15 @@ class TestSampleCounts:
 
     FLAT = FsimParams(0.0, 0.3, -0.7)
 
-    def test_degenerate_probabilities(self):
+    def test_degenerate_probabilities(self, monkeypatch):
         # A readout that reports every outcome as 01 (or as 00) pins the
         # measured frequency at 1 (or 0) whatever the circuit.
+        raw_readout(monkeypatch)
         for column, expected in ((1, 1.0), (0, 0.0)):
             entries = np.zeros((4, 4))
             entries[:, column] = 1.0
             noise = NoiseConfig(shots=1000, seed=1, confusion=ConfusionMatrix(entries))
-            p = simulate_probability_batch(5, [0.1, 0.7], PARAMS, noise, "plus", correct_readout=False)
+            p = simulate_probability_batch(5, [0.1, 0.7], PARAMS, noise, "plus")
             assert (p == expected).all()
 
     def test_variance_window(self):
@@ -159,16 +168,15 @@ class TestSimulate:
         assert a == b
         assert a != c and a != e
 
-    def test_batch_matches_single_circuit_path(self):
+    def test_batch_matches_single_circuit_path(self, monkeypatch):
         # Each circuit gate by gate, drawing from the block's generator in the
         # documented order: drift uniforms per depth, ascending, then the shots.
+        raw_readout(monkeypatch)
         depths = np.array([7, 3, 7, 5, 3, 7])
         omegas = np.linspace(0.2, 2.9, len(depths))
         for kind, noise in NOISE_KINDS.items():
             for state, beta in (("plus", 1.0), ("i", 1.0j)):
-                batch = simulate_probability_batch(
-                    depths, omegas, PARAMS, noise, state, point=2, replicate=1, block=9, correct_readout=False
-                )
+                batch = simulate_probability_batch(depths, omegas, PARAMS, noise, state, point=2, replicate=1, block=9)
                 counts = brute_noisy_counts(depths, omegas, PARAMS, noise, beta, (CIRCUIT, noise.seed, 2, 1, 9))
                 assert np.allclose(batch, counts[:, 1] / noise.shots, atol=0), kind
 
@@ -392,14 +400,16 @@ class TestBatchSeeding:
 
 
 class TestConfusion:
-    def test_apply_identity(self):
+    def test_apply_identity(self, monkeypatch):
         # An identity readout leaves the sampled frequencies bit for bit.
         plain = NoiseConfig(shots=1000, depol_rate=1e-2, seed=4)
         ideal = NoiseConfig(shots=1000, depol_rate=1e-2, seed=4, confusion=ConfusionMatrix(np.eye(4)))
         omegas = np.linspace(0.0, 3.0, 7)
         for correct in (True, False):
-            a = simulate_probability_batch(5, omegas, PARAMS, plain, "i", correct_readout=correct)
-            b = simulate_probability_batch(5, omegas, PARAMS, ideal, "i", correct_readout=correct)
+            if not correct:
+                raw_readout(monkeypatch)
+            a = simulate_probability_batch(5, omegas, PARAMS, plain, "i")
+            b = simulate_probability_batch(5, omegas, PARAMS, ideal, "i")
             assert np.array_equal(a, b)
 
     def test_single_row_readout(self):
@@ -435,11 +445,12 @@ class TestConfusion:
         for j in range(5):
             assert batch[:, j].tobytes() == invert_confusion(q[:, j], r).tobytes()
 
-    def test_batch_readout_correction_rejects_non_dominant_matrix(self):
+    def test_batch_readout_correction_rejects_non_dominant_matrix(self, monkeypatch):
         noise = NoiseConfig(shots=1000, seed=3, confusion=ConfusionMatrix.uniform(0.4))
         with pytest.raises(InversionRejectedError):
             simulate_probability_batch(5, [0.1, 0.2], PARAMS, noise, "plus")
-        raw = simulate_probability_batch(5, [0.1, 0.2], PARAMS, noise, "plus", correct_readout=False)
+        raw_readout(monkeypatch)
+        raw = simulate_probability_batch(5, [0.1, 0.2], PARAMS, noise, "plus")
         assert raw.shape == (2,)
 
     def test_kappa(self):
@@ -457,11 +468,11 @@ class TestConfusionSampleSize:
     def test_plug_in_arithmetic(self):
         # independently recomputed: ceil(8 * 1 * 1.1^2 * ln(32/0.05) / 0.1^2)
         expected = math.ceil(8.0 * 1.0 * 1.21 * math.log(640.0) / 0.01)
-        assert confusion_sample_size(1.0, 0.1, 0.05) == expected
+        assert confusion_sample_size(1.0, 0.1, 0.05, 8.0) == expected
 
     def test_monotone_in_epsilon_with_asymptote(self):
         kappa, alpha = 1.3, 0.05
-        sizes = [confusion_sample_size(kappa, e, alpha) for e in (0.01, 0.05, 0.1, 1.0, 10.0, 1e6)]
+        sizes = [confusion_sample_size(kappa, e, alpha, 8.0) for e in (0.01, 0.05, 0.1, 1.0, 10.0, 1e6)]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
         # epsilon -> inf asymptote: (kappa+eps)^2/eps^2 -> 1, so 8 k^2 ln(32/a)
         asymptote = 8 * kappa**2 * math.log(32 / alpha)
@@ -469,16 +480,16 @@ class TestConfusionSampleSize:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            confusion_sample_size(0.5, 0.1, 0.05)
+            confusion_sample_size(0.5, 0.1, 0.05, 8.0)
         with pytest.raises(ValueError):
-            confusion_sample_size(1.0, -0.1, 0.05)
+            confusion_sample_size(1.0, -0.1, 0.05, 8.0)
         with pytest.raises(ValueError):
-            confusion_sample_size(1.0, 0.1, 1.5)
+            confusion_sample_size(1.0, 0.1, 1.5, 8.0)
 
     def test_finite_sample_coverage_small(self):
         r = ConfusionMatrix.uniform(0.95)
         eps, alpha = 0.05, 0.1
-        m_cmt = confusion_sample_size(r.kappa, eps, alpha)
+        m_cmt = confusion_sample_size(r.kappa, eps, alpha, 8.0)
         rng = stream(99)
         failures = 0
         trials = 200

@@ -160,6 +160,15 @@ def _finite_or_text(cell):
     )
 )
 @example(ExperimentConfig(mode="crlb-scan", gate_truth=FsimParams(math.pi / 2, 0.3, -0.2), depth_grid=(2, 3)))
+# One shot per row makes a singular estimate of the confusion matrix in some trial.
+@example(
+    ExperimentConfig(
+        mode="confusion-check",
+        gate_truth=FsimParams(1e-3, 0.3, -0.2),
+        noise=NoiseConfig(confusion=ConfusionMatrix.uniform(0.9), seed=3),
+        confusion_check=ConfusionCheckConfig(trials=20, shots=1),
+    )
+)
 @settings(max_examples=100, deadline=None)
 def test_every_mode_writes_only_finite_numbers(config):
     with tempfile.TemporaryDirectory() as tmp:
