@@ -38,7 +38,6 @@ from .estimators import (
 from .noise import (
     BOOTSTRAP,
     CONFUSION,
-    INPUT_STATES,
     STREAM_VERSION,
     ConfusionMatrix,
     InversionRejectedError,
@@ -195,21 +194,16 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicate: int = 
 
     Simulates the 2(2d-1) grid circuits, reconstructs h, applies the Fourier
     estimators, then (as configured) the fidelity correction, the
-    progressive-difference ladder (depths d, d+2, ..., 3d, one batch per
-    input state) and the peak fit, both using varphi_hat as the a-priori
-    phase.
+    progressive-difference ladder (depths d, d+2, ..., 3d, one batch) and
+    the peak fit, both using varphi_hat as the a-priori phase.  Each stage is
+    one simulator call that covers both input states.
     """
     d = config.depth
     params, noise = config.gate_truth, config.noise
 
-    def simulate(depth, omegas, stage):
-        # One block per (stage, input state): grid 0/1, ladder 2/3, peak fit 4/5.
-        return [
-            simulate_probability_batch(
-                depth, omegas, params, noise, state, point=point, replicate=replicate, block=2 * stage + k
-            )
-            for k, state in enumerate(INPUT_STATES)
-        ]
+    def simulate(depth, omegas, block):
+        # One call per stage, both inputs: grid block 0, ladder 2, peak fit 4; input k draws from block + k.
+        return simulate_probability_batch(depth, omegas, params, noise, point=point, replicate=replicate, block=block)
 
     grid = omega_grid(d)
     px, py = simulate(d, grid, 0)
@@ -225,7 +219,7 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicate: int = 
     phi_pri = report.varphi_hat
     if config.theta_pd:
         depths = np.arange(d, 3 * d + 1, 2)
-        pxl, pyl = simulate(depths, np.full(len(depths), phi_pri), 1)
+        pxl, pyl = simulate(depths, np.full(len(depths), phi_pri), 2)
         amps = [math.hypot(x - 0.5, y - 0.5) for x, y in zip(pxl.tolist(), pyl.tolist())]
         theta_pd, var_pd, budget = theta_pd_estimate(amps, d, noise.shots, var_phi_pri=report.var_theory_varphi)
         report.theta_pd = theta_pd
@@ -234,7 +228,7 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicate: int = 
     if config.peak_fit.enabled:
         n_pf = config.peak_fit.n_pf
         local = phi_pri + (np.pi / d) * (np.arange(n_pf) / (n_pf - 1) - 0.5)
-        pxp, pyp = simulate(d, local, 2)
+        pxp, pyp = simulate(d, local, 4)
         result = peak_fit(local, np.hypot(pxp - 0.5, pyp - 0.5), d, phi_pri, config.peak_fit.beta_thr)
         report.theta_pf = result.theta_pf
         report.diagnostics["peak_fit"] = {key: getattr(result, key) for key in ("beta0", "beta1", "beta2", "accepted")}
@@ -293,7 +287,7 @@ def _summarize(config: ExperimentConfig, reports: list[dict], point: int) -> dic
 def _executor(jobs: int):
     """One worker pool for a whole run; jobs <= 1 runs replicates in this process.
 
-    The pool forks all its workers at the first task; callers cap jobs at one point's replicates.
+    The pool forks all its workers at the first task; callers cap jobs at one point's replicates and the usable CPUs.
     """
     return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
 
@@ -329,7 +323,8 @@ def run_points(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     points = MODES[config.mode].points
     if points is None:
         raise ValueError(f"mode {config.mode!r} samples no run points")
-    with _executor(min(jobs, config.replicates)) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1  # usable CPUs
+    with _executor(min(jobs, config.replicates, cpus)) as pool:
         return [
             _run_point(point, mode=config.mode, point=i, grid_value=g, pool=pool)
             for i, (g, point) in enumerate(points(config))

@@ -1,11 +1,13 @@
 """Noisy data generation: finite shots, depolarizing, drift, readout error.
 
 Every random draw comes from a generator keyed by (kind, seed, point,
-replicate, block), one per batch of circuits, so datasets are bit-identical
-regardless of evaluation order or parallelism.  The measured object is
-always the 4-outcome distribution over two-qubit bitstrings (00, 01, 10,
-11); the subspace signal lives in outcomes 01/10 and depolarizing leaks
-weight onto 00/11.
+replicate, block), so datasets are bit-identical regardless of evaluation
+order or parallelism.  One simulator call covers a batch of circuits from
+both input states: input k draws from block b + k, the noiseless signal is
+evaluated once for both, and the drift pass runs over both inputs' columns
+at once.  The measured object is always the 4-outcome distribution over
+two-qubit bitstrings (00, 01, 10, 11); the subspace signal lives in
+outcomes 01/10 and depolarizing leaks weight onto 00/11.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
 ]
 
 INPUT_STATES = ("plus", "i")
-_BETA = {"plus": 1.0 + 0.0j, "i": 1.0j}
 
 
 class InversionRejectedError(ValueError):
@@ -174,7 +175,7 @@ def gate_count(d: int, input_state: str) -> int:
 def invert_confusion(q4_measured, confusion: ConfusionMatrix) -> np.ndarray:
     """Solve R^T p = q_measured; the corrected vector is not clipped to [0, 1].
 
-    q_measured is one (4,) distribution or a (4, n) stack of columns, each
+    q_measured is one (4,) distribution or a (4, ...) stack of columns, each
     solved on its own, so a column's bits do not depend on the columns beside
     it.  Clipping would bias the Fourier coefficients downstream, so small
     negative components are passed through as-is.
@@ -201,19 +202,20 @@ def confusion_sample_size(kappa: float, epsilon: float, alpha_conf: float, const
     return math.ceil(constant * kappa**2 * ((kappa + epsilon) / epsilon) ** 2 * math.log(32.0 / alpha_conf))
 
 
-def _drifted_survival(d, omegas, params, drift, rng, beta):
-    """|<01| circuit |beta>|^2 with fresh per-gate drift per circuit.
+def _drifted_survival(d, omegas, params, drift, rngs):
+    """|<01| circuit |input>|^2 with fresh per-gate drift per circuit, one row per input.
 
-    The drift uniforms are one (3, d, nc) draw from rng: the (theta, varphi,
-    chi) offsets of every gate of every circuit.  Each gate, with the Z
-    rotation folded in, is [[a, b], [-conj(b), conj(a)]],
+    Input k's drift uniforms are one (3, d, nc) draw from rngs[k]: the (theta,
+    varphi, chi) offsets of every gate of every circuit.  Each gate, with the
+    Z rotation folded in, is [[a, b], [-conj(b), conj(a)]],
     a = cos(th) e^{-i(ph - omega)}, b = sin(th) (sin(ch + omega) - i cos(ch + omega)).
     Only row 0 of the product reaches the amplitude; it is carried as a row
-    vector from the last gate back to the first.
+    vector from the last gate back to the first, over the 2 nc columns of
+    both inputs at once.
     """
-    u = rng.uniform(-1.0, 1.0, size=(3, d, len(omegas)))
+    u = np.stack([rng.uniform(-1.0, 1.0, size=(3, d, len(omegas))) for rng in rngs], axis=2)
     dth, ramp = drift.half_widths(d, params.theta)
-    ramp = ramp[:, None]
+    ramp = ramp[:, None, None]
     th = params.theta + dth * u[0]
     ph = params.varphi + ramp * u[1] - omegas
     ch = params.chi + ramp * u[2] + omegas
@@ -224,7 +226,8 @@ def _drifted_survival(d, omegas, params, drift, rng, beta):
     r0, r1 = a[-1], b[-1]
     for g in range(d - 2, -1, -1):
         r0, r1 = r0 * a[g] - r1 * b_conj[g], r0 * b[g] + r1 * a_conj[g]
-    return np.abs(r0 + beta * r1) ** 2 / 2.0
+    # The X input (|01> + |10>)/sqrt2 and the Y input (|01> + i|10>)/sqrt2.
+    return np.abs(r0 + np.array([[1.0], [1.0j]]) * r1) ** 2 / 2.0
 
 
 def simulate_probability_batch(
@@ -232,45 +235,44 @@ def simulate_probability_batch(
     omegas,
     params: FsimParams,
     noise: NoiseConfig,
-    input_state: str,
     *,
     point: int = 0,
     replicate: int = 0,
     block: int = 0,
 ) -> np.ndarray:
-    """Empirical |01> probabilities for a batch of circuits at angles omegas.
+    """Empirical |01> probabilities for a batch of circuits at angles omegas, from both inputs.
 
-    d is one depth or one depth per circuit.  The batch draws from one
-    generator, keyed (CIRCUIT, seed, point, replicate, block): the drift
+    Returns a (2, n) array: row 0 for the X input, row 1 for the Y input.  d
+    is one depth or one depth per circuit.  Input k draws from its own
+    generator, keyed (CIRCUIT, seed, point, replicate, block + k): the drift
     uniforms of each distinct depth in ascending depth order, then one
-    multinomial over all rows.  Under a confusion matrix the sampled 4-outcome
-    frequencies are pushed through its inverse before the 01 component is
-    returned.  Depolarizing, readout mixing and correction act on each row
-    alone.
+    multinomial over all its rows.  Under a confusion matrix the sampled
+    4-outcome frequencies are pushed through its inverse before the 01
+    component is returned.  Depolarizing, readout mixing and correction act
+    on each row alone.
     """
-    if input_state not in INPUT_STATES:
-        raise ValueError(f"input_state must be one of {INPUT_STATES}")
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     depths = np.broadcast_to(d, omegas.shape)
-    beta = _BETA[input_state]
     if noise.exact or noise.drift is None:
-        p = 0.5 + (np.conj(beta) * exact_signal(depths, omegas, params)).real
+        h = exact_signal(depths, omegas, params)
+        p = 0.5 + np.stack([h.real, h.imag])
         if noise.exact:
             return p
-    rng = stream(CIRCUIT, noise.seed, point, replicate, block)
+    rngs = [stream(CIRCUIT, noise.seed, point, replicate, block + k) for k in range(len(INPUT_STATES))]
     if noise.drift is not None:
-        p = np.empty(len(omegas))
+        p = np.empty((len(rngs), len(omegas)))
         for dj in np.unique(depths):
             at = depths == dj
-            p[at] = _drifted_survival(int(dj), omegas[at], params, noise.drift, rng, beta)
-    alpha = (1.0 - noise.depol_rate) ** gate_count(depths, input_state)
-    q4 = np.empty((len(omegas), 4))
-    q4[:, 0] = q4[:, 3] = (1.0 - alpha) / 4.0
-    q4[:, 1] = apply_depolarizing(p, alpha)
-    q4[:, 2] = apply_depolarizing(1.0 - p, alpha)
+            p[:, at] = _drifted_survival(int(dj), omegas[at], params, noise.drift, rngs)
+    alpha = (1.0 - noise.depol_rate) ** np.stack([gate_count(depths, state) for state in INPUT_STATES])
+    q4 = np.empty(p.shape + (4,))
+    q4[..., 0] = q4[..., 3] = (1.0 - alpha) / 4.0
+    q4[..., 1] = apply_depolarizing(p, alpha)
+    q4[..., 2] = apply_depolarizing(1.0 - p, alpha)
     if noise.confusion is not None:
-        q4 = (q4[:, None, :] @ noise.confusion.entries)[:, 0]
-    freq = rng.multinomial(noise.shots, q4 / q4.sum(axis=1, keepdims=True)) / noise.shots
+        q4 = (q4[..., None, :] @ noise.confusion.entries)[..., 0, :]
+    q4 /= q4.sum(axis=-1, keepdims=True)
+    freq = np.stack([rng.multinomial(noise.shots, q) for rng, q in zip(rngs, q4)]) / noise.shots
     if noise.confusion is not None:
         freq = invert_confusion(freq.T, noise.confusion).T
-    return freq[:, 1]
+    return freq[..., 1]

@@ -7,13 +7,26 @@ route.  The closed-form references are the paper's formulas the package
 itself does not need: the power-of-two doubling recurrence, the first-order
 coefficient profile, the amplitude profile, the SNR bounds and the
 parabolic weights of the weighted phase average.  The run summary is kept
-in its earlier per-name form, against which the table-driven one is checked.
+in its earlier per-name form, against which the table-driven one is checked,
+and the simulator in its earlier one-input-per-call form.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from fsimcal.noise import (
+    CIRCUIT,
+    INPUT_STATES,
+    NoiseConfig,
+    apply_depolarizing,
+    gate_count,
+    invert_confusion,
+    stream,
+)
+from fsimcal.signal_model import exact_signal
+from fsimcal.su2 import FsimParams
 
 
 def z_rot(a):
@@ -379,8 +392,6 @@ def brute_noisy_counts(depths, omegas, params, noise, beta, key):
     of that depth in block order, then one multinomial shot draw over the
     depolarized, readout-confused distributions of all circuits.
     """
-    from fsimcal.noise import stream
-
     rng = stream(*key)
     depths = np.broadcast_to(depths, np.shape(omegas))
     offsets = [np.zeros((d, 3)) for d in depths]
@@ -434,6 +445,88 @@ def drifted_survival_matmul(d, omegas, params, drift, rng, beta):
         v = gates[:, g] @ v
     amp = (v[:, 0, 0] + beta * v[:, 0, 1]) / np.sqrt(2.0)
     return np.abs(amp) ** 2
+
+
+# The simulator as it was before one call covered both inputs, copied as it
+# stood: one input state per call, drawing from stream(CIRCUIT, seed, point,
+# replicate, block).  Row k of today's simulate_probability_batch must equal
+# it byte for byte for input state INPUT_STATES[k] at block + k.
+_BETA = {"plus": 1.0 + 0.0j, "i": 1.0j}
+
+
+def drifted_survival_one_input(d, omegas, params, drift, rng, beta):
+    """|<01| circuit |beta>|^2 with fresh per-gate drift per circuit.
+
+    The drift uniforms are one (3, d, nc) draw from rng: the (theta, varphi,
+    chi) offsets of every gate of every circuit.  Each gate, with the Z
+    rotation folded in, is [[a, b], [-conj(b), conj(a)]],
+    a = cos(th) e^{-i(ph - omega)}, b = sin(th) (sin(ch + omega) - i cos(ch + omega)).
+    Only row 0 of the product reaches the amplitude; it is carried as a row
+    vector from the last gate back to the first.
+    """
+    u = rng.uniform(-1.0, 1.0, size=(3, d, len(omegas)))
+    dth, ramp = drift.half_widths(d, params.theta)
+    ramp = ramp[:, None]
+    th = params.theta + dth * u[0]
+    ph = params.varphi + ramp * u[1] - omegas
+    ch = params.chi + ramp * u[2] + omegas
+    ct, st = np.cos(th), np.sin(th)
+    a = ct * np.cos(ph) - 1j * (ct * np.sin(ph))
+    b = st * np.sin(ch) - 1j * (st * np.cos(ch))
+    a_conj, b_conj = a.conj(), b.conj()
+    r0, r1 = a[-1], b[-1]
+    for g in range(d - 2, -1, -1):
+        r0, r1 = r0 * a[g] - r1 * b_conj[g], r0 * b[g] + r1 * a_conj[g]
+    return np.abs(r0 + beta * r1) ** 2 / 2.0
+
+
+def simulate_probability_batch_one_input(
+    d,
+    omegas,
+    params: FsimParams,
+    noise: NoiseConfig,
+    input_state: str,
+    *,
+    point: int = 0,
+    replicate: int = 0,
+    block: int = 0,
+) -> np.ndarray:
+    """Empirical |01> probabilities for a batch of circuits at angles omegas.
+
+    d is one depth or one depth per circuit.  The batch draws from one
+    generator, keyed (CIRCUIT, seed, point, replicate, block): the drift
+    uniforms of each distinct depth in ascending depth order, then one
+    multinomial over all rows.  Under a confusion matrix the sampled 4-outcome
+    frequencies are pushed through its inverse before the 01 component is
+    returned.  Depolarizing, readout mixing and correction act on each row
+    alone.
+    """
+    if input_state not in INPUT_STATES:
+        raise ValueError(f"input_state must be one of {INPUT_STATES}")
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    depths = np.broadcast_to(d, omegas.shape)
+    beta = _BETA[input_state]
+    if noise.exact or noise.drift is None:
+        p = 0.5 + (np.conj(beta) * exact_signal(depths, omegas, params)).real
+        if noise.exact:
+            return p
+    rng = stream(CIRCUIT, noise.seed, point, replicate, block)
+    if noise.drift is not None:
+        p = np.empty(len(omegas))
+        for dj in np.unique(depths):
+            at = depths == dj
+            p[at] = drifted_survival_one_input(int(dj), omegas[at], params, noise.drift, rng, beta)
+    alpha = (1.0 - noise.depol_rate) ** gate_count(depths, input_state)
+    q4 = np.empty((len(omegas), 4))
+    q4[:, 0] = q4[:, 3] = (1.0 - alpha) / 4.0
+    q4[:, 1] = apply_depolarizing(p, alpha)
+    q4[:, 2] = apply_depolarizing(1.0 - p, alpha)
+    if noise.confusion is not None:
+        q4 = (q4[:, None, :] @ noise.confusion.entries)[:, 0]
+    freq = rng.multinomial(noise.shots, q4 / q4.sum(axis=1, keepdims=True)) / noise.shots
+    if noise.confusion is not None:
+        freq = invert_confusion(freq.T, noise.confusion).T
+    return freq[:, 1]
 
 
 def bootstrap_means_loop(sq, rng, resamples=1000):

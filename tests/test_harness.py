@@ -203,10 +203,19 @@ class TestRunCalibration:
         assert rec["replicates"] == []
         assert rec["summary"] == {}
 
-    @pytest.mark.parametrize("run, jobs, workers", [("calibrate", 500, 3), ("sweep", 500, 3), ("calibrate", 2, 2)])
-    def test_worker_pool_never_exceeds_the_replicates(self, monkeypatch, run, jobs, workers):
+    @pytest.mark.parametrize(
+        "run, jobs, cpus, workers",
+        [
+            pytest.param("calibrate", 500, 8, 3, id="calibrate-500-3"),
+            pytest.param("sweep", 500, 8, 3, id="sweep-500-3"),
+            pytest.param("calibrate", 2, 8, 2, id="calibrate-2-2"),
+            pytest.param("calibrate", 500, 2, 2, id="calibrate-500-2-cpus"),
+        ],
+    )
+    def test_worker_pool_never_exceeds_the_replicates(self, monkeypatch, run, jobs, cpus, workers):
         # The pool forks all of its workers at the first task: it is sized
-        # before any is started, here by a stand-in that runs tasks in-process.
+        # before any is started, here by a stand-in that runs tasks in-process,
+        # on a stand-in machine with cpus usable CPUs.
         sizes = []
 
         class InProcessPool:
@@ -223,6 +232,8 @@ class TestRunCalibration:
                 return map(fn, tasks)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         if run == "calibrate":
             run_points(small_config(replicates=3, peak_fit=PeakFitConfig(enabled=False)), jobs=jobs)
         else:

@@ -1,5 +1,6 @@
 """Shot sampling, depolarizing, drift, readout confusion, and their statistics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from fsimcal import (
 from fsimcal import harness
 from fsimcal import noise as noise_module
 from fsimcal.estimators import theta_pd_estimate
-from fsimcal.noise import _BETA, CIRCUIT, INPUT_STATES, _drifted_survival, stream
+from fsimcal.noise import CIRCUIT, INPUT_STATES, _drifted_survival, stream
 
 from oracles import (
     apply_confusion,
@@ -37,6 +38,7 @@ from oracles import (
     dense_laplacian,
     drifted_survival_matmul,
     exact_probabilities,
+    simulate_probability_batch_one_input,
 )
 
 PARAMS = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
@@ -67,13 +69,13 @@ class TestSampleCounts:
             entries = np.zeros((4, 4))
             entries[:, column] = 1.0
             noise = NoiseConfig(shots=1000, seed=1, confusion=ConfusionMatrix(entries))
-            p = simulate_probability_batch(5, [0.1, 0.7], PARAMS, noise, "plus")
+            p = simulate_probability_batch(5, [0.1, 0.7], PARAMS, noise)
             assert (p == expected).all()
 
     def test_variance_window(self):
         m = 100_000
         noise = NoiseConfig(shots=m, seed=7)
-        freqs = simulate_probability_batch(3, np.zeros(1000), self.FLAT, noise, "plus")
+        freqs = simulate_probability_batch(3, np.zeros(1000), self.FLAT, noise)[0]
         assert 0.8 / (4 * m) < freqs.var() < 1.2 / (4 * m)
         assert freqs.mean() == pytest.approx(0.5, abs=5e-4)
 
@@ -81,7 +83,7 @@ class TestSampleCounts:
         d, m, reps, rate = 3, 10_000, 1000, 0.1
         p = apply_depolarizing(0.5, dem_fidelity(rate, gate_count(d, "plus")))
         noise = NoiseConfig(shots=m, depol_rate=rate, seed=11)
-        counts = np.rint(simulate_probability_batch(d, np.zeros(reps), self.FLAT, noise, "plus") * m).astype(int)
+        counts = np.rint(simulate_probability_batch(d, np.zeros(reps), self.FLAT, noise)[0] * m).astype(int)
         # bin the binomial around its bulk, folding the tails in
         lo = int(m * p - 4 * math.sqrt(m * p * (1 - p)))
         hi = int(m * p + 4 * math.sqrt(m * p * (1 - p)))
@@ -141,7 +143,7 @@ class TestDepolarizing:
         d, omega, m, r, reps = 9, 0.7, 10_000, 1e-3, 500
         noise = NoiseConfig(shots=m, depol_rate=r, seed=21)
         vals = np.array(
-            [simulate_probability_batch(d, [omega], PARAMS, noise, "plus", replicate=rep)[0] for rep in range(reps)]
+            [simulate_probability_batch(d, [omega], PARAMS, noise, replicate=rep)[0, 0] for rep in range(reps)]
         )
         expected = apply_depolarizing(exact_probabilities(d, omega, PARAMS).p_x, dem_fidelity(r, gate_count(d, "plus")))
         se = math.sqrt(expected * (1 - expected) / (m * reps))
@@ -152,33 +154,31 @@ class TestSimulate:
     def test_exact_mode_returns_analytic_values(self):
         noise = NoiseConfig(shots=10, depol_rate=0.5, drift=DriftModel(), seed=9, exact=True)
         s = exact_probabilities(8, 1.1, PARAMS)
-        assert simulate_probability_batch(8, [1.1], PARAMS, noise, "plus")[0] == pytest.approx(s.p_x, abs=1e-15)
-        assert simulate_probability_batch(8, [1.1], PARAMS, noise, "i")[0] == pytest.approx(s.p_y, abs=1e-15)
-
-    def test_invalid_state_tag(self):
-        with pytest.raises(ValueError):
-            simulate_probability_batch(3, [0.1], PARAMS, NoiseConfig(shots=10), "x")
+        p_x, p_y = simulate_probability_batch(8, [1.1], PARAMS, noise)[:, 0]
+        assert p_x == pytest.approx(s.p_x, abs=1e-15)
+        assert p_y == pytest.approx(s.p_y, abs=1e-15)
 
     def test_determinism_and_key_separation(self):
         noise = NoiseConfig(shots=1000, drift=DriftModel(), seed=5)
-        a = simulate_probability_batch(6, [0.4], PARAMS, noise, "plus", replicate=3, block=12)
-        b = simulate_probability_batch(6, [0.4], PARAMS, noise, "plus", replicate=3, block=12)
-        c = simulate_probability_batch(6, [0.4], PARAMS, noise, "plus", replicate=4, block=12)
-        e = simulate_probability_batch(6, [0.4], PARAMS, noise, "plus", replicate=3, block=13)
-        assert a == b
-        assert a != c and a != e
+        # Blocks 12 and 14: the Y input of block 12 draws from block 13.
+        a, b, c, e = (
+            simulate_probability_batch(6, [0.4], PARAMS, noise, replicate=rep, block=block)[:, 0]
+            for rep, block in ((3, 12), (3, 12), (4, 12), (3, 14))
+        )
+        assert a.tobytes() == b.tobytes()
+        assert (a != c).all() and (a != e).all()
 
     def test_batch_matches_single_circuit_path(self, monkeypatch):
-        # Each circuit gate by gate, drawing from the block's generator in the
+        # Each circuit gate by gate, input k drawing from block 9 + k in the
         # documented order: drift uniforms per depth, ascending, then the shots.
         raw_readout(monkeypatch)
         depths = np.array([7, 3, 7, 5, 3, 7])
         omegas = np.linspace(0.2, 2.9, len(depths))
         for kind, noise in NOISE_KINDS.items():
-            for state, beta in (("plus", 1.0), ("i", 1.0j)):
-                batch = simulate_probability_batch(depths, omegas, PARAMS, noise, state, point=2, replicate=1, block=9)
-                counts = brute_noisy_counts(depths, omegas, PARAMS, noise, beta, (CIRCUIT, noise.seed, 2, 1, 9))
-                assert np.allclose(batch, counts[:, 1] / noise.shots, atol=0), kind
+            batch = simulate_probability_batch(depths, omegas, PARAMS, noise, point=2, replicate=1, block=9)
+            for k, beta in enumerate((1.0, 1.0j)):
+                counts = brute_noisy_counts(depths, omegas, PARAMS, noise, beta, (CIRCUIT, noise.seed, 2, 1, 9 + k))
+                assert np.allclose(batch[k], counts[:, 1] / noise.shots, atol=0), kind
 
     def test_drift_half_widths(self):
         drift = DriftModel()
@@ -192,8 +192,7 @@ class TestSimulate:
         d, theta = 30, 0.01
         params = FsimParams(theta, 0.3, -0.2)
         noise = NoiseConfig(shots=1_000_000, drift=DriftModel(), seed=31)
-        px = simulate_probability_batch(d, np.full(300, params.varphi), params, noise, "plus", block=0)
-        py = simulate_probability_batch(d, np.full(300, params.varphi), params, noise, "i", block=1)
+        px, py = simulate_probability_batch(d, np.full(300, params.varphi), params, noise)
         drifted = np.hypot(px - 0.5, py - 0.5).mean()
         clean = abs(complex(exact_signal(d, params.varphi, params)))
         assert drifted < clean
@@ -205,16 +204,20 @@ class TestDriftKernel:
     @pytest.mark.parametrize("state", INPUT_STATES)
     @pytest.mark.parametrize("d", [2, 3, 20, 100])
     def test_matches_matmul_reference_and_draw_order(self, d, state, params):
+        # Row k of the two-input kernel against the reference fed from input k's generator.
+        k = INPUT_STATES.index(state)
         nc = 2 * d - 1
         omegas = np.random.default_rng(d).uniform(-np.pi, np.pi, size=nc)
         drift = DriftModel(theta_frac=0.3, phase_max=0.5)
-        fast, reference = stream(17, d, 1), stream(17, d, 1)
-        p = _drifted_survival(d, omegas, params, drift, fast, _BETA[state])
-        p_ref = drifted_survival_matmul(d, omegas, params, drift, reference, _BETA[state])
-        assert np.abs(p - p_ref).max() <= 1e-12
-        # the kernel takes exactly one (3, d, nc) draw, so the shot draw that
-        # follows reads the block's generator where the reference leaves it
-        assert fast.bit_generator.state == reference.bit_generator.state
+        fast, reference = [stream(17, d, 1, j) for j in range(2)], stream(17, d, 1, k)
+        p = _drifted_survival(d, omegas, params, drift, fast)
+        p_ref = drifted_survival_matmul(d, omegas, params, drift, reference, (1.0, 1.0j)[k])
+        assert p.shape == (2, nc)
+        assert np.abs(p[k] - p_ref).max() <= 1e-12
+        # the kernel takes exactly one (3, d, nc) draw from each input's
+        # generator, so the shot draw that follows reads it where the
+        # reference leaves it
+        assert fast[k].bit_generator.state == reference.bit_generator.state
 
 
 # Key words: zero, one 32-bit half, or both halves.
@@ -231,27 +234,50 @@ NOISE_KINDS = {
 }
 
 
+@pytest.mark.parametrize("kind", [*NOISE_KINDS, "exact"])
+@pytest.mark.parametrize(
+    "depths",
+    [7, np.arange(2, 14), np.array([7, 3, 7, 5, 3, 7, 3, 5, 7, 3, 7, 5])],
+    ids=["scalar", "per-circuit", "mixed"],
+)
+def test_rows_match_the_one_input_simulator(kind, depths):
+    # Row k is, byte for byte, what one call per input state gave for input k at block + k.
+    noise = NOISE_KINDS.get(kind) or dataclasses.replace(NOISE_KINDS["all"], exact=True)
+    omegas = np.linspace(0.2, 2.9, 12)
+    key = dict(point=2, replicate=5)
+    batch = simulate_probability_batch(depths, omegas, PARAMS, noise, **key, block=4)
+    assert batch.shape == (2, len(omegas))
+    for k, state in enumerate(INPUT_STATES):
+        one = simulate_probability_batch_one_input(depths, omegas, PARAMS, noise, state, **key, block=4 + k)
+        assert batch[k].tobytes() == one.tobytes()
+
+
 def _block(args):
     """One drifted, confused block; module level so a worker process can run it."""
     block, noise = args
     depths = np.arange(2, 14)
-    return simulate_probability_batch(depths, np.linspace(0.0, 3.0, 12), PARAMS, noise, "i", point=1, block=block)
+    return simulate_probability_batch(depths, np.linspace(0.0, 3.0, 12), PARAMS, noise, point=1, block=block)
 
 
 class _Recording:
-    """Generator stand-in that logs each draw; it hands out the replay uniforms first."""
+    """stream(*key) stand-in that logs each draw with the key's block; it hands out replay[block] uniforms first."""
 
-    def __init__(self, rng, log, replay=()):
-        self.rng, self.log, self.replay = rng, log, list(replay)
+    def __init__(self, key, log, replay=None):
+        self.rng, self.block, self.log = stream(*key), key[-1], log
+        self.replay = (replay or {}).get(self.block, [])
 
     def uniform(self, low, high, size):
         u = self.replay.pop(0) if self.replay else self.rng.uniform(low, high, size)
-        self.log.append(("uniform", u))
+        self.log.append(("uniform", self.block, u))
         return u
 
     def multinomial(self, n, pvals):
-        self.log.append(("multinomial", np.array(pvals)))
+        self.log.append(("multinomial", self.block, np.array(pvals)))
         return self.rng.multinomial(n, pvals)
+
+
+def _draws(log, what, block):
+    return [value for kind, b, value in log if kind == what and b == block]
 
 
 class TestBatchSeeding:
@@ -264,11 +290,18 @@ class TestBatchSeeding:
         seed, point, replicate, block = key
         noise = NoiseConfig(shots=1000, drift=DriftModel(), seed=seed)
         depths, omegas = [3, 2, 3], [0.1, 0.9, 2.0]
-        batch = simulate_probability_batch(
-            depths, omegas, PARAMS, noise, "plus", point=point, replicate=replicate, block=block
+        simulate = lambda: simulate_probability_batch(
+            depths, omegas, PARAMS, noise, point=point, replicate=replicate, block=block
         )
-        counts = brute_noisy_counts(depths, omegas, PARAMS, noise, 1.0, (CIRCUIT, *key))
-        assert np.allclose(batch, counts[:, 1] / noise.shots, atol=0)
+        if block + 1 == 2**64:  # the Y input's block word, block + 1, is out of range
+            with pytest.raises(ValueError):
+                simulate()
+            return
+        batch = simulate()
+        for k, beta in enumerate((1.0, 1.0j)):
+            key = (CIRCUIT, seed, point, replicate, block + k)
+            counts = brute_noisy_counts(depths, omegas, PARAMS, noise, beta, key)
+            assert np.allclose(batch[k], counts[:, 1] / noise.shots, atol=0)
 
     @pytest.mark.parametrize("prefix, ids", [((3, -1, 0), [5]), ((3, 1, 0), [5, -2]), ((-7,), [0])])
     def test_negative_key_word_rejected(self, prefix, ids):
@@ -284,7 +317,7 @@ class TestBatchSeeding:
         with pytest.raises(ValueError):
             stream(*key)
         with pytest.raises(ValueError):
-            simulate_probability_batch(3, [0.1], PARAMS, NOISE_KINDS["shots"], "plus", block=max(key))
+            simulate_probability_batch(3, [0.1], PARAMS, NOISE_KINDS["shots"], block=max(key))
 
     @pytest.mark.parametrize(
         "a, b", [((7, 0, 3), (7, 0, 3, 0)), ((5, 0, 0, 0), (5,)), ((2**32, 5), (0, 1, 5)), ((5,), (5, 0)), ((0,), (0, 0))]
@@ -306,28 +339,30 @@ class TestBatchSeeding:
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     @pytest.mark.parametrize("state", INPUT_STATES)
     def test_mixed_depth_batch_matches_one_call_per_depth(self, kind, state, monkeypatch):
-        # A block draws one (3, d, n_d) array of drift uniforms per depth, in
-        # ascending order.  Handed those uniforms, a call holding one depth
-        # alone gives its circuits the block's shot probabilities bit for bit:
-        # drift runs per depth, depolarizing and readout mixing per row.
+        # Input k's generator (block 7 + k) draws one (3, d, n_d) array of
+        # drift uniforms per depth, in ascending order.  Handed those uniforms,
+        # a call holding one depth alone gives its circuits the block's shot
+        # probabilities bit for bit: drift runs per depth, depolarizing and
+        # readout mixing per row.
         noise = NOISE_KINDS[kind]
+        block = 7 + INPUT_STATES.index(state)
         rng = np.random.default_rng(8)
         depths = rng.permutation([4] * 20 + [9] * 20 + list(range(10, 130)))
         omegas = rng.uniform(0.0, np.pi, size=len(depths))
-        log, replay = [], []
-        monkeypatch.setattr(noise_module, "stream", lambda *key: _Recording(stream(*key), log, replay))
-        simulate_probability_batch(depths, omegas, PARAMS, noise, state, point=3, replicate=2, block=7)
-        uniforms = [u for what, u in log if what == "uniform"]
-        (pvals,) = [p for what, p in log if what == "multinomial"]
+        log, replay = [], {}
+        monkeypatch.setattr(noise_module, "stream", lambda *key: _Recording(key, log, replay))
+        simulate_probability_batch(depths, omegas, PARAMS, noise, point=3, replicate=2, block=7)
+        uniforms = _draws(log, "uniform", block)
+        (pvals,) = _draws(log, "multinomial", block)
         expected = np.empty_like(pvals)
         assert len(uniforms) == (len(np.unique(depths)) if noise.drift else 0)
         for j, dj in enumerate(np.unique(depths)):
             at = depths == dj
-            replay[:] = [uniforms[j]] if noise.drift else []
+            replay[block] = [uniforms[j]] if noise.drift else []
             if noise.drift:
                 assert uniforms[j].shape == (3, dj, at.sum())
-            simulate_probability_batch(int(dj), omegas[at], PARAMS, noise, state, point=3, replicate=2, block=7)
-            expected[at] = log[-1][1]
+            simulate_probability_batch(int(dj), omegas[at], PARAMS, noise, point=3, replicate=2, block=7)
+            expected[at] = _draws(log, "multinomial", block)[-1]
         assert pvals.tobytes() == expected.tobytes()
 
     def test_block_draws_are_reproducible_across_processes(self):
@@ -349,7 +384,7 @@ class TestBatchSeeding:
             corrections.append((np.array(q), real_invert(q, confusion)))
             return corrections[-1][1]
 
-        monkeypatch.setattr(noise_module, "stream", lambda *key: _Recording(stream(*key), log))
+        monkeypatch.setattr(noise_module, "stream", lambda *key: _Recording(key, log))
         monkeypatch.setattr(noise_module, "invert_confusion", spy_invert)
         noise = NoiseConfig(shots=10_000, depol_rate=1e-2, confusion=ConfusionMatrix.uniform(0.93), seed=5)
         rng = np.random.default_rng(12)
@@ -357,12 +392,14 @@ class TestBatchSeeding:
             n = int(rng.integers(2, 121))
             depths = rng.integers(2, 40, size=n)
             omegas = rng.uniform(0.0, np.pi, size=n)
-            simulate_probability_batch(depths, omegas, PARAMS, noise, "plus")
-            pvals, (measured, corrected) = log[-1][1], corrections[-1]
+            simulate_probability_batch(depths, omegas, PARAMS, noise)
+            # The two shot draws, X then Y; the correction's columns are (outcome, circuit, input).
+            pvals, (measured, corrected) = [p for _, _, p in log[-2:]], corrections[-1]
             for i in rng.choice(n, size=5, replace=False):
-                simulate_probability_batch(depths[i], omegas[i : i + 1], PARAMS, noise, "plus")
-                assert log[-1][1][0].tobytes() == pvals[i].tobytes()
-                assert real_invert(measured[:, i], noise.confusion).tobytes() == corrected[:, i].tobytes()
+                simulate_probability_batch(depths[i], omegas[i : i + 1], PARAMS, noise)
+                for k in range(2):
+                    assert log[k - 2][2][0].tobytes() == pvals[k][i].tobytes()
+                    assert real_invert(measured[:, i, k], noise.confusion).tobytes() == corrected[:, i, k].tobytes()
 
     @pytest.mark.parametrize("kind", ["depolarizing", "drift", "confusion", "all"])
     def test_ladder_matches_per_depth_loop(self, kind, monkeypatch):
@@ -408,8 +445,8 @@ class TestConfusion:
         for correct in (True, False):
             if not correct:
                 raw_readout(monkeypatch)
-            a = simulate_probability_batch(5, omegas, PARAMS, plain, "i")
-            b = simulate_probability_batch(5, omegas, PARAMS, ideal, "i")
+            a = simulate_probability_batch(5, omegas, PARAMS, plain)
+            b = simulate_probability_batch(5, omegas, PARAMS, ideal)
             assert np.array_equal(a, b)
 
     def test_single_row_readout(self):
@@ -448,10 +485,10 @@ class TestConfusion:
     def test_batch_readout_correction_rejects_non_dominant_matrix(self, monkeypatch):
         noise = NoiseConfig(shots=1000, seed=3, confusion=ConfusionMatrix.uniform(0.4))
         with pytest.raises(InversionRejectedError):
-            simulate_probability_batch(5, [0.1, 0.2], PARAMS, noise, "plus")
+            simulate_probability_batch(5, [0.1, 0.2], PARAMS, noise)
         raw_readout(monkeypatch)
-        raw = simulate_probability_batch(5, [0.1, 0.2], PARAMS, noise, "plus")
-        assert raw.shape == (2,)
+        raw = simulate_probability_batch(5, [0.1, 0.2], PARAMS, noise)
+        assert raw.shape == (2, 2)
 
     def test_kappa(self):
         r = ConfusionMatrix.uniform(0.55)
@@ -512,8 +549,7 @@ def spectrum_noise_dataset():
     truth = np.fft.fft(exact_signal(d, grid, PARAMS)) / (2 * d - 1)
     vs = np.empty((reps, 2 * d - 1), dtype=complex)
     for rep in range(reps):
-        px = simulate_probability_batch(d, grid, PARAMS, noise, "plus", replicate=rep, block=0)
-        py = simulate_probability_batch(d, grid, PARAMS, noise, "i", replicate=rep, block=1)
+        px, py = simulate_probability_batch(d, grid, PARAMS, noise, replicate=rep, block=0)
         vs[rep] = np.fft.fft(px - 0.5 + 1j * (py - 0.5)) / (2 * d - 1) - truth
     return d, noise.shots, vs
 
