@@ -136,7 +136,7 @@ SMALL_CONFIGS = experiment_configs(
         drift=st.none() | sections(DriftModel),
     ),
     peak_fit=sections(PeakFitConfig, n_pf=st.integers(3, 9)),
-    # A few shots per row, where an estimate can fail dominance, as often as many.
+    # One branch draws a few shots per row, where an estimate can fail dominance.
     confusion_check=confusion_checks(trials=st.integers(1, 20), shots=st.integers(1, 8) | st.integers(1, 2000)),
 )
 
