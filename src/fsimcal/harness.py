@@ -292,11 +292,12 @@ def _executor(jobs: int):
     return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
 
 
-def _run_point(config: ExperimentConfig, *, mode: str, point: int, grid_value, pool) -> dict:
+def _run_point(config: ExperimentConfig, *, mode: str, point: int, grid_value, pool, workers: int) -> dict:
     """All replicates of one calibrate config, summarized into the record of one run point."""
     tasks = [(config, point, rep) for rep in range(config.replicates)]
-    # Both maps yield in task order, that is replicate order.
-    results = list((map if pool is None else pool.map)(_replicate_task, tasks))
+    # Both maps yield in task order, that is replicate order; a pool's chunks follow multiprocessing.Pool.map.
+    chunked = {} if pool is None else {"chunksize": -(-len(tasks) // (4 * workers))}
+    results = list((map if pool is None else pool.map)(_replicate_task, tasks, **chunked))
     reports = [r for r in results if "reason" not in r]
     failures = [r for r in results if "reason" in r]
     # The stored snapshot identifies the experiment; where the record is
@@ -324,9 +325,10 @@ def run_points(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     if points is None:
         raise ValueError(f"mode {config.mode!r} samples no run points")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1  # usable CPUs
-    with _executor(min(jobs, config.replicates, cpus)) as pool:
+    workers = min(jobs, config.replicates, cpus)
+    with _executor(workers) as pool:
         return [
-            _run_point(point, mode=config.mode, point=i, grid_value=g, pool=pool)
+            _run_point(point, mode=config.mode, point=i, grid_value=g, pool=pool, workers=workers)
             for i, (g, point) in enumerate(points(config))
         ]
 

@@ -51,6 +51,9 @@ class InversionRejectedError(ValueError):
 STREAM_VERSION = 2
 # What a generator is for, the first word of its key.
 CIRCUIT, BOOTSTRAP, CONFUSION = 0, 1, 2
+# (gate, column) entries per block of the drift kernel: each block array
+# stays at 64-128 KB whatever the depth and batch width.
+_BLOCK_ENTRIES = 8192
 
 
 def stream(*key) -> np.random.Generator:
@@ -211,21 +214,29 @@ def _drifted_survival(d, omegas, params, drift, rngs):
     a = cos(th) e^{-i(ph - omega)}, b = sin(th) (sin(ch + omega) - i cos(ch + omega)).
     Only row 0 of the product reaches the amplitude; it is carried as a row
     vector from the last gate back to the first, over the 2 nc columns of
-    both inputs at once.
+    both inputs at once.  The gates are walked in blocks of about
+    _BLOCK_ENTRIES (gate, column) entries, so beside the O(nc d) uniforms
+    every array is O(_BLOCK_ENTRIES) whatever the depth and batch width.
     """
-    u = np.stack([rng.uniform(-1.0, 1.0, size=(3, d, len(omegas))) for rng in rngs], axis=2)
+    u = [rng.uniform(-1.0, 1.0, size=(3, d, len(omegas))) for rng in rngs]
     dth, ramp = drift.half_widths(d, params.theta)
-    ramp = ramp[:, None, None]
-    th = params.theta + dth * u[0]
-    ph = params.varphi + ramp * u[1] - omegas
-    ch = params.chi + ramp * u[2] + omegas
-    ct, st = np.cos(th), np.sin(th)
-    a = ct * np.cos(ph) - 1j * (ct * np.sin(ph))
-    b = st * np.sin(ch) - 1j * (st * np.cos(ch))
-    a_conj, b_conj = a.conj(), b.conj()
-    r0, r1 = a[-1], b[-1]
-    for g in range(d - 2, -1, -1):
-        r0, r1 = r0 * a[g] - r1 * b_conj[g], r0 * b[g] + r1 * a_conj[g]
+    step = max(1, _BLOCK_ENTRIES // (len(u) * len(omegas)))
+    r0 = r1 = None
+    for stop in range(d, 0, -step):
+        gates = slice(max(0, stop - step), stop)
+        ub, rb = np.stack([uk[:, gates] for uk in u], axis=2), ramp[gates, None, None]
+        th = params.theta + dth * ub[0]
+        ph = params.varphi + rb * ub[1] - omegas
+        ch = params.chi + rb * ub[2] + omegas
+        ct, st = np.cos(th), np.sin(th)
+        a = ct * np.cos(ph) - 1j * (ct * np.sin(ph))
+        b = st * np.sin(ch) - 1j * (st * np.cos(ch))
+        a_conj, b_conj = a.conj(), b.conj()
+        top = len(a) - 1
+        if r0 is None:  # the circuit's last gate starts the row vector
+            r0, r1, top = a[top], b[top], top - 1
+        for g in range(top, -1, -1):
+            r0, r1 = r0 * a[g] - r1 * b_conj[g], r0 * b[g] + r1 * a_conj[g]
     # The X input (|01> + |10>)/sqrt2 and the Y input (|01> + i|10>)/sqrt2.
     return np.abs(r0 + np.array([[1.0], [1.0j]]) * r1) ** 2 / 2.0
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,6 +34,33 @@ from oracles import bootstrap_means_loop
 
 TRUTH = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
 DROP = object()  # an edit value that removes the key from a config
+
+
+def _stand_in_pool(monkeypatch, cpus):
+    """Swap the harness's process pool for one that runs tasks in-process, on a machine with cpus usable CPUs.
+
+    Returns the lists that collect each pool's size and each map's chunksize.
+    """
+    sizes, chunks = [], []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            chunks.append(chunksize)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return sizes, chunks
 
 
 def small_config(**over):
@@ -216,30 +244,24 @@ class TestRunCalibration:
         # The pool forks all of its workers at the first task: it is sized
         # before any is started, here by a stand-in that runs tasks in-process,
         # on a stand-in machine with cpus usable CPUs.
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes, chunks = _stand_in_pool(monkeypatch, cpus)
         if run == "calibrate":
             run_points(small_config(replicates=3, peak_fit=PeakFitConfig(enabled=False)), jobs=jobs)
         else:
             cfg = small_config(mode="sweep-depth", depth=None, depth_grid=(4, 6), replicates=3)
             run_points(cfg, jobs=jobs)
         assert sizes == [workers]
+        # every point's replicates go out in chunks of ceil(replicates / (4 workers))
+        assert chunks == [math.ceil(3 / (4 * workers))] * (1 if run == "calibrate" else 2)
+
+    @pytest.mark.parametrize("replicates, jobs, chunk", [(40, 2, 5), (40, 3, 4), (96, 2, 12), (7, 2, 1)])
+    def test_pool_takes_replicates_in_pool_map_chunks(self, monkeypatch, replicates, jobs, chunk):
+        # multiprocessing.Pool.map's rule, ceil(replicates / (4 workers)); replicates stubbed out as failures
+        sizes, chunks = _stand_in_pool(monkeypatch, cpus=8)
+        monkeypatch.setattr(harness, "_replicate_task", lambda task: {"replicate": task[2], "reason": "stub"})
+        (rec,) = run_points(small_config(replicates=replicates), jobs=jobs)
+        assert sizes == [jobs] and chunks == [chunk]
+        assert [f["replicate"] for f in rec["failures"]] == list(range(replicates))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_program_errors_propagate(self, monkeypatch, jobs):

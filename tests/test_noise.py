@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,45 @@ def test_rows_match_the_one_input_simulator(kind, depths):
     for k, state in enumerate(INPUT_STATES):
         one = simulate_probability_batch_one_input(depths, omegas, PARAMS, noise, state, **key, block=4 + k)
         assert batch[k].tobytes() == one.tobytes()
+
+
+# Drift-kernel gate blocks hold _BLOCK_ENTRIES // (2 nc) gates, at least one: (depths, nc, blocks of each depth).
+GATE_BLOCKS = {
+    "one-block": (7, 12, {7: 1}),
+    "full-blocks-and-a-partial": (100, 150, {100: 4}),
+    "one-gate-per-block": (3, 5000, {3: 3}),
+    "depth-1": (1, 40, {1: 1}),
+    "mixed": (np.array([100, 1, 37] * 50), 150, {1: 1, 37: 1, 100: 2}),
+}
+
+
+@pytest.mark.parametrize("depths, nc, blocks", GATE_BLOCKS.values(), ids=GATE_BLOCKS)
+def test_drift_rows_match_the_one_input_simulator_across_gate_blocks(depths, nc, blocks):
+    widths = {int(dj): int(np.sum(np.broadcast_to(depths, nc) == dj)) for dj in np.unique(depths)}
+    steps = {dj: max(1, noise_module._BLOCK_ENTRIES // (2 * widths[dj])) for dj in widths}
+    assert {dj: -(-dj // steps[dj]) for dj in widths} == blocks
+    omegas = np.linspace(-3.0, 3.0, nc)
+    key = dict(point=1, replicate=3)
+    batch = simulate_probability_batch(depths, omegas, PARAMS, NOISE_KINDS["all"], **key, block=6)
+    for k, state in enumerate(INPUT_STATES):
+        one = simulate_probability_batch_one_input(depths, omegas, PARAMS, NOISE_KINDS["all"], state, **key, block=6 + k)
+        assert batch[k].tobytes() == one.tobytes()
+
+
+def test_drift_kernel_memory_stays_near_its_draws():
+    # Beyond the two inputs' (3, d, nc) uniforms, the gate blocks bound the working set.
+    d, nc = 300, 599
+    omegas = np.linspace(-3.0, 3.0, nc)
+    rngs = [stream(17, d, k) for k in range(2)]
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        _drifted_survival(d, omegas, PARAMS, DriftModel(), rngs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 3 * d * nc * 8 + 4 * 2**20
 
 
 def _block(args):

@@ -33,7 +33,7 @@ from fsimcal import (
 from fsimcal.fisher import SingularFisherError
 from fsimcal.harness import MODES, EmptyPointError, _summarize
 
-from config_strategies import confusion_checks, experiment_configs, sections
+from config_strategies import CONFUSIONS, confusion_checks, experiment_configs, sections
 from oracles import approx_coefficients, summarize_by_name
 
 PHASE = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -183,6 +183,24 @@ def test_every_mode_writes_only_finite_numbers(config):
                 json.loads(text, parse_constant=_refuse)
             else:
                 assert all(_finite_or_text(cell) for line in text.splitlines() for cell in line.split(","))
+
+
+@given(
+    noise=sections(NoiseConfig, confusion=CONFUSIONS),
+    check=sections(ConfusionCheckConfig, shots=st.integers(1, 8), trials=st.integers(1, 20)),
+)
+@settings(max_examples=40, deadline=None)
+def test_few_shot_confusion_check_completes_with_finite_numbers(noise, check):
+    # With 1-8 shots per row, a trial's estimate often fails dominance or is singular.
+    config = ExperimentConfig(
+        mode="confusion-check", gate_truth=FsimParams(1e-3, 0.3, -0.2), noise=noise, confusion_check=check
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = run_mode(dataclasses.replace(config, output_dir=tmp))
+        report = json.loads(pathlib.Path(paths["report"]).read_text(encoding="utf-8"), parse_constant=_refuse)
+    assert report["m_cmt"] == check.shots and report["trials"] == check.trials
+    assert 0 <= report["failures"] <= check.trials
+    assert all(math.isfinite(v) for v in report.values() if isinstance(v, (int, float)))
 
 
 SMALL = st.floats(-1e-2, 1e-2, allow_nan=False)
