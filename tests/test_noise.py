@@ -268,11 +268,10 @@ def test_drift_rows_match_the_one_input_simulator_across_gate_blocks(depths, nc,
     widths = {int(dj): int(np.sum(np.broadcast_to(depths, nc) == dj)) for dj in np.unique(depths)}
     steps = {dj: max(1, noise_module._BLOCK_ENTRIES // (2 * widths[dj])) for dj in widths}
     assert {dj: -(-dj // steps[dj]) for dj in widths} == blocks
-    omegas = np.linspace(-3.0, 3.0, nc)
-    key = dict(point=1, replicate=3)
-    batch = simulate_probability_batch(depths, omegas, PARAMS, NOISE_KINDS["all"], **key, block=6)
+    omegas, noise, key = np.linspace(-3.0, 3.0, nc), NOISE_KINDS["all"], dict(point=1, replicate=3)
+    batch = simulate_probability_batch(depths, omegas, PARAMS, noise, **key, block=6)
     for k, state in enumerate(INPUT_STATES):
-        one = simulate_probability_batch_one_input(depths, omegas, PARAMS, NOISE_KINDS["all"], state, **key, block=6 + k)
+        one = simulate_probability_batch_one_input(depths, omegas, PARAMS, noise, state, **key, block=6 + k)
         assert batch[k].tobytes() == one.tobytes()
 
 
