@@ -22,17 +22,12 @@ __all__ = [
     "DegenerateCoefficientError",
     "FidelityCollapseError",
     "EstimateReport",
-    "PeakFitResult",
-    "LOW_SNR_FLOOR_SCALE",
-    "wpa_solve",
-    "sequential_phase_diffs",
     "fourier_estimate",
     "estimate_alpha_corrected",
     "theta_pd_estimate",
     "peak_fit",
     "variance_theory_theta",
     "variance_theory_varphi",
-    "variance_theory_theta_pd",
 ]
 
 # Coefficients with modulus below this multiple of 1/sqrt(M(2d-1)) get a

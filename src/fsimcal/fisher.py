@@ -22,14 +22,8 @@ from .signal_model import _signal, omega_grid
 from .su2 import FsimParams, _p_value, chebyshev_tu
 
 __all__ = [
-    "FisherMatrix",
-    "CrlbReport",
     "SingularFisherError",
-    "PARAM_NAMES",
-    "fisher_matrix",
     "crlb",
-    "preasymptotic_variances",
-    "regime_flag",
     "transition_scan",
     "windowed_slopes",
 ]

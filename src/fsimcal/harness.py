@@ -53,14 +53,10 @@ from .signal_model import omega_grid, spectrum_from_h
 from .su2 import FsimParams
 
 __all__ = [
-    "ARTIFACT_VERSION",
     "MODES",
     "FIGURES",
     "PeakFitConfig",
-    "ConfusionCheckConfig",
     "ExperimentConfig",
-    "run_replicate",
-    "run_points",
     "emit_figure_data",
     "run_mode",
 ]

@@ -27,7 +27,6 @@ __all__ = [
     "NoiseConfig",
     "InversionRejectedError",
     "stream",
-    "apply_depolarizing",
     "dem_fidelity",
     "gate_count",
     "invert_confusion",

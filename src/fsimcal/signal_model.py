@@ -20,15 +20,10 @@ from .su2 import FsimParams, pq_values
 
 __all__ = [
     "FourierSpectrum",
-    "GridMismatchError",
     "omega_grid",
     "exact_signal",
     "spectrum_from_h",
 ]
-
-
-class GridMismatchError(ValueError):
-    """A signal vector does not hold one value per point of the canonical grid."""
 
 
 def omega_grid(depth: int) -> np.ndarray:
@@ -76,5 +71,5 @@ def spectrum_from_h(h, depth: int) -> FourierSpectrum:
     h = np.asarray(h, dtype=complex)
     n = 2 * depth - 1
     if h.shape != (n,):
-        raise GridMismatchError(f"expected {n} values for depth {depth}, got {h.shape}")
+        raise ValueError(f"expected {n} values for depth {depth}, got {h.shape}")
     return FourierSpectrum(coefficients=np.fft.fft(h) / n, depth=depth)

@@ -22,7 +22,6 @@ from .config import Section, setting
 
 __all__ = [
     "FsimParams",
-    "wrap_angle",
     "pq_values",
     "chebyshev_tu",
 ]

@@ -11,9 +11,9 @@ import dataclasses
 
 from hypothesis import strategies as st
 
-from fsimcal import ConfusionCheckConfig, ConfusionMatrix, ExperimentConfig, NoiseConfig
+from fsimcal import ConfusionMatrix, ExperimentConfig, NoiseConfig
 from fsimcal.config import Section
-from fsimcal.harness import MODES
+from fsimcal.harness import MODES, ConfusionCheckConfig
 
 CONFUSIONS = st.builds(ConfusionMatrix.uniform, st.floats(0.6, 1.0))  # diagonally dominant
 

@@ -123,7 +123,7 @@ class SignalSample:
 
 def exact_probabilities(d, omega, params):
     """Noiseless p_X, p_Y at one angle from the exact signal: p_beta = 1/2 + Re(conj(beta) h)."""
-    from fsimcal import exact_signal
+    from fsimcal.signal_model import exact_signal
 
     h = complex(exact_signal(d, float(omega), params))
     return SignalSample(omega=float(omega), p_x=0.5 + h.real, p_y=0.5 + h.imag)
@@ -371,7 +371,8 @@ def binomial_signal_replicates(d, params_tuple, m_shots, n_replicates, seed):
     statistical tests where the keyed-stream bookkeeping of the noise module
     is irrelevant and speed matters.
     """
-    from fsimcal import FsimParams, exact_signal, omega_grid
+    from fsimcal import FsimParams
+    from fsimcal.signal_model import exact_signal, omega_grid
 
     theta, varphi, chi = params_tuple
     params = FsimParams(theta, varphi, chi)
@@ -542,7 +543,8 @@ def richardson_gradient_grid(d, params):
     extrapolation, the step shrinking with depth; asserts that the half-step
     estimate agrees with the extrapolated one to 1e-6 in vector norm.
     """
-    from fsimcal import FsimParams, exact_signal, omega_grid
+    from fsimcal import FsimParams
+    from fsimcal.signal_model import exact_signal, omega_grid
 
     omegas = omega_grid(d)
     xi = np.array([params.theta, params.varphi, params.chi])
@@ -643,7 +645,7 @@ def spectral_phase_gradient(d, params):
     """dh/dvarphi over the grid by spectral differentiation: dh/dvarphi = -i h - dh/domega,
     dh/domega from an FFT/IFFT pair, exact because the 2d-1 grid resolves h's
     harmonics |k| <= d-1.  The derivative gradient_grid took before its closed form."""
-    from fsimcal import exact_signal
+    from fsimcal.signal_model import exact_signal
     from fsimcal.signal_model import omega_grid
 
     h = exact_signal(d, omega_grid(d), params)

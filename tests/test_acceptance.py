@@ -12,22 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from fsimcal import (
-    ConfusionCheckConfig,
-    ConfusionMatrix,
-    DriftModel,
-    ExperimentConfig,
-    FsimParams,
-    NoiseConfig,
-    PeakFitConfig,
-    crlb,
-    exact_signal,
-    omega_grid,
-    run_points,
-    spectrum_from_h,
-)
+from fsimcal import ConfusionMatrix, DriftModel, ExperimentConfig, FsimParams, NoiseConfig, PeakFitConfig
 from fsimcal.cli import main as cli_main
-from fsimcal.harness import _alpha_scan_rows, run_confusion_check
+from fsimcal.fisher import crlb
+from fsimcal.harness import ConfusionCheckConfig, _alpha_scan_rows, run_confusion_check, run_points
+from fsimcal.signal_model import exact_signal, omega_grid, spectrum_from_h
 
 from oracles import (
     approx_coefficients,

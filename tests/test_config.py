@@ -11,8 +11,9 @@ import re
 
 import pytest
 
-from fsimcal import ConfusionCheckConfig, DriftModel, ExperimentConfig, FsimParams, NoiseConfig, PeakFitConfig
+from fsimcal import DriftModel, ExperimentConfig, FsimParams, NoiseConfig, PeakFitConfig
 from fsimcal.config import Setting
+from fsimcal.harness import ConfusionCheckConfig
 
 from config_strategies import declared, section_classes
 

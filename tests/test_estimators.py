@@ -7,25 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsimcal import (
+from fsimcal import ExperimentConfig, FsimParams, NoiseConfig
+from fsimcal.estimators import (
     DegenerateCoefficientError,
-    ExperimentConfig,
     FidelityCollapseError,
-    FourierSpectrum,
-    FsimParams,
-    NoiseConfig,
     estimate_alpha_corrected,
-    exact_signal,
     fourier_estimate,
-    omega_grid,
     peak_fit,
-    run_points,
     sequential_phase_diffs,
-    spectrum_from_h,
     theta_pd_estimate,
+    variance_theory_theta,
+    variance_theory_theta_pd,
+    variance_theory_varphi,
     wpa_solve,
 )
-from fsimcal.estimators import variance_theory_theta, variance_theory_theta_pd, variance_theory_varphi
+from fsimcal.harness import run_points
+from fsimcal.signal_model import FourierSpectrum, exact_signal, omega_grid, spectrum_from_h
 
 from oracles import binomial_signal_replicates, dense_wpa, k_values, thomas_wpa, wpa_weights
 

@@ -6,14 +6,18 @@ import pathlib
 import numpy as np
 import pytest
 
-from fsimcal import FsimParams, crlb, exact_signal, fisher_matrix, omega_grid, preasymptotic_variances
+from fsimcal import FsimParams
 from fsimcal.fisher import (
     SingularFisherError,
+    crlb,
+    fisher_matrix,
     gradient_grid,
+    preasymptotic_variances,
     regime_flag,
     transition_scan,
     windowed_slopes,
 )
+from fsimcal.signal_model import exact_signal, omega_grid
 
 from oracles import fisher_matrix_two_pass, hand_inverse_3x3, richardson_gradient_grid, spectral_phase_gradient
 

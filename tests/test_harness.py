@@ -11,24 +11,30 @@ import numpy as np
 import pytest
 
 from fsimcal import (
-    ConfusionCheckConfig,
     ConfusionMatrix,
     DriftModel,
     ExperimentConfig,
     FsimParams,
-    InversionRejectedError,
     NoiseConfig,
     PeakFitConfig,
     emit_figure_data,
+    harness,
     run_mode,
-    run_points,
-    transition_scan,
 )
-from fsimcal import harness
 from fsimcal.cli import main as cli_main
 from fsimcal.estimators import DegenerateCoefficientError
-from fsimcal.harness import FIGURES, MODES, _alpha_scan_rows, _summarize, _sweep_rows, run_confusion_check
-from fsimcal.noise import BOOTSTRAP, STREAM_VERSION, stream
+from fsimcal.fisher import transition_scan
+from fsimcal.harness import (
+    FIGURES,
+    MODES,
+    ConfusionCheckConfig,
+    _alpha_scan_rows,
+    _summarize,
+    _sweep_rows,
+    run_confusion_check,
+    run_points,
+)
+from fsimcal.noise import BOOTSTRAP, STREAM_VERSION, InversionRejectedError, stream
 
 from oracles import bootstrap_means_loop
 

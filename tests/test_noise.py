@@ -10,27 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from fsimcal import (
-    ConfusionMatrix,
-    DriftModel,
-    ExperimentConfig,
-    FsimParams,
+from fsimcal import ConfusionMatrix, DriftModel, ExperimentConfig, FsimParams, NoiseConfig, PeakFitConfig, harness
+from fsimcal import noise as noise_module
+from fsimcal.estimators import theta_pd_estimate
+from fsimcal.noise import (
+    CIRCUIT,
+    INPUT_STATES,
     InversionRejectedError,
-    NoiseConfig,
-    PeakFitConfig,
+    _drifted_survival,
     apply_depolarizing,
     confusion_sample_size,
     dem_fidelity,
-    exact_signal,
     gate_count,
     invert_confusion,
-    omega_grid,
     simulate_probability_batch,
+    stream,
 )
-from fsimcal import harness
-from fsimcal import noise as noise_module
-from fsimcal.estimators import theta_pd_estimate
-from fsimcal.noise import CIRCUIT, INPUT_STATES, _drifted_survival, stream
+from fsimcal.signal_model import exact_signal, omega_grid
 
 from oracles import (
     apply_confusion,

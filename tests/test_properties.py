@@ -19,19 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsimcal import (
-    ConfusionCheckConfig,
-    ConfusionMatrix,
-    DriftModel,
-    ExperimentConfig,
-    FsimParams,
-    NoiseConfig,
-    PeakFitConfig,
-    run_mode,
-    run_replicate,
-)
+from fsimcal import ConfusionMatrix, DriftModel, ExperimentConfig, FsimParams, NoiseConfig, PeakFitConfig, run_mode
 from fsimcal.fisher import SingularFisherError
-from fsimcal.harness import MODES, EmptyPointError, _summarize
+from fsimcal.harness import MODES, ConfusionCheckConfig, EmptyPointError, _summarize, run_replicate
 
 from config_strategies import CONFUSIONS, confusion_checks, experiment_configs, sections
 from oracles import approx_coefficients, summarize_by_name

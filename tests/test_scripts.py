@@ -1,4 +1,4 @@
-"""The study scripts run end to end and write exactly what their modes write."""
+"""The study scripts and the README's library example run end to end and write exactly what their modes write."""
 
 import os
 import pathlib
@@ -58,3 +58,11 @@ def test_script_writes_its_mode_files(tmp_path, script):
     for pattern in lines:
         assert re.search(pattern, proc.stdout, flags=re.MULTILINE), pattern
     assert proc.stdout.endswith(f"wrote {out}/\n")
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    (code,) = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()] == ["out/run/run_record.json"]
+    assert "'var_theory'" in capsys.readouterr().out
