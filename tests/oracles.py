@@ -645,8 +645,7 @@ def spectral_phase_gradient(d, params):
     """dh/dvarphi over the grid by spectral differentiation: dh/dvarphi = -i h - dh/domega,
     dh/domega from an FFT/IFFT pair, exact because the 2d-1 grid resolves h's
     harmonics |k| <= d-1.  The derivative gradient_grid took before its closed form."""
-    from fsimcal.signal_model import exact_signal
-    from fsimcal.signal_model import omega_grid
+    from fsimcal.signal_model import exact_signal, omega_grid
 
     h = exact_signal(d, omega_grid(d), params)
     return -1j * h - np.fft.ifft(2j * k_values(d) * np.fft.fft(h))
