@@ -18,7 +18,6 @@ import math
 import operator
 import os
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -251,6 +250,20 @@ def _truth_for(name: str, config: ExperimentConfig) -> float:
     return config.gate_truth.theta
 
 
+def _percentile(a: np.ndarray, q: float) -> float:
+    """A bootstrap CI end (q = 2.5, 97.5): np.percentile's linear rule bit for bit, without its numpy.ma import.
+
+    Partitions at numpy's kth, so equal entries (0.0, -0.0) land alike; at the top numpy weighs both ends from lo = -1.
+    """
+    pos = (len(a) - 1) * (q / 100)
+    lo, hi = (math.floor(pos), math.floor(pos) + 1) if pos < len(a) - 1 else (-1, -1)
+    part = np.partition(a, (0, lo, hi, -1))
+    if math.isnan(part[-1]):  # a NaN sorts last and is the result
+        return float(part[-1])
+    x0, x1, t = float(part[lo]), float(part[hi]), pos - lo
+    return x1 - (x1 - x0) * (1 - t) if t >= 0.5 else x0 + (x1 - x0) * t
+
+
 def _summarize(config: ExperimentConfig, reports: list[dict], point: int) -> dict:
     summary = {}
     for slot, (name, est) in enumerate(_SUMMARY_ESTIMATORS.items()):
@@ -271,13 +284,30 @@ def _summarize(config: ExperimentConfig, reports: list[dict], point: int) -> dic
             "bias": bias,
             "var": float(((res - bias) ** 2).mean()),
             "mse": float(sq.mean()),
-            "ci_low": float(np.percentile(boot, 2.5)),
-            "ci_high": float(np.percentile(boot, 97.5)),
+            "ci_low": _percentile(boot, 2.5),
+            "ci_high": _percentile(boot, 97.5),
         }
         if est.var_theory is not None:
             entry["var_theory"] = float(np.mean([v for v in map(est.var_theory, reports) if v is not None]))
         summary[name] = entry
     return summary
+
+
+class ProcessPoolExecutor:
+    """concurrent.futures' process pool, imported when a run starts one, so --jobs 1 never loads it.
+
+    A class from import time: the benchmark's pool counter subclasses and rebinds it until ROADMAP item 2b.
+    """
+
+    def __init__(self, max_workers: int):
+        from concurrent.futures import ProcessPoolExecutor as Pool
+        self._pool = Pool(max_workers=max_workers)
+
+    def __enter__(self):
+        return self._pool.__enter__()
+
+    def __exit__(self, *exc):
+        return self._pool.__exit__(*exc)
 
 
 def _executor(jobs: int):

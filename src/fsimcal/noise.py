@@ -271,7 +271,7 @@ def simulate_probability_batch(
     rngs = [stream(CIRCUIT, noise.seed, point, replicate, block + k) for k in range(len(INPUT_STATES))]
     if noise.drift is not None:
         p = np.empty((len(rngs), len(omegas)))
-        for dj in np.unique(depths):
+        for dj in sorted(set(depths.tolist())):
             at = depths == dj
             p[:, at] = _drifted_survival(int(dj), omegas[at], params, noise.drift, rngs)
     alpha = (1.0 - noise.depol_rate) ** np.stack([gate_count(depths, state) for state in INPUT_STATES])

@@ -4,11 +4,14 @@ import copy
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsimcal import (
     ConfusionMatrix,
@@ -29,6 +32,7 @@ from fsimcal.harness import (
     MODES,
     ConfusionCheckConfig,
     _alpha_scan_rows,
+    _percentile,
     _summarize,
     _sweep_rows,
     run_confusion_check,
@@ -269,6 +273,27 @@ class TestRunCalibration:
         assert sizes == [jobs] and chunks == [chunk]
         assert [f["replicate"] for f in rec["failures"]] == list(range(replicates))
 
+    def test_pool_name_takes_a_counting_subclass(self, monkeypatch, tmp_path):
+        # The benchmark's pool counter subclasses the class bound under this
+        # name and rebinds it; a real pool runs at jobs=2, none at jobs=1.
+        assert isinstance(vars(harness)["ProcessPoolExecutor"], type)
+        starts = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        written = {}
+        for jobs in (1, 2):
+            run_mode(small_config(replicates=4, output_dir=str(tmp_path / str(jobs))), jobs=jobs)
+            written[jobs] = (tmp_path / str(jobs) / "run_record.json").read_bytes()
+            assert starts == [{"max_workers": 2}] * (jobs - 1)
+        assert written[1] == written[2]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_program_errors_propagate(self, monkeypatch, jobs):
         def broken_replicate(config, *, point=0, replicate=0):
@@ -297,6 +322,28 @@ class TestRunCalibration:
         boot = bootstrap_means_loop((vals - TRUTH.theta) ** 2, stream(BOOTSTRAP, cfg.noise.seed, 3, 0, 0))
         assert entry["ci_low"] == float(np.percentile(boot, 2.5))
         assert entry["ci_high"] == float(np.percentile(boot, 97.5))
+
+    @settings(max_examples=300)
+    @given(
+        # mostly the bootstrap's 1000 resample means
+        n=st.integers(0, 3).flatmap(lambda k: st.just(1000) if k else st.integers(1, 1200)),
+        # entries over 24 decades, both zeros and NaN; drawn again into n slots, so they repeat
+        entries=st.lists(
+            st.sampled_from([0.0, -0.0, math.nan])
+            | st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-20, 4)),
+            min_size=1,
+            max_size=30,
+        ),
+        fresh=st.sampled_from([0.0, 0.5, 1.0]),  # the share of slots that take a new value
+        seed=st.integers(0, 2**32 - 1),
+        q=st.sampled_from([0, 2.5, 50, 97.5, 100]),
+    )
+    def test_percentile_is_numpys_bit_for_bit(self, n, entries, fresh, seed, q):
+        rng = np.random.default_rng(seed)
+        new = rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 4, n)
+        a = np.where(rng.random(n) < fresh, new, rng.choice(np.array(entries), size=n))
+        # the sign of a zero and a NaN's bits count too
+        assert struct.pack("<d", _percentile(a, q)) == struct.pack("<d", np.percentile(a, q))
 
     def test_readout_correction_end_to_end(self):
         # shots high enough that the modulus noise floor sits well below 10%
@@ -519,7 +566,51 @@ print(json.dumps({"codes": codes, "attempts": RefuseScipy.attempts, "loaded": lo
 """
 
 
+# Runs fsimcal.cli.main on each argv in a fresh interpreter; prints the exit
+# codes, whether harness bound its pool class at import, and which of the
+# modules a --jobs 1 run should never load were loaded.
+_COLD_PATH = """
+import json, sys
+from fsimcal import harness
+from fsimcal.cli import main
+
+bound = isinstance(vars(harness).get("ProcessPoolExecutor"), type)
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+unwanted = ("concurrent.futures.process", "multiprocessing", "numpy.ma")
+print(json.dumps({"codes": codes, "bound": bound, "loaded": [m for m in unwanted if m in sys.modules]}))
+"""
+
+
+def _run_fresh(script: str, argvs: list) -> dict:
+    """Run script with argvs (JSON) in a fresh interpreter on this tree's src; returns its last stdout line, parsed."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestCli:
+    def test_jobs_one_never_loads_the_pool_or_numpy_ma(self, tmp_path):
+        # Checked in a fresh interpreter: pytest and hypothesis may have loaded these already.
+        drift = NoiseConfig(shots=2000, seed=3, depol_rate=1e-3, drift=DriftModel(), confusion=ConfusionMatrix.uniform(0.98))
+        argvs = []
+        for command, cfg in (
+            ("calibrate", small_config(replicates=3, theta_pd=True)),
+            ("sweep", small_config(mode="sweep-depth", depth=None, depth_grid=(4, 6), replicates=3, noise=drift)),
+        ):
+            cfg_path = tmp_path / f"{command}.json"
+            cfg_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+            argvs.append([command, "--config", str(cfg_path), "--out", str(tmp_path / command), "--jobs", "1"])
+        assert _run_fresh(_COLD_PATH, argvs) == {"codes": [0, 0], "bound": True, "loaded": []}
+        assert (tmp_path / "calibrate" / "run_record.json").exists()
+        assert (tmp_path / "sweep" / "sweep.csv").exists()
+
     def test_calibrate_and_crlb_scan_never_import_scipy(self, tmp_path):
         argvs = []
         for command, cfg in (
@@ -529,17 +620,7 @@ class TestCli:
             cfg_path = tmp_path / f"{command}.json"
             cfg_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
             argvs.append([command, "--config", str(cfg_path), "--out", str(tmp_path / command)])
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        proc = subprocess.run(
-            [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout.splitlines()[-1])
-        assert report == {"codes": [0, 0], "attempts": [], "loaded": []}
+        assert _run_fresh(_WITHOUT_SCIPY, argvs) == {"codes": [0, 0], "attempts": [], "loaded": []}
         assert (tmp_path / "calibrate" / "run_record.json").exists()
         assert (tmp_path / "crlb-scan" / "crlb_scan.csv").exists()
 
