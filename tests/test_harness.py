@@ -598,7 +598,8 @@ def _run_fresh(script: str, argvs: list) -> dict:
 class TestCli:
     def test_jobs_one_never_loads_the_pool_or_numpy_ma(self, tmp_path):
         # Checked in a fresh interpreter: pytest and hypothesis may have loaded these already.
-        drift = NoiseConfig(shots=2000, seed=3, depol_rate=1e-3, drift=DriftModel(), confusion=ConfusionMatrix.uniform(0.98))
+        confusion = ConfusionMatrix.uniform(0.98)
+        drift = NoiseConfig(shots=2000, seed=3, depol_rate=1e-3, drift=DriftModel(), confusion=confusion)
         argvs = []
         for command, cfg in (
             ("calibrate", small_config(replicates=3, theta_pd=True)),
