@@ -67,7 +67,7 @@ _MAX_DEPTH = 2**16  # the deepest circuit a config may ask for; a guard against 
 
 class _Mode(NamedTuple):
     subcommand: str  # the CLI subcommand that runs the mode
-    run: Callable  # (config, jobs) -> {kind: payload}, one payload per file
+    run: Callable  # (config, records) -> {kind: payload}, one payload per file; run_mode runs the points, [] if none
     files: dict  # output kind -> file name, in the order run_mode writes them
     header: tuple | None = None  # columns of the "table" CSV
     figure: str | None = None  # the figure run_mode writes next to the files
@@ -86,6 +86,7 @@ class _Estimator(NamedTuple):
     value: Callable  # replicate record -> the estimate, or None where the replicate has none
     var_theory: Callable | None = None  # replicate record -> its theoretical variance, or None
     period: float | None = None  # the estimate is compared with the truth mod period
+    truth: Callable = lambda config: config.gate_truth.theta  # point config -> what the estimate is compared with
 
 
 _CRLB_COLUMNS = ("d", "crlb_theta", "crlb_varphi", "crlb_chi", "slope_theta", "slope_varphi", "slope_chi")
@@ -93,8 +94,10 @@ _ALPHA_COLUMNS = ("d", "alpha_dem", "median_alpha_hat", "median_abs_deviation", 
 # The summarized estimators, in bootstrap-slot order.
 _SUMMARY_ESTIMATORS = {
     "theta_hat": _Estimator(lambda r: r.get("theta_hat"), lambda r: r["var_theory_theta"]),
-    "varphi_hat": _Estimator(lambda r: r.get("varphi_hat"), lambda r: r["var_theory_varphi"], math.pi),
-    "alpha_hat": _Estimator(lambda r: r.get("alpha_hat")),
+    "varphi_hat": _Estimator(
+        lambda r: r.get("varphi_hat"), lambda r: r["var_theory_varphi"], math.pi, lambda c: c.gate_truth.varphi
+    ),
+    "alpha_hat": _Estimator(lambda r: r.get("alpha_hat"), truth=lambda c: _alpha_dem(c, c.depth)),
     "theta_corrected": _Estimator(lambda r: r["diagnostics"].get("theta_corrected")),
     "theta_pd": _Estimator(lambda r: r.get("theta_pd"), lambda r: r["diagnostics"].get("theta_pd_var_theory")),
     "theta_pf": _Estimator(lambda r: r.get("theta_pf")),
@@ -241,13 +244,15 @@ def _replicate_task(args):
     return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
 
 
-def _truth_for(name: str, config: ExperimentConfig) -> float:
-    if name == "varphi_hat":
-        return config.gate_truth.varphi
-    if name == "alpha_hat":
-        # X-circuit gate count; the Y circuit differs by one gate, O(r).
-        return dem_fidelity(config.noise.depol_rate, gate_count(config.depth, "plus"))
-    return config.gate_truth.theta
+def _alpha_dem(config: ExperimentConfig, d: int) -> float:
+    # X-circuit gate count; the Y circuit differs by one gate, O(r).
+    return dem_fidelity(config.noise.depol_rate, gate_count(d, "plus"))
+
+
+def _median(values: list) -> float | None:
+    """np.median bit for bit on finite values whose sums stay finite, without its numpy.ma import; None for none."""
+    s, n = sorted(values), len(values)
+    return (s[(n - 1) // 2] + s[n // 2]) / 2 if n else None
 
 
 def _percentile(a: np.ndarray, q: float) -> float:
@@ -270,7 +275,7 @@ def _summarize(config: ExperimentConfig, reports: list[dict], point: int) -> dic
         vals = np.array([v for v in map(est.value, reports) if v is not None], dtype=float)
         if not vals.size:
             continue
-        truth = _truth_for(name, config)
+        truth = est.truth(config)
         res = vals - truth if est.period is None else np.array([math.remainder(v - truth, est.period) for v in vals])
         sq = res**2
         bias = float(res.mean())
@@ -371,13 +376,12 @@ def _sweep_rows(config: ExperimentConfig, records: list[dict]) -> list[list]:
 
 def _alpha_scan_rows(config: ExperimentConfig, records: list[dict]) -> list[list]:
     """(d, alpha_dem, median_alpha_hat, median_abs_deviation, n) per depth; no alpha_hat leaves both medians None."""
-    median = lambda a: float(np.median(a)) if a.size else None
     rows = []
     for rec in records:
         d = int(rec["grid_value"])
-        alpha_dem = dem_fidelity(config.noise.depol_rate, gate_count(d, "plus"))
-        alphas = np.array([r["alpha_hat"] for r in rec["replicates"] if r["alpha_hat"] is not None])
-        rows.append([d, alpha_dem, median(alphas), median(np.abs(alphas - alpha_dem)), len(alphas)])
+        alpha_dem = _alpha_dem(config, d)
+        alphas = [r["alpha_hat"] for r in rec["replicates"] if r["alpha_hat"] is not None]
+        rows.append([d, alpha_dem, _median(alphas), _median([abs(a - alpha_dem) for a in alphas]), len(alphas)])
     return rows
 
 
@@ -468,13 +472,7 @@ def _variance_row(rec: dict) -> list:
     return [rec["grid_value"], st["var"], st["var_theory"], st["mse"], sv["var"], sv["var_theory"], sv["mse"]]
 
 
-def _sweep_payloads(config: ExperimentConfig, jobs: int) -> dict:
-    records = run_points(config, jobs=jobs)
-    return {"records": records, "table": _sweep_rows(config, records)}
-
-
-def _alpha_scan_payloads(config: ExperimentConfig, jobs: int) -> dict:
-    records = run_points(config, jobs=jobs)
+def _alpha_scan_payloads(config: ExperimentConfig, records: list[dict]) -> dict:
     rows = _alpha_scan_rows(config, records)
     return {"records": records, "rows": rows, "table": rows}
 
@@ -492,28 +490,28 @@ def _at_shots(config: ExperimentConfig) -> list:
     return [(m, dataclasses.replace(config, mode="calibrate", shots_grid=None, noise=noise(m))) for m in grid]
 
 
-def _crlb_scan_payloads(config: ExperimentConfig, jobs: int) -> dict:
+def _crlb_scan_payloads(config: ExperimentConfig, records: list) -> dict:
     """Exact CRLB and slope table over the configured depth grid."""
     rows = fisher.transition_scan(config.gate_truth, config.noise.shots, config.depth_grid)
     return {"rows": rows, "table": [[r[c] for c in _CRLB_COLUMNS] for r in rows]}
 
 
 # The mode table: every mode, its subcommand, runner, canonical files, CSV
-# header, figure, run points and config rules.  Runners look the pipeline up
-# as module globals when called, so a function rebound on the module is the
-# one every mode runs.  The fidelity correction needs d >= 3 and is what
+# header, figure, run points and config rules.  run_mode and the runners look
+# the pipeline up as module globals when called, so a function rebound on the
+# module is the one every mode runs.  The fidelity correction needs d >= 3 and is what
 # alpha-scan reports; the CRLB closed forms need d >= 2 and the slopes two
 # or more distinct depths in order.
 _SWEEP = _Mode(
     "sweep",
-    _sweep_payloads,
+    lambda config, records: {"records": records, "table": _sweep_rows(config, records)},
     {"records": "sweep_records.json", "table": "sweep.csv"},
     ("grid_var", "grid_value", "estimator", "mse", "var", "bias2", "ci_low", "ci_high"),
 )
 MODES = {
     "calibrate": _Mode(
         "calibrate",
-        lambda config, jobs: {"record": run_points(config, jobs=jobs)[0]},
+        lambda config, records: {"record": records[0]},
         {"record": "run_record.json"},
         points=lambda config: [(config.depth, config)],
         rules=(("depth", "an integer >= 2", lambda d: d is not None and d >= 2),),
@@ -544,7 +542,7 @@ MODES = {
     ),
     "confusion-check": _Mode(
         "confusion-check",
-        lambda config, jobs: {"report": run_confusion_check(config)},
+        lambda config, records: {"report": run_confusion_check(config)},
         {"report": "confusion_check.json"},
         rules=(  # the sampler draws at most 2**63 - 1 shots
             ("noise.confusion", "a ConfusionMatrix", lambda c: c is not None),
@@ -602,7 +600,8 @@ def run_mode(config: ExperimentConfig, jobs: int = 1) -> dict:
     """
     out = config.output_dir
     mode = MODES[config.mode]
-    payloads = mode.run(config, jobs)
+    records = run_points(config, jobs) if mode.points is not None else []
+    payloads = mode.run(config, records)
     paths = {}
     for kind, name in mode.files.items():
         paths[kind] = os.path.join(out, name)
@@ -612,7 +611,6 @@ def run_mode(config: ExperimentConfig, jobs: int = 1) -> dict:
             write_json(paths[kind], payloads[kind])
     if mode.figure is not None:
         paths["figure"] = emit_figure_data(payloads[FIGURES[mode.figure].kind], mode.figure, out)
-    records = [payloads["record"]] if "record" in payloads else payloads.get("records", [])
     empty = [
         f"point {r['point_index']} (grid value {r['grid_value']}): all {len(r['failures'])} replicates failed, "
         f"first with {r['failures'][0]['reason']}"

@@ -55,14 +55,14 @@ def environment() -> dict:
     return {"stream_version": STREAM_VERSION, "numpy": np.__version__, "machine": platform.machine()}
 
 
-def run_case(name: str, workdir: pathlib.Path) -> dict:
-    """Run one case through the CLI; {file name: {"sha256", "size"}} over every file it wrote."""
+def run_case(name: str, workdir: pathlib.Path, extra: tuple = ()) -> dict:
+    """Run one case through the CLI, with extra flags after its own; {file name: {"sha256", "size"}} over its files."""
     subcommand, config, flags = CASES[name]
     config_path = workdir / f"{name}.json"
     config_path.write_text(json.dumps({"schema_version": 1, "gate_truth": TRUTH, **config}), encoding="utf-8")
     out = workdir / name
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        status = cli_main([subcommand, "--config", str(config_path), "--out", str(out), *flags])
+        status = cli_main([subcommand, "--config", str(config_path), "--out", str(out), *flags, *extra])
     if status != 0:
         raise RuntimeError(f"{name}: fsimcal {subcommand} exited {status}")
     return {

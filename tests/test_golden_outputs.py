@@ -4,7 +4,8 @@ tests/fixtures/make_golden_outputs.py runs one small config per mode and one
 calibrate with --exact, and golden_outputs.json holds each canonical file's
 sha256 and size.  Last bits move between numpy builds and platforms, so the
 digests are compared only where the numpy version and the machine match the
-record; elsewhere each case skips and says why.
+record; elsewhere each case skips and says why.  That one and two worker
+processes write the same bytes is checked on every build.
 """
 
 import importlib.util
@@ -33,3 +34,12 @@ def test_the_run_writes_the_recorded_bytes(name, tmp_path):
     if here != recorded:
         pytest.skip(f"digests recorded for {recorded}, this build is {here}")
     assert golden.run_case(name, tmp_path) == RECORD["cases"][name]
+
+
+@pytest.mark.parametrize("name", golden.CASES)
+def test_two_jobs_write_the_bytes_of_one(name, tmp_path):
+    digests = {}
+    for jobs in ("1", "2"):
+        (tmp_path / jobs).mkdir()
+        digests[jobs] = golden.run_case(name, tmp_path / jobs, ("--jobs", jobs))
+    assert digests["2"] == digests["1"]

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsimcal import (
@@ -275,7 +275,8 @@ class TestRunCalibration:
 
     def test_pool_name_takes_a_counting_subclass(self, monkeypatch, tmp_path):
         # The benchmark's pool counter subclasses the class bound under this
-        # name and rebinds it; a real pool runs at jobs=2, none at jobs=1.
+        # name and rebinds it.  At jobs=2 a mode with run points starts one
+        # real pool for the whole run, a mode without none; jobs=1 starts none.
         assert isinstance(vars(harness)["ProcessPoolExecutor"], type)
         starts = []
 
@@ -287,12 +288,24 @@ class TestRunCalibration:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        written = {}
-        for jobs in (1, 2):
-            run_mode(small_config(replicates=4, output_dir=str(tmp_path / str(jobs))), jobs=jobs)
-            written[jobs] = (tmp_path / str(jobs) / "run_record.json").read_bytes()
-            assert starts == [{"max_workers": 2}] * (jobs - 1)
-        assert written[1] == written[2]
+        confusion = NoiseConfig(shots=10, seed=3, confusion=ConfusionMatrix.uniform(0.9))
+        for over, pools in (
+            ({"replicates": 4}, 1),
+            ({"mode": "sweep-depth", "depth": None, "depth_grid": (4, 6), "replicates": 3,
+              "peak_fit": PeakFitConfig(enabled=False)}, 1),
+            ({"mode": "crlb-scan", "depth": None, "depth_grid": (2, 4, 8)}, 0),
+            ({"mode": "confusion-check", "depth": None, "noise": confusion,
+              "confusion_check": ConfusionCheckConfig(trials=20, shots=500)}, 0),
+        ):
+            mode = over.get("mode", "calibrate")
+            written = {}
+            for jobs in (1, 2):
+                starts.clear()
+                out = tmp_path / mode / str(jobs)
+                run_mode(small_config(output_dir=str(out), **over), jobs=jobs)
+                written[jobs] = {path.name: path.read_bytes() for path in out.iterdir()}
+                assert starts == [{"max_workers": 2}] * (pools * (jobs - 1)), mode
+            assert written[1] == written[2], mode
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_program_errors_propagate(self, monkeypatch, jobs):
@@ -470,6 +483,13 @@ class TestAlphaScan:
         assert (tmp_path / "rows.csv").read_text(encoding="utf-8").splitlines()[1].endswith(",,,0")
         assert json.loads((tmp_path / "rows.json").read_text(encoding="utf-8"))[0][2:] == [None, None, 0]
 
+    @given(st.lists(st.floats(0.0, 1e307, exclude_min=True), min_size=1, max_size=60))
+    @example([0.7, 0.1, 0.2])  # odd length
+    @example([0.7, 0.1, 0.2, 0.9])  # even length: the middle pair's mean, rounded once
+    def test_median_is_numpys_bit_for_bit(self, values):
+        # on positive finite values, as alpha_hat and its deviations are
+        assert struct.pack("<d", harness._median(values)) == struct.pack("<d", np.median(values))
+
     def test_points_run_without_peak_fit_and_ladder(self):
         cfg = ExperimentConfig(
             mode="alpha-scan",
@@ -601,16 +621,21 @@ class TestCli:
         confusion = ConfusionMatrix.uniform(0.98)
         drift = NoiseConfig(shots=2000, seed=3, depol_rate=1e-3, drift=DriftModel(), confusion=confusion)
         argvs = []
+        depol = NoiseConfig(shots=20_000, seed=2, depol_rate=1e-3)
         for command, cfg in (
             ("calibrate", small_config(replicates=3, theta_pd=True)),
             ("sweep", small_config(mode="sweep-depth", depth=None, depth_grid=(4, 6), replicates=3, noise=drift)),
+            ("alpha-scan", small_config(mode="alpha-scan", depth=None, depth_grid=(6, 10), replicates=3, noise=depol)),
         ):
             cfg_path = tmp_path / f"{command}.json"
             cfg_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
             argvs.append([command, "--config", str(cfg_path), "--out", str(tmp_path / command), "--jobs", "1"])
-        assert _run_fresh(_COLD_PATH, argvs) == {"codes": [0, 0], "bound": True, "loaded": []}
+        assert _run_fresh(_COLD_PATH, argvs) == {"codes": [0, 0, 0], "bound": True, "loaded": []}
         assert (tmp_path / "calibrate" / "run_record.json").exists()
         assert (tmp_path / "sweep" / "sweep.csv").exists()
+        # every depth took the medians of its alpha_hat values
+        rows = json.loads((tmp_path / "alpha-scan" / "alpha_scan.json").read_text(encoding="utf-8"))
+        assert [row[2] is not None and row[4] for row in rows] == [3, 3]
 
     def test_calibrate_and_crlb_scan_never_import_scipy(self, tmp_path):
         argvs = []
