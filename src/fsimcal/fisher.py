@@ -5,8 +5,8 @@ the modulation grid with weights 1/(p(1-p)); the partial derivatives of p
 are exact closed forms (Chebyshev derivative identities for the swap angle
 and the phases), so no step size is tuned and no point fails for want of a
 converged gradient.  Each point is one closed-form pass: one cos/sin of the
-grid and one Chebyshev pair give the derivatives and p, the latter with
-exact_signal's arithmetic and bits.  The pre-asymptotic closed forms (valid
+grid and one Chebyshev pair give h once, and from it the derivatives and p
+(within a few ulps of exact_signal's).  The pre-asymptotic closed forms (valid
 for d*theta << 1) and a depth-scan with log-log slope estimates expose the
 variance-scaling transition around d ~ 1/theta.
 """
@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .estimators import variance_theory_theta, variance_theory_varphi
-from .signal_model import _signal, omega_grid
-from .su2 import FsimParams, _p_value, chebyshev_tu
+from .signal_model import omega_grid
+from .su2 import FsimParams, chebyshev_tu
 
 __all__ = [
     "SingularFisherError",
@@ -66,18 +66,17 @@ class CrlbReport:
 def gradient_grid(d: int, params: FsimParams) -> tuple[np.ndarray, np.ndarray]:
     """((3, 2(2d-1)) array of dp/dxi over the grid, exact up to rounding; p itself).
 
-    Rows are xi = (theta, varphi, chi), columns p_X then p_Y, the order of p,
-    whose values are exact_signal's to the bit.  With
-    w = omega - varphi, x = cos(w) cos(theta), T = T_d(x), Q = U_{d-1}(x):
-    h = i e^{-i(chi+omega)} sin(theta) g, g = Q (T + i Q sin(w) cos(theta)).
+    Rows are xi = (theta, varphi, chi), columns p_X then p_Y, the order of
+    p = 1/2 + (Re h, Im h) from this pass's h, within a few ulps of exact_signal.
+    With w = omega - varphi, x = cos(w) cos(theta), T = T_d(x), Q = U_{d-1}(x):
+    h = i e^{-i(chi+varphi)} (cos(w) - i sin(w)) sin(theta) g, g = Q (T + i Q sin(w) cos(theta)).
     dh/dchi = -i h and dh/dvarphi = -i e^{-i(chi+omega)} sin(theta) dg/dw.
     All derivatives use T_d' = d U_{d-1} and U_{d-1}' = (x U_{d-1} - d T_d)/(1 - x^2).
     A signal at the probabilities' rounding level (theta = 0 or pi/2, where h
     vanishes for every phase) carries no phase information: those rows are 0.
     """
-    omegas = omega_grid(d)
-    n = len(omegas)
-    w = omegas - params.varphi
+    w = omega_grid(d) - params.varphi
+    n = len(w)
     sw, cw = np.sin(w), np.cos(w)
     st, ct = np.sin(params.theta), np.cos(params.theta)
     x = cw * ct
@@ -94,15 +93,13 @@ def gradient_grid(d: int, params: FsimParams) -> tuple[np.ndarray, np.ndarray]:
     # Rows go straight into grads and temporaries die early: deep grids are
     # tens of thousands of points.
     grads = np.empty((3, 2 * n))
-    phase = 1j * np.exp(-1j * (params.chi + omegas))
+    phase = (1j * np.exp(-1j * (params.chi + params.varphi))) * (cw - 1j * sw)
     dh = ct * q * t + t * sq - d * st * st * cw * q * q
     dh = phase * (dh + 1j * sw * q * (np.cos(2 * params.theta) * q + 2 * ct * sq))
     grads[0, :n], grads[0, n:] = dh.real, dh.imag
-    h = phase * st * q * (t + 1j * ct * sw * q)
     del sq, dh
-    signal = _signal(omegas, _p_value(w, sw, t, q, params.theta), q, params)
-    p = np.concatenate([0.5 + signal.real, 0.5 + signal.imag])
-    del signal
+    h = phase * st * q * (t + 1j * ct * sw * q)
+    p = np.concatenate([0.5 + h.real, 0.5 + h.imag])
     if np.abs(h).max() <= n * np.finfo(float).eps:
         grads[1:] = 0.0
         return grads, p
@@ -183,15 +180,16 @@ def crlb(d: int, params: FsimParams, m_shots: int) -> CrlbReport:
 
 
 def windowed_slopes(depths, values) -> np.ndarray:
-    """Per-point log-log slope via least squares over the point and up to two neighbors each side."""
+    """Per-point log-log slope: sum (x - mean x)(y - mean y) / sum (x - mean x)^2 over the point +-2 neighbors."""
     x = np.log(np.asarray(depths, dtype=float))
     y = np.log(np.asarray(values, dtype=float))
     n = len(x)
-    out = np.empty(n)
-    for i in range(n):
-        lo, hi = max(0, i - 2), min(n, i + 3)
-        out[i] = np.polyfit(x[lo:hi], y[lo:hi], 1)[0]
-    return out
+    window = np.arange(n)[:, None] + np.arange(-2, 3)  # (n, 5) indices; edge windows are masked short
+    inside = (window >= 0) & (window < n)
+    size = inside.sum(axis=1, keepdims=True)
+    dx, dy = (np.where(inside, v[window.clip(0, n - 1)], 0.0) for v in (x, y))
+    dx, dy = (np.where(inside, v - v.sum(axis=1, keepdims=True) / size, 0.0) for v in (dx, dy))
+    return (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
 
 
 def transition_scan(params: FsimParams, m_shots: int, depth_grid) -> list[dict]:

@@ -58,11 +58,7 @@ def exact_signal(d, omegas, params: FsimParams) -> np.ndarray:
     d is one depth or an array of depths, one per omega.
     """
     omegas = np.asarray(omegas, dtype=float)
-    return _signal(omegas, *pq_values(d, omegas - params.varphi, params.theta), params)
-
-
-def _signal(omegas, p, q, params: FsimParams) -> np.ndarray:
-    """h from (P, Q) at omegas - varphi: exact_signal and the Fisher weights share it."""
+    p, q = pq_values(d, omegas - params.varphi, params.theta)
     return np.exp(1j * (params.varphi - params.chi - 2.0 * omegas)) * p * (1j * np.sin(params.theta)) * q
 
 

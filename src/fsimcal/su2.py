@@ -77,9 +77,4 @@ def pq_values(d, omega, theta: float):
     omega = np.asarray(omega, dtype=float)
     sw = np.sin(omega)
     t, q = chebyshev_tu(d, np.cos(omega), sw, theta)
-    return _p_value(omega, sw, t, q, theta), q
-
-
-def _p_value(omega, sw, t, q, theta: float):
-    """P from the Chebyshev pair at omega, sw = sin(omega): pq_values and the Fisher weights share it."""
-    return np.exp(1j * omega) * (t + 1j * q * sw * math.cos(theta))
+    return np.exp(1j * omega) * (t + 1j * q * sw * math.cos(theta)), q

@@ -641,6 +641,19 @@ def fisher_matrix_two_pass(d, params, m_shots, prob_clip=1e-12):
     return 0.5 * (entries + entries.T), clamped
 
 
+def windowed_slopes_polyfit(depths, values):
+    """Per-point log-log slope by one np.polyfit over the point and up to two neighbors each side:
+    the reference for fisher.windowed_slopes' closed-form window slopes."""
+    x = np.log(np.asarray(depths, dtype=float))
+    y = np.log(np.asarray(values, dtype=float))
+    n = len(x)
+    out = np.empty(n)
+    for i in range(n):
+        lo, hi = max(0, i - 2), min(n, i + 3)
+        out[i] = np.polyfit(x[lo:hi], y[lo:hi], 1)[0]
+    return out
+
+
 def spectral_phase_gradient(d, params):
     """dh/dvarphi over the grid by spectral differentiation: dh/dvarphi = -i h - dh/domega,
     dh/domega from an FFT/IFFT pair, exact because the 2d-1 grid resolves h's
