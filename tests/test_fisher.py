@@ -101,10 +101,9 @@ class TestPhaseDerivative:
 class TestOnePass:
     """One closed-form pass per point, p from its own h, against the two-pass matrix and exact_signal.
 
-    The pass forms its phase from the grid's cos/sin and p from its own h, so
-    both agree with the two-pass route to rounding, not to the bit (measured:
-    entries 3.6e-14 of the largest, p 1 eps).  d = 8193 and 16384 reach past
-    numpy's temporary elision threshold (256 KiB arrays).
+    The pass takes its phase from the grid's cos/sin, so both agree to rounding,
+    not to the bit (measured: entries 3.6e-14 of the largest, p 1 eps).
+    d = 8193 and 16384 reach past numpy's temporary elision threshold (256 KiB arrays).
     """
 
     @pytest.mark.parametrize("theta", [0.0, 1e-4, 1e-3, 1e-2, 0.4, np.pi / 2])
@@ -213,7 +212,7 @@ class TestTransitionScan:
 
     @pytest.mark.parametrize("points", [2, 3, 5, 40])
     def test_slopes_match_polyfit_on_geometric_grids(self, points):
-        # 2 and 3 depths give one short window; 5 and 40 give the 3- and 4-point edge windows.
+        # With 2 or 3 depths every window is the whole grid; 5 and 40 give the 3- and 4-point edge windows.
         depths = np.geomspace(2, 16384, points)
         values = depths**-4.0 / (1.0 + depths / 100.0)  # a bend: the slope moves from -4 to -5
         assert np.abs(windowed_slopes(depths, values) - windowed_slopes_polyfit(depths, values)).max() <= 1e-12
