@@ -183,25 +183,24 @@ def windowed_slopes(depths, values) -> np.ndarray:
     """Per-point log-log slope: sum (x - mean x)(y - mean y) / sum (x - mean x)^2 over the point +-2 neighbors."""
     x = np.log(np.asarray(depths, dtype=float))
     y = np.log(np.asarray(values, dtype=float))
-    n = len(x)
-    window = np.arange(n)[:, None] + np.arange(-2, 3)  # (n, 5) indices; edge windows are masked short
-    inside = (window >= 0) & (window < n)
-    size = inside.sum(axis=1, keepdims=True)
-    dx, dy = (np.where(inside, v[window.clip(0, n - 1)], 0.0) for v in (x, y))
-    dx, dy = (np.where(inside, v - v.sum(axis=1, keepdims=True) / size, 0.0) for v in (dx, dy))
-    return (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
+    out = np.empty(len(x))
+    for i in range(len(x)):
+        xs, ys = x[max(0, i - 2) : i + 3], y[max(0, i - 2) : i + 3]
+        dx, dy = xs - xs.mean(), ys - ys.mean()
+        out[i] = (dx * dy).sum() / (dx * dx).sum()
+    return out
 
 
 def transition_scan(params: FsimParams, m_shots: int, depth_grid) -> list[dict]:
-    """CRLB table at the gate angles params over an ascending depth grid, with windowed slope estimates.
+    """CRLB table at the gate angles params over two or more increasing depths, with windowed slope estimates.
 
     Rows carry (d, crlb_theta, crlb_varphi, crlb_chi, slope_theta,
     slope_varphi, slope_chi, the closed forms and the regime flag); the
     slopes of crlb_varphi cross from about -4 to -3 near d = 1/theta.
     """
     depths = [int(d) for d in depth_grid]
-    if depths != sorted(depths):
-        raise ValueError("depth grid must be ascending")
+    if len(depths) < 2 or depths != sorted(set(depths)):
+        raise ValueError("depth grid must hold two or more increasing depths")
     reports = [asdict(crlb(d, params, m_shots)) for d in depths]
     slopes = {f"slope_{n}": windowed_slopes(depths, [r[f"crlb_{n}"] for r in reports]) for n in PARAM_NAMES}
     rows = []

@@ -320,10 +320,7 @@ def _executor(jobs: int):
 
     The pool forks all its workers at the first task; callers cap jobs at one point's replicates and the usable CPUs.
     """
-    if jobs <= 1:
-        return contextlib.nullcontext()
-    import numpy.random  # noqa: F401  (every replicate's streams need it; loaded here, the forked workers inherit it)
-    return ProcessPoolExecutor(max_workers=jobs)
+    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
 
 
 def _run_point(config: ExperimentConfig, *, mode: str, point: int, grid_value, pool, workers: int) -> dict:

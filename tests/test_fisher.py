@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fsimcal import FsimParams
 from fsimcal.fisher import (
     SingularFisherError,
+    _inverse_diagonal,
     crlb,
     fisher_matrix,
     gradient_grid,
@@ -102,7 +103,9 @@ class TestOnePass:
     """One closed-form pass per point, p from its own h, against the two-pass matrix and exact_signal.
 
     The pass takes its phase from the grid's cos/sin, so both agree to rounding,
-    not to the bit (measured: entries 3.6e-14 of the largest, p 1 eps).
+    not to the bit (measured: each entry 3.6e-14 of sqrt(F_ii F_jj), the CRLB
+    diagonal 3.6e-14 relative, p 1 eps).  The two test names end in _bytes only
+    so that their ids stay in the suite; they check these stated bounds.
     d = 8193 and 16384 reach past numpy's temporary elision threshold (256 KiB arrays).
     """
 
@@ -113,6 +116,11 @@ class TestOnePass:
         info = fisher_matrix(d, params, M)
         entries, clamped = fisher_matrix_two_pass(d, params, M)
         assert np.abs(info.entries - entries).max() <= 1e-12 * np.abs(entries).max()
+        # The entries span many decades; hold each one to its own row and column scale, as the inversion does.
+        scale = np.sqrt(np.outer(np.diag(entries), np.diag(entries)))
+        assert (np.abs(info.entries - entries) <= 1e-11 * scale).all()
+        if 0.0 < theta < np.pi / 2:  # the phase block is singular at both ends
+            assert np.abs(_inverse_diagonal(info.entries) / _inverse_diagonal(entries) - 1.0).max() <= 1e-11
         assert info.clamped_points == clamped
 
     @pytest.mark.parametrize("theta", [0.0, 1e-4, 1e-2, np.pi / 2])
@@ -249,6 +257,12 @@ class TestTransitionScan:
         }
         with pytest.raises(ValueError):
             transition_scan(FsimParams(1e-2, PARAMS.varphi, PARAMS.chi), M, [8, 4])
+
+    @pytest.mark.parametrize("grid", [[], [4], [4, 4], [4, 4, 8]])
+    def test_rejects_grids_without_two_distinct_depths_in_order(self, grid):
+        # A window needs two distinct depths for a slope; the crlb-scan config rule rejects the same grids.
+        with pytest.raises(ValueError, match="two or more increasing depths"):
+            transition_scan(FsimParams(1e-2, PARAMS.varphi, PARAMS.chi), M, grid)
 
     def test_preasymptotic_slope_near_minus_four(self):
         rows = transition_scan(PARAMS, M, [20, 30, 45, 70, 100, 150])

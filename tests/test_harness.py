@@ -3,7 +3,6 @@
 import copy
 import json
 import math
-import multiprocessing
 import os
 import struct
 import subprocess
@@ -602,22 +601,6 @@ print(json.dumps({"codes": codes, "bound": bound, "loaded": [m for m in unwanted
 """
 
 
-# Starts a two-worker run pool in a fresh interpreter; prints whether numpy.random
-# was loaded before it and whether a worker, which imports nothing itself, has it.
-_POOL_WORKER = """
-import json, sys
-from fsimcal import harness
-
-def loaded(name):
-    return name in sys.modules
-
-before = "numpy.random" in sys.modules
-with harness._executor(2) as pool:
-    inherited = pool.submit(loaded, "numpy.random").result()
-print(json.dumps({"before": before, "inherited": inherited}))
-"""
-
-
 def _run_fresh(script: str, argvs: list) -> dict:
     """Run script with argvs (JSON) in a fresh interpreter on this tree's src; returns its last stdout line, parsed."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -653,10 +636,6 @@ class TestCli:
         # every depth took the medians of its alpha_hat values
         rows = json.loads((tmp_path / "alpha-scan" / "alpha_scan.json").read_text(encoding="utf-8"))
         assert [row[2] is not None and row[4] for row in rows] == [3, 3]
-
-    @pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork", reason="workers inherit modules only by fork")
-    def test_pool_workers_inherit_numpy_random(self):
-        assert _run_fresh(_POOL_WORKER, []) == {"before": False, "inherited": True}
 
     def test_calibrate_and_crlb_scan_never_import_scipy(self, tmp_path):
         argvs = []
