@@ -75,10 +75,9 @@ class Section:
             object.__setattr__(self, f.name, value)
 
     @classmethod
-    def from_dict(cls, data, path: str | None = None):
+    def from_dict(cls, data):
         """The section a JSON object describes; an omitted key or null section takes its field's default, if any."""
-        prefix = cls._prefix if path is None else f"{path}."
-        name = prefix[:-1] or "config"
+        name = cls._prefix[:-1] or "config"
         if not isinstance(data, dict):
             raise ValueError(f"{name} must be a JSON object, got {data!r}")
         fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -90,7 +89,7 @@ class Section:
         for key, value in data.items():
             kind, default = fields[key].metadata["setting"].kind, fields[key].default
             if hasattr(kind, "from_dict"):
-                kwargs[key] = default if value is None else kind.from_dict(value, prefix + key)
+                kwargs[key] = default if value is None else kind.from_dict(value)
         return cls(**kwargs)
 
     def to_dict(self) -> dict:

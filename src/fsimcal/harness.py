@@ -43,7 +43,6 @@ from .noise import (
     NoiseConfig,
     confusion_sample_size,
     dem_fidelity,
-    gate_count,
     invert_confusion,
     simulate_probability_batch,
     stream,
@@ -72,7 +71,7 @@ class _Mode(NamedTuple):
     header: tuple | None = None  # columns of the "table" CSV
     figure: str | None = None  # the figure run_mode writes next to the files
     points: Callable | None = None  # config -> [(grid value, calibrate config)], the run points in grid order
-    rules: tuple = ()  # (field path, rule, test of its value): what the mode asks of a config beyond its run points
+    rules: tuple = ()  # (field path, rule, test of its value): what the mode asks beyond the fields' declarations
 
 
 class _Figure(NamedTuple):
@@ -97,7 +96,7 @@ _SUMMARY_ESTIMATORS = {
     "varphi_hat": _Estimator(
         lambda r: r.get("varphi_hat"), lambda r: r["var_theory_varphi"], math.pi, lambda c: c.gate_truth.varphi
     ),
-    "alpha_hat": _Estimator(lambda r: r.get("alpha_hat"), truth=lambda c: _alpha_dem(c, c.depth)),
+    "alpha_hat": _Estimator(lambda r: r.get("alpha_hat"), truth=lambda c: dem_fidelity(c.noise.depol_rate, c.depth)),
     "theta_corrected": _Estimator(lambda r: r["diagnostics"].get("theta_corrected")),
     "theta_pd": _Estimator(lambda r: r.get("theta_pd"), lambda r: r["diagnostics"].get("theta_pd_var_theory")),
     "theta_pf": _Estimator(lambda r: r.get("theta_pf")),
@@ -126,9 +125,9 @@ class ExperimentConfig(Section):
 
     mode: str = setting(str)
     gate_truth: FsimParams = setting(FsimParams)
-    depth: int | None = setting(int, None, optional=True, le=_MAX_DEPTH)
-    depth_grid: tuple | None = setting(tuple, None, optional=True, le=_MAX_DEPTH)
-    shots_grid: tuple | None = setting(tuple, None, optional=True)
+    depth: int | None = setting(int, None, optional=True, ge=2, le=_MAX_DEPTH)  # the estimators need d >= 2
+    depth_grid: tuple | None = setting(tuple, None, optional=True, ge=2, le=_MAX_DEPTH)  # so do the CRLB closed forms
+    shots_grid: tuple | None = setting(tuple, None, optional=True, ge=1, lt=1 << 63)  # the sampler counts in int64
     replicates: int = setting(int, 96, ge=1)
     noise: NoiseConfig = setting(NoiseConfig, NoiseConfig())
     peak_fit: PeakFitConfig = setting(PeakFitConfig, PeakFitConfig())
@@ -150,8 +149,6 @@ class ExperimentConfig(Section):
             value = operator.attrgetter(name)(self)
             if not holds(value):
                 raise ValueError(f"{name} must be {rule} in {self.mode} mode, got {value!r}")
-        if mode.points is not None:
-            mode.points(self)  # building a run point builds its calibrate config, which checks itself
 
     @property
     def confusion_shots(self):
@@ -242,11 +239,6 @@ def _replicate_task(args):
         return {"replicate": replicate, "reason": f"{type(exc).__name__}: {exc}"}
     # The record is the report's fields, shallow: asdict would deep-copy the diagnostics.
     return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
-
-
-def _alpha_dem(config: ExperimentConfig, d: int) -> float:
-    # X-circuit gate count; the Y circuit differs by one gate, O(r).
-    return dem_fidelity(config.noise.depol_rate, gate_count(d, "plus"))
 
 
 def _median(values: list) -> float | None:
@@ -379,7 +371,7 @@ def _alpha_scan_rows(config: ExperimentConfig, records: list[dict]) -> list[list
     rows = []
     for rec in records:
         d = int(rec["grid_value"])
-        alpha_dem = _alpha_dem(config, d)
+        alpha_dem = dem_fidelity(config.noise.depol_rate, d)
         alphas = [r["alpha_hat"] for r in rec["replicates"] if r["alpha_hat"] is not None]
         rows.append([d, alpha_dem, _median(alphas), _median([abs(a - alpha_dem) for a in alphas]), len(alphas)])
     return rows
@@ -496,12 +488,13 @@ def _crlb_scan_payloads(config: ExperimentConfig, records: list) -> dict:
     return {"rows": rows, "table": [[r[c] for c in _CRLB_COLUMNS] for r in rows]}
 
 
+# The depth of a calibrate config, which every run point of a shot-count sweep keeps.
+_DEPTH_GIVEN = ("depth", "given", lambda d: d is not None)
 # The mode table: every mode, its subcommand, runner, canonical files, CSV
 # header, figure, run points and config rules.  run_mode and the runners look
 # the pipeline up as module globals when called, so a function rebound on the
 # module is the one every mode runs.  The fidelity correction needs d >= 3 and is what
-# alpha-scan reports; the CRLB closed forms need d >= 2 and the slopes two
-# or more distinct depths in order.
+# alpha-scan reports; the CRLB slopes need two or more distinct depths in order.
 _SWEEP = _Mode(
     "sweep",
     lambda config, records: {"records": records, "table": _sweep_rows(config, records)},
@@ -514,10 +507,10 @@ MODES = {
         lambda config, records: {"record": records[0]},
         {"record": "run_record.json"},
         points=lambda config: [(config.depth, config)],
-        rules=(("depth", "an integer >= 2", lambda d: d is not None and d >= 2),),
+        rules=(_DEPTH_GIVEN,),
     ),
     "sweep-depth": _SWEEP._replace(points=_at_depths, rules=(("depth_grid", "a non-empty array", bool),)),
-    "sweep-shots": _SWEEP._replace(points=_at_shots, rules=(("shots_grid", "a non-empty array", bool),)),
+    "sweep-shots": _SWEEP._replace(points=_at_shots, rules=(("shots_grid", "a non-empty array", bool), _DEPTH_GIVEN)),
     "crlb-scan": _Mode(
         "crlb-scan",
         _crlb_scan_payloads,
@@ -525,8 +518,8 @@ MODES = {
         _CRLB_COLUMNS,
         "crlb-vs-depth",
         rules=(
-            ("depth_grid", "two or more increasing depths >= 2",
-             lambda g: g and len(g) > 1 and g[0] >= 2 and g == tuple(sorted(set(g)))),
+            ("depth_grid", "two or more increasing depths",
+             lambda g: g and len(g) > 1 and g == tuple(sorted(set(g)))),
         ),
     ),
     "alpha-scan": _Mode(

@@ -28,13 +28,10 @@ __all__ = [
     "InversionRejectedError",
     "stream",
     "dem_fidelity",
-    "gate_count",
     "invert_confusion",
     "confusion_sample_size",
     "simulate_probability_batch",
 ]
-
-INPUT_STATES = ("plus", "i")
 
 
 class InversionRejectedError(ValueError):
@@ -111,12 +108,12 @@ class ConfusionMatrix:
         return cls(np.full((4, 4), off) + np.eye(4) * (p_correct - off))
 
     @classmethod
-    def from_dict(cls, rows, path: str) -> "ConfusionMatrix":
-        """The matrix a config gives as a list of rows; path names it in a rejection."""
+    def from_dict(cls, rows) -> "ConfusionMatrix":
+        """The matrix a config gives as the list of rows at noise.confusion."""
         try:
             return cls(np.array(rows, dtype=float))
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path} must be a 4x4 row-stochastic matrix, got {rows!r}") from exc
+            raise ValueError(f"noise.confusion must be a 4x4 row-stochastic matrix, got {rows!r}") from exc
 
     def to_dict(self) -> list:
         return self.entries.tolist()
@@ -155,23 +152,24 @@ def apply_depolarizing(p: float, alpha: float):
     return alpha * p + (1.0 - alpha) / 4.0
 
 
-def dem_fidelity(depol_rate: float, n_gates: int) -> float:
-    """Digital-error-model circuit fidelity (1 - r)^n_gates."""
+def gate_count(d):
+    """Total gate count 2d+5 of the depth-d X-input circuit, for an int or an array of depths.
+
+    The Y-input circuit spends one more gate on state preparation.
+    """
+    return 2 * d + 5
+
+
+def dem_fidelity(depol_rate: float, d: int) -> float:
+    """Digital-error-model fidelity (1 - r)^(2d+5) of the depth-d X-input circuit.
+
+    The Y circuit's one extra gate moves it by O(r): the single-alpha model
+    matches the per-gate channel picture only to that order.  d is one int:
+    numpy's array power rounds a few (r, d) pairs differently from Python's.
+    """
     if not 0.0 <= depol_rate < 1.0:
         raise ValueError("depol_rate must be in [0, 1)")
-    return float((1.0 - depol_rate) ** n_gates)
-
-
-def gate_count(d: int, input_state: str) -> int:
-    """Total gate count of a depth-d circuit: 2d+5 for the X input, 2d+6 for Y.
-
-    The Y-input circuit spends one extra phase gate on state preparation;
-    both conventions are exposed because the single-alpha model only matches
-    the per-gate channel picture up to O(r).
-    """
-    if input_state not in INPUT_STATES:
-        raise ValueError(f"input_state must be one of {INPUT_STATES}")
-    return 2 * d + 5 + (1 if input_state == "i" else 0)
+    return float((1.0 - depol_rate) ** gate_count(d))
 
 
 def invert_confusion(q4_measured, confusion: ConfusionMatrix) -> np.ndarray:
@@ -268,13 +266,14 @@ def simulate_probability_batch(
         p = 0.5 + np.stack([h.real, h.imag])
         if noise.exact:
             return p
-    rngs = [stream(CIRCUIT, noise.seed, point, replicate, block + k) for k in range(len(INPUT_STATES))]
+    rngs = [stream(CIRCUIT, noise.seed, point, replicate, block + k) for k in range(2)]
     if noise.drift is not None:
         p = np.empty((len(rngs), len(omegas)))
         for dj in sorted(set(depths.tolist())):
             at = depths == dj
             p[:, at] = _drifted_survival(int(dj), omegas[at], params, noise.drift, rngs)
-    alpha = (1.0 - noise.depol_rate) ** np.stack([gate_count(depths, state) for state in INPUT_STATES])
+    n = gate_count(depths)
+    alpha = (1.0 - noise.depol_rate) ** np.stack([n, n + 1])  # the Y input's extra preparation gate
     q4 = np.empty(p.shape + (4,))
     q4[..., 0] = q4[..., 3] = (1.0 - alpha) / 4.0
     q4[..., 1] = apply_depolarizing(p, alpha)

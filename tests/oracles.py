@@ -18,10 +18,8 @@ import numpy as np
 
 from fsimcal.noise import (
     CIRCUIT,
-    INPUT_STATES,
     NoiseConfig,
     apply_depolarizing,
-    gate_count,
     invert_confusion,
     stream,
 )
@@ -452,6 +450,7 @@ def drifted_survival_matmul(d, omegas, params, drift, rng, beta):
 # stood: one input state per call, drawing from stream(CIRCUIT, seed, point,
 # replicate, block).  Row k of today's simulate_probability_batch must equal
 # it byte for byte for input state INPUT_STATES[k] at block + k.
+INPUT_STATES = ("plus", "i")
 _BETA = {"plus": 1.0 + 0.0j, "i": 1.0j}
 
 
@@ -517,7 +516,8 @@ def simulate_probability_batch_one_input(
         for dj in np.unique(depths):
             at = depths == dj
             p[at] = drifted_survival_one_input(int(dj), omegas[at], params, noise.drift, rng, beta)
-    alpha = (1.0 - noise.depol_rate) ** gate_count(depths, input_state)
+    # 2d+5 gates from the X input; the Y input spends one more on preparation.
+    alpha = (1.0 - noise.depol_rate) ** (2 * depths + 5 + (1 if input_state == "i" else 0))
     q4 = np.empty((len(omegas), 4))
     q4[:, 0] = q4[:, 3] = (1.0 - alpha) / 4.0
     q4[:, 1] = apply_depolarizing(p, alpha)
@@ -683,14 +683,12 @@ def _estimator_values(name: str, reports: list[dict]):
 
 
 def _truth_for(name: str, config) -> float:
-    from fsimcal.noise import dem_fidelity
-
     if name == "varphi_hat":
         return config.gate_truth.varphi
     if name == "alpha_hat":
         if config.noise.depol_rate > 0.0 and config.depth is not None:
             # X-circuit gate count; the Y circuit differs by one gate, O(r).
-            return dem_fidelity(config.noise.depol_rate, 2 * config.depth + 5)
+            return float((1.0 - config.noise.depol_rate) ** (2 * config.depth + 5))
         return 1.0
     return config.gate_truth.theta
 

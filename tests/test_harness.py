@@ -732,73 +732,79 @@ class TestCli:
         with open(paths["figure"], "rb") as fh:
             assert (tmp_path / "figs" / f"figure_{figure}.csv").read_bytes() == fh.read()
 
-    @pytest.mark.parametrize(
-        "edit, flags",
-        [
-            ({"depth": 1}, []),
-            ({"mode": "confusion-check", "noise": {"confusion": ConfusionMatrix.uniform(0.4).entries.tolist()}}, []),
-            ({}, ["--seed", "-1"]),
-            ({}, ["--replicates", "0"]),
-            ({"noise": {"seed": 1.5, "shots": 10.7}}, []),
-            ({"theta_pd": "no"}, []),
-            ({}, ["--jobs", "0"]),
-            ({"peak_fit": {"enabled": True, "n_pf": 7, "typo": 1}}, []),
-            ({"peak_fit": 3}, []),
-            ({"gate_truth": {"theta": 1e-3, "varphi": 0.1, "chi": 0.2, "typo": 1}}, []),
-            ({"noise": {"drift": {"x": 1}}}, []),
-            ({"gate_truth": DROP}, []),
-            ({"mode": DROP}, []),
-            ({"mode": "sweep-shots", "shots_grid": [0, 100]}, []),
-            ({"mode": "sweep-shots", "depth": 1, "shots_grid": [100]}, []),
-            ({"mode": "sweep-shots", "shots_grid": []}, []),
-            ({"mode": "sweep-depth", "depth_grid": 5}, []),
-            ({"mode": "sweep-depth", "depth_grid": "46"}, []),
-            *(
-                ({"mode": "confusion-check", "noise": {"confusion": ConfusionMatrix.uniform(0.95).entries.tolist()},
-                  "confusion_check": section}, [])
-                for section in (
-                    {"trials": 0},
-                    {"shots": 0},
-                    {"epsilon": 0.0},
-                    {"epsilon": -0.1},
-                    {"alpha": 2},
-                    {"alpha": 0.0},
-                    {"constant": 0},
-                    {"epsilon": "0.05"},
-                )
-            ),
-            ({"noise": {"depol_rate": None}}, []),
-            ({"noise": {"depol_rate": "0.001"}}, []),
-            ({"noise": {"depol_rate": True}}, []),
-            ({"gate_truth": {"theta": "x", "varphi": 0.1, "chi": 0.2}}, []),
-            ({"gate_truth": {"theta": 1e-3, "varphi": None, "chi": 0.2}}, []),
-            ({"peak_fit": {"beta_thr": "x"}}, []),
-            ({"noise": {"drift": {"phase_max": "a"}}}, []),
-            ({"noise": {"drift": {"theta_frac": False}}}, []),
-            ({"output_dir": 5}, []),
-            ({"depth": 100_000_000}, []),
-            ({"depth": 2**16 + 1}, []),
-            ({"mode": "sweep-depth", "depth_grid": [8, 2**16 + 1]}, []),
-            ({"mode": "crlb-scan", "depth_grid": [2, 4, 100_000_000]}, []),
-            ({"output_dir": None}, []),
-            ({}, ["--out", ""]),
-            ({"mode": "alpha-scan", "depth_grid": [4, 6, 8], "alpha_correction": False}, []),
-            ({"noise": {"shots": 2**63}}, []),
-            ({"gate_truth": {"theta": 10**400, "varphi": 0.1, "chi": 0.2}}, []),
-            ({"noise": {"confusion": [[None] * 4] * 4}}, []),
-            # null shots: confusion_sample_size would exceed 2**63
-            *(
-                ({"mode": "confusion-check", "noise": {"confusion": ConfusionMatrix.uniform(0.9).entries.tolist()},
-                  "confusion_check": section}, [])
-                for section in ({"epsilon": 1e-9, "trials": 2}, {"epsilon": 1e-9, "shots": None})
-            ),
-            ({"noise": {"drift": {"theta_frac": 0.1, "phase_max": 1e308}}}, []),
-            ({"noise": {"drift": {"theta_frac": -0.1, "phase_max": 0.3}}}, []),
-            ({"mode": "crlb-scan", "depth_grid": [8]}, []),
-            ({"gate_truth": {"theta": 1e308, "varphi": 0.1, "chi": 0.2}}, []),
-        ],
-    )
-    def test_config_rejected_at_build_time_exits_with_one_line(self, tmp_path, capsys, edit, flags):
+    # Each row: the config edit, the CLI flags, and how the one-line message begins after the subcommand,
+    # naming the field (or flag) the user wrote.  Ids stay by row number.
+    REJECTED = [
+        ({"depth": 1}, [], "depth must be an integer >= 2"),
+        ({"mode": "confusion-check", "noise": {"confusion": ConfusionMatrix.uniform(0.4).entries.tolist()}}, [],
+         "confusion matrix fails diagonal dominance"),
+        ({}, ["--seed", "-1"], "noise.seed must"),
+        ({}, ["--replicates", "0"], "replicates must"),
+        ({"noise": {"seed": 1.5, "shots": 10.7}}, [], "noise.shots must"),
+        ({"theta_pd": "no"}, [], "theta_pd must"),
+        ({}, ["--jobs", "0"], "--jobs must"),
+        ({"peak_fit": {"enabled": True, "n_pf": 7, "typo": 1}}, [], "unknown peak_fit keys: ['typo']"),
+        ({"peak_fit": 3}, [], "peak_fit must"),
+        ({"gate_truth": {"theta": 1e-3, "varphi": 0.1, "chi": 0.2, "typo": 1}}, [], "unknown gate_truth keys"),
+        ({"noise": {"drift": {"x": 1}}}, [], "unknown noise.drift keys: ['x']"),
+        ({"gate_truth": DROP}, [], "missing config keys: ['gate_truth']"),
+        ({"mode": DROP}, [], "missing config keys: ['mode']"),
+        ({"mode": "sweep-shots", "shots_grid": [0, 100]}, [], "shots_grid must"),
+        ({"mode": "sweep-shots", "depth": 1, "shots_grid": [100]}, [], "depth must"),
+        ({"mode": "sweep-shots", "shots_grid": []}, [], "shots_grid must be a non-empty array in sweep-shots mode"),
+        ({"mode": "sweep-depth", "depth_grid": 5}, [], "depth_grid must"),
+        ({"mode": "sweep-depth", "depth_grid": "46"}, [], "depth_grid must"),
+        *(
+            ({"mode": "confusion-check", "noise": {"confusion": ConfusionMatrix.uniform(0.95).entries.tolist()},
+              "confusion_check": section}, [], f"confusion_check.{next(iter(section))} must")
+            for section in (
+                {"trials": 0},
+                {"shots": 0},
+                {"epsilon": 0.0},
+                {"epsilon": -0.1},
+                {"alpha": 2},
+                {"alpha": 0.0},
+                {"constant": 0},
+                {"epsilon": "0.05"},
+            )
+        ),
+        ({"noise": {"depol_rate": None}}, [], "noise.depol_rate must"),
+        ({"noise": {"depol_rate": "0.001"}}, [], "noise.depol_rate must"),
+        ({"noise": {"depol_rate": True}}, [], "noise.depol_rate must"),
+        ({"gate_truth": {"theta": "x", "varphi": 0.1, "chi": 0.2}}, [], "gate_truth.theta must"),
+        ({"gate_truth": {"theta": 1e-3, "varphi": None, "chi": 0.2}}, [], "missing gate_truth keys: ['varphi']"),
+        ({"peak_fit": {"beta_thr": "x"}}, [], "peak_fit.beta_thr must"),
+        ({"noise": {"drift": {"phase_max": "a"}}}, [], "noise.drift.phase_max must"),
+        ({"noise": {"drift": {"theta_frac": False}}}, [], "noise.drift.theta_frac must"),
+        ({"output_dir": 5}, [], "output_dir must"),
+        ({"depth": 100_000_000}, [], "depth must"),
+        ({"depth": 2**16 + 1}, [], "depth must"),
+        ({"mode": "sweep-depth", "depth_grid": [8, 2**16 + 1]}, [], "depth_grid must"),
+        ({"mode": "crlb-scan", "depth_grid": [2, 4, 100_000_000]}, [], "depth_grid must"),
+        ({"output_dir": None}, [], "output_dir must"),
+        ({}, ["--out", ""], "output_dir must"),
+        ({"mode": "alpha-scan", "depth_grid": [4, 6, 8], "alpha_correction": False}, [],
+         "alpha_correction must be true in alpha-scan mode"),
+        ({"noise": {"shots": 2**63}}, [], "noise.shots must"),
+        ({"gate_truth": {"theta": 10**400, "varphi": 0.1, "chi": 0.2}}, [], "gate_truth.theta must"),
+        ({"noise": {"confusion": [[None] * 4] * 4}}, [], "noise.confusion must"),
+        # null shots: confusion_sample_size would exceed 2**63
+        *(
+            ({"mode": "confusion-check", "noise": {"confusion": ConfusionMatrix.uniform(0.9).entries.tolist()},
+              "confusion_check": section}, [], "confusion_shots must be below 2**63")
+            for section in ({"epsilon": 1e-9, "trials": 2}, {"epsilon": 1e-9, "shots": None})
+        ),
+        ({"noise": {"drift": {"theta_frac": 0.1, "phase_max": 1e308}}}, [], "noise.drift.phase_max must"),
+        ({"noise": {"drift": {"theta_frac": -0.1, "phase_max": 0.3}}}, [], "noise.drift.theta_frac must"),
+        ({"mode": "crlb-scan", "depth_grid": [8]}, [], "depth_grid must be two or more increasing depths"),
+        ({"gate_truth": {"theta": 1e308, "varphi": 0.1, "chi": 0.2}}, [], "gate_truth.theta must"),
+        # A run point's rule is reported as the field and mode the config gives, not as its calibrate config's.
+        ({"mode": "sweep-shots", "depth": DROP, "shots_grid": [100]}, [], "depth must be given in sweep-shots mode"),
+        ({"mode": "sweep-depth", "depth_grid": [1, 5]}, [], "depth_grid must be an array of integers >= 2"),
+    ]
+
+    @pytest.mark.parametrize("edit, flags, begins", REJECTED, ids=[f"edit{i}-flags{i}" for i in range(len(REJECTED))])
+    def test_config_rejected_at_build_time_exits_with_one_line(self, tmp_path, capsys, edit, flags, begins):
         data = small_config(output_dir=str(tmp_path / "out")).to_dict()
         data.update(edit)
         data = {key: value for key, value in data.items() if value is not DROP}
@@ -808,7 +814,7 @@ class TestCli:
         assert cli_main([command, "--config", str(cfg_path), *flags]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert err.startswith(f"fsimcal {command}: ")
+        assert err.startswith(f"fsimcal {command}: {begins}"), err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

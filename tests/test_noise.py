@@ -15,7 +15,6 @@ from fsimcal import noise as noise_module
 from fsimcal.estimators import theta_pd_estimate
 from fsimcal.noise import (
     CIRCUIT,
-    INPUT_STATES,
     InversionRejectedError,
     _drifted_survival,
     apply_depolarizing,
@@ -29,6 +28,7 @@ from fsimcal.noise import (
 from fsimcal.signal_model import exact_signal, omega_grid
 
 from oracles import (
+    INPUT_STATES,
     apply_confusion,
     brute_depolarized_probability,
     brute_noisy_counts,
@@ -78,7 +78,7 @@ class TestSampleCounts:
 
     def test_chi_square_goodness_of_fit(self):
         d, m, reps, rate = 3, 10_000, 1000, 0.1
-        p = apply_depolarizing(0.5, dem_fidelity(rate, gate_count(d, "plus")))
+        p = apply_depolarizing(0.5, dem_fidelity(rate, d))
         noise = NoiseConfig(shots=m, depol_rate=rate, seed=11)
         counts = np.rint(simulate_probability_batch(d, np.zeros(reps), self.FLAT, noise)[0] * m).astype(int)
         # bin the binomial around its bulk, folding the tails in
@@ -107,18 +107,18 @@ class TestDepolarizing:
 
     def test_dem_fidelity_values(self):
         assert dem_fidelity(0.0, 500) == 1.0
-        assert dem_fidelity(1e-3, 105) == pytest.approx(0.9003, abs=5e-4)
+        assert dem_fidelity(1e-3, 50) == pytest.approx(0.9003, abs=5e-4)  # 105 gates
         with pytest.raises(ValueError):
             dem_fidelity(1.0, 10)
 
     def test_gate_count_conventions(self):
+        # dem_fidelity is the X circuit's; the Y circuit's one extra gate moves it by O(r).
         d, r = 50, 1e-3
-        assert gate_count(d, "plus") == 2 * d + 5
-        assert gate_count(d, "i") == 2 * d + 6
-        ax, ay = dem_fidelity(r, gate_count(d, "plus")), dem_fidelity(r, gate_count(d, "i"))
+        assert gate_count(d) == 2 * d + 5
+        assert (gate_count(np.array([2, 50])) == [9, 105]).all()
+        ax, ay = dem_fidelity(r, d), (1.0 - r) ** (2 * d + 6)
+        assert ax == (1.0 - r) ** (2 * d + 5)
         assert 0 < ax - ay <= r
-        with pytest.raises(ValueError):
-            gate_count(d, "y")
 
     def test_channel_composition_matches_analytic_shortcut(self):
         # per-gate uniform depolarizing after each of n_gates gates == the
@@ -130,10 +130,10 @@ class TestDepolarizing:
             varphi, chi = rng.uniform(-np.pi, np.pi, size=2)
             rate = rng.uniform(0, 0.05)
             for state, beta in (("plus", 1.0), ("i", 1.0j)):
-                n_gates = gate_count(d, state)
+                n_gates = gate_count(d) + (state == "i")
                 brute = brute_depolarized_probability(d, omega, theta, varphi, chi, beta, rate, n_gates)
                 p_exact = getattr(exact_probabilities(d, omega, FsimParams(theta, varphi, chi)), "p_x" if state == "plus" else "p_y")
-                shortcut = apply_depolarizing(p_exact, dem_fidelity(rate, n_gates))
+                shortcut = apply_depolarizing(p_exact, (1.0 - rate) ** n_gates)
                 assert brute == pytest.approx(shortcut, abs=1e-12)
 
     def test_depolarized_sampling_mean(self):
@@ -142,7 +142,7 @@ class TestDepolarizing:
         vals = np.array(
             [simulate_probability_batch(d, [omega], PARAMS, noise, replicate=rep)[0, 0] for rep in range(reps)]
         )
-        expected = apply_depolarizing(exact_probabilities(d, omega, PARAMS).p_x, dem_fidelity(r, gate_count(d, "plus")))
+        expected = apply_depolarizing(exact_probabilities(d, omega, PARAMS).p_x, dem_fidelity(r, d))
         se = math.sqrt(expected * (1 - expected) / (m * reps))
         assert abs(vals.mean() - expected) < 3 * se
 

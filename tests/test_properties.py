@@ -2,9 +2,10 @@
 
 Exact-mode recovery is checked against the paper's closed forms, the byte
 identity across process counts against a second run, the config round trip
-against the config itself, the run summary against its earlier per-name
-form, and small configs of every mode against the rule that no output holds a
-non-finite number; none of them pins a sampled value.
+against the config itself, a config's run points against the config that
+builds them, the run summary against its earlier per-name form, and small
+configs of every mode against the rule that no output holds a non-finite
+number; none of them pins a sampled value.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ from fsimcal import ConfusionMatrix, DriftModel, ExperimentConfig, FsimParams, N
 from fsimcal.fisher import SingularFisherError
 from fsimcal.harness import MODES, ConfusionCheckConfig, EmptyPointError, _summarize, run_replicate
 
-from config_strategies import CONFUSIONS, confusion_checks, experiment_configs, sections
+from config_strategies import CONFUSIONS, confusion_checks, declared, experiment_configs, sections, values
 from oracles import approx_coefficients, summarize_by_name
 
 PHASE = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -111,6 +112,28 @@ POSITIVE = st.floats(1e-6, 1.0, allow_nan=False)
 @settings(max_examples=200, deadline=None)
 def test_config_dict_round_trip(config):
     assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+
+# Redrawn values at the edges a run point meets: tiny counts and depths, the depth cap, the
+# sampler's int64 shot cap, and each mode.
+EDGES = st.integers(-1, 3) | st.sampled_from([2**16, 2**16 + 1, 2**63 - 1, 2**63])
+EDGE_DRAWS = {int: EDGES, tuple: st.lists(EDGES, min_size=1, max_size=3).map(tuple), str: st.sampled_from(list(MODES))}
+
+
+@pytest.mark.parametrize("field, spec", [pytest.param(f.name, s, id=f.name) for f, s in declared(ExperimentConfig)])
+@given(config=experiment_configs(), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_a_config_that_builds_has_run_points_that_build(field, spec, config, data):
+    # Building a config does not build its run points, so the fields' declarations and the mode
+    # rules must reject every config with a run point that would not build.  A valid config gets
+    # one field redrawn, as declared or at an edge.
+    value = data.draw(values(spec) | EDGE_DRAWS.get(spec.kind, values(spec)), label=field)
+    try:
+        config = dataclasses.replace(config, **{field: value})
+    except ValueError:
+        return
+    points = MODES[config.mode].points
+    assert all(point.mode == "calibrate" for _, point in (points(config) if points else []))
 
 
 # Small configs of every mode; the declarations draw every field not named here,
