@@ -39,7 +39,8 @@ class InversionRejectedError(ValueError):
 
     def __init__(self, kappa: float):
         self.kappa = kappa
-        super().__init__(f"confusion matrix fails diagonal dominance (kappa={kappa})")
+        # Only noise.confusion's rejection reaches a user: the confusion check catches its estimates'.
+        super().__init__(f"noise.confusion must be diagonally dominant (each diagonal entry > 0.5), got kappa={kappa}")
 
 
 # Version of the random-stream layout; bumped whenever a sampled value of a
@@ -48,7 +49,7 @@ STREAM_VERSION = 2
 # What a generator is for, the first word of its key.
 CIRCUIT, BOOTSTRAP, CONFUSION = 0, 1, 2
 # (gate, column) entries per block of the drift kernel: each block array
-# stays at 64-128 KB whatever the depth and batch width.
+# stays at 64-128 KB whatever the depth, while the batch is 4096 wide or less.
 _BLOCK_ENTRIES = 8192
 
 
@@ -205,35 +206,54 @@ def confusion_sample_size(kappa: float, epsilon: float, alpha_conf: float, const
 def _drifted_survival(d, omegas, params, drift, rngs):
     """|<01| circuit |input>|^2 with fresh per-gate drift per circuit, one row per input.
 
-    Input k's drift uniforms are one (3, d, nc) draw from rngs[k]: the (theta,
-    varphi, chi) offsets of every gate of every circuit.  Each gate, with the
-    Z rotation folded in, is [[a, b], [-conj(b), conj(a)]],
+    Input k's drift uniforms are the (3, d, nc) array one rngs[k].uniform(-1, 1)
+    draw gives: the (theta, varphi, chi) offsets of every gate of every
+    circuit.  Each gate, with the Z rotation folded in, is [[a, b], [-conj(b), conj(a)]],
     a = cos(th) e^{-i(ph - omega)}, b = sin(th) (sin(ch + omega) - i cos(ch + omega)).
     Only row 0 of the product reaches the amplitude; it is carried as a row
     vector from the last gate back to the first, over the 2 nc columns of
     both inputs at once.  The gates are walked in blocks of about
-    _BLOCK_ENTRIES (gate, column) entries, so beside the O(nc d) uniforms
-    every array is O(_BLOCK_ENTRIES) whatever the depth and batch width.
+    _BLOCK_ENTRIES (gate, column) entries.  A block draws only its slice of the
+    uniforms, as 2 random() - 1 (uniform's doubles bit for bit) after advancing
+    each generator to it, so every array is O(_BLOCK_ENTRIES + nc) whatever
+    the depth.  The generators end where the whole draw leaves them.
     """
-    u = [rng.uniform(-1.0, 1.0, size=(3, d, len(omegas))) for rng in rngs]
+    nc, k = len(omegas), len(rngs)
     dth, ramp = drift.half_widths(d, params.theta)
-    step = max(1, _BLOCK_ENTRIES // (len(u) * len(omegas)))
-    r0 = r1 = None
+    step = min(d, max(1, _BLOCK_ENTRIES // (k * nc)))
+    u = np.empty((3, k, step, nc))  # (row, input) slices C-contiguous, as random(out=) needs
+    real, cplx = np.empty((6, step, k, nc)), np.empty((4, step, k, nc), dtype=complex)
+    drawn, r0, r1 = 0, None, None  # drawn: doubles each generator has moved past in this call
     for stop in range(d, 0, -step):
-        gates = slice(max(0, stop - step), stop)
-        ub, rb = np.stack([uk[:, gates] for uk in u], axis=2), ramp[gates, None, None]
-        th = params.theta + dth * ub[0]
-        ph = params.varphi + rb * ub[1] - omegas
-        ch = params.chi + rb * ub[2] + omegas
-        ct, st = np.cos(th), np.sin(th)
-        a = ct * np.cos(ph) - 1j * (ct * np.sin(ph))
-        b = st * np.sin(ch) - 1j * (st * np.cos(ch))
-        a_conj, b_conj = a.conj(), b.conj()
-        top = len(a) - 1
-        if r0 is None:  # the circuit's last gate starts the row vector
-            r0, r1, top = a[top], b[top], top - 1
+        start, n = max(0, stop - step), min(step, stop)
+        for row in range(3):  # the block's slice of a row starts at (row d + start) nc
+            skip = ((row * d + start) * nc - drawn) % 2**128
+            for uk, rng in zip(u[row], rngs):
+                rng.bit_generator.advance(skip)
+                rng.random(out=uk[:n])
+            drawn = (row * d + stop) * nc
+        ub, rb = u[:, :, :n], ramp[start:stop, None, None]
+        u0, u1, u2 = np.subtract(np.multiply(ub, 2.0, out=ub), 1.0, out=ub).transpose(0, 2, 1, 3)  # gate-major
+        th, ph, ch, ct, st, t = real[:, :n]
+        a, b, a_conj, b_conj = cplx[:, :n]
+        np.add(np.multiply(u0, dth, out=th), params.theta, out=th)
+        np.subtract(np.add(np.multiply(u1, rb, out=ph), params.varphi, out=ph), omegas, out=ph)
+        np.add(np.add(np.multiply(u2, rb, out=ch), params.chi, out=ch), omegas, out=ch)
+        np.cos(th, out=ct)
+        np.sin(th, out=st)
+        # a = ct cos(ph) - 1j (ct sin(ph)); an imaginary part 0 - x keeps that form's signs of zero.
+        np.multiply(ct, np.cos(ph, out=t), out=a.real)
+        np.subtract(0.0, np.multiply(ct, np.sin(ph, out=t), out=t), out=a.imag)
+        np.multiply(st, np.sin(ch, out=t), out=b.real)
+        np.subtract(0.0, np.multiply(st, np.cos(ch, out=t), out=t), out=b.imag)
+        np.conjugate(cplx[:2, :n], out=cplx[2:, :n])  # a_conj, b_conj
+        top = n - 1
+        if r0 is None:  # the circuit's last gate starts the row vector, copied out of the reused buffers
+            r0, r1, top = a[top].copy(), b[top].copy(), top - 1
         for g in range(top, -1, -1):
             r0, r1 = r0 * a[g] - r1 * b_conj[g], r0 * b[g] + r1 * a_conj[g]
+    for rng in rngs:
+        rng.bit_generator.advance((3 * d * nc - drawn) % 2**128)
     # The X input (|01> + |10>)/sqrt2 and the Y input (|01> + i|10>)/sqrt2.
     return np.abs(r0 + np.array([[1.0], [1.0j]]) * r1) ** 2 / 2.0
 

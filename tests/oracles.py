@@ -8,7 +8,8 @@ itself does not need: the power-of-two doubling recurrence, the first-order
 coefficient profile, the amplitude profile, the SNR bounds and the
 parabolic weights of the weighted phase average.  The run summary is kept
 in its earlier per-name form, against which the table-driven one is checked,
-and the simulator in its earlier one-input-per-call form.
+the simulator in its earlier one-input-per-call form, and the drift kernel
+in its earlier whole-draw form.
 """
 
 import math
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fsimcal.noise import (
+    _BLOCK_ENTRIES,
     CIRCUIT,
     NoiseConfig,
     apply_depolarizing,
@@ -444,6 +446,36 @@ def drifted_survival_matmul(d, omegas, params, drift, rng, beta):
         v = gates[:, g] @ v
     amp = (v[:, 0, 0] + beta * v[:, 0, 1]) / np.sqrt(2.0)
     return np.abs(amp) ** 2
+
+
+def drifted_survival_whole_draw(d, omegas, params, drift, rngs):
+    """The drift kernel as it was before each gate block drew its own uniforms, copied as it stood.
+
+    Input k's drift uniforms are one (3, d, nc) rngs[k].uniform(-1, 1) draw,
+    taken before the gate walk; the blocks then slice it.  Today's kernel
+    must match it byte for byte and leave every generator in the same state.
+    """
+    u = [rng.uniform(-1.0, 1.0, size=(3, d, len(omegas))) for rng in rngs]
+    dth, ramp = drift.half_widths(d, params.theta)
+    step = max(1, _BLOCK_ENTRIES // (len(u) * len(omegas)))
+    r0 = r1 = None
+    for stop in range(d, 0, -step):
+        gates = slice(max(0, stop - step), stop)
+        ub, rb = np.stack([uk[:, gates] for uk in u], axis=2), ramp[gates, None, None]
+        th = params.theta + dth * ub[0]
+        ph = params.varphi + rb * ub[1] - omegas
+        ch = params.chi + rb * ub[2] + omegas
+        ct, st = np.cos(th), np.sin(th)
+        a = ct * np.cos(ph) - 1j * (ct * np.sin(ph))
+        b = st * np.sin(ch) - 1j * (st * np.cos(ch))
+        a_conj, b_conj = a.conj(), b.conj()
+        top = len(a) - 1
+        if r0 is None:  # the circuit's last gate starts the row vector
+            r0, r1, top = a[top], b[top], top - 1
+        for g in range(top, -1, -1):
+            r0, r1 = r0 * a[g] - r1 * b_conj[g], r0 * b[g] + r1 * a_conj[g]
+    # The X input (|01> + |10>)/sqrt2 and the Y input (|01> + i|10>)/sqrt2.
+    return np.abs(r0 + np.array([[1.0], [1.0j]]) * r1) ** 2 / 2.0
 
 
 # The simulator as it was before one call covered both inputs, copied as it

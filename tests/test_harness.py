@@ -737,7 +737,7 @@ class TestCli:
     REJECTED = [
         ({"depth": 1}, [], "depth must be an integer >= 2"),
         ({"mode": "confusion-check", "noise": {"confusion": ConfusionMatrix.uniform(0.4).entries.tolist()}}, [],
-         "confusion matrix fails diagonal dominance"),
+         "noise.confusion must be diagonally dominant"),
         ({}, ["--seed", "-1"], "noise.seed must"),
         ({}, ["--replicates", "0"], "replicates must"),
         ({"noise": {"seed": 1.5, "shots": 10.7}}, [], "noise.shots must"),

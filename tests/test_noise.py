@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -34,6 +38,7 @@ from oracles import (
     brute_noisy_counts,
     dense_laplacian,
     drifted_survival_matmul,
+    drifted_survival_whole_draw,
     exact_probabilities,
     simulate_probability_batch_one_input,
 )
@@ -211,8 +216,8 @@ class TestDriftKernel:
         p_ref = drifted_survival_matmul(d, omegas, params, drift, reference, (1.0, 1.0j)[k])
         assert p.shape == (2, nc)
         assert np.abs(p[k] - p_ref).max() <= 1e-12
-        # the kernel takes exactly one (3, d, nc) draw from each input's
-        # generator, so the shot draw that follows reads it where the
+        # the kernel leaves each input's generator where one (3, d, nc)
+        # draw would, so the shot draw that follows reads it where the
         # reference leaves it
         assert fast[k].bit_generator.state == reference.bit_generator.state
 
@@ -271,8 +276,43 @@ def test_drift_rows_match_the_one_input_simulator_across_gate_blocks(depths, nc,
         assert batch[k].tobytes() == one.tobytes()
 
 
+# (depth, columns): d = 2, then the kernel walking one block, several blocks with a partial last
+# one, and one-gate blocks, the last wider than 8192 columns, so that each block array passes
+# numpy's 256 KiB threshold for reusing temporaries.
+WHOLE_DRAW_CASES = {
+    "depth-2": (2, 3),
+    "one-block": (20, 39),
+    "multi-block": (100, 199),
+    "one-gate-blocks": (3, 5000),
+    "wider-than-8192": (3, 8193),
+}
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-3, 1.3])
+@pytest.mark.parametrize("d, nc", WHOLE_DRAW_CASES.values(), ids=WHOLE_DRAW_CASES)
+def test_drift_kernel_matches_the_whole_draw_oracle(d, nc, theta):
+    # Same bytes, and each generator left where the whole (3, d, nc) draw leaves it.
+    params, drift = FsimParams(theta, 0.3, -0.7), DriftModel(theta_frac=0.3, phase_max=0.5)
+    omegas = np.random.default_rng(nc).uniform(-np.pi, np.pi, size=nc)
+    blocked, whole = ([stream(19, d, nc, k) for k in range(2)] for _ in range(2))
+    p = _drifted_survival(d, omegas, params, drift, blocked)
+    assert p.tobytes() == drifted_survival_whole_draw(d, omegas, params, drift, whole).tobytes()
+    for rng, ref in zip(blocked, whole):
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random(4).tobytes() == ref.random(4).tobytes()
+
+
+def test_mixed_depth_batch_matches_the_whole_draw_oracle(monkeypatch):
+    depths, noise, key = np.array([100, 2, 37, 3] * 50), NOISE_KINDS["all"], dict(point=4, replicate=1, block=2)
+    omegas = np.linspace(-3.0, 3.0, len(depths))
+    batch = simulate_probability_batch(depths, omegas, PARAMS, noise, **key)
+    monkeypatch.setattr(noise_module, "_drifted_survival", drifted_survival_whole_draw)
+    assert batch.tobytes() == simulate_probability_batch(depths, omegas, PARAMS, noise, **key).tobytes()
+
+
 def test_drift_kernel_memory_stays_near_its_draws():
-    # Beyond the two inputs' (3, d, nc) uniforms, the gate blocks bound the working set.
+    # The gate blocks bound the working set, the uniforms included: about 1.1 MiB here,
+    # where the two inputs' whole (3, d, nc) draws alone would take 8.6 MB.
     d, nc = 300, 599
     omegas = np.linspace(-3.0, 3.0, nc)
     rngs = [stream(17, d, k) for k in range(2)]
@@ -284,7 +324,28 @@ def test_drift_kernel_memory_stays_near_its_draws():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 3 * d * nc * 8 + 4 * 2**20
+    assert peak <= 2 * 2**20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc")
+def test_deep_drifted_call_stays_small_in_a_fresh_process():
+    # One grid-stage drifted call at d = 1000, with depolarizing: the two inputs'
+    # whole (3, d, nc) uniform draws alone would take 96 MB.  The child reads its
+    # own VmHWM: its ru_maxrss would carry this process's peak across the exec.
+    script = """
+import pathlib, re
+from fsimcal import DriftModel, FsimParams, NoiseConfig
+from fsimcal.noise import simulate_probability_batch
+from fsimcal.signal_model import omega_grid
+noise = NoiseConfig(shots=100_000, depol_rate=1e-3, drift=DriftModel(), seed=7)
+simulate_probability_batch(1000, omega_grid(1000), FsimParams(1e-3, 0.2, 0.5), noise)
+print(re.search(r"VmHWM:\\s*(\\d+) kB", pathlib.Path("/proc/self/status").read_text()).group(1))
+"""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 64 * 1024, f"peak RSS {int(proc.stdout) / 1024:.1f} MiB"
 
 
 def _block(args):
@@ -295,16 +356,28 @@ def _block(args):
 
 
 class _Recording:
-    """stream(*key) stand-in that logs each draw with the key's block; it hands out replay[block] uniforms first."""
+    """stream(*key) stand-in that logs each draw with the key's block.
+
+    It is its own bit_generator, so it follows the drift kernel's advance()
+    calls: each random(out=) draw is logged as (stream position, doubles),
+    and served from the flat array replay[block] at that position if given.
+    """
 
     def __init__(self, key, log, replay=None):
         self.rng, self.block, self.log = stream(*key), key[-1], log
-        self.replay = (replay or {}).get(self.block, [])
+        self.replay, self.position, self.bit_generator = (replay or {}).get(self.block), 0, self
 
-    def uniform(self, low, high, size):
-        u = self.replay.pop(0) if self.replay else self.rng.uniform(low, high, size)
-        self.log.append(("uniform", self.block, u))
-        return u
+    def advance(self, delta):
+        self.rng.bit_generator.advance(delta)
+        self.position = (self.position + delta) % 2**128
+
+    def random(self, out):
+        self.rng.random(out=out)
+        if self.replay is not None:
+            out[...] = self.replay[self.position : self.position + out.size].reshape(out.shape)
+        self.log.append(("random", self.block, (self.position, out.copy())))
+        self.position += out.size
+        return out
 
     def multinomial(self, n, pvals):
         self.log.append(("multinomial", self.block, np.array(pvals)))
@@ -313,6 +386,14 @@ class _Recording:
 
 def _draws(log, what, block):
     return [value for kind, b, value in log if kind == what and b == block]
+
+
+def _doubles(draws):
+    """The doubles of logged random(out=) draws in stream order; they must tile positions 0..n once."""
+    draws = sorted(draws, key=lambda draw: draw[0])
+    ends = np.cumsum([0] + [v.size for _, v in draws])
+    assert [position for position, _ in draws] == ends[:-1].tolist()
+    return np.concatenate([np.zeros(0)] + [v.ravel() for _, v in draws])
 
 
 class TestBatchSeeding:
@@ -374,11 +455,12 @@ class TestBatchSeeding:
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     @pytest.mark.parametrize("state", INPUT_STATES)
     def test_mixed_depth_batch_matches_one_call_per_depth(self, kind, state, monkeypatch):
-        # Input k's generator (block 7 + k) draws one (3, d, n_d) array of
-        # drift uniforms per depth, in ascending order.  Handed those uniforms,
-        # a call holding one depth alone gives its circuits the block's shot
-        # probabilities bit for bit: drift runs per depth, depolarizing and
-        # readout mixing per row.
+        # Input k's generator (block 7 + k) draws the (3, d, n_d) drift
+        # uniforms of each depth as one stretch of its stream, in ascending
+        # depth order; they are rebuilt here from the logged block draws.
+        # Handed those uniforms, a call holding one depth alone draws them in
+        # the same order and gives its circuits the block's shot probabilities
+        # bit for bit: drift runs per depth, depolarizing and readout mixing per row.
         noise = NOISE_KINDS[kind]
         block = 7 + INPUT_STATES.index(state)
         rng = np.random.default_rng(8)
@@ -387,17 +469,23 @@ class TestBatchSeeding:
         log, replay = [], {}
         monkeypatch.setattr(noise_module, "stream", lambda *key: _Recording(key, log, replay))
         simulate_probability_batch(depths, omegas, PARAMS, noise, point=3, replicate=2, block=7)
-        uniforms = _draws(log, "uniform", block)
+        doubles = _doubles(_draws(log, "random", block))
         (pvals,) = _draws(log, "multinomial", block)
-        expected = np.empty_like(pvals)
-        assert len(uniforms) == (len(np.unique(depths)) if noise.drift else 0)
-        for j, dj in enumerate(np.unique(depths)):
+        expected, start = np.empty_like(pvals), 0
+        for dj in np.unique(depths):
             at = depths == dj
-            replay[block] = [uniforms[j]] if noise.drift else []
-            if noise.drift:
-                assert uniforms[j].shape == (3, dj, at.sum())
+            size = 3 * dj * at.sum() if noise.drift else 0
+            replay[block] = doubles[start : start + size]
+            if size:  # the stretch holds the depth's uniform(-1, 1) draw, bit for bit
+                whole = stream(CIRCUIT, noise.seed, 3, 2, block)
+                whole.bit_generator.advance(int(start))
+                assert (2.0 * replay[block] - 1.0).tobytes() == whole.uniform(-1.0, 1.0, (3, dj, at.sum())).tobytes()
+            start += size
+            since = len(log)
             simulate_probability_batch(int(dj), omegas[at], PARAMS, noise, point=3, replicate=2, block=7)
+            assert _doubles(_draws(log[since:], "random", block)).tobytes() == replay[block].tobytes()
             expected[at] = _draws(log, "multinomial", block)[-1]
+        assert start == len(doubles)
         assert pvals.tobytes() == expected.tobytes()
 
     def test_block_draws_are_reproducible_across_processes(self):
