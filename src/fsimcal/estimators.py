@@ -21,7 +21,6 @@ from .signal_model import FourierSpectrum
 __all__ = [
     "DegenerateCoefficientError",
     "FidelityCollapseError",
-    "EstimateReport",
     "fourier_estimate",
     "estimate_alpha_corrected",
     "theta_pd_estimate",

@@ -2,11 +2,12 @@
 
 Every sampled mode is a list of run points, each a calibrate config at one
 grid value.  A point runs to one record, the dict its JSON is written from,
-reproducible byte-for-byte across process counts: every random draw is keyed
-by (kind, seed, point, replicate, block), replicates fan out to a process
-pool, and aggregation walks the results in replicate order.  Records keep a
-stable key order; tables are UTF-8 CSV with LF line endings and repr-exact
-floats.
+reproducible byte-for-byte across process counts and batch sizes: every
+random draw is keyed by (kind, seed, point, replicate, block), a point's
+replicates run in batches, one simulator call per stage for each batch (a
+pool task each, or in this process as large as _BATCH_ENTRIES allows), and
+aggregation walks the results in replicate order.  Records keep a stable key
+order; tables are UTF-8 CSV with LF line endings and repr-exact floats.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from . import fisher
 from .config import Section, setting
 from .estimators import (
     DegenerateCoefficientError,
-    EstimateReport,
     FidelityCollapseError,
     estimate_alpha_corrected,
     fourier_estimate,
@@ -62,6 +62,8 @@ __all__ = [
 ARTIFACT_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 _MAX_DEPTH = 2**16  # the deepest circuit a config may ask for; a guard against typos, not a memory guarantee
+# Circuits per stage and input state in one batch of replicates: bounds a batch's arrays whatever R and d.
+_BATCH_ENTRIES = 1 << 15
 
 
 class _Mode(NamedTuple):
@@ -184,61 +186,81 @@ class EmptyPointError(RuntimeError):
     """A run point ended with no surviving replicate."""
 
 
-def run_replicate(config: ExperimentConfig, *, point: int = 0, replicate: int = 0) -> EstimateReport:
-    """Full single-replicate pipeline at config.depth.
+def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(1)) -> list[dict]:
+    """The records of a batch of replicates at config.depth, in replicate order, run stage by stage.
 
-    Simulates the 2(2d-1) grid circuits, reconstructs h, applies the Fourier
-    estimators, then (as configured) the fidelity correction, the
-    progressive-difference ladder (depths d, d+2, ..., 3d, one batch) and
-    the peak fit, both using varphi_hat as the a-priori phase.  Each stage is
-    one simulator call that covers both input states.
+    Each stage is one simulator call over every live replicate of the batch
+    and both input states: the 2(2d-1) grid circuits, then as configured the
+    progressive-difference ladder (depths d, d+2, ..., 3d) and the peak fit,
+    both at each replicate's own varphi_hat.  Replicate r draws only from the
+    keys (CIRCUIT, seed, point, r, block), so its record does not depend on
+    the batch it runs in.  Spectra and estimators run per replicate: the
+    Fourier estimators and the fidelity correction after the grid, theta_pd
+    after the ladder, the peak fit after its stage.  A degenerate coefficient
+    gives the replicate a failure record and drops it from the later stages;
+    a fidelity collapse is a warning; any other exception propagates.
     """
-    d = config.depth
-    params, noise = config.gate_truth, config.noise
+    d, params, noise = config.depth, config.gate_truth, config.noise
+    reports, failures = dict.fromkeys(replicates), {}
 
-    def simulate(depth, omegas, block):
-        # One call per stage, both inputs: grid block 0, ladder 2, peak fit 4; input k draws from block + k.
-        return simulate_probability_batch(depth, omegas, params, noise, point=point, replicate=replicate, block=block)
+    def stage(block, depth, omegas, finish):
+        # Grid block 0, ladder 2, peak fit 4; input k draws from block + k.
+        live = list(reports)
+        if not live:
+            return
+        w = omegas(live)
+        p = simulate_probability_batch(depth, w, params, noise, point=point, replicate=live, block=block)
+        for r, wr, (px, py) in zip(live, w, p):
+            try:
+                finish(r, wr, px, py)
+            except DegenerateCoefficientError as exc:
+                del reports[r]
+                failures[r] = {"replicate": r, "reason": f"{type(exc).__name__}: {exc}"}
 
-    grid = omega_grid(d)
-    px, py = simulate(d, grid, 0)
-    spectrum = spectrum_from_h(px - 0.5 + 1j * (py - 0.5), d)
-    report = fourier_estimate(spectrum, noise.shots)
-    if config.alpha_correction and d >= 3:
-        try:
-            alpha_hat, theta_corr = estimate_alpha_corrected(spectrum)
-            report.alpha_hat = alpha_hat
-            report.diagnostics["theta_corrected"] = theta_corr
-        except FidelityCollapseError as exc:
-            report.warnings.append(str(exc))
-    phi_pri = report.varphi_hat
-    if config.theta_pd:
-        depths = np.arange(d, 3 * d + 1, 2)
-        pxl, pyl = simulate(depths, np.full(len(depths), phi_pri), 2)
-        amps = [math.hypot(x - 0.5, y - 0.5) for x, y in zip(pxl.tolist(), pyl.tolist())]
+    def fourier(r, w, px, py):
+        spectrum = spectrum_from_h(px - 0.5 + 1j * (py - 0.5), d)
+        report = reports[r] = fourier_estimate(spectrum, noise.shots)
+        if config.alpha_correction and d >= 3:
+            try:
+                alpha_hat, theta_corr = estimate_alpha_corrected(spectrum)
+                report.alpha_hat = alpha_hat
+                report.diagnostics["theta_corrected"] = theta_corr
+            except FidelityCollapseError as exc:
+                report.warnings.append(str(exc))
+
+    def ladder(r, w, px, py):
+        report = reports[r]
+        amps = [math.hypot(x - 0.5, y - 0.5) for x, y in zip(px.tolist(), py.tolist())]
         theta_pd, var_pd, budget = theta_pd_estimate(amps, d, noise.shots, var_phi_pri=report.var_theory_varphi)
         report.theta_pd = theta_pd
         report.diagnostics["theta_pd_var_theory"] = var_pd
         report.diagnostics["theta_pd_bias_budget"] = budget
-    if config.peak_fit.enabled:
-        n_pf = config.peak_fit.n_pf
-        local = phi_pri + (np.pi / d) * (np.arange(n_pf) / (n_pf - 1) - 0.5)
-        pxp, pyp = simulate(d, local, 4)
-        result = peak_fit(local, np.hypot(pxp - 0.5, pyp - 0.5), d, phi_pri, config.peak_fit.beta_thr)
+
+    def fit(r, w, px, py):
+        report = reports[r]
+        result = peak_fit(w, np.hypot(px - 0.5, py - 0.5), d, report.varphi_hat, config.peak_fit.beta_thr)
         report.theta_pf = result.theta_pf
         report.diagnostics["peak_fit"] = {key: getattr(result, key) for key in ("beta0", "beta1", "beta2", "accepted")}
-    return report
+
+    phi = lambda live: np.array([[reports[r].varphi_hat] for r in live])  # each replicate's a-priori phase
+    grid = omega_grid(d)
+    stage(0, d, lambda live: np.broadcast_to(grid, (len(live), grid.size)), fourier)
+    if config.theta_pd:
+        depths = np.arange(d, 3 * d + 1, 2)
+        stage(2, depths, lambda live: phi(live).repeat(len(depths), axis=1), ladder)
+    if config.peak_fit.enabled:
+        n_pf = config.peak_fit.n_pf
+        offsets = (np.pi / d) * (np.arange(n_pf) / (n_pf - 1) - 0.5)
+        stage(4, d, lambda live: phi(live) + offsets, fit)
+    # The record is the report's fields, shallow: asdict would deep-copy the diagnostics.
+    record = lambda report: {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return [failures[r] if r in failures else record(reports[r]) for r in replicates]
 
 
 def _replicate_task(args):
-    # The record, or the failure of a degenerate coefficient (a fidelity collapse is a warning); a bug stops the run.
-    config, point, replicate = args
-    try:
-        report = run_replicate(config, point=point, replicate=replicate)
-    except DegenerateCoefficientError as exc:
-        return {"replicate": replicate, "reason": f"{type(exc).__name__}: {exc}"}
-    # The record is the report's fields, shallow: asdict would deep-copy the diagnostics.
-    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    # One batch of replicates of one point: a pool task, or at jobs 1 a whole point.
+    config, point, replicates = args
+    return run_replicate(config, point=point, replicates=replicates)
 
 
 def _median(values: list) -> float | None:
@@ -316,11 +338,19 @@ def _executor(jobs: int):
 
 
 def _run_point(config: ExperimentConfig, *, mode: str, point: int, grid_value, pool, workers: int) -> dict:
-    """All replicates of one calibrate config, summarized into the record of one run point."""
-    tasks = [(config, point, rep) for rep in range(config.replicates)]
-    # Both maps yield in task order, that is replicate order; a pool's chunks follow multiprocessing.Pool.map.
-    chunked = {} if pool is None else {"chunksize": -(-len(tasks) // (4 * workers))}
-    results = list((map if pool is None else pool.map)(_replicate_task, tasks, **chunked))
+    """All replicates of one calibrate config, summarized into the record of one run point.
+
+    The replicates run in batches, one run_replicate call each: in this
+    process as few as _BATCH_ENTRIES allows, in a pool one task per
+    multiprocessing.Pool.map chunk of ceil(replicates / (4 workers)).
+    """
+    reps = range(config.replicates)
+    size = max(1, _BATCH_ENTRIES // max(2 * config.depth - 1, config.peak_fit.n_pf))
+    if pool is not None:
+        size = min(size, -(-len(reps) // (4 * workers)))
+    tasks = [(config, point, reps[i : i + size]) for i in range(0, len(reps), size)]
+    # Both maps yield in task order, that is replicate order.
+    results = [r for batch in (map if pool is None else pool.map)(_replicate_task, tasks) for r in batch]
     reports = [r for r in results if "reason" not in r]
     failures = [r for r in results if "reason" in r]
     # The stored snapshot identifies the experiment; where the record is

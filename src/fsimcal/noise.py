@@ -3,11 +3,12 @@
 Every random draw comes from a generator keyed by (kind, seed, point,
 replicate, block), so datasets are bit-identical regardless of evaluation
 order or parallelism.  One simulator call covers a batch of circuits from
-both input states: input k draws from block b + k, the noiseless signal is
-evaluated once for both, and the drift pass runs over both inputs' columns
-at once.  The measured object is always the 4-outcome distribution over
-two-qubit bitstrings (00, 01, 10, 11); the subspace signal lives in
-outcomes 01/10 and depolarizing leaks weight onto 00/11.
+both input states and any number of replicates: input k draws from block
+b + k of its replicate's key, the noiseless signal and the readout steps run
+once over the whole batch, and the drift pass runs per replicate over both
+inputs' columns at once.  The measured object is always the 4-outcome
+distribution over two-qubit bitstrings (00, 01, 10, 11); the subspace signal
+lives in outcomes 01/10 and depolarizing leaks weight onto 00/11.
 """
 
 from __future__ import annotations
@@ -265,35 +266,41 @@ def simulate_probability_batch(
     noise: NoiseConfig,
     *,
     point: int = 0,
-    replicate: int = 0,
+    replicate=0,
     block: int = 0,
 ) -> np.ndarray:
     """Empirical |01> probabilities for a batch of circuits at angles omegas, from both inputs.
 
-    Returns a (2, n) array: row 0 for the X input, row 1 for the Y input.  d
-    is one depth or one depth per circuit.  Input k draws from its own
-    generator, keyed (CIRCUIT, seed, point, replicate, block + k): the drift
-    uniforms of each distinct depth in ascending depth order, then one
-    multinomial over all its rows.  Under a confusion matrix the sampled
+    replicate is one index, which gives a (2, n) array: row 0 for the X
+    input, row 1 for the Y input; or a sequence of R indices, which gives an
+    (R, 2, n) array, with omegas and d broadcast to (R, n).  d is one depth or
+    one depth per circuit.  The noiseless signal, depolarizing, readout
+    mixing, normalisation and correction run once over the whole (replicate,
+    input, circuit) array, and act on each row alone.  Replicate r's input k
+    draws from its own generator, keyed (CIRCUIT, seed, point, r, block + k):
+    the drift uniforms of each distinct depth in ascending depth order, then
+    one multinomial over all its rows.  Under a confusion matrix the sampled
     4-outcome frequencies are pushed through its inverse before the 01
-    component is returned.  Depolarizing, readout mixing and correction act
-    on each row alone.
+    component is returned.
     """
+    one, reps = np.ndim(replicate) == 0, np.atleast_1d(replicate).tolist()
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    omegas = np.broadcast_to(omegas, (len(reps), omegas.shape[-1]))
     depths = np.broadcast_to(d, omegas.shape)
     if noise.exact or noise.drift is None:
-        h = exact_signal(depths, omegas, params)
-        p = 0.5 + np.stack([h.real, h.imag])
+        p = exact_signal(depths, omegas, params)  # h, held under p's name so its array goes once p is formed
+        p = 0.5 + np.stack([p.real, p.imag], axis=1)
         if noise.exact:
-            return p
-    rngs = [stream(CIRCUIT, noise.seed, point, replicate, block + k) for k in range(2)]
+            return p[0] if one else p
+    rngs = [[stream(CIRCUIT, noise.seed, point, r, block + k) for k in range(2)] for r in reps]
     if noise.drift is not None:
-        p = np.empty((len(rngs), len(omegas)))
-        for dj in sorted(set(depths.tolist())):
-            at = depths == dj
-            p[:, at] = _drifted_survival(int(dj), omegas[at], params, noise.drift, rngs)
-    n = gate_count(depths)
-    alpha = (1.0 - noise.depol_rate) ** np.stack([n, n + 1])  # the Y input's extra preparation gate
+        p = np.empty((len(reps), 2, omegas.shape[-1]))
+        for pr, w, dr, rr in zip(p, omegas, depths, rngs):
+            for dj in sorted(set(dr.tolist())):
+                at = dr == dj
+                pr[:, at] = _drifted_survival(int(dj), w[at], params, noise.drift, rr)
+    # The Y input's extra preparation gate; no (R, n) array outlives the power.
+    alpha = (1.0 - noise.depol_rate) ** (gate_count(depths)[:, None] + np.array([[0], [1]]))
     q4 = np.empty(p.shape + (4,))
     q4[..., 0] = q4[..., 3] = (1.0 - alpha) / 4.0
     q4[..., 1] = apply_depolarizing(p, alpha)
@@ -301,7 +308,11 @@ def simulate_probability_batch(
     if noise.confusion is not None:
         q4 = (q4[..., None, :] @ noise.confusion.entries)[..., 0, :]
     q4 /= q4.sum(axis=-1, keepdims=True)
-    freq = np.stack([rng.multinomial(noise.shots, q) for rng, q in zip(rngs, q4)]) / noise.shots
+    freq = q4  # each row's counts, then frequencies, overwrite its probabilities once drawn
+    for rq in zip(rngs, freq):
+        for rng, q in zip(*rq):
+            q[...] = rng.multinomial(noise.shots, q)
+    freq /= noise.shots
     if noise.confusion is not None:
         freq = invert_confusion(freq.T, noise.confusion).T
-    return freq[..., 1]
+    return freq[0, ..., 1] if one else freq[..., 1]

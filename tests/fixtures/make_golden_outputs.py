@@ -38,6 +38,9 @@ CASES = {
     "calibrate": ("calibrate", {"mode": "calibrate", "depth": 8, "replicates": 4, "noise": NOISE, "theta_pd": True,
                                 "peak_fit": {"n_pf": 7}}, []),
     "calibrate-exact": ("calibrate", {"mode": "calibrate", "depth": 8, "replicates": 2, "noise": NOISE}, ["--exact"]),
+    # the ladder and the peak fit under depolarizing, drift and readout confusion
+    "calibrate-noisy": ("calibrate", {"mode": "calibrate", "depth": 6, "replicates": 5, "noise": NOISY,
+                                      "theta_pd": True, "peak_fit": {"n_pf": 5}}, []),
     "sweep-depth": ("sweep", {"mode": "sweep-depth", "depth_grid": [4, 8], "replicates": 3, "noise": NOISY,
                               "peak_fit": {"enabled": False}}, []),
     "sweep-shots": ("sweep", {"mode": "sweep-shots", "depth": 6, "shots_grid": [500, 5000], "replicates": 3,

@@ -25,7 +25,7 @@ from fsimcal import (
     run_mode,
 )
 from fsimcal.cli import main as cli_main
-from fsimcal.estimators import DegenerateCoefficientError
+from fsimcal.estimators import DegenerateCoefficientError, FidelityCollapseError
 from fsimcal.fisher import transition_scan
 from fsimcal.harness import (
     FIGURES,
@@ -49,7 +49,7 @@ DROP = object()  # an edit value that removes the key from a config
 def _stand_in_pool(monkeypatch, cpus):
     """Swap the harness's process pool for one that runs tasks in-process, on a machine with cpus usable CPUs.
 
-    Returns the lists that collect each pool's size and each map's chunksize.
+    Returns the lists that collect each pool's size and each map's batch sizes, one pool task per batch.
     """
     sizes, chunks = [], []
 
@@ -63,8 +63,8 @@ def _stand_in_pool(monkeypatch, cpus):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize):
-            chunks.append(chunksize)
+        def map(self, fn, tasks):
+            chunks.append([len(replicates) for config, point, replicates in tasks])
             return map(fn, tasks)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
@@ -84,6 +84,84 @@ def small_config(**over):
     )
     base.update(over)
     return ExperimentConfig(**base)
+
+
+# One noise kind per shared simulator step; each config runs the grid, the mixed-depth ladder and the peak fit.
+BATCH_NOISE = {
+    "shots": NoiseConfig(shots=20_000, seed=7),
+    "exact": NoiseConfig(shots=20_000, seed=7, exact=True),
+    "depolarizing": NoiseConfig(shots=20_000, depol_rate=1e-2, seed=7),
+    "drift": NoiseConfig(shots=20_000, drift=DriftModel(), seed=7),
+    "confusion": NoiseConfig(shots=20_000, confusion=ConfusionMatrix.uniform(0.97), seed=7),
+}
+
+
+class TestReplicateBatches:
+    """run_replicate over a batch writes, byte for byte, the records of one call per replicate."""
+
+    @staticmethod
+    def one_at_a_time(config, point, replicates):
+        return [rec for r in replicates for rec in harness.run_replicate(config, point=point, replicates=[r])]
+
+    @staticmethod
+    def dumps(records):
+        # repr-exact floats, signs of zero included; one string per record keeps a failure's diff short
+        return [json.dumps(rec) for rec in records]
+
+    @pytest.mark.parametrize("kind", BATCH_NOISE)
+    def test_every_partition_writes_the_records_of_one_replicate_calls(self, kind):
+        cfg = small_config(noise=BATCH_NOISE[kind], replicates=7, theta_pd=True)
+        expected = self.dumps(self.one_at_a_time(cfg, 2, range(7)))
+        for sizes in ([1] * 7, [3, 1, 2, 1], [7]):
+            starts = np.cumsum([0, *sizes])
+            batches = [range(a, b) for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
+            records = [rec for batch in batches for rec in harness.run_replicate(cfg, point=2, replicates=batch)]
+            assert self.dumps(records) == expected, sizes
+
+    def test_a_grid_stage_past_the_temporary_elision_threshold(self):
+        # numpy reuses a temporary operand of 256 KiB or more, which can swap a complex multiply's operands
+        # and move last bits: the batch's complex (R, 2d - 1) arrays cross it, one replicate's do not.
+        d, reps = 100, 96
+        assert reps * (2 * d - 1) * 16 >= 256 * 1024 > (2 * d - 1) * 16
+        noise = NoiseConfig(shots=20_000, depol_rate=1e-3, confusion=ConfusionMatrix.uniform(0.97), seed=7)
+        cfg = small_config(noise=noise, depth=d, replicates=reps, peak_fit=PeakFitConfig(enabled=False))
+        batch = harness.run_replicate(cfg, point=1, replicates=range(reps))
+        assert self.dumps(batch) == self.dumps(self.one_at_a_time(cfg, 1, range(reps)))
+
+    def test_a_failed_replicate_leaves_the_batch_and_moves_no_other(self, monkeypatch):
+        cfg = small_config(noise=BATCH_NOISE["drift"], replicates=5, theta_pd=True)
+        clean = harness.run_replicate(cfg, point=1, replicates=range(5))
+        stages, grid_calls = [], []
+        simulate, fourier = harness.simulate_probability_batch, harness.fourier_estimate
+        correct = harness.estimate_alpha_corrected
+
+        def spy(*args, replicate, block, **kwargs):
+            stages.append((block, list(replicate)))
+            return simulate(*args, replicate=replicate, block=block, **kwargs)
+
+        def degenerate_third(spectrum, m_shots):
+            grid_calls.append(spectrum)
+            if len(grid_calls) == 3:  # replicate 2
+                raise DegenerateCoefficientError("injected")
+            return fourier(spectrum, m_shots)
+
+        def collapse_fourth(spectrum):
+            if len(grid_calls) == 4:  # replicate 3: a warning, not a failure
+                raise FidelityCollapseError("injected collapse")
+            return correct(spectrum)
+
+        monkeypatch.setattr(harness, "simulate_probability_batch", spy)
+        monkeypatch.setattr(harness, "fourier_estimate", degenerate_third)
+        monkeypatch.setattr(harness, "estimate_alpha_corrected", collapse_fourth)
+        records = harness.run_replicate(cfg, point=1, replicates=range(5))
+        assert records[2] == {"replicate": 2, "reason": "DegenerateCoefficientError: injected"}
+        assert stages == [(0, [0, 1, 2, 3, 4]), (2, [0, 1, 3, 4]), (4, [0, 1, 3, 4])]
+        assert self.dumps(records[i] for i in (0, 1, 4)) == self.dumps(clean[i] for i in (0, 1, 4))
+        collapsed, kept = records[3], clean[3]
+        assert collapsed["warnings"] == [*kept["warnings"], "injected collapse"] and collapsed["alpha_hat"] is None
+        assert "theta_corrected" not in collapsed["diagnostics"]
+        for key in ("theta_hat", "varphi_hat", "theta_pd", "theta_pf"):
+            assert collapsed[key] == kept[key] is not None
 
 
 class TestConfig:
@@ -261,16 +339,17 @@ class TestRunCalibration:
             cfg = small_config(mode="sweep-depth", depth=None, depth_grid=(4, 6), replicates=3)
             run_points(cfg, jobs=jobs)
         assert sizes == [workers]
-        # every point's replicates go out in chunks of ceil(replicates / (4 workers))
-        assert chunks == [math.ceil(3 / (4 * workers))] * (1 if run == "calibrate" else 2)
+        # every point's replicates go out in batches of ceil(replicates / (4 workers)), here 1
+        assert chunks == [[1, 1, 1]] * (1 if run == "calibrate" else 2)
 
     @pytest.mark.parametrize("replicates, jobs, chunk", [(40, 2, 5), (40, 3, 4), (96, 2, 12), (7, 2, 1)])
     def test_pool_takes_replicates_in_pool_map_chunks(self, monkeypatch, replicates, jobs, chunk):
-        # multiprocessing.Pool.map's rule, ceil(replicates / (4 workers)); replicates stubbed out as failures
+        # one batch per multiprocessing.Pool.map chunk, ceil(replicates / (4 workers)); replicates stubbed out
         sizes, chunks = _stand_in_pool(monkeypatch, cpus=8)
-        monkeypatch.setattr(harness, "_replicate_task", lambda task: {"replicate": task[2], "reason": "stub"})
+        stub = lambda task: [{"replicate": r, "reason": "stub"} for r in task[2]]
+        monkeypatch.setattr(harness, "_replicate_task", stub)
         (rec,) = run_points(small_config(replicates=replicates), jobs=jobs)
-        assert sizes == [jobs] and chunks == [chunk]
+        assert sizes == [jobs] and chunks == [[chunk] * (replicates // chunk)]
         assert [f["replicate"] for f in rec["failures"]] == list(range(replicates))
 
     def test_pool_name_takes_a_counting_subclass(self, monkeypatch, tmp_path):
@@ -309,10 +388,11 @@ class TestRunCalibration:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_program_errors_propagate(self, monkeypatch, jobs):
-        def broken_replicate(config, *, point=0, replicate=0):
+        # raised by one replicate's estimator inside a batch, after its simulator stage
+        def broken_fit(*args, **kwargs):
             raise ValueError("injected program error")
 
-        monkeypatch.setattr(harness, "run_replicate", broken_replicate)
+        monkeypatch.setattr(harness, "peak_fit", broken_fit)
         with pytest.raises(ValueError, match="injected program error"):
             run_points(small_config(replicates=2), jobs=jobs)
 
@@ -682,10 +762,10 @@ class TestCli:
         assert os.path.exists(tmp_path / "figs" / "figure_mse-vs-depth.csv")
 
     def test_nonzero_exit_when_no_replicate_survives(self, tmp_path, monkeypatch, capsys):
-        def failing_replicate(config, *, point=0, replicate=0):
+        def failing_estimate(spectrum, m_shots):
             raise DegenerateCoefficientError("injected replicate failure")
 
-        monkeypatch.setattr(harness, "run_replicate", failing_replicate)
+        monkeypatch.setattr(harness, "fourier_estimate", failing_estimate)
         cfg = small_config(replicates=2, output_dir=str(tmp_path / "out"))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")

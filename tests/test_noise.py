@@ -544,9 +544,9 @@ class TestBatchSeeding:
             theta_pd=True,
             peak_fit=PeakFitConfig(enabled=False),
         )
-        report = harness.run_replicate(config, point=1, replicate=4)
+        (report,) = harness.run_replicate(config, point=1, replicates=[4])
         depths = np.arange(20, 61, 2)
-        omegas = np.full(len(depths), report.varphi_hat)
+        omegas = np.full(len(depths), report["varphi_hat"])
         freqs = []
         for block, beta in ((2, 1.0), (3, 1.0j)):
             f = brute_noisy_counts(depths, omegas, config.gate_truth, noise, beta, (CIRCUIT, noise.seed, 1, 4, block))

@@ -53,13 +53,13 @@ def test_exact_mode_recovers_the_closed_forms(depth_and_angle, varphi, chi):
         depth=d,
         peak_fit=PeakFitConfig(enabled=False),
     )
-    report = run_replicate(config)
+    (report,) = run_replicate(config)
     profile = math.sin(theta) * np.abs(approx_coefficients(d, theta)[:d]).mean()
-    assert abs(report.theta_hat - profile) <= 2.0 * (d * theta) ** 5 + 1e-12 * theta
+    assert abs(report["theta_hat"] - profile) <= 2.0 * (d * theta) ** 5 + 1e-12 * theta
     # Rounding of the smallest coefficient sets the phase floor.
-    amps = np.array(report.diagnostics["amplitudes"])
+    amps = np.array(report["diagnostics"]["amplitudes"])
     floor = 1e3 * d * np.finfo(float).eps * amps.max() / amps.min()
-    assert abs(math.remainder(report.varphi_hat - truth.varphi, math.pi)) <= floor
+    assert abs(math.remainder(report["varphi_hat"] - truth.varphi, math.pi)) <= floor
 
 
 def _noise(draw, seed):
