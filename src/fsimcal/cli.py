@@ -25,7 +25,7 @@ def _add_run_flags(sub):
     sub.add_argument("--replicates", type=int, default=None, help="override the replicate count")
     sub.add_argument("--out", default=None, help="override the output directory")
     sub.add_argument("--exact", action="store_true", help="noise-free analytic mode")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes for replicates")
+    sub.add_argument("--jobs", type=int, default=1, help="processes that run replicates, this one included")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,10 +4,10 @@ Every sampled mode is a list of run points, each a calibrate config at one
 grid value.  A point runs to one record, the dict its JSON is written from,
 reproducible byte-for-byte across process counts and batch sizes: every
 random draw is keyed by (kind, seed, point, replicate, block), a point's
-replicates run in batches, one simulator call per stage for each batch (a
-pool task each, or in this process as large as _BATCH_ENTRIES allows), and
-aggregation walks the results in replicate order.  Records keep a stable key
-order; tables are UTF-8 CSV with LF line endings and repr-exact floats.
+replicates run in batches of one simulator call per stage, all batches of a
+run go through one map (--jobs processes, forked once), and aggregation walks
+the results in replicate order.  Records keep a stable key order; tables are
+UTF-8 CSV with LF line endings and repr-exact floats.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import math
 import operator
 import os
+import pickle
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -257,12 +258,6 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(
     return [failures[r] if r in failures else record(reports[r]) for r in replicates]
 
 
-def _replicate_task(args):
-    # One batch of replicates of one point: a pool task, or at jobs 1 a whole point.
-    config, point, replicates = args
-    return run_replicate(config, point=point, replicates=replicates)
-
-
 def _median(values: list) -> float | None:
     """np.median bit for bit on finite values whose sums stay finite, without its numpy.ma import; None for none."""
     s, n = sorted(values), len(values)
@@ -312,45 +307,74 @@ def _summarize(config: ExperimentConfig, reports: list[dict], point: int) -> dic
     return summary
 
 
-class ProcessPoolExecutor:
-    """concurrent.futures' process pool, imported when a run starts one, so --jobs 1 never loads it.
+@dataclass
+class ProcessPoolExecutor(contextlib.AbstractContextManager):
+    """--jobs N: map forks n - 1 workers, n = min(N, tasks), and runs task k in worker k mod n, 0 being this process.
 
-    A class from import time: the benchmark's pool counter subclasses and rebinds it until ROADMAP item 2b.
+    A worker pickles its results, or its exception, into a pipe and leaves by os._exit, so it never flushes the stdio
+    buffers it inherited; each is reaped on every path, and one that leaves no result raises RuntimeError.  Until
+    ROADMAP item 2b the benchmark's pool counter subclasses and rebinds this class.
     """
 
-    def __init__(self, max_workers: int):
-        from concurrent.futures import ProcessPoolExecutor as Pool
-        self._pool = Pool(max_workers=max_workers)
-
-    def __enter__(self):
-        return self._pool.__enter__()
+    max_workers: int
 
     def __exit__(self, *exc):
-        return self._pool.__exit__(*exc)
+        return None
+
+    def map(self, fn, tasks) -> list:
+        tasks, pids, fds = list(tasks), [], []
+        n = max(1, min(self.max_workers, len(tasks)))
+        try:
+            for i in range(1, n):
+                r, w = os.pipe()
+                fds.append(r)
+                if (pid := os.fork()) == 0:  # the worker; a read end left open here would keep its pipe open
+                    try:
+                        for fd in fds:
+                            os.close(fd)
+                        try:
+                            out = [fn(t) for t in tasks[i::n]]
+                        except BaseException as exc:  # re-raised in the parent
+                            out = exc
+                        with open(w, "wb") as fh:
+                            fh.write(pickle.dumps(out))
+                        os._exit(0)
+                    finally:  # never back into the caller's code
+                        os._exit(1)
+                os.close(w)
+                pids.append(pid)
+            shares = [[fn(t) for t in tasks[::n]]]
+            for i in range(1, n):
+                with open(fds.pop(0), "rb") as fh:
+                    blob = fh.read()
+                status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
+                if status or not blob:
+                    raise RuntimeError(f"worker {i} exited with status {status} and no result")
+                shares.append(pickle.loads(blob))
+                if isinstance(shares[-1], BaseException):
+                    raise shares[-1]
+        finally:
+            for fd in fds:  # a worker blocked on a full pipe gets a broken pipe and exits
+                os.close(fd)
+            for pid in pids:
+                os.waitpid(pid, 0)
+        return [shares[k % n][k // n] for k in range(len(tasks))]
 
 
 def _executor(jobs: int):
-    """One worker pool for a whole run; jobs <= 1 runs replicates in this process.
-
-    The pool forks all its workers at the first task; callers cap jobs at one point's replicates and the usable CPUs.
-    """
+    """The workers of a whole run, forked at its one map; jobs <= 1 runs every task in this process, lazily."""
     return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
 
 
-def _run_point(config: ExperimentConfig, *, mode: str, point: int, grid_value, pool, workers: int) -> dict:
-    """All replicates of one calibrate config, summarized into the record of one run point.
-
-    The replicates run in batches, one run_replicate call each: in this
-    process as few as _BATCH_ENTRIES allows, in a pool one task per
-    multiprocessing.Pool.map chunk of ceil(replicates / (4 workers)).
-    """
+def _batches(config: ExperimentConfig, point: int, workers: int) -> list:
+    """A point's run_replicate tasks: batches of ceil(replicates / workers), as large as _BATCH_ENTRIES allows."""
     reps = range(config.replicates)
-    size = max(1, _BATCH_ENTRIES // max(2 * config.depth - 1, config.peak_fit.n_pf))
-    if pool is not None:
-        size = min(size, -(-len(reps) // (4 * workers)))
-    tasks = [(config, point, reps[i : i + size]) for i in range(0, len(reps), size)]
-    # Both maps yield in task order, that is replicate order.
-    results = [r for batch in (map if pool is None else pool.map)(_replicate_task, tasks) for r in batch]
+    size = min(max(1, _BATCH_ENTRIES // max(2 * config.depth - 1, config.peak_fit.n_pf)), -(-len(reps) // workers))
+    return [(config, point, reps[i : i + size]) for i in range(0, len(reps), size)]
+
+
+def _record(config: ExperimentConfig, results: list[dict], mode: str, point: int, grid_value) -> dict:
+    """The record of one run point from its replicates' results, in replicate order."""
     reports = [r for r in results if "reason" not in r]
     failures = [r for r in results if "reason" in r]
     # The stored snapshot identifies the experiment; where the record is
@@ -373,17 +397,18 @@ def _run_point(config: ExperimentConfig, *, mode: str, point: int, grid_value, p
 
 
 def run_points(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    """One record per run point of config's mode, in grid order, from one worker pool."""
+    """One record per run point of config's mode, in grid order, from one map over every point's batches."""
     points = MODES[config.mode].points
     if points is None:
         raise ValueError(f"mode {config.mode!r} samples no run points")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1  # usable CPUs
-    workers = min(jobs, config.replicates, cpus)
+    workers = min(jobs, config.replicates, cpus) if hasattr(os, "fork") else 1  # no forking, no workers
+    runs = [(i, g, point, _batches(point, i, workers)) for i, (g, point) in enumerate(points(config))]
+    run = lambda task: run_replicate(task[0], point=task[1], replicates=task[2])  # fn needs no pickling: workers fork
     with _executor(workers) as pool:
-        return [
-            _run_point(point, mode=config.mode, point=i, grid_value=g, pool=pool, workers=workers)
-            for i, (g, point) in enumerate(points(config))
-        ]
+        # Both maps yield in task order, that is point and replicate order.
+        results = iter((map if pool is None else pool.map)(run, [t for *_, ts in runs for t in ts]))
+        return [_record(point, [r for _ in ts for r in next(results)], config.mode, i, g) for i, g, point, ts in runs]
 
 
 def _sweep_rows(config: ExperimentConfig, records: list[dict]) -> list[list]:

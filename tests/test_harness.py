@@ -4,9 +4,11 @@ import copy
 import json
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -47,9 +49,9 @@ DROP = object()  # an edit value that removes the key from a config
 
 
 def _stand_in_pool(monkeypatch, cpus):
-    """Swap the harness's process pool for one that runs tasks in-process, on a machine with cpus usable CPUs.
+    """Swap the harness's worker pool for one that runs tasks in-process, on a machine with cpus usable CPUs.
 
-    Returns the lists that collect each pool's size and each map's batch sizes, one pool task per batch.
+    Returns the lists that collect each pool's size and each map's batch sizes, one task per batch.
     """
     sizes, chunks = [], []
 
@@ -71,6 +73,25 @@ def _stand_in_pool(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     return sizes, chunks
+
+
+@pytest.fixture
+def deadline():
+    """Fails the test, instead of hanging the suite, if it is still running after 30 s (a deadlocked worker)."""
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def small_config(**over):
@@ -320,37 +341,103 @@ class TestRunCalibration:
         assert rec["summary"] == {}
 
     @pytest.mark.parametrize(
-        "run, jobs, cpus, workers",
+        "run, jobs, cpus, workers, chunks",
         [
-            pytest.param("calibrate", 500, 8, 3, id="calibrate-500-3"),
-            pytest.param("sweep", 500, 8, 3, id="sweep-500-3"),
-            pytest.param("calibrate", 2, 8, 2, id="calibrate-2-2"),
-            pytest.param("calibrate", 500, 2, 2, id="calibrate-500-2-cpus"),
+            pytest.param("calibrate", 500, 8, 3, [1, 1, 1], id="calibrate-500-3"),
+            pytest.param("sweep", 500, 8, 3, [1, 1, 1] * 2, id="sweep-500-3"),
+            pytest.param("calibrate", 2, 8, 2, [2, 1], id="calibrate-2-2"),
+            pytest.param("calibrate", 500, 2, 2, [2, 1], id="calibrate-500-2-cpus"),
         ],
     )
-    def test_worker_pool_never_exceeds_the_replicates(self, monkeypatch, run, jobs, cpus, workers):
-        # The pool forks all of its workers at the first task: it is sized
+    def test_worker_pool_never_exceeds_the_replicates(self, monkeypatch, run, jobs, cpus, workers, chunks):
+        # The workers are forked at the run's one map: they are counted
         # before any is started, here by a stand-in that runs tasks in-process,
         # on a stand-in machine with cpus usable CPUs.
-        sizes, chunks = _stand_in_pool(monkeypatch, cpus)
+        sizes, maps = _stand_in_pool(monkeypatch, cpus)
         if run == "calibrate":
             run_points(small_config(replicates=3, peak_fit=PeakFitConfig(enabled=False)), jobs=jobs)
         else:
             cfg = small_config(mode="sweep-depth", depth=None, depth_grid=(4, 6), replicates=3)
             run_points(cfg, jobs=jobs)
         assert sizes == [workers]
-        # every point's replicates go out in batches of ceil(replicates / (4 workers)), here 1
-        assert chunks == [[1, 1, 1]] * (1 if run == "calibrate" else 2)
+        # one map for the whole run; every point's replicates go out in batches of ceil(replicates / workers)
+        assert maps == [chunks]
 
-    @pytest.mark.parametrize("replicates, jobs, chunk", [(40, 2, 5), (40, 3, 4), (96, 2, 12), (7, 2, 1)])
-    def test_pool_takes_replicates_in_pool_map_chunks(self, monkeypatch, replicates, jobs, chunk):
-        # one batch per multiprocessing.Pool.map chunk, ceil(replicates / (4 workers)); replicates stubbed out
-        sizes, chunks = _stand_in_pool(monkeypatch, cpus=8)
-        stub = lambda task: [{"replicate": r, "reason": "stub"} for r in task[2]]
-        monkeypatch.setattr(harness, "_replicate_task", stub)
-        (rec,) = run_points(small_config(replicates=replicates), jobs=jobs)
-        assert sizes == [jobs] and chunks == [[chunk] * (replicates // chunk)]
-        assert [f["replicate"] for f in rec["failures"]] == list(range(replicates))
+    @pytest.mark.parametrize(
+        "replicates, jobs, entries, chunk",
+        [(40, 2, 1 << 15, 20), (40, 3, 1 << 15, 14), (96, 2, 1 << 15, 48), (7, 2, 1 << 15, 4), (40, 2, 75, 5)],
+    )
+    def test_one_map_takes_a_batch_per_worker_per_point(self, monkeypatch, replicates, jobs, entries, chunk):
+        # Batches of ceil(replicates / workers), capped at _BATCH_ENTRIES circuits
+        # per stage and input (here 15 per replicate, at d = 8); replicates stubbed out.
+        sizes, maps = _stand_in_pool(monkeypatch, cpus=8)
+        monkeypatch.setattr(harness, "_BATCH_ENTRIES", entries)
+        stub = lambda config, *, point, replicates: [{"replicate": r, "reason": f"stub {point}"} for r in replicates]
+        monkeypatch.setattr(harness, "run_replicate", stub)
+        cfg = small_config(mode="sweep-depth", depth=None, depth_grid=(8, 8), replicates=replicates)
+        records = run_points(cfg, jobs=jobs)
+        batches = [len(range(replicates)[i : i + chunk]) for i in range(0, replicates, chunk)]
+        assert sizes == [jobs] and maps == [batches * 2]
+        for point, rec in enumerate(records):  # each point's results, in replicate order
+            expected = [{"replicate": r, "reason": f"stub {point}"} for r in range(replicates)]
+            assert rec["failures"] == expected
+
+    @pytest.mark.parametrize("workers, tasks, forked", [(2, 10, 1), (3, 10, 2), (3, 2, 1)])
+    def test_worker_k_mod_n_runs_task_k(self, monkeypatch, deadline, workers, tasks, forked):
+        # worker 0 is this process, and no worker is forked without a task;
+        # the results come back in task order and every worker is reaped
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        with harness.ProcessPoolExecutor(max_workers=workers) as pool:
+            out = pool.map(lambda task: (task, os.getpid()), range(tasks))
+        assert len(forks) == forked
+        assert [task for task, _ in out] == list(range(tasks))
+        pids = [pid for _, pid in out]
+        n = forked + 1
+        assert pids[0] == os.getpid() and len(set(pids)) == n
+        assert pids == [pids[k % n] for k in range(tasks)]
+        _no_child_left()
+
+    @pytest.mark.parametrize("how", ["exit", "unpicklable"])
+    def test_a_worker_that_leaves_no_result_raises(self, monkeypatch, deadline, how):
+        # The forked worker runs its first batch, then exits with status 3 or
+        # raises an exception that cannot be pickled, in the middle of its share.
+        here, real, calls = os.getpid(), harness.run_replicate, []
+
+        def dies_in_a_worker(config, *, point, replicates):
+            if os.getpid() != here and calls:
+                if how == "exit":
+                    os._exit(3)
+                raise ValueError(lambda: None)
+            calls.append(point)
+            return real(config, point=point, replicates=replicates)
+
+        monkeypatch.setattr(harness, "run_replicate", dies_in_a_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = small_config(mode="sweep-depth", depth=None, depth_grid=(4, 6), replicates=4)
+        status = 3 if how == "exit" else 1  # 1: the worker's pickling of its exception failed
+        with pytest.raises(RuntimeError, match=f"worker 1 exited with status {status} and no result"):
+            run_points(cfg, jobs=2)
+        _no_child_left()
+
+    def test_a_failing_share_here_reaps_a_worker_blocked_on_a_full_pipe(self, monkeypatch, deadline):
+        # The worker's result is larger than a pipe holds, so it blocks writing
+        # until its pipe is read or closed; this process's own share raises.
+        here = os.getpid()
+
+        def fails_here(config, *, point, replicates):
+            if os.getpid() == here:
+                time.sleep(0.3)  # the worker is blocked on its full pipe by now
+                raise ValueError("injected in this process")
+            return [{"replicate": r, "reason": "x" * (1 << 17)} for r in replicates]
+
+        monkeypatch.setattr(harness, "run_replicate", fails_here)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="injected in this process"):
+            run_points(small_config(replicates=4), jobs=2)
+        assert time.monotonic() - t0 < 10
+        _no_child_left()
 
     def test_pool_name_takes_a_counting_subclass(self, monkeypatch, tmp_path):
         # The benchmark's pool counter subclasses the class bound under this
@@ -668,7 +755,7 @@ print(json.dumps({"codes": codes, "attempts": RefuseScipy.attempts, "loaded": lo
 
 # Runs fsimcal.cli.main on each argv in a fresh interpreter; prints the exit
 # codes, whether harness bound its pool class at import, and which of the
-# modules a --jobs 1 run should never load were loaded.
+# modules no run should load were loaded.
 _COLD_PATH = """
 import json, sys
 from fsimcal import harness
@@ -716,6 +803,18 @@ class TestCli:
         # every depth took the medians of its alpha_hat values
         rows = json.loads((tmp_path / "alpha-scan" / "alpha_scan.json").read_text(encoding="utf-8"))
         assert [row[2] is not None and row[4] for row in rows] == [3, 3]
+
+    def test_jobs_two_forks_without_the_process_pool_machinery(self, tmp_path):
+        # The workers are forked by hand: neither concurrent.futures' pool nor multiprocessing is loaded.
+        noise = NoiseConfig(shots=2000, seed=3, depol_rate=1e-3, drift=DriftModel())
+        cfg_path = tmp_path / "sweep.json"
+        cfg = small_config(mode="sweep-depth", depth=None, depth_grid=(4, 6), replicates=4, noise=noise)
+        cfg_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--jobs", "2"]
+        assert _run_fresh(_COLD_PATH, [argv]) == {"codes": [0], "bound": True, "loaded": []}
+        assert cli_main([*argv[:4], str(tmp_path / "one"), "--jobs", "1"]) == 0
+        for name in ("sweep_records.json", "sweep.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
     def test_calibrate_and_crlb_scan_never_import_scipy(self, tmp_path):
         argvs = []
