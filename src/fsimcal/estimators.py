@@ -1,12 +1,13 @@
-"""Inference of gate angles from measured Fourier spectra.
+"""Inference of gate angles from measured Fourier coefficients.
 
-The swap-angle estimate averages the nonnegative-index coefficient moduli;
-the phase estimate applies a weighted phase average (inverse discrete
-Laplacian weighting, equivalently a parabolic window) to the sequential
-phase differences, which carry 2*varphi without any unwrapping.  Variants
-here: a depolarizing-corrected pair (fidelity from the k = 0 excess), a
-progressive-difference swap-angle estimator over a depth ladder, and a
-parabolic peak fit around the phase-matched angle.
+The Fourier estimators take c, the array of the d nonnegative-index
+coefficients c_0 .. c_{d-1}, and read the depth as len(c).  The swap-angle
+estimate averages their moduli; the phase estimate applies a weighted phase
+average (inverse discrete Laplacian weighting, equivalently a parabolic
+window) to the sequential phase differences, which carry 2*varphi without
+any unwrapping.  Variants here: a depolarizing-corrected pair (fidelity
+from the k = 0 excess), a progressive-difference swap-angle estimator over a
+depth ladder, and a parabolic peak fit around the phase-matched angle.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .signal_model import FourierSpectrum
 
 __all__ = [
     "DegenerateCoefficientError",
@@ -87,32 +86,29 @@ def wpa_solve(values) -> float:
     return float(a @ values / a.sum())
 
 
-def sequential_phase_diffs(spectrum: FourierSpectrum) -> np.ndarray:
-    """Principal-branch phases of c_k conj(c_{k+1}), k = 0..d-2.
+def sequential_phase_diffs(c) -> np.ndarray:
+    """Principal-branch phases of c_k conj(c_{k+1}), k = 0..d-2, for c = c_0 .. c_{d-1}.
 
-    Uses only nonnegative-index coefficients; each difference estimates
-    2*varphi without phase unwrapping.
+    Each difference estimates 2*varphi without phase unwrapping.
     """
-    d = spectrum.depth
-    if d < 2:
+    if len(c) < 2:
         raise ValueError("sequential phase differences need depth >= 2")
-    c = spectrum.nonnegative
     if (np.abs(c) == 0.0).any():
         raise DegenerateCoefficientError("zero coefficient among k = 0..d-1")
     return np.angle(c[:-1] * np.conj(c[1:]))
 
 
-def fourier_estimate(spectrum: FourierSpectrum, m_shots: int) -> EstimateReport:
-    """Swap angle and phase from a measured spectrum.
+def fourier_estimate(c, m_shots: int) -> EstimateReport:
+    """Swap angle and phase from the measured coefficients c = c_0 .. c_{d-1}.
 
     theta_hat = (1/d) sum_{k=0}^{d-1} |c_k|; varphi_hat = wpa(Delta)/2,
     which lands in (-pi/2, pi/2] (the phase is only identifiable mod pi).
     Theoretical variances are attached with theta_hat as plug-in; the depth
     and zero-coefficient checks are sequential_phase_diffs'.
     """
-    d = spectrum.depth
-    delta = sequential_phase_diffs(spectrum)
-    amps = np.abs(spectrum.nonnegative)
+    d = len(c)
+    delta = sequential_phase_diffs(c)
+    amps = np.abs(c)
     theta_hat = float(amps.mean())
     varphi_hat = 0.5 * wpa_solve(delta)
     warn = []
@@ -133,18 +129,17 @@ def fourier_estimate(spectrum: FourierSpectrum, m_shots: int) -> EstimateReport:
     )
 
 
-def estimate_alpha_corrected(spectrum: FourierSpectrum):
-    """Depolarizing-corrected pair (alpha_hat, theta_hat).
+def estimate_alpha_corrected(c):
+    """Depolarizing-corrected pair (alpha_hat, theta_hat) from c = c_0 .. c_{d-1}.
 
     A global depolarizing channel scales every coefficient by the circuit
     fidelity alpha and shifts only c_0, so
     alpha_hat = 1 - 2 sqrt(2) (|c_0| - mean_{k>=1} |c_k|) and
     theta_hat = mean_{k>=1} |c_k| / alpha_hat.
     """
-    d = spectrum.depth
-    if d < 3:
+    if len(c) < 3:
         raise ValueError("fidelity correction needs depth >= 3")
-    amps = np.abs(spectrum.nonnegative)
+    amps = np.abs(c)
     rest = float(amps[1:].mean())
     alpha_hat = 1.0 - 2.0 * math.sqrt(2.0) * (float(amps[0]) - rest)
     if alpha_hat <= 0.0:

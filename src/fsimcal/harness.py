@@ -196,7 +196,8 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(
     both at each replicate's own varphi_hat.  Replicate r draws only from the
     keys (CIRCUIT, seed, point, r, block), so its record does not depend on
     the batch it runs in.  Spectra and estimators run per replicate: the
-    Fourier estimators and the fidelity correction after the grid, theta_pd
+    Fourier estimators and the fidelity correction after the grid, on the
+    replicate's c_0 .. c_{d-1} (the first d DFT coefficients), theta_pd
     after the ladder, the peak fit after its stage.  A degenerate coefficient
     gives the replicate a failure record and drops it from the later stages;
     a fidelity collapse is a warning; any other exception propagates.
@@ -210,7 +211,7 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(
         if not live:
             return
         w = omegas(live)
-        p = simulate_probability_batch(depth, w, params, noise, point=point, replicate=live, block=block)
+        p = simulate_probability_batch(depth, w, params, noise, point=point, replicates=live, block=block)
         for r, wr, (px, py) in zip(live, w, p):
             try:
                 finish(r, wr, px, py)
@@ -219,11 +220,11 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(
                 failures[r] = {"replicate": r, "reason": f"{type(exc).__name__}: {exc}"}
 
     def fourier(r, w, px, py):
-        spectrum = spectrum_from_h(px - 0.5 + 1j * (py - 0.5), d)
-        report = reports[r] = fourier_estimate(spectrum, noise.shots)
+        c = spectrum_from_h(px - 0.5 + 1j * (py - 0.5), d)[:d]  # c_0 .. c_{d-1}
+        report = reports[r] = fourier_estimate(c, noise.shots)
         if config.alpha_correction and d >= 3:
             try:
-                alpha_hat, theta_corr = estimate_alpha_corrected(spectrum)
+                alpha_hat, theta_corr = estimate_alpha_corrected(c)
                 report.alpha_hat = alpha_hat
                 report.diagnostics["theta_corrected"] = theta_corr
             except FidelityCollapseError as exc:
@@ -575,6 +576,9 @@ MODES = {
         rules=(
             ("depth_grid", "two or more increasing depths",
              lambda g: g and len(g) > 1 and g == tuple(sorted(set(g)))),
+            # The bound is shot noise's: drift and readout confusion are not in the Fisher model.
+            ("noise.drift", "null", lambda drift: drift is None),
+            ("noise.confusion", "null", lambda confusion: confusion is None),
         ),
     ),
     "alpha-scan": _Mode(

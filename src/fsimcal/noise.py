@@ -2,11 +2,12 @@
 
 Every random draw comes from a generator keyed by (kind, seed, point,
 replicate, block), so datasets are bit-identical regardless of evaluation
-order or parallelism.  One simulator call covers a batch of circuits from
-both input states and any number of replicates: input k draws from block
-b + k of its replicate's key, the noiseless signal and the readout steps run
-once over the whole batch, and the drift pass runs per replicate over both
-inputs' columns at once.  The measured object is always the 4-outcome
+order or parallelism.  The one simulator entry point takes a sequence of
+R replicates and an (R, n) array of angles, and returns the (R, 2, n) |01>
+frequencies of both input states: input k draws from block b + k of its
+replicate's key, the noiseless signal and the readout steps run once over
+the whole batch, and the drift pass runs per replicate over both inputs'
+columns at once.  The measured object is always the 4-outcome
 distribution over two-qubit bitstrings (00, 01, 10, 11); the subspace signal
 lives in outcomes 01/10 and depolarizing leaks weight onto 00/11.
 """
@@ -266,35 +267,34 @@ def simulate_probability_batch(
     noise: NoiseConfig,
     *,
     point: int = 0,
-    replicate=0,
+    replicates,
     block: int = 0,
 ) -> np.ndarray:
-    """Empirical |01> probabilities for a batch of circuits at angles omegas, from both inputs.
+    """Empirical |01> probabilities of R replicates' circuits at angles omegas, from both inputs.
 
-    replicate is one index, which gives a (2, n) array: row 0 for the X
-    input, row 1 for the Y input; or a sequence of R indices, which gives an
-    (R, 2, n) array, with omegas and d broadcast to (R, n).  d is one depth or
-    one depth per circuit.  The noiseless signal, depolarizing, readout
-    mixing, normalisation and correction run once over the whole (replicate,
-    input, circuit) array, and act on each row alone.  Replicate r's input k
-    draws from its own generator, keyed (CIRCUIT, seed, point, r, block + k):
-    the drift uniforms of each distinct depth in ascending depth order, then
-    one multinomial over all its rows.  Under a confusion matrix the sampled
-    4-outcome frequencies are pushed through its inverse before the 01
-    component is returned.
+    replicates is a sequence of R indices and omegas an (R, n) array, row r
+    holding replicate r's circuits; d is one depth or one depth per circuit.
+    The result is (R, 2, n): row [r, 0] for the X input and [r, 1] for the Y
+    input.  The noiseless signal, depolarizing, readout mixing, normalisation
+    and correction run once over the whole (replicate, input, circuit) array,
+    and act on each row alone.  Replicate r's input k draws from its own
+    generator, keyed (CIRCUIT, seed, point, r, block + k): the drift uniforms
+    of each distinct depth in ascending depth order, then one multinomial over
+    all its rows.  Under a confusion matrix the sampled 4-outcome frequencies
+    are pushed through its inverse before the 01 component is returned.
     """
-    one, reps = np.ndim(replicate) == 0, np.atleast_1d(replicate).tolist()
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    omegas = np.broadcast_to(omegas, (len(reps), omegas.shape[-1]))
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 2 or len(omegas) != len(replicates):
+        raise ValueError(f"omegas must be ({len(replicates)}, n), one row per replicate, got {omegas.shape}")
     depths = np.broadcast_to(d, omegas.shape)
     if noise.exact or noise.drift is None:
         p = exact_signal(depths, omegas, params)  # h, held under p's name so its array goes once p is formed
         p = 0.5 + np.stack([p.real, p.imag], axis=1)
         if noise.exact:
-            return p[0] if one else p
-    rngs = [[stream(CIRCUIT, noise.seed, point, r, block + k) for k in range(2)] for r in reps]
+            return p
+    rngs = [[stream(CIRCUIT, noise.seed, point, r, block + k) for k in range(2)] for r in replicates]
     if noise.drift is not None:
-        p = np.empty((len(reps), 2, omegas.shape[-1]))
+        p = np.empty((len(rngs), 2, omegas.shape[-1]))
         for pr, w, dr, rr in zip(p, omegas, depths, rngs):
             for dj in sorted(set(dr.tolist())):
                 at = dr == dj
@@ -315,4 +315,4 @@ def simulate_probability_batch(
     freq /= noise.shots
     if noise.confusion is not None:
         freq = invert_confusion(freq.T, noise.confusion).T
-    return freq[0, ..., 1] if one else freq[..., 1]
+    return freq[..., 1]

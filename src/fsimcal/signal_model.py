@@ -7,19 +7,18 @@ reconstruction h = p_X - 1/2 + i (p_Y - 1/2) is a trigonometric polynomial
 sum_{k=-d+1}^{d-1} c_k e^{2 i k omega}; theta lives in the coefficient
 moduli and (varphi, chi) only in their phases, which is what the estimators
 exploit.  Sampling on the uniform grid omega_j = j pi / (2d-1) makes the DFT
-recover the c_k exactly in the noiseless case.
+recover the c_k exactly in the noiseless case; spectrum_from_h returns
+them as a plain array in DFT slot order, and the estimators take its first d
+entries, c_0 .. c_{d-1}.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .su2 import FsimParams, pq_values
 
 __all__ = [
-    "FourierSpectrum",
     "omega_grid",
     "exact_signal",
     "spectrum_from_h",
@@ -34,24 +33,6 @@ def omega_grid(depth: int) -> np.ndarray:
     return np.arange(n) * (np.pi / n)
 
 
-@dataclass(frozen=True)
-class FourierSpectrum:
-    """DFT coefficients of the reconstruction: slot j holds c_j for j < d and c_{j-(2d-1)} above."""
-
-    coefficients: np.ndarray = field(repr=False)
-    depth: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", np.asarray(self.coefficients, dtype=complex))
-        if self.coefficients.shape != (2 * self.depth - 1,):
-            raise ValueError("spectrum must hold exactly 2d-1 coefficients")
-
-    @property
-    def nonnegative(self) -> np.ndarray:
-        """Coefficients c_0 .. c_{d-1}."""
-        return self.coefficients[: self.depth]
-
-
 def exact_signal(d, omegas, params: FsimParams) -> np.ndarray:
     """Noiseless h(omega) = i e^{-i(chi+varphi)} e^{-2i(omega-varphi)} sin(theta) P Q.
 
@@ -62,10 +43,13 @@ def exact_signal(d, omegas, params: FsimParams) -> np.ndarray:
     return np.exp(1j * (params.varphi - params.chi - 2.0 * omegas)) * p * (1j * np.sin(params.theta)) * q
 
 
-def spectrum_from_h(h, depth: int) -> FourierSpectrum:
-    """Spectrum from an already-reconstructed h vector on the canonical grid."""
+def spectrum_from_h(h, depth: int) -> np.ndarray:
+    """The 2d-1 DFT coefficients of an h vector on the canonical grid.
+
+    Slot j holds c_j for j < d and c_{j-(2d-1)} above, so [:d] is c_0 .. c_{d-1}.
+    """
     h = np.asarray(h, dtype=complex)
     n = 2 * depth - 1
     if h.shape != (n,):
         raise ValueError(f"expected {n} values for depth {depth}, got {h.shape}")
-    return FourierSpectrum(coefficients=np.fft.fft(h) / n, depth=depth)
+    return np.fft.fft(h) / n

@@ -164,11 +164,11 @@ def approx_coefficients(d, theta):
 
 
 def coefficient(spectrum, k):
-    """Harmonic c_k of a FourierSpectrum, for -(d-1) <= k <= d-1."""
-    d = spectrum.depth
+    """Harmonic c_k of a (2d-1,) spectrum in DFT slot order, for -(d-1) <= k <= d-1."""
+    d = (len(spectrum) + 1) // 2
     if not -d < k < d:
         raise IndexError(f"harmonic index {k} outside +-(d-1)")
-    return complex(spectrum.coefficients[k % (2 * d - 1)])
+    return complex(spectrum[k % (2 * d - 1)])
 
 
 class RegimeViolationError(ValueError):
@@ -480,8 +480,9 @@ def drifted_survival_whole_draw(d, omegas, params, drift, rngs):
 
 # The simulator as it was before one call covered both inputs, copied as it
 # stood: one input state per call, drawing from stream(CIRCUIT, seed, point,
-# replicate, block).  Row k of today's simulate_probability_batch must equal
-# it byte for byte for input state INPUT_STATES[k] at block + k.
+# replicate, block).  Row [0, k] of today's simulate_probability_batch, given
+# replicates=[replicate], must equal it byte for byte for input state
+# INPUT_STATES[k] at block + k.
 INPUT_STATES = ("plus", "i")
 _BETA = {"plus": 1.0 + 0.0j, "i": 1.0j}
 

@@ -105,11 +105,11 @@ def test_criterion_03_fourier_structure_bound():
             params = FsimParams(theta, VARPHI, CHI)
             spec = spectrum_from_h(exact_signal(d, omega_grid(d), params), d)
             ks = k_values(d)
-            ctilde = (spec.coefficients * (-1j) * np.exp(1j * (CHI + (2 * ks + 1) * VARPHI))).real
+            ctilde = (spec * (-1j) * np.exp(1j * (CHI + (2 * ks + 1) * VARPHI))).real
             err = np.abs(ctilde - np.sin(theta) * approx_coefficients(d, theta)).max()
             worst_mod = max(worst_mod, float(err / (2 * (d * theta) ** 5)))
             pos = ks >= 0
-            resid = np.angle(spec.coefficients[pos]) + CHI + (2 * ks[pos] + 1) * VARPHI - np.pi / 2
+            resid = np.angle(spec[pos]) + CHI + (2 * ks[pos] + 1) * VARPHI - np.pi / 2
             resid = np.abs(np.remainder(resid + np.pi, 2 * np.pi) - np.pi)
             worst_phase = max(worst_phase, float(resid.max()))
     _report(

@@ -22,47 +22,46 @@ from fsimcal.estimators import (
     wpa_solve,
 )
 from fsimcal.harness import run_points
-from fsimcal.signal_model import FourierSpectrum, exact_signal, omega_grid, spectrum_from_h
+from fsimcal.signal_model import exact_signal, omega_grid, spectrum_from_h
 
-from oracles import binomial_signal_replicates, dense_wpa, k_values, thomas_wpa, wpa_weights
+from oracles import binomial_signal_replicates, dense_wpa, thomas_wpa, wpa_weights
 
 D, M, THETA = 50, 100_000, 1e-3
 PARAMS = FsimParams(THETA, np.pi / 16, 5 * np.pi / 32)
 
 
-def model_spectrum(d, theta, varphi, chi):
-    """Spectrum with exactly the small-angle coefficient model."""
+def model_coefficients(d, theta, varphi, chi):
+    """c_0 .. c_{d-1} with exactly the small-angle coefficient model."""
     ks = np.arange(d)
-    c = np.zeros(2 * d - 1, dtype=complex)
-    c[:d] = 1j * np.exp(-1j * chi) * np.exp(-1j * (2 * ks + 1) * varphi) * theta
-    return FourierSpectrum(c, d)
+    return 1j * np.exp(-1j * chi) * np.exp(-1j * (2 * ks + 1) * varphi) * theta
 
 
-def exact_spectrum(d, params):
-    return spectrum_from_h(exact_signal(d, omega_grid(d), params), d)
+def exact_coefficients(d, params):
+    """c_0 .. c_{d-1} of the noiseless signal, as the pipeline hands them to the estimators."""
+    return spectrum_from_h(exact_signal(d, omega_grid(d), params), d)[:d]
 
 
 class TestSequentialPhaseDiffs:
     def test_model_consistent_input(self):
-        spec = model_spectrum(8, 1e-3, 0.1, 0.4)
-        assert np.allclose(sequential_phase_diffs(spec), 0.2, atol=1e-12)
+        c = model_coefficients(8, 1e-3, 0.1, 0.4)
+        assert np.allclose(sequential_phase_diffs(c), 0.2, atol=1e-12)
 
     def test_wrap_to_principal_branch(self):
         varphi = np.pi / 2 - 0.01
-        spec = model_spectrum(6, 1e-3, varphi, 0.0)
-        deltas = sequential_phase_diffs(spec)
+        c = model_coefficients(6, 1e-3, varphi, 0.0)
+        deltas = sequential_phase_diffs(c)
         assert np.allclose(deltas, np.pi - 0.02, atol=1e-12)
 
     def test_degenerate_coefficient(self):
-        spec = model_spectrum(5, 0.0, 0.1, 0.1)
+        c = model_coefficients(5, 0.0, 0.1, 0.1)
         with pytest.raises(DegenerateCoefficientError):
-            sequential_phase_diffs(spec)
+            sequential_phase_diffs(c)
 
     def test_noisy_covariance_diagonal(self):
         reps = 400
         h = binomial_signal_replicates(D, (THETA, PARAMS.varphi, PARAMS.chi), M, reps, seed=4040)
         deltas = np.stack(
-            [sequential_phase_diffs(spectrum_from_h(row, D)) for row in h]
+            [sequential_phase_diffs(spectrum_from_h(row, D)[:D]) for row in h]
         )
         scale = 1.0 / (4.0 * M * (2 * D - 1) * np.sin(THETA) ** 2)
         diag = deltas.var(axis=0)
@@ -107,8 +106,8 @@ class TestWpa:
 
 class TestFourierEstimate:
     def test_exact_signal_recovery(self):
-        spec = exact_spectrum(D, PARAMS)
-        report = fourier_estimate(spec, M)
+        c = exact_coefficients(D, PARAMS)
+        report = fourier_estimate(c, M)
         chat_mean_defect = 0.5 * D * D * THETA * THETA  # 1 - mean(chat_k)
         budget = 2 * (D * THETA) ** 5 + chat_mean_defect * np.sin(THETA)
         assert abs(report.theta_hat - THETA) <= budget
@@ -117,27 +116,27 @@ class TestFourierEstimate:
         assert report.var_theory_varphi == pytest.approx(variance_theory_varphi(D, M, report.theta_hat))
 
     def test_theta_zero_is_degenerate(self):
-        spec = exact_spectrum(10, FsimParams(0.0, 0.2, 0.1))
+        c = exact_coefficients(10, FsimParams(0.0, 0.2, 0.1))
         with pytest.raises(DegenerateCoefficientError):
-            fourier_estimate(spec, 100)
+            fourier_estimate(c, 100)
 
     def test_depth_one_has_no_phase_differences(self):
-        spec = exact_spectrum(1, PARAMS)
+        c = exact_coefficients(1, PARAMS)
         with pytest.raises(ValueError):
-            fourier_estimate(spec, 100)
+            fourier_estimate(c, 100)
         with pytest.raises(ValueError):
-            sequential_phase_diffs(spec)
+            sequential_phase_diffs(c)
 
     def test_varphi_reported_mod_pi(self):
         truth = np.pi / 2 + 0.3
-        spec = model_spectrum(12, 1e-3, truth, 0.2)
-        report = fourier_estimate(spec, 1000)
+        c = model_coefficients(12, 1e-3, truth, 0.2)
+        report = fourier_estimate(c, 1000)
         assert -np.pi / 2 < report.varphi_hat <= np.pi / 2
         assert math.remainder(report.varphi_hat - truth, np.pi) == pytest.approx(0.0, abs=1e-12)
 
     def test_low_snr_warning(self):
-        c = np.full(2 * 5 - 1, 1e-12, dtype=complex)
-        report = fourier_estimate(FourierSpectrum(c, 5), 100)
+        c = np.full(5, 1e-12, dtype=complex)
+        report = fourier_estimate(c, 100)
         assert any("low-snr" in w for w in report.warnings)
 
     def test_json_field_names(self):
@@ -156,11 +155,10 @@ class TestFourierEstimate:
         ]
 
     def test_decoupling_under_linear_phase_shifts(self):
-        spec = exact_spectrum(20, FsimParams(1e-2, 0.3, -0.4))
-        base = fourier_estimate(spec, M)
+        c = exact_coefficients(20, FsimParams(1e-2, 0.3, -0.4))
+        base = fourier_estimate(c, M)
         a, b = 0.83, 0.05
-        ks = k_values(20)
-        shifted = FourierSpectrum(spec.coefficients * np.exp(1j * (a + b * ks)), 20)
+        shifted = c * np.exp(1j * (a + b * np.arange(20)))
         moved = fourier_estimate(shifted, M)
         assert moved.theta_hat == base.theta_hat  # exact invariance
         assert moved.varphi_hat == pytest.approx(base.varphi_hat - b / 2.0, abs=1e-12)
@@ -171,7 +169,7 @@ class TestFourierEstimate:
         thetas = np.empty(reps)
         varphis = np.empty(reps)
         for i, row in enumerate(h):
-            rep = fourier_estimate(spectrum_from_h(row, D), M)
+            rep = fourier_estimate(spectrum_from_h(row, D)[:D], M)
             thetas[i], varphis[i] = rep.theta_hat, rep.varphi_hat
         assert 0.7 < thetas.var() / variance_theory_theta(D, M) < 1.3
         assert 0.7 < varphis.var() / variance_theory_varphi(D, M, THETA) < 1.3
@@ -194,7 +192,7 @@ class TestFourierEstimate:
 
 class TestAlphaCorrected:
     def test_clean_signal(self):
-        alpha_hat, theta_hat = estimate_alpha_corrected(exact_spectrum(D, PARAMS))
+        alpha_hat, theta_hat = estimate_alpha_corrected(exact_coefficients(D, PARAMS))
         assert alpha_hat == pytest.approx(1.0, abs=1e-5)
         assert theta_hat == pytest.approx(THETA, rel=2e-3)
 
@@ -205,20 +203,19 @@ class TestAlphaCorrected:
         params = FsimParams(THETA, -29 * np.pi / 32, 5 * np.pi / 32)
         h = exact_signal(D, omega_grid(D), params)
         h_depol = alpha * h - (1 - alpha) * (1 + 1j) / 4.0
-        alpha_hat, theta_hat = estimate_alpha_corrected(spectrum_from_h(h_depol, D))
+        alpha_hat, theta_hat = estimate_alpha_corrected(spectrum_from_h(h_depol, D)[:D])
         assert alpha_hat == pytest.approx(alpha, abs=2e-3)
         assert theta_hat == pytest.approx(THETA, rel=0.05)
 
     def test_needs_three_coefficients(self):
         with pytest.raises(ValueError):
-            estimate_alpha_corrected(exact_spectrum(2, PARAMS))
+            estimate_alpha_corrected(exact_coefficients(2, PARAMS))
 
     def test_fidelity_collapse(self):
-        spec = exact_spectrum(8, PARAMS)
-        c = spec.coefficients.copy()
+        c = exact_coefficients(8, PARAMS)
         c[0] += 1.0  # blow up |c_0| so the estimate turns nonpositive
         with pytest.raises(FidelityCollapseError):
-            estimate_alpha_corrected(FourierSpectrum(c, 8))
+            estimate_alpha_corrected(c)
 
 
 class TestThetaPd:

@@ -156,20 +156,20 @@ class TestReplicateBatches:
         simulate, fourier = harness.simulate_probability_batch, harness.fourier_estimate
         correct = harness.estimate_alpha_corrected
 
-        def spy(*args, replicate, block, **kwargs):
-            stages.append((block, list(replicate)))
-            return simulate(*args, replicate=replicate, block=block, **kwargs)
+        def spy(*args, replicates, block, **kwargs):
+            stages.append((block, list(replicates)))
+            return simulate(*args, replicates=replicates, block=block, **kwargs)
 
-        def degenerate_third(spectrum, m_shots):
-            grid_calls.append(spectrum)
+        def degenerate_third(c, m_shots):
+            grid_calls.append(c)
             if len(grid_calls) == 3:  # replicate 2
                 raise DegenerateCoefficientError("injected")
-            return fourier(spectrum, m_shots)
+            return fourier(c, m_shots)
 
-        def collapse_fourth(spectrum):
+        def collapse_fourth(c):
             if len(grid_calls) == 4:  # replicate 3: a warning, not a failure
                 raise FidelityCollapseError("injected collapse")
-            return correct(spectrum)
+            return correct(c)
 
         monkeypatch.setattr(harness, "simulate_probability_batch", spy)
         monkeypatch.setattr(harness, "fourier_estimate", degenerate_third)
@@ -980,6 +980,11 @@ class TestCli:
         # A run point's rule is reported as the field and mode the config gives, not as its calibrate config's.
         ({"mode": "sweep-shots", "depth": DROP, "shots_grid": [100]}, [], "depth must be given in sweep-shots mode"),
         ({"mode": "sweep-depth", "depth_grid": [1, 5]}, [], "depth_grid must be an array of integers >= 2"),
+        # crlb-scan's bound is shot noise's: it does not cover drift or readout confusion.
+        ({"mode": "crlb-scan", "depth_grid": [2, 4], "noise": {"drift": {}}}, [],
+         "noise.drift must be null in crlb-scan mode"),
+        ({"mode": "crlb-scan", "depth_grid": [2, 4], "noise": {"confusion": ConfusionMatrix.uniform(0.9).to_dict()}},
+         [], "noise.confusion must be null in crlb-scan mode"),
     ]
 
     @pytest.mark.parametrize("edit, flags, begins", REJECTED, ids=[f"edit{i}-flags{i}" for i in range(len(REJECTED))])

@@ -71,13 +71,13 @@ class TestSampleCounts:
             entries = np.zeros((4, 4))
             entries[:, column] = 1.0
             noise = NoiseConfig(shots=1000, seed=1, confusion=ConfusionMatrix(entries))
-            p = simulate_probability_batch(5, [0.1, 0.7], PARAMS, noise)
+            p = simulate_probability_batch(5, [[0.1, 0.7]], PARAMS, noise, replicates=[0])
             assert (p == expected).all()
 
     def test_variance_window(self):
         m = 100_000
         noise = NoiseConfig(shots=m, seed=7)
-        freqs = simulate_probability_batch(3, np.zeros(1000), self.FLAT, noise)[0]
+        freqs = simulate_probability_batch(3, np.zeros((1, 1000)), self.FLAT, noise, replicates=[0])[0, 0]
         assert 0.8 / (4 * m) < freqs.var() < 1.2 / (4 * m)
         assert freqs.mean() == pytest.approx(0.5, abs=5e-4)
 
@@ -85,7 +85,8 @@ class TestSampleCounts:
         d, m, reps, rate = 3, 10_000, 1000, 0.1
         p = apply_depolarizing(0.5, dem_fidelity(rate, d))
         noise = NoiseConfig(shots=m, depol_rate=rate, seed=11)
-        counts = np.rint(simulate_probability_batch(d, np.zeros(reps), self.FLAT, noise)[0] * m).astype(int)
+        freqs = simulate_probability_batch(d, np.zeros((1, reps)), self.FLAT, noise, replicates=[0])[0, 0]
+        counts = np.rint(freqs * m).astype(int)
         # bin the binomial around its bulk, folding the tails in
         lo = int(m * p - 4 * math.sqrt(m * p * (1 - p)))
         hi = int(m * p + 4 * math.sqrt(m * p * (1 - p)))
@@ -144,9 +145,7 @@ class TestDepolarizing:
     def test_depolarized_sampling_mean(self):
         d, omega, m, r, reps = 9, 0.7, 10_000, 1e-3, 500
         noise = NoiseConfig(shots=m, depol_rate=r, seed=21)
-        vals = np.array(
-            [simulate_probability_batch(d, [omega], PARAMS, noise, replicate=rep)[0, 0] for rep in range(reps)]
-        )
+        vals = simulate_probability_batch(d, np.full((reps, 1), omega), PARAMS, noise, replicates=range(reps))[:, 0, 0]
         expected = apply_depolarizing(exact_probabilities(d, omega, PARAMS).p_x, dem_fidelity(r, d))
         se = math.sqrt(expected * (1 - expected) / (m * reps))
         assert abs(vals.mean() - expected) < 3 * se
@@ -156,15 +155,20 @@ class TestSimulate:
     def test_exact_mode_returns_analytic_values(self):
         noise = NoiseConfig(shots=10, depol_rate=0.5, drift=DriftModel(), seed=9, exact=True)
         s = exact_probabilities(8, 1.1, PARAMS)
-        p_x, p_y = simulate_probability_batch(8, [1.1], PARAMS, noise)[:, 0]
+        p_x, p_y = simulate_probability_batch(8, [[1.1]], PARAMS, noise, replicates=[0])[0, :, 0]
         assert p_x == pytest.approx(s.p_x, abs=1e-15)
         assert p_y == pytest.approx(s.p_y, abs=1e-15)
+
+    @pytest.mark.parametrize("omegas", [[0.4, 0.5], [[0.4, 0.5]] * 3], ids=["one-dimensional", "rows-not-replicates"])
+    def test_omegas_need_one_row_per_replicate(self, omegas):
+        with pytest.raises(ValueError, match=r"omegas must be \(2, n\)"):
+            simulate_probability_batch(6, omegas, PARAMS, NOISE_KINDS["shots"], replicates=[0, 1])
 
     def test_determinism_and_key_separation(self):
         noise = NoiseConfig(shots=1000, drift=DriftModel(), seed=5)
         # Blocks 12 and 14: the Y input of block 12 draws from block 13.
         a, b, c, e = (
-            simulate_probability_batch(6, [0.4], PARAMS, noise, replicate=rep, block=block)[:, 0]
+            simulate_probability_batch(6, [[0.4]], PARAMS, noise, replicates=[rep], block=block)[0, :, 0]
             for rep, block in ((3, 12), (3, 12), (4, 12), (3, 14))
         )
         assert a.tobytes() == b.tobytes()
@@ -177,7 +181,7 @@ class TestSimulate:
         depths = np.array([7, 3, 7, 5, 3, 7])
         omegas = np.linspace(0.2, 2.9, len(depths))
         for kind, noise in NOISE_KINDS.items():
-            batch = simulate_probability_batch(depths, omegas, PARAMS, noise, point=2, replicate=1, block=9)
+            (batch,) = simulate_probability_batch(depths, [omegas], PARAMS, noise, point=2, replicates=[1], block=9)
             for k, beta in enumerate((1.0, 1.0j)):
                 counts = brute_noisy_counts(depths, omegas, PARAMS, noise, beta, (CIRCUIT, noise.seed, 2, 1, 9 + k))
                 assert np.allclose(batch[k], counts[:, 1] / noise.shots, atol=0), kind
@@ -194,7 +198,7 @@ class TestSimulate:
         d, theta = 30, 0.01
         params = FsimParams(theta, 0.3, -0.2)
         noise = NoiseConfig(shots=1_000_000, drift=DriftModel(), seed=31)
-        px, py = simulate_probability_batch(d, np.full(300, params.varphi), params, noise)
+        ((px, py),) = simulate_probability_batch(d, np.full((1, 300), params.varphi), params, noise, replicates=[0])
         drifted = np.hypot(px - 0.5, py - 0.5).mean()
         clean = abs(complex(exact_signal(d, params.varphi, params)))
         assert drifted < clean
@@ -247,11 +251,11 @@ def test_rows_match_the_one_input_simulator(kind, depths):
     noise = NOISE_KINDS.get(kind) or dataclasses.replace(NOISE_KINDS["all"], exact=True)
     omegas = np.linspace(0.2, 2.9, 12)
     key = dict(point=2, replicate=5)
-    batch = simulate_probability_batch(depths, omegas, PARAMS, noise, **key, block=4)
-    assert batch.shape == (2, len(omegas))
+    batch = simulate_probability_batch(depths, [omegas], PARAMS, noise, point=2, replicates=[5], block=4)
+    assert batch.shape == (1, 2, len(omegas))
     for k, state in enumerate(INPUT_STATES):
         one = simulate_probability_batch_one_input(depths, omegas, PARAMS, noise, state, **key, block=4 + k)
-        assert batch[k].tobytes() == one.tobytes()
+        assert batch[0, k].tobytes() == one.tobytes()
 
 
 # Drift-kernel gate blocks hold _BLOCK_ENTRIES // (2 nc) gates, at least one: (depths, nc, blocks of each depth).
@@ -270,7 +274,7 @@ def test_drift_rows_match_the_one_input_simulator_across_gate_blocks(depths, nc,
     steps = {dj: max(1, noise_module._BLOCK_ENTRIES // (2 * widths[dj])) for dj in widths}
     assert {dj: -(-dj // steps[dj]) for dj in widths} == blocks
     omegas, noise, key = np.linspace(-3.0, 3.0, nc), NOISE_KINDS["all"], dict(point=1, replicate=3)
-    batch = simulate_probability_batch(depths, omegas, PARAMS, noise, **key, block=6)
+    (batch,) = simulate_probability_batch(depths, [omegas], PARAMS, noise, point=1, replicates=[3], block=6)
     for k, state in enumerate(INPUT_STATES):
         one = simulate_probability_batch_one_input(depths, omegas, PARAMS, noise, state, **key, block=6 + k)
         assert batch[k].tobytes() == one.tobytes()
@@ -303,8 +307,8 @@ def test_drift_kernel_matches_the_whole_draw_oracle(d, nc, theta):
 
 
 def test_mixed_depth_batch_matches_the_whole_draw_oracle(monkeypatch):
-    depths, noise, key = np.array([100, 2, 37, 3] * 50), NOISE_KINDS["all"], dict(point=4, replicate=1, block=2)
-    omegas = np.linspace(-3.0, 3.0, len(depths))
+    depths, noise, key = np.array([100, 2, 37, 3] * 50), NOISE_KINDS["all"], dict(point=4, replicates=[1], block=2)
+    omegas = [np.linspace(-3.0, 3.0, len(depths))]
     batch = simulate_probability_batch(depths, omegas, PARAMS, noise, **key)
     monkeypatch.setattr(noise_module, "_drifted_survival", drifted_survival_whole_draw)
     assert batch.tobytes() == simulate_probability_batch(depths, omegas, PARAMS, noise, **key).tobytes()
@@ -338,7 +342,7 @@ from fsimcal import DriftModel, FsimParams, NoiseConfig
 from fsimcal.noise import simulate_probability_batch
 from fsimcal.signal_model import omega_grid
 noise = NoiseConfig(shots=100_000, depol_rate=1e-3, drift=DriftModel(), seed=7)
-simulate_probability_batch(1000, omega_grid(1000), FsimParams(1e-3, 0.2, 0.5), noise)
+simulate_probability_batch(1000, [omega_grid(1000)], FsimParams(1e-3, 0.2, 0.5), noise, replicates=[0])
 print(re.search(r"VmHWM:\\s*(\\d+) kB", pathlib.Path("/proc/self/status").read_text()).group(1))
 """
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -352,7 +356,8 @@ def _block(args):
     """One drifted, confused block; module level so a worker process can run it."""
     block, noise = args
     depths = np.arange(2, 14)
-    return simulate_probability_batch(depths, np.linspace(0.0, 3.0, 12), PARAMS, noise, point=1, block=block)
+    omegas = [np.linspace(0.0, 3.0, 12)]
+    return simulate_probability_batch(depths, omegas, PARAMS, noise, point=1, replicates=[0], block=block)
 
 
 class _Recording:
@@ -407,8 +412,8 @@ class TestBatchSeeding:
         noise = NoiseConfig(shots=1000, drift=DriftModel(), seed=seed)
         depths, omegas = [3, 2, 3], [0.1, 0.9, 2.0]
         simulate = lambda: simulate_probability_batch(
-            depths, omegas, PARAMS, noise, point=point, replicate=replicate, block=block
-        )
+            depths, [omegas], PARAMS, noise, point=point, replicates=[replicate], block=block
+        )[0]
         if block + 1 == 2**64:  # the Y input's block word, block + 1, is out of range
             with pytest.raises(ValueError):
                 simulate()
@@ -433,7 +438,7 @@ class TestBatchSeeding:
         with pytest.raises(ValueError):
             stream(*key)
         with pytest.raises(ValueError):
-            simulate_probability_batch(3, [0.1], PARAMS, NOISE_KINDS["shots"], block=max(key))
+            simulate_probability_batch(3, [[0.1]], PARAMS, NOISE_KINDS["shots"], replicates=[0], block=max(key))
 
     @pytest.mark.parametrize(
         "a, b", [((7, 0, 3), (7, 0, 3, 0)), ((5, 0, 0, 0), (5,)), ((2**32, 5), (0, 1, 5)), ((5,), (5, 0)), ((0,), (0, 0))]
@@ -468,7 +473,7 @@ class TestBatchSeeding:
         omegas = rng.uniform(0.0, np.pi, size=len(depths))
         log, replay = [], {}
         monkeypatch.setattr(noise_module, "stream", lambda *key: _Recording(key, log, replay))
-        simulate_probability_batch(depths, omegas, PARAMS, noise, point=3, replicate=2, block=7)
+        simulate_probability_batch(depths, [omegas], PARAMS, noise, point=3, replicates=[2], block=7)
         doubles = _doubles(_draws(log, "random", block))
         (pvals,) = _draws(log, "multinomial", block)
         expected, start = np.empty_like(pvals), 0
@@ -482,7 +487,7 @@ class TestBatchSeeding:
                 assert (2.0 * replay[block] - 1.0).tobytes() == whole.uniform(-1.0, 1.0, (3, dj, at.sum())).tobytes()
             start += size
             since = len(log)
-            simulate_probability_batch(int(dj), omegas[at], PARAMS, noise, point=3, replicate=2, block=7)
+            simulate_probability_batch(int(dj), [omegas[at]], PARAMS, noise, point=3, replicates=[2], block=7)
             assert _doubles(_draws(log[since:], "random", block)).tobytes() == replay[block].tobytes()
             expected[at] = _draws(log, "multinomial", block)[-1]
         assert start == len(doubles)
@@ -515,11 +520,11 @@ class TestBatchSeeding:
             n = int(rng.integers(2, 121))
             depths = rng.integers(2, 40, size=n)
             omegas = rng.uniform(0.0, np.pi, size=n)
-            simulate_probability_batch(depths, omegas, PARAMS, noise)
+            simulate_probability_batch(depths, [omegas], PARAMS, noise, replicates=[0])
             # The two shot draws, X then Y; the correction's columns are (outcome, circuit, input).
             pvals, (measured, corrected) = [p for _, _, p in log[-2:]], corrections[-1]
             for i in rng.choice(n, size=5, replace=False):
-                simulate_probability_batch(depths[i], omegas[i : i + 1], PARAMS, noise)
+                simulate_probability_batch(depths[i], [omegas[i : i + 1]], PARAMS, noise, replicates=[0])
                 for k in range(2):
                     assert log[k - 2][2][0].tobytes() == pvals[k][i].tobytes()
                     assert real_invert(measured[:, i, k], noise.confusion).tobytes() == corrected[:, i, k].tobytes()
@@ -568,8 +573,8 @@ class TestConfusion:
         for correct in (True, False):
             if not correct:
                 raw_readout(monkeypatch)
-            a = simulate_probability_batch(5, omegas, PARAMS, plain)
-            b = simulate_probability_batch(5, omegas, PARAMS, ideal)
+            a = simulate_probability_batch(5, [omegas], PARAMS, plain, replicates=[0])
+            b = simulate_probability_batch(5, [omegas], PARAMS, ideal, replicates=[0])
             assert np.array_equal(a, b)
 
     def test_single_row_readout(self):
@@ -608,10 +613,10 @@ class TestConfusion:
     def test_batch_readout_correction_rejects_non_dominant_matrix(self, monkeypatch):
         noise = NoiseConfig(shots=1000, seed=3, confusion=ConfusionMatrix.uniform(0.4))
         with pytest.raises(InversionRejectedError):
-            simulate_probability_batch(5, [0.1, 0.2], PARAMS, noise)
+            simulate_probability_batch(5, [[0.1, 0.2]], PARAMS, noise, replicates=[0])
         raw_readout(monkeypatch)
-        raw = simulate_probability_batch(5, [0.1, 0.2], PARAMS, noise)
-        assert raw.shape == (2, 2)
+        raw = simulate_probability_batch(5, [[0.1, 0.2]], PARAMS, noise, replicates=[0])
+        assert raw.shape == (1, 2, 2)
 
     def test_kappa(self):
         r = ConfusionMatrix.uniform(0.55)
@@ -670,10 +675,8 @@ def spectrum_noise_dataset():
     noise = NoiseConfig(shots=100_000, seed=77)
     grid = omega_grid(d)
     truth = np.fft.fft(exact_signal(d, grid, PARAMS)) / (2 * d - 1)
-    vs = np.empty((reps, 2 * d - 1), dtype=complex)
-    for rep in range(reps):
-        px, py = simulate_probability_batch(d, grid, PARAMS, noise, replicate=rep, block=0)
-        vs[rep] = np.fft.fft(px - 0.5 + 1j * (py - 0.5)) / (2 * d - 1) - truth
+    p = simulate_probability_batch(d, np.tile(grid, (reps, 1)), PARAMS, noise, replicates=range(reps), block=0)
+    vs = np.fft.fft(p[:, 0] - 0.5 + 1j * (p[:, 1] - 0.5), axis=1) / (2 * d - 1) - truth
     return d, noise.shots, vs
 
 
