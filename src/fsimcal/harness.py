@@ -5,14 +5,13 @@ grid value.  A point runs to one record, the dict its JSON is written from,
 reproducible byte-for-byte across process counts and batch sizes: every
 random draw is keyed by (kind, seed, point, replicate, block), a point's
 replicates run in batches of one simulator call per stage, all batches of a
-run go through one map (--jobs processes, forked once), and aggregation walks
-the results in replicate order.  Records keep a stable key order; tables are
-UTF-8 CSV with LF line endings and repr-exact floats.
+run go through one map (--jobs processes, forked once, none at --jobs 1),
+and aggregation walks the results in replicate order.  Records keep a stable
+key order; tables are UTF-8 CSV with LF line endings and repr-exact floats.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
@@ -309,18 +308,16 @@ def _summarize(config: ExperimentConfig, reports: list[dict], point: int) -> dic
 
 
 @dataclass
-class ProcessPoolExecutor(contextlib.AbstractContextManager):
+class ProcessPoolExecutor:
     """--jobs N: map forks n - 1 workers, n = min(N, tasks), and runs task k in worker k mod n, 0 being this process.
 
-    A worker pickles its results, or its exception, into a pipe and leaves by os._exit, so it never flushes the stdio
-    buffers it inherited; each is reaped on every path, and one that leaves no result raises RuntimeError.  Until
-    ROADMAP item 2b the benchmark's pool counter subclasses and rebinds this class.
+    With one worker, map runs every task here and forks nothing.  A worker pickles its results, or its exception, into
+    a pipe and leaves by os._exit, so it never flushes the stdio buffers it inherited; each is reaped on every path,
+    and one that leaves no result raises RuntimeError.  Until ROADMAP item 2b the benchmark's pool counter subclasses
+    and rebinds this class.
     """
 
     max_workers: int
-
-    def __exit__(self, *exc):
-        return None
 
     def map(self, fn, tasks) -> list:
         tasks, pids, fds = list(tasks), [], []
@@ -362,11 +359,6 @@ class ProcessPoolExecutor(contextlib.AbstractContextManager):
         return [shares[k % n][k // n] for k in range(len(tasks))]
 
 
-def _executor(jobs: int):
-    """The workers of a whole run, forked at its one map; jobs <= 1 runs every task in this process, lazily."""
-    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
-
-
 def _batches(config: ExperimentConfig, point: int, workers: int) -> list:
     """A point's run_replicate tasks: batches of ceil(replicates / workers), as large as _BATCH_ENTRIES allows."""
     reps = range(config.replicates)
@@ -398,7 +390,7 @@ def _record(config: ExperimentConfig, results: list[dict], mode: str, point: int
 
 
 def run_points(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
-    """One record per run point of config's mode, in grid order, from one map over every point's batches."""
+    """One record per run point of config's mode, in grid order, from one map over every point's batches at any jobs."""
     points = MODES[config.mode].points
     if points is None:
         raise ValueError(f"mode {config.mode!r} samples no run points")
@@ -406,10 +398,9 @@ def run_points(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     workers = min(jobs, config.replicates, cpus) if hasattr(os, "fork") else 1  # no forking, no workers
     runs = [(i, g, point, _batches(point, i, workers)) for i, (g, point) in enumerate(points(config))]
     run = lambda task: run_replicate(task[0], point=task[1], replicates=task[2])  # fn needs no pickling: workers fork
-    with _executor(workers) as pool:
-        # Both maps yield in task order, that is point and replicate order.
-        results = iter((map if pool is None else pool.map)(run, [t for *_, ts in runs for t in ts]))
-        return [_record(point, [r for _ in ts for r in next(results)], config.mode, i, g) for i, g, point, ts in runs]
+    # The map returns in task order, that is point and replicate order.
+    results = iter(ProcessPoolExecutor(max_workers=workers).map(run, [t for *_, ts in runs for t in ts]))
+    return [_record(point, [r for _ in ts for r in next(results)], config.mode, i, g) for i, g, point, ts in runs]
 
 
 def _sweep_rows(config: ExperimentConfig, records: list[dict]) -> list[list]:

@@ -8,8 +8,9 @@ frequencies of both input states: input k draws from block b + k of its
 replicate's key, the noiseless signal and the readout steps run once over
 the whole batch, and the drift pass runs per replicate over both inputs'
 columns at once.  The measured object is always the 4-outcome
-distribution over two-qubit bitstrings (00, 01, 10, 11); the subspace signal
-lives in outcomes 01/10 and depolarizing leaks weight onto 00/11.
+distribution over two-qubit bitstrings (00, 01, 10, 11), the last axis of
+the (..., 4) arrays readout mixing and correction act on; the subspace
+signal lives in outcomes 01/10 and depolarizing leaks weight onto 00/11.
 """
 
 from __future__ import annotations
@@ -178,16 +179,15 @@ def dem_fidelity(depol_rate: float, d: int) -> float:
 def invert_confusion(q4_measured, confusion: ConfusionMatrix) -> np.ndarray:
     """Solve R^T p = q_measured; the corrected vector is not clipped to [0, 1].
 
-    q_measured is one (4,) distribution or a (4, ...) stack of columns, each
-    solved on its own, so a column's bits do not depend on the columns beside
-    it.  Clipping would bias the Fourier coefficients downstream, so small
-    negative components are passed through as-is.
+    q_measured is one (4,) distribution or an (..., 4) stack of rows, each
+    solved on its own, so a row's bits do not depend on the rows beside it;
+    the result has its shape.  Clipping would bias the Fourier coefficients
+    downstream, so small negative components are passed through as-is.
     """
     if confusion.dominance <= 0.0:
         raise InversionRejectedError(confusion.kappa)
-    rows = np.asarray(q4_measured, dtype=float).T
-    rt = np.broadcast_to(confusion.entries.T, rows.shape[:-1] + (4, 4))
-    return np.linalg.solve(rt, rows[..., None])[..., 0].T
+    rows = np.asarray(q4_measured, dtype=float)
+    return np.linalg.solve(confusion.entries.T, rows[..., None])[..., 0]
 
 
 def confusion_sample_size(kappa: float, epsilon: float, alpha_conf: float, constant: float) -> int:
@@ -314,5 +314,5 @@ def simulate_probability_batch(
             q[...] = rng.multinomial(noise.shots, q)
     freq /= noise.shots
     if noise.confusion is not None:
-        freq = invert_confusion(freq.T, noise.confusion).T
+        freq = invert_confusion(freq, noise.confusion)
     return freq[..., 1]

@@ -559,7 +559,7 @@ def simulate_probability_batch_one_input(
         q4 = (q4[:, None, :] @ noise.confusion.entries)[:, 0]
     freq = rng.multinomial(noise.shots, q4 / q4.sum(axis=1, keepdims=True)) / noise.shots
     if noise.confusion is not None:
-        freq = invert_confusion(freq.T, noise.confusion).T
+        freq = invert_confusion(freq, noise.confusion)
     return freq[:, 1]
 
 

@@ -59,12 +59,6 @@ def _stand_in_pool(monkeypatch, cpus):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, tasks):
             chunks.append([len(replicates) for config, point, replicates in tasks])
             return map(fn, tasks)
@@ -382,14 +376,13 @@ class TestRunCalibration:
             expected = [{"replicate": r, "reason": f"stub {point}"} for r in range(replicates)]
             assert rec["failures"] == expected
 
-    @pytest.mark.parametrize("workers, tasks, forked", [(2, 10, 1), (3, 10, 2), (3, 2, 1)])
+    @pytest.mark.parametrize("workers, tasks, forked", [(2, 10, 1), (3, 10, 2), (3, 2, 1), (1, 10, 0)])
     def test_worker_k_mod_n_runs_task_k(self, monkeypatch, deadline, workers, tasks, forked):
-        # worker 0 is this process, and no worker is forked without a task;
+        # worker 0 is this process, and no worker is forked without a task (one worker forks none);
         # the results come back in task order and every worker is reaped
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        with harness.ProcessPoolExecutor(max_workers=workers) as pool:
-            out = pool.map(lambda task: (task, os.getpid()), range(tasks))
+        out = harness.ProcessPoolExecutor(max_workers=workers).map(lambda task: (task, os.getpid()), range(tasks))
         assert len(forks) == forked
         assert [task for task, _ in out] == list(range(tasks))
         pids = [pid for _, pid in out]
@@ -441,8 +434,8 @@ class TestRunCalibration:
 
     def test_pool_name_takes_a_counting_subclass(self, monkeypatch, tmp_path):
         # The benchmark's pool counter subclasses the class bound under this
-        # name and rebinds it.  At jobs=2 a mode with run points starts one
-        # real pool for the whole run, a mode without none; jobs=1 starts none.
+        # name and rebinds it.  At every jobs a mode with run points builds one
+        # pool for the whole run, a mode without none; at jobs=1 it forks nothing.
         assert isinstance(vars(harness)["ProcessPoolExecutor"], type)
         starts = []
 
@@ -470,7 +463,7 @@ class TestRunCalibration:
                 out = tmp_path / mode / str(jobs)
                 run_mode(small_config(output_dir=str(out), **over), jobs=jobs)
                 written[jobs] = {path.name: path.read_bytes() for path in out.iterdir()}
-                assert starts == [{"max_workers": 2}] * (pools * (jobs - 1)), mode
+                assert starts == [{"max_workers": jobs}] * pools, mode
             assert written[1] == written[2], mode
 
     @pytest.mark.parametrize("jobs", [1, 2])

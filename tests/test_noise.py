@@ -497,8 +497,8 @@ class TestBatchSeeding:
         tasks = [(block, NOISE_KINDS["all"]) for block in range(4)]
         here = [_block(t).tobytes() for t in tasks]
         assert here == [_block(t).tobytes() for t in tasks]
-        with harness._executor(2) as pool:  # the worker pool of a --jobs 2 run
-            assert [p.tobytes() for p in pool.map(_block, tasks)] == here
+        pool = harness.ProcessPoolExecutor(max_workers=2)  # the workers of a --jobs 2 run
+        assert [p.tobytes() for p in pool.map(_block, tasks)] == here
         assert len(set(here)) == len(here)
 
     def test_readout_rows_are_independent_of_the_block(self, monkeypatch):
@@ -521,13 +521,13 @@ class TestBatchSeeding:
             depths = rng.integers(2, 40, size=n)
             omegas = rng.uniform(0.0, np.pi, size=n)
             simulate_probability_batch(depths, [omegas], PARAMS, noise, replicates=[0])
-            # The two shot draws, X then Y; the correction's columns are (outcome, circuit, input).
+            # The two shot draws, X then Y; the correction's rows are indexed (replicate, input, circuit).
             pvals, (measured, corrected) = [p for _, _, p in log[-2:]], corrections[-1]
             for i in rng.choice(n, size=5, replace=False):
                 simulate_probability_batch(depths[i], [omegas[i : i + 1]], PARAMS, noise, replicates=[0])
                 for k in range(2):
                     assert log[k - 2][2][0].tobytes() == pvals[k][i].tobytes()
-                    assert real_invert(measured[:, i, k], noise.confusion).tobytes() == corrected[:, i, k].tobytes()
+                    assert real_invert(measured[0, k, i], noise.confusion).tobytes() == corrected[0, k, i].tobytes()
 
     @pytest.mark.parametrize("kind", ["depolarizing", "drift", "confusion", "all"])
     def test_ladder_matches_per_depth_loop(self, kind, monkeypatch):
@@ -602,13 +602,15 @@ class TestConfusion:
             invert_confusion(np.array([0.25, 0.25, 0.25, 0.25]), r)
         assert err.value.kappa == math.inf
 
-    def test_column_batch_matches_single_vectors(self):
+    @pytest.mark.parametrize("stack", [(5,), (2, 3, 7)], ids=["rows", "simulator-layout"])
+    def test_row_batch_matches_single_vectors(self, stack):
+        # (2, 3, 7, 4) has the four axes of the simulator's (replicate, input, circuit, outcome) rows
         r = ConfusionMatrix.uniform(0.9)
-        q = np.random.default_rng(4).dirichlet(np.ones(4), size=5).T
+        q = np.random.default_rng(4).dirichlet(np.ones(4), size=stack)
         batch = invert_confusion(q, r)
-        assert batch.shape == (4, 5)
-        for j in range(5):
-            assert batch[:, j].tobytes() == invert_confusion(q[:, j], r).tobytes()
+        assert batch.shape == stack + (4,)
+        for j in np.ndindex(stack):
+            assert batch[j].tobytes() == invert_confusion(q[j], r).tobytes()
 
     def test_batch_readout_correction_rejects_non_dominant_matrix(self, monkeypatch):
         noise = NoiseConfig(shots=1000, seed=3, confusion=ConfusionMatrix.uniform(0.4))
