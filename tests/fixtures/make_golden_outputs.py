@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Write golden_outputs.json: the sha256 and size of every canonical file of small CLI runs.
+"""Write golden_outputs.json and golden_values.json from small CLI runs of every mode.
 
 One small config per mode, and one calibrate run with --exact, each run
-through the CLI into its own directory.  The record also holds the stream
-version, the numpy version and the machine: last bits move between numpy
-builds and platforms, so the digests are a contract for one build only, and
-the suite compares them only where both match.  A change that moves the
-bytes on purpose regenerates the file with
+through the CLI into its own directory.  golden_outputs.json holds the
+sha256 and size of every canonical file, with the stream version, the numpy
+version, the machine and the SIMD target numpy dispatches each float64 ufunc
+of the pipeline to: last bits move between numpy builds, platforms and CPUs,
+so the digests are a contract for one build only, and the suite compares them
+only where all of these match.  golden_values.json holds the parsed contents
+of the same files (the JSON payloads, and each CSV as rows of cells), which
+the suite compares on every build, floats within a relative tolerance.  A
+change that moves the bytes on purpose regenerates both files with
 
     python tests/fixtures/make_golden_outputs.py
 """
@@ -28,6 +32,9 @@ from fsimcal.noise import STREAM_VERSION
 
 HERE = pathlib.Path(__file__).resolve().parent
 FIXTURE = HERE / "golden_outputs.json"
+VALUES = HERE / "golden_values.json"
+# The float64 ufuncs of the pipeline whose SIMD target can move last bits.
+UFUNCS = ("sin", "cos", "exp", "log", "arctan2")
 TRUTH = {"theta": 0.05, "varphi": math.pi / 16, "chi": 5 * math.pi / 32}
 NOISE = {"shots": 2000, "seed": 11}
 NOISY = {**NOISE, "depol_rate": 0.002, "drift": {"theta_frac": 0.1, "phase_max": 0.3},
@@ -53,13 +60,24 @@ CASES = {
 }
 
 
+def dispatch() -> dict:
+    """{ufunc: the SIMD target its float64 loop runs on here}, "unknown" before numpy 2.0."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return dict.fromkeys(UFUNCS, "unknown")
+    info = opt_func_info(func_name=f"^({'|'.join(UFUNCS)})$", signature="float64")
+    return {name: " ".join(loop["current"] for loop in info.get(name, {}).values()) or "baseline" for name in UFUNCS}
+
+
 def environment() -> dict:
     """What the digests depend on besides the code."""
-    return {"stream_version": STREAM_VERSION, "numpy": np.__version__, "machine": platform.machine()}
+    return {"stream_version": STREAM_VERSION, "numpy": np.__version__, "machine": platform.machine(),
+            "dispatch": dispatch()}
 
 
 def run_case(name: str, workdir: pathlib.Path, extra: tuple = ()) -> dict:
-    """Run one case through the CLI, with extra flags after its own; {file name: {"sha256", "size"}} over its files."""
+    """Run one case through the CLI, with extra flags after its own; {file name: bytes} over its files."""
     subcommand, config, flags = CASES[name]
     config_path = workdir / f"{name}.json"
     config_path.write_text(json.dumps({"schema_version": 1, "gate_truth": TRUTH, **config}), encoding="utf-8")
@@ -68,17 +86,39 @@ def run_case(name: str, workdir: pathlib.Path, extra: tuple = ()) -> dict:
         status = cli_main([subcommand, "--config", str(config_path), "--out", str(out), *flags, *extra])
     if status != 0:
         raise RuntimeError(f"{name}: fsimcal {subcommand} exited {status}")
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def digests(files: dict) -> dict:
+    """{file name: {"sha256", "size"}}."""
+    return {name: {"sha256": hashlib.sha256(data).hexdigest(), "size": len(data)} for name, data in files.items()}
+
+
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def values(files: dict) -> dict:
+    """{file name: its parsed JSON, or its CSV rows with each cell an int, a float or a string}."""
     return {
-        path.name: {"sha256": hashlib.sha256(path.read_bytes()).hexdigest(), "size": path.stat().st_size}
-        for path in sorted(out.iterdir())
+        name: json.loads(data) if name.endswith(".json")
+        else [[_cell(cell) for cell in line.split(",")] for line in data.decode("utf-8").splitlines()]
+        for name, data in files.items()
     }
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        cases = {name: run_case(name, pathlib.Path(tmp)) for name in CASES}
-    FIXTURE.write_text(json.dumps({**environment(), "cases": cases}, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {FIXTURE}", file=sys.stderr)
+        files = {name: run_case(name, pathlib.Path(tmp)) for name in CASES}
+    for path, record in ((FIXTURE, {**environment(), "cases": {name: digests(f) for name, f in files.items()}}),
+                         (VALUES, {"cases": {name: values(f) for name, f in files.items()}})):
+        path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
