@@ -43,7 +43,10 @@ class FidelityCollapseError(ValueError):
 
 @dataclass(kw_only=True)
 class EstimateReport:
-    """All estimates from one calibration replicate; the fields, in order, are its record's keys."""
+    """All estimates from one calibration replicate; the fields, in order, are its record's keys.
+
+    diagnostics holds only what later stages add: (config, seed, point, replicate) regenerates the coefficients.
+    """
 
     theta_hat: float
     varphi_hat: float
@@ -103,14 +106,14 @@ def fourier_estimate(c, m_shots: int) -> EstimateReport:
 
     theta_hat = (1/d) sum_{k=0}^{d-1} |c_k|; varphi_hat = wpa(Delta)/2,
     which lands in (-pi/2, pi/2] (the phase is only identifiable mod pi).
-    Theoretical variances are attached with theta_hat as plug-in; the depth
-    and zero-coefficient checks are sequential_phase_diffs'.
+    Theoretical variances use theta_hat as plug-in, a warning names the
+    low-SNR k, and the diagnostics start empty; the depth and
+    zero-coefficient checks are sequential_phase_diffs'.
     """
     d = len(c)
-    delta = sequential_phase_diffs(c)
+    varphi_hat = 0.5 * wpa_solve(sequential_phase_diffs(c))
     amps = np.abs(c)
     theta_hat = float(amps.mean())
-    varphi_hat = 0.5 * wpa_solve(delta)
     warn = []
     floor = LOW_SNR_FLOOR_SCALE / math.sqrt(m_shots * (2 * d - 1))
     low = np.flatnonzero(amps < floor)
@@ -122,10 +125,6 @@ def fourier_estimate(c, m_shots: int) -> EstimateReport:
         var_theory_theta=variance_theory_theta(d, m_shots),
         var_theory_varphi=variance_theory_varphi(d, m_shots, theta_hat),
         warnings=warn,
-        diagnostics={
-            "amplitudes": amps.tolist(),
-            "phase_diffs": delta.tolist(),
-        },
     )
 
 

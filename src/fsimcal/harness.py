@@ -59,7 +59,7 @@ __all__ = [
     "run_mode",
 ]
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 SCHEMA_VERSION = 1
 _MAX_DEPTH = 2**16  # the deepest circuit a config may ask for; a guard against typos, not a memory guarantee
 # Circuits per stage and input state in one batch of replicates: bounds a batch's arrays whatever R and d.

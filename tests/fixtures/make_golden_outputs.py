@@ -115,10 +115,11 @@ def values(files: dict) -> dict:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         files = {name: run_case(name, pathlib.Path(tmp)) for name in CASES}
-    for path, record in ((FIXTURE, {**environment(), "cases": {name: digests(f) for name, f in files.items()}}),
-                         (VALUES, {"cases": {name: values(f) for name, f in files.items()}})):
-        path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {path}", file=sys.stderr)
+    record = {**environment(), "cases": {name: digests(f) for name, f in files.items()}}
+    FIXTURE.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    VALUES.write_text(json.dumps({"cases": {name: values(f) for name, f in files.items()}}, indent=2) + "\n",
+                      encoding="utf-8")
+    print(f"wrote {FIXTURE} and {VALUES}", file=sys.stderr)
     return 0
 
 

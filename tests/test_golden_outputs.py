@@ -27,8 +27,8 @@ RECORD = json.loads(golden.FIXTURE.read_text(encoding="utf-8"))
 VALUES = json.loads(golden.VALUES.read_text(encoding="utf-8"))
 # Measured against values recorded on numpy 2.4.6's X86_V4 targets: the
 # largest relative difference is 1.2e-14 with AVX-512 dispatch off (X86_V3)
-# and 7.1e-14 with X86_V3 off as well (X86_V2).  The absolute floor, about
-# ten ulps of the largest gate angle, covers rounding residue such as
+# and 7.1e-14 with X86_V3 off as well (X86_V2).  The absolute floor, some
+# tens of ulps of the gate angles, covers rounding residue such as
 # calibrate-exact's varphi_hat bias (mean - truth at zero shot noise, 1e-16)
 # and its square, which move by 5.6e-17 and 1.2e-32 at X86_V2.
 REL_TOL, ABS_TOL = 1e-12, 1e-15

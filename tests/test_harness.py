@@ -530,7 +530,7 @@ class TestRunCalibration:
         assert rec["summary"]["theta_hat"]["mean"] == pytest.approx(TRUTH.theta, rel=0.1)
 
     def test_record_json_shape(self):
-        (payload,) = run_points(small_config(replicates=2))
+        (payload,) = run_points(small_config(replicates=2, theta_pd=True))
         assert list(payload) == [
             "artifact_version",
             "stream_version",
@@ -545,6 +545,20 @@ class TestRunCalibration:
         ]
         assert payload["stream_version"] == STREAM_VERSION == 2
         assert "wall_clock" not in json.dumps(payload)
+        # Each replicate's record has a fixed size at every depth: no per-coefficient lists.
+        for rep in payload["replicates"]:
+            assert list(rep) == [
+                "theta_hat",
+                "varphi_hat",
+                "alpha_hat",
+                "theta_pd",
+                "theta_pf",
+                "var_theory_theta",
+                "var_theory_varphi",
+                "warnings",
+                "diagnostics",
+            ]
+            assert list(rep["diagnostics"]) == ["theta_corrected", "theta_pd_var_theory", "theta_pd_bias_budget", "peak_fit"]
 
 
 class TestSweeps:

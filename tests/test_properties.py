@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from fsimcal import ConfusionMatrix, DriftModel, ExperimentConfig, FsimParams, NoiseConfig, PeakFitConfig, run_mode
 from fsimcal.fisher import SingularFisherError
 from fsimcal.harness import MODES, ConfusionCheckConfig, EmptyPointError, _summarize, run_replicate
+from fsimcal.signal_model import exact_signal, omega_grid, spectrum_from_h
 
 from config_strategies import CONFUSIONS, confusion_checks, declared, experiment_configs, sections, values
 from oracles import approx_coefficients, summarize_by_name
@@ -57,7 +58,7 @@ def test_exact_mode_recovers_the_closed_forms(depth_and_angle, varphi, chi):
     profile = math.sin(theta) * np.abs(approx_coefficients(d, theta)[:d]).mean()
     assert abs(report["theta_hat"] - profile) <= 2.0 * (d * theta) ** 5 + 1e-12 * theta
     # Rounding of the smallest coefficient sets the phase floor.
-    amps = np.array(report["diagnostics"]["amplitudes"])
+    amps = np.abs(spectrum_from_h(exact_signal(d, omega_grid(d), truth), d)[:d])
     floor = 1e3 * d * np.finfo(float).eps * amps.max() / amps.min()
     assert abs(math.remainder(report["varphi_hat"] - truth.varphi, math.pi)) <= floor
 
