@@ -193,19 +193,20 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(
     and both input states: the 2(2d-1) grid circuits, then as configured the
     progressive-difference ladder (depths d, d+2, ..., 3d) and the peak fit,
     both at each replicate's own varphi_hat.  Replicate r draws only from the
-    keys (CIRCUIT, seed, point, r, block), so its record does not depend on
-    the batch it runs in.  Spectra and estimators run per replicate: the
-    Fourier estimators and the fidelity correction after the grid, on the
-    replicate's c_0 .. c_{d-1} (the first d DFT coefficients), theta_pd
-    after the ladder, the peak fit after its stage.  A degenerate coefficient
-    gives the replicate a failure record and drops it from the later stages;
-    a fidelity collapse is a warning; any other exception propagates.
+    keys (CIRCUIT, seed, point, r, stage), one generator per stage for both
+    inputs, so its record does not depend on the batch it runs in.  Spectra
+    and estimators run per replicate: the Fourier estimators and the fidelity
+    correction after the grid, on the replicate's c_0 .. c_{d-1} (the first
+    d DFT coefficients), theta_pd after the ladder, the peak fit after its
+    stage.  A degenerate coefficient gives the replicate a failure record and
+    drops it from the later stages; a fidelity collapse is a warning; any
+    other exception propagates.
     """
     d, params, noise = config.depth, config.gate_truth, config.noise
     reports, failures = dict.fromkeys(replicates), {}
 
     def stage(block, depth, omegas, finish):
-        # Grid block 0, ladder 2, peak fit 4; input k draws from block + k.
+        # Grid stage 0, ladder 1, peak fit 2.
         live = list(reports)
         if not live:
             return
@@ -248,11 +249,11 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(
     stage(0, d, lambda live: np.broadcast_to(grid, (len(live), grid.size)), fourier)
     if config.theta_pd:
         depths = np.arange(d, 3 * d + 1, 2)
-        stage(2, depths, lambda live: phi(live).repeat(len(depths), axis=1), ladder)
+        stage(1, depths, lambda live: phi(live).repeat(len(depths), axis=1), ladder)
     if config.peak_fit.enabled:
         n_pf = config.peak_fit.n_pf
         offsets = (np.pi / d) * (np.arange(n_pf) / (n_pf - 1) - 0.5)
-        stage(4, d, lambda live: phi(live) + offsets, fit)
+        stage(2, d, lambda live: phi(live) + offsets, fit)
     # The record is the report's fields, shallow: asdict would deep-copy the diagnostics.
     record = lambda report: {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     return [failures[r] if r in failures else record(reports[r]) for r in replicates]

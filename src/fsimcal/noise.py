@@ -4,10 +4,10 @@ Every random draw comes from a generator keyed by (kind, seed, point,
 replicate, block), so datasets are bit-identical regardless of evaluation
 order or parallelism.  The one simulator entry point takes a sequence of
 R replicates and an (R, n) array of angles, and returns the (R, 2, n) |01>
-frequencies of both input states: input k draws from block b + k of its
-replicate's key, the noiseless signal and the readout steps run once over
-the whole batch, and the drift pass runs per replicate over both inputs'
-columns at once.  The measured object is always the 4-outcome
+frequencies of both input states: a replicate's two inputs draw from one
+generator, the noiseless signal and the readout steps run once over the
+whole batch, and the drift kernel walks each depth's gates once over every
+replicate's columns.  The measured object is always the 4-outcome
 distribution over two-qubit bitstrings (00, 01, 10, 11), the last axis of
 the (..., 4) arrays readout mixing and correction act on; the subspace
 signal lives in outcomes 01/10 and depolarizing leaks weight onto 00/11.
@@ -48,7 +48,7 @@ class InversionRejectedError(ValueError):
 
 # Version of the random-stream layout; bumped whenever a sampled value of a
 # given (config, seed) changes, and recorded with every run.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 # What a generator is for, the first word of its key.
 CIRCUIT, BOOTSTRAP, CONFUSION = 0, 1, 2
 # (gate, column) entries per block of the drift kernel: each block array
@@ -206,58 +206,53 @@ def confusion_sample_size(kappa: float, epsilon: float, alpha_conf: float, const
 
 
 def _drifted_survival(d, omegas, params, drift, rngs):
-    """|<01| circuit |input>|^2 with fresh per-gate drift per circuit, one row per input.
+    """|<01| circuit |input>|^2 of R replicates' depth-d circuits under fresh per-gate drift, as (R, 2, nc).
 
-    Input k's drift uniforms are the (3, d, nc) array one rngs[k].uniform(-1, 1)
-    draw gives: the (theta, varphi, chi) offsets of every gate of every
-    circuit.  Each gate, with the Z rotation folded in, is [[a, b], [-conj(b), conj(a)]],
-    a = cos(th) e^{-i(ph - omega)}, b = sin(th) (sin(ch + omega) - i cos(ch + omega)).
-    Only row 0 of the product reaches the amplitude; it is carried as a row
-    vector from the last gate back to the first, over the 2 nc columns of
-    both inputs at once.  The gates are walked in blocks of about
-    _BLOCK_ENTRIES (gate, column) entries.  A block draws only its slice of the
-    uniforms, as 2 random() - 1 (uniform's doubles bit for bit) after advancing
-    each generator to it, so every array is O(_BLOCK_ENTRIES + nc) whatever
-    the depth.  The generators end where the whole draw leaves them.
+    omegas is (R, nc) and rngs[r] replicate r's generator, whose drift uniforms are the (d, 3, 2, nc)
+    array one rngs[r].uniform(-1, 1) draw gives: slice i holds the (theta, varphi, chi) offsets of gate
+    d - 1 - i of every circuit of both inputs.  Each gate, with the Z rotation folded in, is
+    [[a, b], [-conj(b), conj(a)]], a = cos(th) e^{-i(ph - omega)}, b = sin(th) (sin(ch + omega) - i cos(ch + omega)).
+    Only row 0 of the product reaches the amplitude; it is carried as a row vector from the last gate
+    back to the first, over the 2 nc columns of groups of max(1, _BLOCK_ENTRIES // (2 nc)) replicates,
+    in blocks of about _BLOCK_ENTRIES (gate, column) entries, each one random(out=) call per replicate
+    (2 random() - 1 is uniform's doubles bit for bit).  Every array is O(_BLOCK_ENTRIES + nc) whatever
+    d and R, and a column's operations do not depend on its group.
     """
-    nc, k = len(omegas), len(rngs)
+    reps, nc = omegas.shape
     dth, ramp = drift.half_widths(d, params.theta)
-    step = min(d, max(1, _BLOCK_ENTRIES // (k * nc)))
-    u = np.empty((3, k, step, nc))  # (row, input) slices C-contiguous, as random(out=) needs
-    real, cplx = np.empty((6, step, k, nc)), np.empty((4, step, k, nc), dtype=complex)
-    drawn, r0, r1 = 0, None, None  # drawn: doubles each generator has moved past in this call
-    for stop in range(d, 0, -step):
-        start, n = max(0, stop - step), min(step, stop)
-        for row in range(3):  # the block's slice of a row starts at (row d + start) nc
-            skip = ((row * d + start) * nc - drawn) % 2**128
-            for uk, rng in zip(u[row], rngs):
-                rng.bit_generator.advance(skip)
+    ramp, group = ramp[::-1, None, None, None], max(1, _BLOCK_ENTRIES // (2 * nc))  # ramp in draw order
+    p = np.empty((reps, 2, nc))
+    for g0 in range(0, reps, group):
+        rg, w = rngs[g0 : g0 + group], omegas[g0 : g0 + group, None]
+        step = min(d, max(1, _BLOCK_ENTRIES // (len(rg) * 2 * nc)))
+        u = np.empty((len(rg), step, 3, 2, nc))  # each replicate's slice C-contiguous, as random(out=) needs
+        real, cplx = np.empty((6, step, len(rg), 2, nc)), np.empty((4, step, len(rg), 2, nc), dtype=complex)
+        for start in range(0, d, step):
+            n = min(step, d - start)
+            for uk, rng in zip(u, rg):
                 rng.random(out=uk[:n])
-            drawn = (row * d + stop) * nc
-        ub, rb = u[:, :, :n], ramp[start:stop, None, None]
-        u0, u1, u2 = np.subtract(np.multiply(ub, 2.0, out=ub), 1.0, out=ub).transpose(0, 2, 1, 3)  # gate-major
-        th, ph, ch, ct, st, t = real[:, :n]
-        a, b, a_conj, b_conj = cplx[:, :n]
-        np.add(np.multiply(u0, dth, out=th), params.theta, out=th)
-        np.subtract(np.add(np.multiply(u1, rb, out=ph), params.varphi, out=ph), omegas, out=ph)
-        np.add(np.add(np.multiply(u2, rb, out=ch), params.chi, out=ch), omegas, out=ch)
-        np.cos(th, out=ct)
-        np.sin(th, out=st)
-        # a = ct cos(ph) - 1j (ct sin(ph)); an imaginary part 0 - x keeps that form's signs of zero.
-        np.multiply(ct, np.cos(ph, out=t), out=a.real)
-        np.subtract(0.0, np.multiply(ct, np.sin(ph, out=t), out=t), out=a.imag)
-        np.multiply(st, np.sin(ch, out=t), out=b.real)
-        np.subtract(0.0, np.multiply(st, np.cos(ch, out=t), out=t), out=b.imag)
-        np.conjugate(cplx[:2, :n], out=cplx[2:, :n])  # a_conj, b_conj
-        top = n - 1
-        if r0 is None:  # the circuit's last gate starts the row vector, copied out of the reused buffers
-            r0, r1, top = a[top].copy(), b[top].copy(), top - 1
-        for g in range(top, -1, -1):
-            r0, r1 = r0 * a[g] - r1 * b_conj[g], r0 * b[g] + r1 * a_conj[g]
-    for rng in rngs:
-        rng.bit_generator.advance((3 * d * nc - drawn) % 2**128)
-    # The X input (|01> + |10>)/sqrt2 and the Y input (|01> + i|10>)/sqrt2.
-    return np.abs(r0 + np.array([[1.0], [1.0j]]) * r1) ** 2 / 2.0
+            ub, rb = u[:, :n], ramp[start : start + n]
+            u0, u1, u2 = np.subtract(np.multiply(ub, 2.0, out=ub), 1.0, out=ub).transpose(2, 1, 0, 3, 4)  # gate-major
+            th, ph, ch, ct, st, t = real[:, :n]
+            a, b, a_conj, b_conj = cplx[:, :n]
+            np.add(np.multiply(u0, dth, out=th), params.theta, out=th)
+            np.subtract(np.add(np.multiply(u1, rb, out=ph), params.varphi, out=ph), w, out=ph)
+            np.add(np.add(np.multiply(u2, rb, out=ch), params.chi, out=ch), w, out=ch)
+            np.cos(th, out=ct)
+            np.sin(th, out=st)
+            # a = ct cos(ph) - 1j (ct sin(ph)); an imaginary part 0 - x keeps that form's signs of zero.
+            np.multiply(ct, np.cos(ph, out=t), out=a.real)
+            np.subtract(0.0, np.multiply(ct, np.sin(ph, out=t), out=t), out=a.imag)
+            np.multiply(st, np.sin(ch, out=t), out=b.real)
+            np.subtract(0.0, np.multiply(st, np.cos(ch, out=t), out=t), out=b.imag)
+            np.conjugate(cplx[:2, :n], out=cplx[2:, :n])  # a_conj, b_conj
+            if start == 0:  # the circuit's last gate starts the row vector, copied out of the reused buffers
+                r0, r1 = a[0].copy(), b[0].copy()
+            for g in range(start == 0, n):
+                r0, r1 = r0 * a[g] - r1 * b_conj[g], r0 * b[g] + r1 * a_conj[g]
+        # The X input (|01> + |10>)/sqrt2 and the Y input (|01> + i|10>)/sqrt2.
+        p[g0 : g0 + group] = np.abs(r0 + np.array([[1.0], [1.0j]]) * r1) ** 2 / 2.0
+    return p
 
 
 def simulate_probability_batch(
@@ -272,35 +267,35 @@ def simulate_probability_batch(
 ) -> np.ndarray:
     """Empirical |01> probabilities of R replicates' circuits at angles omegas, from both inputs.
 
-    replicates is a sequence of R indices and omegas an (R, n) array, row r
-    holding replicate r's circuits; d is one depth or one depth per circuit.
-    The result is (R, 2, n): row [r, 0] for the X input and [r, 1] for the Y
-    input.  The noiseless signal, depolarizing, readout mixing, normalisation
-    and correction run once over the whole (replicate, input, circuit) array,
-    and act on each row alone.  Replicate r's input k draws from its own
-    generator, keyed (CIRCUIT, seed, point, r, block + k): the drift uniforms
-    of each distinct depth in ascending depth order, then one multinomial over
-    all its rows.  Under a confusion matrix the sampled 4-outcome frequencies
-    are pushed through its inverse before the 01 component is returned.
+    replicates is a sequence of R indices and omegas an (R, n) array, row r holding replicate r's
+    circuits; d is one depth, or an (n,) array of one depth per circuit that every replicate shares.
+    The result is (R, 2, n): row [r, 0] for the X input and [r, 1] for the Y input.  The noiseless
+    signal, depolarizing, readout mixing, normalisation and correction run once over the whole
+    (replicate, input, circuit) array, and act on each row alone.  Replicate r's two inputs draw from
+    one generator, keyed (CIRCUIT, seed, point, r, block): for each distinct depth in ascending order
+    the (d, 3, 2, n_d) drift uniforms, the circuits' last gate first, then one multinomial over its
+    (2, n, 4) rows.  Under a confusion matrix the sampled 4-outcome frequencies are pushed through its
+    inverse before the 01 component is returned.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 2 or len(omegas) != len(replicates):
         raise ValueError(f"omegas must be ({len(replicates)}, n), one row per replicate, got {omegas.shape}")
-    depths = np.broadcast_to(d, omegas.shape)
+    if np.ndim(d) and np.shape(d) != omegas.shape[1:]:
+        raise ValueError(f"d must be one depth or ({omegas.shape[1]},), one per circuit, got {np.shape(d)}")
+    depths = np.broadcast_to(d, omegas.shape[1:])
     if noise.exact or noise.drift is None:
         p = exact_signal(depths, omegas, params)  # h, held under p's name so its array goes once p is formed
         p = 0.5 + np.stack([p.real, p.imag], axis=1)
         if noise.exact:
             return p
-    rngs = [[stream(CIRCUIT, noise.seed, point, r, block + k) for k in range(2)] for r in replicates]
+    rngs = [stream(CIRCUIT, noise.seed, point, r, block) for r in replicates]
     if noise.drift is not None:
-        p = np.empty((len(rngs), 2, omegas.shape[-1]))
-        for pr, w, dr, rr in zip(p, omegas, depths, rngs):
-            for dj in sorted(set(dr.tolist())):
-                at = dr == dj
-                pr[:, at] = _drifted_survival(int(dj), w[at], params, noise.drift, rr)
-    # The Y input's extra preparation gate; no (R, n) array outlives the power.
-    alpha = (1.0 - noise.depol_rate) ** (gate_count(depths)[:, None] + np.array([[0], [1]]))
+        p = np.empty((len(rngs), 2, len(depths)))
+        for dj in sorted(set(depths.tolist())):
+            at = depths == dj
+            p[:, :, at] = _drifted_survival(int(dj), omegas[:, at], params, noise.drift, rngs)
+    # The Y input's extra preparation gate: alpha is (2, n), shared by the replicates.
+    alpha = (1.0 - noise.depol_rate) ** (gate_count(depths) + np.array([[0], [1]]))
     q4 = np.empty(p.shape + (4,))
     q4[..., 0] = q4[..., 3] = (1.0 - alpha) / 4.0
     q4[..., 1] = apply_depolarizing(p, alpha)
@@ -309,9 +304,8 @@ def simulate_probability_batch(
         q4 = (q4[..., None, :] @ noise.confusion.entries)[..., 0, :]
     q4 /= q4.sum(axis=-1, keepdims=True)
     freq = q4  # each row's counts, then frequencies, overwrite its probabilities once drawn
-    for rq in zip(rngs, freq):
-        for rng, q in zip(*rq):
-            q[...] = rng.multinomial(noise.shots, q)
+    for rng, q in zip(rngs, freq):
+        q[...] = rng.multinomial(noise.shots, q)
     freq /= noise.shots
     if noise.confusion is not None:
         freq = invert_confusion(freq, noise.confusion)

@@ -8,8 +8,8 @@ itself does not need: the power-of-two doubling recurrence, the first-order
 coefficient profile, the amplitude profile, the SNR bounds and the
 parabolic weights of the weighted phase average.  The run summary is kept
 in its earlier per-name form, against which the table-driven one is checked,
-the simulator in its earlier one-input-per-call form, and the drift kernel
-in its earlier whole-draw form.
+the simulator in its earlier one-input-at-a-time form, and the drift kernel
+in a whole-draw form with no gate blocks or replicate groups.
 """
 
 import math
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from fsimcal.noise import (
-    _BLOCK_ENTRIES,
     CIRCUIT,
     NoiseConfig,
     apply_depolarizing,
@@ -385,131 +384,129 @@ def binomial_signal_replicates(d, params_tuple, m_shots, n_replicates, seed):
     return ex - 0.5 + 1j * (ey - 0.5)
 
 
-def brute_noisy_counts(depths, omegas, params, noise, beta, key):
-    """4-outcome counts of a block of noisy circuits, gate by gate, from stream(*key).
+def brute_noisy_counts(depths, omegas, params, noise, key):
+    """(2, n, 4) outcome counts of one replicate stage's noisy circuits, gate by gate, from stream(*key).
 
-    The block draws as the simulator documents: for each distinct depth in
-    ascending order, one (3, d, n_d) array of drift uniforms for the circuits
-    of that depth in block order, then one multinomial shot draw over the
-    depolarized, readout-confused distributions of all circuits.
+    Row [k, i] is circuit i from input k (the X input, then the Y input).
+    The generator draws as the simulator documents: for each distinct depth
+    in ascending order, one (d, 3, 2, n_d) array of drift uniforms for the
+    circuits of that depth in stage order, the circuits' last gate first,
+    then one multinomial shot draw over the depolarized, readout-confused
+    distributions of both inputs' circuits.
     """
     rng = stream(*key)
     depths = np.broadcast_to(depths, np.shape(omegas))
-    offsets = [np.zeros((d, 3)) for d in depths]
+    offsets = [[np.zeros((d, 3))] * 2 for d in depths]
     if noise.drift is not None:
         for d in np.unique(depths):
             at = np.flatnonzero(depths == d)
             dth, ramp = noise.drift.half_widths(d, params.theta)
-            u = rng.uniform(-1.0, 1.0, size=(3, d, len(at)))
+            u = rng.uniform(-1.0, 1.0, size=(d, 3, 2, len(at)))[::-1]  # gate order, first gate first
             for j, i in enumerate(at):
-                offsets[i] = np.column_stack([np.full(d, dth), ramp, ramp]) * u[:, :, j].T
-    q4s = []
-    for d, omega, offset in zip(depths, omegas, offsets):
-        v = np.eye(2, dtype=complex)
-        for theta, varphi, chi in np.array([params.theta, params.varphi, params.chi]) + offset:
-            v = z_rot(omega) @ fsim_matrix(theta, varphi, chi) @ v
-        p = float(abs((v @ bell_state(beta))[0]) ** 2)
-        n_gates = 2 * d + (6 if beta == 1j else 5)
-        alpha = (1.0 - noise.depol_rate) ** n_gates
-        q4 = np.array([0.0, alpha * p, alpha * (1.0 - p), 0.0]) + (1.0 - alpha) / 4.0
-        if noise.confusion is not None:
-            q4 = apply_confusion(q4, noise.confusion)
-        q4s.append(q4 / q4.sum())
-    return rng.multinomial(noise.shots, np.array(q4s))
+                offsets[i] = [np.column_stack([np.full(d, dth), ramp, ramp]) * u[:, :, k, j] for k in range(2)]
+    q4s = np.empty((2, len(depths), 4))
+    for k, beta in enumerate((1.0, 1.0j)):
+        for i, (d, omega) in enumerate(zip(depths, omegas)):
+            v = np.eye(2, dtype=complex)
+            for theta, varphi, chi in np.array([params.theta, params.varphi, params.chi]) + offsets[i][k]:
+                v = z_rot(omega) @ fsim_matrix(theta, varphi, chi) @ v
+            p = float(abs((v @ bell_state(beta))[0]) ** 2)
+            alpha = (1.0 - noise.depol_rate) ** (2 * d + 5 + k)
+            q4 = np.array([0.0, alpha * p, alpha * (1.0 - p), 0.0]) + (1.0 - alpha) / 4.0
+            if noise.confusion is not None:
+                q4 = apply_confusion(q4, noise.confusion)
+            q4s[k, i] = q4 / q4.sum()
+    return rng.multinomial(noise.shots, q4s)
 
 
-def drifted_survival_matmul(d, omegas, params, drift, rng, beta):
-    """|<01| circuit |beta>|^2 with per-gate drift, by stacked 2x2 matmuls.
+def drifted_survival_matmul(d, omegas, params, drift, rng):
+    """(2, nc) |<01| circuit |input>|^2 of both inputs with per-gate drift, by stacked 2x2 matmuls.
 
     Builds every circuit's full (d, 2, 2) gate stack from complex exponentials
-    and multiplies the whole product out; the uniforms are one (3, d, nc)
-    draw from rng, column i belonging to circuit i.
+    and multiplies the whole product out; the uniforms are one (d, 3, 2, nc)
+    draw from rng, slice [d - 1 - g, :, k, i] belonging to gate g of circuit
+    i from input k.
     """
     nc = len(omegas)
-    gates = np.empty((nc, d, 2, 2), dtype=complex)
     dth, ramp = drift.half_widths(d, params.theta)
-    u = rng.uniform(-1.0, 1.0, size=(3, d, nc))
-    for i in range(nc):
-        th = params.theta + dth * u[0, :, i]
-        ph = params.varphi + ramp * u[1, :, i]
-        ch = params.chi + ramp * u[2, :, i]
-        ct, st = np.cos(th), np.sin(th)
-        gates[i, :, 0, 0] = np.exp(-1j * ph) * ct
-        gates[i, :, 0, 1] = -1j * np.exp(1j * ch) * st
-        gates[i, :, 1, 0] = -1j * np.exp(-1j * ch) * st
-        gates[i, :, 1, 1] = np.exp(1j * ph) * ct
+    u = rng.uniform(-1.0, 1.0, size=(d, 3, 2, nc))[::-1]
     zp = np.exp(1j * np.asarray(omegas, dtype=float))
-    gates[:, :, 0, :] *= zp[:, None, None]
-    gates[:, :, 1, :] *= np.conj(zp)[:, None, None]
-    v = np.broadcast_to(np.eye(2, dtype=complex), (nc, 2, 2)).copy()
-    for g in range(d):
-        v = gates[:, g] @ v
-    amp = (v[:, 0, 0] + beta * v[:, 0, 1]) / np.sqrt(2.0)
-    return np.abs(amp) ** 2
+    out = np.empty((2, nc))
+    for k, beta in enumerate((1.0, 1.0j)):
+        gates = np.empty((nc, d, 2, 2), dtype=complex)
+        for i in range(nc):
+            th = params.theta + dth * u[:, 0, k, i]
+            ph = params.varphi + ramp * u[:, 1, k, i]
+            ch = params.chi + ramp * u[:, 2, k, i]
+            ct, st = np.cos(th), np.sin(th)
+            gates[i, :, 0, 0] = np.exp(-1j * ph) * ct
+            gates[i, :, 0, 1] = -1j * np.exp(1j * ch) * st
+            gates[i, :, 1, 0] = -1j * np.exp(-1j * ch) * st
+            gates[i, :, 1, 1] = np.exp(1j * ph) * ct
+        gates[:, :, 0, :] *= zp[:, None, None]
+        gates[:, :, 1, :] *= np.conj(zp)[:, None, None]
+        v = np.broadcast_to(np.eye(2, dtype=complex), (nc, 2, 2)).copy()
+        for g in range(d):
+            v = gates[:, g] @ v
+        out[k] = np.abs((v[:, 0, 0] + beta * v[:, 0, 1]) / np.sqrt(2.0)) ** 2
+    return out
 
 
-def drifted_survival_whole_draw(d, omegas, params, drift, rngs):
-    """The drift kernel as it was before each gate block drew its own uniforms, copied as it stood.
+def _row_vector_walk(d, omegas, params, drift, u):
+    """Row 0 of the drifted circuit product, from uniforms u of shape (d, 3, ...), the last gate first.
 
-    Input k's drift uniforms are one (3, d, nc) rngs[k].uniform(-1, 1) draw,
-    taken before the gate walk; the blocks then slice it.  Today's kernel
-    must match it byte for byte and leave every generator in the same state.
+    Each gate, with the Z rotation folded in, is [[a, b], [-conj(b), conj(a)]],
+    a = cos(th) e^{-i(ph - omega)}, b = sin(th) (sin(ch + omega) - i cos(ch + omega));
+    omegas broadcasts against one gate's slice of u.
     """
-    u = [rng.uniform(-1.0, 1.0, size=(3, d, len(omegas))) for rng in rngs]
     dth, ramp = drift.half_widths(d, params.theta)
-    step = max(1, _BLOCK_ENTRIES // (len(u) * len(omegas)))
-    r0 = r1 = None
-    for stop in range(d, 0, -step):
-        gates = slice(max(0, stop - step), stop)
-        ub, rb = np.stack([uk[:, gates] for uk in u], axis=2), ramp[gates, None, None]
-        th = params.theta + dth * ub[0]
-        ph = params.varphi + rb * ub[1] - omegas
-        ch = params.chi + rb * ub[2] + omegas
-        ct, st = np.cos(th), np.sin(th)
-        a = ct * np.cos(ph) - 1j * (ct * np.sin(ph))
-        b = st * np.sin(ch) - 1j * (st * np.cos(ch))
-        a_conj, b_conj = a.conj(), b.conj()
-        top = len(a) - 1
-        if r0 is None:  # the circuit's last gate starts the row vector
-            r0, r1, top = a[top], b[top], top - 1
-        for g in range(top, -1, -1):
-            r0, r1 = r0 * a[g] - r1 * b_conj[g], r0 * b[g] + r1 * a_conj[g]
-    # The X input (|01> + |10>)/sqrt2 and the Y input (|01> + i|10>)/sqrt2.
-    return np.abs(r0 + np.array([[1.0], [1.0j]]) * r1) ** 2 / 2.0
-
-
-# The simulator as it was before one call covered both inputs, copied as it
-# stood: one input state per call, drawing from stream(CIRCUIT, seed, point,
-# replicate, block).  Row [0, k] of today's simulate_probability_batch, given
-# replicates=[replicate], must equal it byte for byte for input state
-# INPUT_STATES[k] at block + k.
-INPUT_STATES = ("plus", "i")
-_BETA = {"plus": 1.0 + 0.0j, "i": 1.0j}
-
-
-def drifted_survival_one_input(d, omegas, params, drift, rng, beta):
-    """|<01| circuit |beta>|^2 with fresh per-gate drift per circuit.
-
-    The drift uniforms are one (3, d, nc) draw from rng: the (theta, varphi,
-    chi) offsets of every gate of every circuit.  Each gate, with the Z
-    rotation folded in, is [[a, b], [-conj(b), conj(a)]],
-    a = cos(th) e^{-i(ph - omega)}, b = sin(th) (sin(ch + omega) - i cos(ch + omega)).
-    Only row 0 of the product reaches the amplitude; it is carried as a row
-    vector from the last gate back to the first.
-    """
-    u = rng.uniform(-1.0, 1.0, size=(3, d, len(omegas)))
-    dth, ramp = drift.half_widths(d, params.theta)
-    ramp = ramp[:, None]
-    th = params.theta + dth * u[0]
-    ph = params.varphi + ramp * u[1] - omegas
-    ch = params.chi + ramp * u[2] + omegas
+    ramp = ramp[::-1].reshape((d,) + (1,) * (u.ndim - 2))
+    th = params.theta + dth * u[:, 0]
+    ph = params.varphi + ramp * u[:, 1] - omegas
+    ch = params.chi + ramp * u[:, 2] + omegas
     ct, st = np.cos(th), np.sin(th)
     a = ct * np.cos(ph) - 1j * (ct * np.sin(ph))
     b = st * np.sin(ch) - 1j * (st * np.cos(ch))
     a_conj, b_conj = a.conj(), b.conj()
-    r0, r1 = a[-1], b[-1]
-    for g in range(d - 2, -1, -1):
+    r0, r1 = a[0], b[0]
+    for g in range(1, d):
         r0, r1 = r0 * a[g] - r1 * b_conj[g], r0 * b[g] + r1 * a_conj[g]
+    return r0, r1
+
+
+def drifted_survival_whole_draw(d, omegas, params, drift, rngs):
+    """The drift kernel with no gate blocks and no replicate groups: (R, 2, nc) from (R, nc) omegas.
+
+    Replicate r's uniforms are one (d, 3, 2, nc) rngs[r].uniform(-1, 1)
+    draw, the circuits' last gate first, taken before a walk over all its
+    gates at once.  The kernel must match it byte for byte, whatever its
+    blocks and groups, and leave every generator in the same state.
+    """
+    u = np.stack([rng.uniform(-1.0, 1.0, size=(d, 3, 2, len(w))) for rng, w in zip(rngs, omegas)], axis=2)
+    r0, r1 = _row_vector_walk(d, np.asarray(omegas)[:, None], params, drift, u)
+    # The X input (|01> + |10>)/sqrt2 and the Y input (|01> + i|10>)/sqrt2.
+    return np.abs(r0 + np.array([[1.0], [1.0j]]) * r1) ** 2 / 2.0
+
+
+# The simulator as it was before one call covered both inputs: each input
+# state's circuits simulated, depolarized and readout-mixed on their own.
+# Under stream version 3 both inputs draw from one generator, keyed
+# (CIRCUIT, seed, point, replicate, block), so it forms both and returns one.
+# Row [0, k] of simulate_probability_batch, given replicates=[replicate],
+# must equal it byte for byte for input state INPUT_STATES[k].
+INPUT_STATES = ("plus", "i")
+_BETA = {"plus": 1.0 + 0.0j, "i": 1.0j}
+
+
+def drifted_survival_one_input(d, omegas, params, drift, u, beta):
+    """|<01| circuit |beta>|^2 with fresh per-gate drift per circuit.
+
+    u is one input's (d, 3, nc) slice of the drift uniforms: the (theta,
+    varphi, chi) offsets of every gate of every circuit, the last gate first.
+    Only row 0 of the product reaches the amplitude; it is carried as a row
+    vector from the last gate back to the first.
+    """
+    r0, r1 = _row_vector_walk(d, omegas, params, drift, u)
     return np.abs(r0 + beta * r1) ** 2 / 2.0
 
 
@@ -524,43 +521,47 @@ def simulate_probability_batch_one_input(
     replicate: int = 0,
     block: int = 0,
 ) -> np.ndarray:
-    """Empirical |01> probabilities for a batch of circuits at angles omegas.
+    """Empirical |01> probabilities for a batch of circuits at angles omegas, from one input state.
 
     d is one depth or one depth per circuit.  The batch draws from one
-    generator, keyed (CIRCUIT, seed, point, replicate, block): the drift
-    uniforms of each distinct depth in ascending depth order, then one
-    multinomial over all rows.  Under a confusion matrix the sampled 4-outcome
-    frequencies are pushed through its inverse before the 01 component is
-    returned.  Depolarizing, readout mixing and correction act on each row
-    alone.
+    generator, keyed (CIRCUIT, seed, point, replicate, block): the (d, 3, 2,
+    n_d) drift uniforms of each distinct depth in ascending depth order, the
+    last gate first, then one multinomial over both inputs' rows.  Under a
+    confusion matrix the sampled 4-outcome frequencies are pushed through
+    its inverse before the 01 component is returned.  Depolarizing, readout
+    mixing and correction act on each row alone.
     """
     if input_state not in INPUT_STATES:
         raise ValueError(f"input_state must be one of {INPUT_STATES}")
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     depths = np.broadcast_to(d, omegas.shape)
-    beta = _BETA[input_state]
     if noise.exact or noise.drift is None:
-        p = 0.5 + (np.conj(beta) * exact_signal(depths, omegas, params)).real
+        h = exact_signal(depths, omegas, params)
+        p = [0.5 + (np.conj(beta) * h).real for beta in _BETA.values()]
         if noise.exact:
-            return p
+            return p[INPUT_STATES.index(input_state)]
     rng = stream(CIRCUIT, noise.seed, point, replicate, block)
     if noise.drift is not None:
-        p = np.empty(len(omegas))
+        p = np.empty((2, len(omegas)))
         for dj in np.unique(depths):
             at = depths == dj
-            p[at] = drifted_survival_one_input(int(dj), omegas[at], params, noise.drift, rng, beta)
-    # 2d+5 gates from the X input; the Y input spends one more on preparation.
-    alpha = (1.0 - noise.depol_rate) ** (2 * depths + 5 + (1 if input_state == "i" else 0))
-    q4 = np.empty((len(omegas), 4))
-    q4[:, 0] = q4[:, 3] = (1.0 - alpha) / 4.0
-    q4[:, 1] = apply_depolarizing(p, alpha)
-    q4[:, 2] = apply_depolarizing(1.0 - p, alpha)
-    if noise.confusion is not None:
-        q4 = (q4[:, None, :] @ noise.confusion.entries)[:, 0]
-    freq = rng.multinomial(noise.shots, q4 / q4.sum(axis=1, keepdims=True)) / noise.shots
+            u = rng.uniform(-1.0, 1.0, size=(dj, 3, 2, at.sum()))
+            for k, beta in enumerate(_BETA.values()):
+                p[k, at] = drifted_survival_one_input(int(dj), omegas[at], params, noise.drift, u[:, :, k], beta)
+    q4 = np.empty((2, len(omegas), 4))
+    for k, state in enumerate(INPUT_STATES):
+        # 2d+5 gates from the X input; the Y input spends one more on preparation.
+        alpha = (1.0 - noise.depol_rate) ** (2 * depths + 5 + (1 if state == "i" else 0))
+        q4[k, :, 0] = q4[k, :, 3] = (1.0 - alpha) / 4.0
+        q4[k, :, 1] = apply_depolarizing(p[k], alpha)
+        q4[k, :, 2] = apply_depolarizing(1.0 - p[k], alpha)
+        if noise.confusion is not None:
+            q4[k] = (q4[k, :, None, :] @ noise.confusion.entries)[:, 0]
+        q4[k] /= q4[k].sum(axis=1, keepdims=True)
+    freq = rng.multinomial(noise.shots, q4) / noise.shots
     if noise.confusion is not None:
         freq = invert_confusion(freq, noise.confusion)
-    return freq[:, 1]
+    return freq[INPUT_STATES.index(input_state), :, 1]
 
 
 def bootstrap_means_loop(sq, rng, resamples=1000):

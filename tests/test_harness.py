@@ -170,13 +170,17 @@ class TestReplicateBatches:
         monkeypatch.setattr(harness, "estimate_alpha_corrected", collapse_fourth)
         records = harness.run_replicate(cfg, point=1, replicates=range(5))
         assert records[2] == {"replicate": 2, "reason": "DegenerateCoefficientError: injected"}
-        assert stages == [(0, [0, 1, 2, 3, 4]), (2, [0, 1, 3, 4]), (4, [0, 1, 3, 4])]
+        assert stages == [(0, [0, 1, 2, 3, 4]), (1, [0, 1, 3, 4]), (2, [0, 1, 3, 4])]
         assert self.dumps(records[i] for i in (0, 1, 4)) == self.dumps(clean[i] for i in (0, 1, 4))
         collapsed, kept = records[3], clean[3]
         assert collapsed["warnings"] == [*kept["warnings"], "injected collapse"] and collapsed["alpha_hat"] is None
         assert "theta_corrected" not in collapsed["diagnostics"]
-        for key in ("theta_hat", "varphi_hat", "theta_pd", "theta_pf"):
+        for key in ("theta_hat", "varphi_hat", "theta_pd"):
             assert collapsed[key] == kept[key] is not None
+        # theta_pf is None where the peak fit was rejected; the fit's diagnostics are always set.
+        assert collapsed["theta_pf"] == kept["theta_pf"]
+        assert collapsed["diagnostics"]["peak_fit"] == kept["diagnostics"]["peak_fit"]
+        assert set(kept["diagnostics"]["peak_fit"]) == {"beta0", "beta1", "beta2", "accepted"}
 
 
 class TestConfig:
@@ -479,6 +483,8 @@ class TestRunCalibration:
     def test_summary_ignores_missing_values(self):
         (rec,) = run_points(small_config(replicates=5))
         reports = copy.deepcopy(rec["replicates"])
+        for i in (0, 2, 4):  # values whether or not the replicate's peak fit was accepted
+            reports[i]["theta_pf"] = TRUTH.theta * (1.0 + 0.01 * i)
         reports[1]["theta_pf"] = None
         reports[3]["theta_pf"] = None
         summary = _summarize(small_config(replicates=5), reports, point=0)
@@ -543,7 +549,7 @@ class TestRunCalibration:
             "failures",
             "replicates",
         ]
-        assert payload["stream_version"] == STREAM_VERSION == 2
+        assert payload["stream_version"] == STREAM_VERSION == 3
         assert "wall_clock" not in json.dumps(payload)
         # Each replicate's record has a fixed size at every depth: no per-coefficient lists.
         for rep in payload["replicates"]:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -164,27 +165,33 @@ class TestSimulate:
         with pytest.raises(ValueError, match=r"omegas must be \(2, n\)"):
             simulate_probability_batch(6, omegas, PARAMS, NOISE_KINDS["shots"], replicates=[0, 1])
 
+    @pytest.mark.parametrize("shape", [(2, 3), (1,), (4,), (3, 1)])
+    def test_depths_are_one_or_one_per_circuit(self, shape):
+        # The replicates share the depths: a per-replicate (R, n) array is rejected like any other shape.
+        message = r"d must be one depth or \(3,\), one per circuit, got " + re.escape(str(shape))
+        with pytest.raises(ValueError, match=message):
+            simulate_probability_batch(np.full(shape, 6), np.zeros((2, 3)), PARAMS, NOISE_KINDS["drift"], replicates=[0, 1])
+
     def test_determinism_and_key_separation(self):
         noise = NoiseConfig(shots=1000, drift=DriftModel(), seed=5)
-        # Blocks 12 and 14: the Y input of block 12 draws from block 13.
+        # Blocks 12 and 13: each block is one generator, shared by both inputs.
         a, b, c, e = (
             simulate_probability_batch(6, [[0.4]], PARAMS, noise, replicates=[rep], block=block)[0, :, 0]
-            for rep, block in ((3, 12), (3, 12), (4, 12), (3, 14))
+            for rep, block in ((3, 12), (3, 12), (4, 12), (3, 13))
         )
         assert a.tobytes() == b.tobytes()
         assert (a != c).all() and (a != e).all()
 
     def test_batch_matches_single_circuit_path(self, monkeypatch):
-        # Each circuit gate by gate, input k drawing from block 9 + k in the
+        # Each circuit gate by gate, both inputs drawing from block 9 in the
         # documented order: drift uniforms per depth, ascending, then the shots.
         raw_readout(monkeypatch)
         depths = np.array([7, 3, 7, 5, 3, 7])
         omegas = np.linspace(0.2, 2.9, len(depths))
         for kind, noise in NOISE_KINDS.items():
             (batch,) = simulate_probability_batch(depths, [omegas], PARAMS, noise, point=2, replicates=[1], block=9)
-            for k, beta in enumerate((1.0, 1.0j)):
-                counts = brute_noisy_counts(depths, omegas, PARAMS, noise, beta, (CIRCUIT, noise.seed, 2, 1, 9 + k))
-                assert np.allclose(batch[k], counts[:, 1] / noise.shots, atol=0), kind
+            counts = brute_noisy_counts(depths, omegas, PARAMS, noise, (CIRCUIT, noise.seed, 2, 1, 9))
+            assert np.allclose(batch, counts[..., 1] / noise.shots, atol=0), kind
 
     def test_drift_half_widths(self):
         drift = DriftModel()
@@ -210,20 +217,20 @@ class TestDriftKernel:
     @pytest.mark.parametrize("state", INPUT_STATES)
     @pytest.mark.parametrize("d", [2, 3, 20, 100])
     def test_matches_matmul_reference_and_draw_order(self, d, state, params):
-        # Row k of the two-input kernel against the reference fed from input k's generator.
+        # Row k of the two-input kernel against the reference fed from the same key.
         k = INPUT_STATES.index(state)
         nc = 2 * d - 1
         omegas = np.random.default_rng(d).uniform(-np.pi, np.pi, size=nc)
         drift = DriftModel(theta_frac=0.3, phase_max=0.5)
-        fast, reference = [stream(17, d, 1, j) for j in range(2)], stream(17, d, 1, k)
-        p = _drifted_survival(d, omegas, params, drift, fast)
-        p_ref = drifted_survival_matmul(d, omegas, params, drift, reference, (1.0, 1.0j)[k])
-        assert p.shape == (2, nc)
-        assert np.abs(p[k] - p_ref).max() <= 1e-12
-        # the kernel leaves each input's generator where one (3, d, nc)
-        # draw would, so the shot draw that follows reads it where the
-        # reference leaves it
-        assert fast[k].bit_generator.state == reference.bit_generator.state
+        fast, reference = stream(17, d, 1), stream(17, d, 1)
+        p = _drifted_survival(d, omegas[None], params, drift, [fast])
+        p_ref = drifted_survival_matmul(d, omegas, params, drift, reference)
+        assert p.shape == (1, 2, nc)
+        assert np.abs(p[0, k] - p_ref[k]).max() <= 1e-12
+        # the kernel leaves the generator where one (d, 3, 2, nc) draw
+        # would, so the shot draw that follows reads it where the reference
+        # leaves it
+        assert fast.bit_generator.state == reference.bit_generator.state
 
 
 # Key words: zero, one 32-bit half, or both halves.
@@ -247,14 +254,14 @@ NOISE_KINDS = {
     ids=["scalar", "per-circuit", "mixed"],
 )
 def test_rows_match_the_one_input_simulator(kind, depths):
-    # Row k is, byte for byte, what one call per input state gave for input k at block + k.
+    # Row k is, byte for byte, what the one-input-at-a-time simulator gives for input k.
     noise = NOISE_KINDS.get(kind) or dataclasses.replace(NOISE_KINDS["all"], exact=True)
     omegas = np.linspace(0.2, 2.9, 12)
     key = dict(point=2, replicate=5)
     batch = simulate_probability_batch(depths, [omegas], PARAMS, noise, point=2, replicates=[5], block=4)
     assert batch.shape == (1, 2, len(omegas))
     for k, state in enumerate(INPUT_STATES):
-        one = simulate_probability_batch_one_input(depths, omegas, PARAMS, noise, state, **key, block=4 + k)
+        one = simulate_probability_batch_one_input(depths, omegas, PARAMS, noise, state, **key, block=4)
         assert batch[0, k].tobytes() == one.tobytes()
 
 
@@ -276,7 +283,7 @@ def test_drift_rows_match_the_one_input_simulator_across_gate_blocks(depths, nc,
     omegas, noise, key = np.linspace(-3.0, 3.0, nc), NOISE_KINDS["all"], dict(point=1, replicate=3)
     (batch,) = simulate_probability_batch(depths, [omegas], PARAMS, noise, point=1, replicates=[3], block=6)
     for k, state in enumerate(INPUT_STATES):
-        one = simulate_probability_batch_one_input(depths, omegas, PARAMS, noise, state, **key, block=6 + k)
+        one = simulate_probability_batch_one_input(depths, omegas, PARAMS, noise, state, **key, block=6)
         assert batch[k].tobytes() == one.tobytes()
 
 
@@ -295,10 +302,10 @@ WHOLE_DRAW_CASES = {
 @pytest.mark.parametrize("theta", [0.0, 1e-3, 1.3])
 @pytest.mark.parametrize("d, nc", WHOLE_DRAW_CASES.values(), ids=WHOLE_DRAW_CASES)
 def test_drift_kernel_matches_the_whole_draw_oracle(d, nc, theta):
-    # Same bytes, and each generator left where the whole (3, d, nc) draw leaves it.
+    # Same bytes, and the generator left where the whole (d, 3, 2, nc) draw leaves it.
     params, drift = FsimParams(theta, 0.3, -0.7), DriftModel(theta_frac=0.3, phase_max=0.5)
-    omegas = np.random.default_rng(nc).uniform(-np.pi, np.pi, size=nc)
-    blocked, whole = ([stream(19, d, nc, k) for k in range(2)] for _ in range(2))
+    omegas = np.random.default_rng(nc).uniform(-np.pi, np.pi, size=(1, nc))
+    blocked, whole = ([stream(19, d, nc)] for _ in range(2))
     p = _drifted_survival(d, omegas, params, drift, blocked)
     assert p.tobytes() == drifted_survival_whole_draw(d, omegas, params, drift, whole).tobytes()
     for rng, ref in zip(blocked, whole):
@@ -316,10 +323,10 @@ def test_mixed_depth_batch_matches_the_whole_draw_oracle(monkeypatch):
 
 def test_drift_kernel_memory_stays_near_its_draws():
     # The gate blocks bound the working set, the uniforms included: about 1.1 MiB here,
-    # where the two inputs' whole (3, d, nc) draws alone would take 8.6 MB.
+    # where the whole (d, 3, 2, nc) draw alone would take 8.6 MB.
     d, nc = 300, 599
-    omegas = np.linspace(-3.0, 3.0, nc)
-    rngs = [stream(17, d, k) for k in range(2)]
+    omegas = np.linspace(-3.0, 3.0, nc)[None]
+    rngs = [stream(17, d)]
     tracemalloc.start()
     tracemalloc.reset_peak()
     before = tracemalloc.get_traced_memory()[0]
@@ -331,10 +338,46 @@ def test_drift_kernel_memory_stays_near_its_draws():
     assert peak <= 2 * 2**20
 
 
+# (depths, one row of angles per replicate): the drift kernel walks up to _BLOCK_ENTRIES // (2 n_d)
+# replicates at once.  At 1500 columns that is 2, so five replicates run as groups of 2, 2 and 1,
+# the first two in one-gate blocks.
+BATCH_KERNEL_CASES = {
+    "grid": (20, np.broadcast_to(omega_grid(20), (6, 39))),
+    "mixed-depth-ladder": (np.arange(10, 31, 2), np.random.default_rng(1).uniform(0.0, np.pi, (6, 1)).repeat(11, 1)),
+    "split-into-groups": (3, np.random.default_rng(2).uniform(-np.pi, np.pi, (5, 1500))),
+}
+
+
+@pytest.mark.parametrize("depths, omegas", BATCH_KERNEL_CASES.values(), ids=BATCH_KERNEL_CASES)
+def test_batch_kernel_matches_one_replicate_calls(depths, omegas):
+    # The batch's bytes do not depend on which replicates share the kernel's walk.
+    noise, replicates = NOISE_KINDS["all"], [3, 0, 7, 1, 12, 5][: len(omegas)]
+    batch = simulate_probability_batch(depths, omegas, PARAMS, noise, point=2, replicates=replicates, block=1)
+    for r, w, row in zip(replicates, omegas, batch):
+        (one,) = simulate_probability_batch(depths, [w], PARAMS, noise, point=2, replicates=[r], block=1)
+        assert row.tobytes() == one.tobytes()
+
+
+def test_batch_kernel_memory_stays_near_its_draws():
+    # A grid-stage call over 16 replicates at d = 100, the drift-sweep's batch per worker: about
+    # 1.6 MiB, where holding each replicate's gate step across the batch would take 17 MiB.
+    d, reps = 100, 16
+    omegas = np.broadcast_to(omega_grid(d), (reps, 2 * d - 1))
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        simulate_probability_batch(d, omegas, PARAMS, NOISE_KINDS["all"], replicates=range(reps))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc")
 def test_deep_drifted_call_stays_small_in_a_fresh_process():
-    # One grid-stage drifted call at d = 1000, with depolarizing: the two inputs'
-    # whole (3, d, nc) uniform draws alone would take 96 MB.  The child reads its
+    # One grid-stage drifted call at d = 1000, with depolarizing: the whole
+    # (d, 3, 2, nc) uniform draw alone would take 96 MB.  The child reads its
     # own VmHWM: its ru_maxrss would carry this process's peak across the exec.
     script = """
 import pathlib, re
@@ -363,18 +406,14 @@ def _block(args):
 class _Recording:
     """stream(*key) stand-in that logs each draw with the key's block.
 
-    It is its own bit_generator, so it follows the drift kernel's advance()
-    calls: each random(out=) draw is logged as (stream position, doubles),
-    and served from the flat array replay[block] at that position if given.
+    Each random(out=) draw, one per gate block of the drift kernel, is
+    logged as (stream position, doubles), and served from the flat array
+    replay[block] at that position if given.
     """
 
     def __init__(self, key, log, replay=None):
         self.rng, self.block, self.log = stream(*key), key[-1], log
-        self.replay, self.position, self.bit_generator = (replay or {}).get(self.block), 0, self
-
-    def advance(self, delta):
-        self.rng.bit_generator.advance(delta)
-        self.position = (self.position + delta) % 2**128
+        self.replay, self.position = (replay or {}).get(self.block), 0
 
     def random(self, out):
         self.rng.random(out=out)
@@ -402,7 +441,7 @@ def _doubles(draws):
 
 
 class TestBatchSeeding:
-    """One generator per block, keyed (CIRCUIT, seed, point, replicate, block)."""
+    """One generator per replicate and block, keyed (CIRCUIT, seed, point, replicate, block), for both inputs."""
 
     @given(st.tuples(KEY_WORDS, KEY_WORDS, KEY_WORDS, KEY_WORDS))
     @settings(max_examples=60, deadline=None)
@@ -411,18 +450,11 @@ class TestBatchSeeding:
         seed, point, replicate, block = key
         noise = NoiseConfig(shots=1000, drift=DriftModel(), seed=seed)
         depths, omegas = [3, 2, 3], [0.1, 0.9, 2.0]
-        simulate = lambda: simulate_probability_batch(
+        (batch,) = simulate_probability_batch(
             depths, [omegas], PARAMS, noise, point=point, replicates=[replicate], block=block
-        )[0]
-        if block + 1 == 2**64:  # the Y input's block word, block + 1, is out of range
-            with pytest.raises(ValueError):
-                simulate()
-            return
-        batch = simulate()
-        for k, beta in enumerate((1.0, 1.0j)):
-            key = (CIRCUIT, seed, point, replicate, block + k)
-            counts = brute_noisy_counts(depths, omegas, PARAMS, noise, beta, key)
-            assert np.allclose(batch[k], counts[:, 1] / noise.shots, atol=0)
+        )
+        counts = brute_noisy_counts(depths, omegas, PARAMS, noise, (CIRCUIT, seed, point, replicate, block))
+        assert np.allclose(batch, counts[..., 1] / noise.shots, atol=0)
 
     @pytest.mark.parametrize("prefix, ids", [((3, -1, 0), [5]), ((3, 1, 0), [5, -2]), ((-7,), [0])])
     def test_negative_key_word_rejected(self, prefix, ids):
@@ -460,14 +492,14 @@ class TestBatchSeeding:
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     @pytest.mark.parametrize("state", INPUT_STATES)
     def test_mixed_depth_batch_matches_one_call_per_depth(self, kind, state, monkeypatch):
-        # Input k's generator (block 7 + k) draws the (3, d, n_d) drift
-        # uniforms of each depth as one stretch of its stream, in ascending
-        # depth order; they are rebuilt here from the logged block draws.
-        # Handed those uniforms, a call holding one depth alone draws them in
-        # the same order and gives its circuits the block's shot probabilities
-        # bit for bit: drift runs per depth, depolarizing and readout mixing per row.
+        # The block 7 generator draws the (d, 3, 2, n_d) drift uniforms of
+        # each depth as one stretch of its stream, in ascending depth order;
+        # they are rebuilt here from the logged gate-block draws.  Handed
+        # those uniforms, a call holding one depth alone draws them in the
+        # same order and gives its circuits input k's shot probabilities bit
+        # for bit: drift runs per depth, depolarizing and readout mixing per row.
         noise = NOISE_KINDS[kind]
-        block = 7 + INPUT_STATES.index(state)
+        block, k = 7, INPUT_STATES.index(state)
         rng = np.random.default_rng(8)
         depths = rng.permutation([4] * 20 + [9] * 20 + list(range(10, 130)))
         omegas = rng.uniform(0.0, np.pi, size=len(depths))
@@ -479,19 +511,21 @@ class TestBatchSeeding:
         expected, start = np.empty_like(pvals), 0
         for dj in np.unique(depths):
             at = depths == dj
-            size = 3 * dj * at.sum() if noise.drift else 0
+            size = dj * 3 * 2 * at.sum() if noise.drift else 0
             replay[block] = doubles[start : start + size]
             if size:  # the stretch holds the depth's uniform(-1, 1) draw, bit for bit
                 whole = stream(CIRCUIT, noise.seed, 3, 2, block)
                 whole.bit_generator.advance(int(start))
-                assert (2.0 * replay[block] - 1.0).tobytes() == whole.uniform(-1.0, 1.0, (3, dj, at.sum())).tobytes()
+                uniform = whole.uniform(-1.0, 1.0, (dj, 3, 2, at.sum()))
+                assert (2.0 * replay[block] - 1.0).tobytes() == uniform.tobytes()
             start += size
             since = len(log)
             simulate_probability_batch(int(dj), [omegas[at]], PARAMS, noise, point=3, replicates=[2], block=7)
             assert _doubles(_draws(log[since:], "random", block)).tobytes() == replay[block].tobytes()
-            expected[at] = _draws(log, "multinomial", block)[-1]
+            expected[:, at] = _draws(log, "multinomial", block)[-1]
         assert start == len(doubles)
-        assert pvals.tobytes() == expected.tobytes()
+        assert pvals.shape == (2, len(depths), 4)
+        assert pvals[k].tobytes() == expected[k].tobytes()
 
     def test_block_draws_are_reproducible_across_processes(self):
         tasks = [(block, NOISE_KINDS["all"]) for block in range(4)]
@@ -521,18 +555,18 @@ class TestBatchSeeding:
             depths = rng.integers(2, 40, size=n)
             omegas = rng.uniform(0.0, np.pi, size=n)
             simulate_probability_batch(depths, [omegas], PARAMS, noise, replicates=[0])
-            # The two shot draws, X then Y; the correction's rows are indexed (replicate, input, circuit).
-            pvals, (measured, corrected) = [p for _, _, p in log[-2:]], corrections[-1]
+            # One shot draw over the (input, circuit) rows; the correction's are (replicate, input, circuit).
+            pvals, (measured, corrected) = log[-1][2], corrections[-1]
             for i in rng.choice(n, size=5, replace=False):
                 simulate_probability_batch(depths[i], [omegas[i : i + 1]], PARAMS, noise, replicates=[0])
                 for k in range(2):
-                    assert log[k - 2][2][0].tobytes() == pvals[k][i].tobytes()
+                    assert log[-1][2][k, 0].tobytes() == pvals[k, i].tobytes()
                     assert real_invert(measured[0, k, i], noise.confusion).tobytes() == corrected[0, k, i].tobytes()
 
     @pytest.mark.parametrize("kind", ["depolarizing", "drift", "confusion", "all"])
     def test_ladder_matches_per_depth_loop(self, kind, monkeypatch):
-        # The ladder d, d+2, ..., 3d is blocks 2 (X input) and 3 (Y input),
-        # checked against the gate-by-gate loop over its depths.
+        # The ladder d, d+2, ..., 3d is block 1, both inputs, checked
+        # against the gate-by-gate loop over its depths.
         seen = []
 
         def spy(amps, *args, **kwargs):
@@ -553,8 +587,7 @@ class TestBatchSeeding:
         depths = np.arange(20, 61, 2)
         omegas = np.full(len(depths), report["varphi_hat"])
         freqs = []
-        for block, beta in ((2, 1.0), (3, 1.0j)):
-            f = brute_noisy_counts(depths, omegas, config.gate_truth, noise, beta, (CIRCUIT, noise.seed, 1, 4, block))
+        for f in brute_noisy_counts(depths, omegas, config.gate_truth, noise, (CIRCUIT, noise.seed, 1, 4, 1)):
             f = f / noise.shots
             if noise.confusion is not None:
                 f = np.linalg.solve(noise.confusion.entries.T, f.T).T
