@@ -19,20 +19,18 @@ from .fisher import SingularFisherError
 from .harness import FIGURES, MODES, EmptyPointError, ExperimentConfig, emit_figure_data, run_mode
 
 
-def _add_run_flags(sub):
-    sub.add_argument("--config", required=True, help="path to the JSON experiment config")
-    sub.add_argument("--seed", type=int, default=None, help="override the noise seed")
-    sub.add_argument("--replicates", type=int, default=None, help="override the replicate count")
-    sub.add_argument("--out", default=None, help="override the output directory")
-    sub.add_argument("--exact", action="store_true", help="noise-free analytic mode")
-    sub.add_argument("--jobs", type=int, default=1, help="processes that run replicates, this one included")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    run_flags = argparse.ArgumentParser(add_help=False)  # every run subcommand's flags, built once
+    run_flags.add_argument("--config", required=True, help="path to the JSON experiment config")
+    run_flags.add_argument("--seed", type=int, default=None, help="override the noise seed")
+    run_flags.add_argument("--replicates", type=int, default=None, help="override the replicate count")
+    run_flags.add_argument("--out", default=None, help="override the output directory")
+    run_flags.add_argument("--exact", action="store_true", help="noise-free analytic mode")
+    run_flags.add_argument("--jobs", type=int, default=1, help="processes that run replicates, this one included")
     parser = argparse.ArgumentParser(prog="fsimcal", description="FsimGate calibration experiments")
     subs = parser.add_subparsers(dest="command", required=True)
     for name in dict.fromkeys(m.subcommand for m in MODES.values()):
-        _add_run_flags(subs.add_parser(name))
+        subs.add_parser(name, parents=[run_flags])
     fig = subs.add_parser("emit-figures")
     fig.add_argument("--records", required=True, help="directory holding a previous run's outputs")
     fig.add_argument("--figure", required=True, choices=FIGURES)

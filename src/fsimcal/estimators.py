@@ -1,13 +1,15 @@
 """Inference of gate angles from measured Fourier coefficients.
 
-The Fourier estimators take c, the array of the d nonnegative-index
-coefficients c_0 .. c_{d-1}, and read the depth as len(c).  The swap-angle
-estimate averages their moduli; the phase estimate applies a weighted phase
-average (inverse discrete Laplacian weighting, equivalently a parabolic
-window) to the sequential phase differences, which carry 2*varphi without
-any unwrapping.  Variants here: a depolarizing-corrected pair (fidelity
-from the k = 0 excess), a progressive-difference swap-angle estimator over a
-depth ladder, and a parabolic peak fit around the phase-matched angle.
+The Fourier estimators read c, the d nonnegative-index coefficients
+c_0 .. c_{d-1}, over the last axis of an array, so one call serves every
+replicate of a batch and each row gets the bits it gets alone.  The
+swap-angle estimate averages their moduli; the phase estimate applies a
+weighted phase average (inverse discrete Laplacian weighting, equivalently a
+parabolic window) to the sequential phase differences, which carry 2*varphi
+without any unwrapping.  Variants here: a depolarizing-corrected pair
+(fidelity from the k = 0 excess), a progressive-difference swap-angle
+estimator over a depth ladder, and a parabolic peak fit around the
+phase-matched angle.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "DegenerateCoefficientError",
-    "FidelityCollapseError",
     "fourier_estimate",
     "estimate_alpha_corrected",
     "theta_pd_estimate",
@@ -35,10 +36,6 @@ LOW_SNR_FLOOR_SCALE = 1e-3
 
 class DegenerateCoefficientError(ValueError):
     """A required Fourier coefficient is exactly zero (phase undefined)."""
-
-
-class FidelityCollapseError(ValueError):
-    """The fidelity estimate came out nonpositive."""
 
 
 @dataclass(kw_only=True)
@@ -74,95 +71,98 @@ def variance_theory_theta_pd(d: int, m_shots: int) -> float:
     return 3.0 / (4.0 * m_shots * d * (d + 1) * (d + 2))
 
 
-def wpa_solve(values) -> float:
-    """(1^T D^{-1} v) / (1^T D^{-1} 1) for the discrete Laplacian D = tridiag(-1, 2, -1).
+def wpa_solve(values) -> np.ndarray:
+    """(1^T D^{-1} v) / (1^T D^{-1} 1) over the last axis, for the discrete Laplacian D = tridiag(-1, 2, -1).
 
     D is symmetric, so both contractions reuse the single solve D a = 1,
-    whose closed form a_i = (i+1)(n-i)/2 is the parabolic window.
+    whose closed form a_i = (i+1)(n-i)/2 is the parabolic window.  Each row
+    is its own dot product, (..., 1, n) @ (n, 1), as a lone row is: one
+    matrix-vector product over the rows would sum in another order.
     """
     values = np.asarray(values, dtype=float)
-    n = len(values)
+    n = values.shape[-1]
     if n < 1:
         raise ValueError("values must be non-empty")
     i = np.arange(n)
     a = (i + 1) * (n - i) / 2.0
-    return float(a @ values / a.sum())
+    return (values[..., None, :] @ a[:, None])[..., 0, 0] / a.sum()
 
 
 def sequential_phase_diffs(c) -> np.ndarray:
-    """Principal-branch phases of c_k conj(c_{k+1}), k = 0..d-2, for c = c_0 .. c_{d-1}.
+    """Principal-branch phases of c_k conj(c_{k+1}), k = 0..d-2, over the last axis of c = c_0 .. c_{d-1}.
 
-    Each difference estimates 2*varphi without phase unwrapping.
+    Each difference estimates 2*varphi without phase unwrapping.  A zero
+    coefficient's differences are meaningless; fourier_estimate fails its row.
+    numpy multiplies into a temporary of 256 KiB or more with the operands
+    swapped, which moves last bits, so a batch's rows get one row's bits
+    only while the batch is one row or stays under that size.
     """
-    if len(c) < 2:
+    if np.shape(c)[-1] < 2:
         raise ValueError("sequential phase differences need depth >= 2")
-    if (np.abs(c) == 0.0).any():
-        raise DegenerateCoefficientError("zero coefficient among k = 0..d-1")
-    return np.angle(c[:-1] * np.conj(c[1:]))
+    return np.angle(c[..., :-1] * np.conj(c[..., 1:]))
 
 
-def fourier_estimate(c, m_shots: int) -> EstimateReport:
-    """Swap angle and phase from the measured coefficients c = c_0 .. c_{d-1}.
+def fourier_estimate(amps, theta_hat: float, varphi_hat: float, m_shots: int) -> EstimateReport:
+    """The report of one replicate from its row of a batch's Fourier estimators.
 
-    theta_hat = (1/d) sum_{k=0}^{d-1} |c_k|; varphi_hat = wpa(Delta)/2,
+    amps = |c_0| .. |c_{d-1}|, theta_hat their mean and varphi_hat = wpa(Delta)/2,
     which lands in (-pi/2, pi/2] (the phase is only identifiable mod pi).
-    Theoretical variances use theta_hat as plug-in, a warning names the
-    low-SNR k, and the diagnostics start empty; the depth and
-    zero-coefficient checks are sequential_phase_diffs'.
+    A zero coefficient raises DegenerateCoefficientError: its phase is
+    undefined.  Theoretical variances use theta_hat as plug-in, a warning
+    names the low-SNR k, and the diagnostics start empty.
     """
-    d = len(c)
-    varphi_hat = 0.5 * wpa_solve(sequential_phase_diffs(c))
-    amps = np.abs(c)
-    theta_hat = float(amps.mean())
+    d = len(amps)
     warn = []
     floor = LOW_SNR_FLOOR_SCALE / math.sqrt(m_shots * (2 * d - 1))
-    low = np.flatnonzero(amps < floor)
+    low = np.flatnonzero(amps < floor)  # a zero coefficient is among them
     if low.size:
+        if not amps[low].all():
+            raise DegenerateCoefficientError("zero coefficient among k = 0..d-1")
         warn.append(f"low-snr coefficients at k={low.tolist()}")
     return EstimateReport(
         theta_hat=theta_hat,
-        varphi_hat=float(varphi_hat),
+        varphi_hat=varphi_hat,
         var_theory_theta=variance_theory_theta(d, m_shots),
         var_theory_varphi=variance_theory_varphi(d, m_shots, theta_hat),
         warnings=warn,
     )
 
 
-def estimate_alpha_corrected(c):
-    """Depolarizing-corrected pair (alpha_hat, theta_hat) from c = c_0 .. c_{d-1}.
+def estimate_alpha_corrected(amps):
+    """Depolarizing-corrected pairs (alpha_hat, theta_hat) over the last axis of amps = |c_0| .. |c_{d-1}|.
 
     A global depolarizing channel scales every coefficient by the circuit
     fidelity alpha and shifts only c_0, so
     alpha_hat = 1 - 2 sqrt(2) (|c_0| - mean_{k>=1} |c_k|) and
-    theta_hat = mean_{k>=1} |c_k| / alpha_hat.
+    theta_hat = mean_{k>=1} |c_k| / alpha_hat.  A row whose alpha_hat is
+    nonpositive has collapsed and gets theta_hat NaN.
     """
-    if len(c) < 3:
+    amps = np.asarray(amps, dtype=float)
+    if amps.shape[-1] < 3:
         raise ValueError("fidelity correction needs depth >= 3")
-    amps = np.abs(c)
-    rest = float(amps[1:].mean())
-    alpha_hat = 1.0 - 2.0 * math.sqrt(2.0) * (float(amps[0]) - rest)
-    if alpha_hat <= 0.0:
-        raise FidelityCollapseError(f"alpha_hat = {alpha_hat} <= 0")
-    return alpha_hat, rest / alpha_hat
+    rest = amps[..., 1:].mean(axis=-1)
+    alpha_hat = 1.0 - 2.0 * math.sqrt(2.0) * (amps[..., 0] - rest)
+    return alpha_hat, np.divide(rest, alpha_hat, out=np.full_like(rest, np.nan), where=alpha_hat > 0.0)
 
 
-def theta_pd_estimate(amplitudes, base_depth: int, m_shots: int, var_phi_pri: float):
-    """Progressive-difference swap angle from |h| on the depth ladder d..3d.
+def theta_pd_estimate(amplitudes, base_depth: int, m_shots: int, var_phi_pri):
+    """Progressive-difference swap angles from |h| on the depth ladder d..3d, one per row.
 
-    amplitudes are the d+1 measured moduli at depths d, d+2, ..., 3d with the
-    modulation angle held at the a-priori phase estimate, whose variance is
-    var_phi_pri.  Returns (theta_pd, var_theory, bias_budget); the bias budget
-    (13/2) d^2 theta Var(phi_pri) + 37 (d theta)^3 uses theta_pd as plug-in.
+    Each row of amplitudes holds the d+1 measured moduli at depths d, d+2,
+    ..., 3d with the modulation angle held at the a-priori phase estimate,
+    whose variance is that row's var_phi_pri.  Returns (theta_pd, var_theory,
+    bias_budget): var_theory is one float, and each row's bias budget
+    (13/2) d^2 theta Var(phi_pri) + 37 (d theta)^3 uses its theta_pd as
+    plug-in, in Python floats: numpy's power rounds the cube otherwise.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
-    if amplitudes.shape != (base_depth + 1,):
+    if amplitudes.shape[-1:] != (base_depth + 1,):
         raise ValueError(f"expected {base_depth + 1} ladder amplitudes (depths d, d+2, ..., 3d)")
-    gamma = np.diff(amplitudes)
-    theta_pd = 0.5 * wpa_solve(gamma)
+    theta_pd = 0.5 * wpa_solve(np.diff(amplitudes))
     var_theory = variance_theory_theta_pd(base_depth, m_shots)
-    t = abs(theta_pd)
-    budget = 6.5 * base_depth**2 * t * var_phi_pri + 37.0 * (base_depth * t) ** 3
-    return float(theta_pd), var_theory, budget
+    t, v = (np.broadcast_to(x, np.shape(theta_pd)).ravel().tolist() for x in (np.abs(theta_pd), var_phi_pri))
+    budget = [6.5 * base_depth**2 * ti * vi + 37.0 * (base_depth * ti) ** 3 for ti, vi in zip(t, v)]
+    return theta_pd, var_theory, np.reshape(budget, np.shape(theta_pd))
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,12 @@ from . import fisher
 from .config import Section, setting
 from .estimators import (
     DegenerateCoefficientError,
-    FidelityCollapseError,
     estimate_alpha_corrected,
     fourier_estimate,
     peak_fit,
+    sequential_phase_diffs,
     theta_pd_estimate,
+    wpa_solve,
 )
 from .noise import (
     BOOTSTRAP,
@@ -62,7 +63,9 @@ __all__ = [
 ARTIFACT_VERSION = "0.2.0"
 SCHEMA_VERSION = 1
 _MAX_DEPTH = 2**16  # the deepest circuit a config may ask for; a guard against typos, not a memory guarantee
-# Circuits per stage and input state in one batch of replicates: bounds a batch's arrays whatever R and d.
+# Circuits per stage and input state in one batch of replicates: bounds a batch's arrays whatever R and d.  It also
+# keeps the (R, d - 1) phase-difference product of a batch of several rows under numpy's 256 KiB temporary-elision
+# threshold, which one row reaches at d = 16385 (see sequential_phase_diffs).
 _BATCH_ENTRIES = 1 << 15
 
 
@@ -194,66 +197,68 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(
     progressive-difference ladder (depths d, d+2, ..., 3d) and the peak fit,
     both at each replicate's own varphi_hat.  Replicate r draws only from the
     keys (CIRCUIT, seed, point, r, stage), one generator per stage for both
-    inputs, so its record does not depend on the batch it runs in.  Spectra
-    and estimators run per replicate: the Fourier estimators and the fidelity
-    correction after the grid, on the replicate's c_0 .. c_{d-1} (the first
-    d DFT coefficients), theta_pd after the ladder, the peak fit after its
-    stage.  A degenerate coefficient gives the replicate a failure record and
-    drops it from the later stages; a fidelity collapse is a warning; any
-    other exception propagates.
+    inputs, so its record does not depend on the batch it runs in.  Each
+    stage's estimators also run once over its rows: after the grid one FFT
+    gives every replicate's c_0 .. c_{d-1} (the first d DFT coefficients),
+    then their moduli, phase differences, Fourier estimates and fidelity
+    correction; theta_pd after the ladder; the peak-fit moduli after its
+    stage.  Only fourier_estimate's report and peak_fit's least squares run
+    per replicate.  A degenerate coefficient gives the replicate a failure
+    record and drops it from the later stages; a fidelity collapse is a
+    warning; any other exception propagates.
     """
     d, params, noise = config.depth, config.gate_truth, config.noise
     reports, failures = dict.fromkeys(replicates), {}
 
-    def stage(block, depth, omegas, finish):
-        # Grid stage 0, ladder 1, peak fit 2.
+    def stage(block, depth, omegas):
+        # Grid stage 0, ladder 1, peak fit 2; p[:, 0] is p_X - 1/2 and p[:, 1] p_Y - 1/2 for each live replicate.
         live = list(reports)
-        if not live:
-            return
         w = omegas(live)
         p = simulate_probability_batch(depth, w, params, noise, point=point, replicates=live, block=block)
-        for r, wr, (px, py) in zip(live, w, p):
-            try:
-                finish(r, wr, px, py)
-            except DegenerateCoefficientError as exc:
-                del reports[r]
-                failures[r] = {"replicate": r, "reason": f"{type(exc).__name__}: {exc}"}
+        return live, w, p - 0.5
 
-    def fourier(r, w, px, py):
-        c = spectrum_from_h(px - 0.5 + 1j * (py - 0.5), d)[:d]  # c_0 .. c_{d-1}
-        report = reports[r] = fourier_estimate(c, noise.shots)
-        if config.alpha_correction and d >= 3:
-            try:
-                alpha_hat, theta_corr = estimate_alpha_corrected(c)
-                report.alpha_hat = alpha_hat
-                report.diagnostics["theta_corrected"] = theta_corr
-            except FidelityCollapseError as exc:
-                report.warnings.append(str(exc))
-
-    def ladder(r, w, px, py):
-        report = reports[r]
-        amps = [math.hypot(x - 0.5, y - 0.5) for x, y in zip(px.tolist(), py.tolist())]
-        theta_pd, var_pd, budget = theta_pd_estimate(amps, d, noise.shots, var_phi_pri=report.var_theory_varphi)
-        report.theta_pd = theta_pd
-        report.diagnostics["theta_pd_var_theory"] = var_pd
-        report.diagnostics["theta_pd_bias_budget"] = budget
-
-    def fit(r, w, px, py):
-        report = reports[r]
-        result = peak_fit(w, np.hypot(px - 0.5, py - 0.5), d, report.varphi_hat, config.peak_fit.beta_thr)
-        report.theta_pf = result.theta_pf
-        report.diagnostics["peak_fit"] = {key: getattr(result, key) for key in ("beta0", "beta1", "beta2", "accepted")}
-
-    phi = lambda live: np.array([[reports[r].varphi_hat] for r in live])  # each replicate's a-priori phase
     grid = omega_grid(d)
-    stage(0, d, lambda live: np.broadcast_to(grid, (len(live), grid.size)), fourier)
-    if config.theta_pd:
+    live, _, p = stage(0, d, lambda live: np.broadcast_to(grid, (len(live), grid.size)))
+    c = spectrum_from_h(p[:, 0] + 1j * p[:, 1], d)[:, :d]  # each row's c_0 .. c_{d-1}
+    amps = np.abs(c)
+    rows = zip(live, amps, amps.mean(axis=1).tolist(), (0.5 * wpa_solve(sequential_phase_diffs(c))).tolist())
+    for r, a, theta_hat, varphi_hat in rows:
+        try:
+            reports[r] = fourier_estimate(a, theta_hat, varphi_hat, noise.shots)
+        except DegenerateCoefficientError as exc:
+            del reports[r]
+            failures[r] = {"replicate": r, "reason": f"{type(exc).__name__}: {exc}"}
+    if config.alpha_correction and d >= 3:
+        alpha_hat, theta_corr = estimate_alpha_corrected(amps)
+        for r, alpha, theta in zip(live, alpha_hat.tolist(), theta_corr.tolist()):
+            if r not in reports:  # failed above
+                continue
+            if alpha <= 0.0:
+                reports[r].warnings.append(f"alpha_hat = {alpha} <= 0")
+            else:
+                reports[r].alpha_hat = alpha
+                reports[r].diagnostics["theta_corrected"] = theta
+    phi = lambda live: np.array([[reports[r].varphi_hat] for r in live])  # each replicate's a-priori phase
+    if config.theta_pd and reports:
         depths = np.arange(d, 3 * d + 1, 2)
-        stage(1, depths, lambda live: phi(live).repeat(len(depths), axis=1), ladder)
-    if config.peak_fit.enabled:
+        live, _, p = stage(1, depths, lambda live: phi(live).repeat(len(depths), axis=1))
+        # math.hypot, not np.hypot: the two differ in the last bit on about 0.6 % of pairs.
+        amps = np.reshape(list(map(math.hypot, p[:, 0].ravel().tolist(), p[:, 1].ravel().tolist())), (len(live), -1))
+        var_phi_pri = [reports[r].var_theory_varphi for r in live]
+        theta_pd, var_pd, budget = theta_pd_estimate(amps, d, noise.shots, var_phi_pri)
+        for r, theta, bias in zip(live, theta_pd.tolist(), budget.tolist()):
+            reports[r].theta_pd = theta
+            reports[r].diagnostics["theta_pd_var_theory"] = var_pd
+            reports[r].diagnostics["theta_pd_bias_budget"] = bias
+    if config.peak_fit.enabled and reports:
         n_pf = config.peak_fit.n_pf
         offsets = (np.pi / d) * (np.arange(n_pf) / (n_pf - 1) - 0.5)
-        stage(2, d, lambda live: phi(live) + offsets, fit)
+        live, w, p = stage(2, d, lambda live: phi(live) + offsets)
+        for r, wr, a in zip(live, w, np.hypot(p[:, 0], p[:, 1])):
+            report = reports[r]
+            result = peak_fit(wr, a, d, report.varphi_hat, config.peak_fit.beta_thr)
+            report.theta_pf = result.theta_pf
+            report.diagnostics["peak_fit"] = {k: getattr(result, k) for k in ("beta0", "beta1", "beta2", "accepted")}
     # The record is the report's fields, shallow: asdict would deep-copy the diagnostics.
     record = lambda report: {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     return [failures[r] if r in failures else record(reports[r]) for r in replicates]

@@ -44,12 +44,12 @@ def exact_signal(d, omegas, params: FsimParams) -> np.ndarray:
 
 
 def spectrum_from_h(h, depth: int) -> np.ndarray:
-    """The 2d-1 DFT coefficients of an h vector on the canonical grid.
+    """The 2d-1 DFT coefficients of h on the canonical grid, over its last axis: one row or a (..., 2d-1) batch.
 
-    Slot j holds c_j for j < d and c_{j-(2d-1)} above, so [:d] is c_0 .. c_{d-1}.
+    Slot j holds c_j for j < d and c_{j-(2d-1)} above, so [..., :d] is c_0 .. c_{d-1}.
     """
     h = np.asarray(h, dtype=complex)
     n = 2 * depth - 1
-    if h.shape != (n,):
+    if h.shape[-1:] != (n,):
         raise ValueError(f"expected {n} values for depth {depth}, got {h.shape}")
     return np.fft.fft(h) / n

@@ -8,15 +8,26 @@ itself does not need: the power-of-two doubling recurrence, the first-order
 coefficient profile, the amplitude profile, the SNR bounds and the
 parabolic weights of the weighted phase average.  The run summary is kept
 in its earlier per-name form, against which the table-driven one is checked,
-the simulator in its earlier one-input-at-a-time form, and the drift kernel
-in a whole-draw form with no gate blocks or replicate groups.
+the simulator in its earlier one-input-at-a-time form, the drift kernel
+in a whole-draw form with no gate blocks or replicate groups, and the
+replicate runner with its spectra and estimators one replicate at a time.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from fsimcal import harness
+from fsimcal.estimators import (
+    LOW_SNR_FLOOR_SCALE,
+    DegenerateCoefficientError,
+    EstimateReport,
+    peak_fit,
+    variance_theory_theta,
+    variance_theory_theta_pd,
+    variance_theory_varphi,
+)
 from fsimcal.noise import (
     CIRCUIT,
     NoiseConfig,
@@ -24,7 +35,7 @@ from fsimcal.noise import (
     invert_confusion,
     stream,
 )
-from fsimcal.signal_model import exact_signal
+from fsimcal.signal_model import exact_signal, omega_grid
 from fsimcal.su2 import FsimParams
 
 
@@ -769,3 +780,87 @@ def summarize_by_name(config, reports: list[dict], point: int) -> dict:
             )
         summary[name] = entry
     return summary
+
+
+def _wpa_1d(values) -> float:
+    # The weighted phase average of one row as a 1-D dot product.
+    n = len(values)
+    i = np.arange(n)
+    a = (i + 1) * (n - i) / 2.0
+    return float(a @ values / a.sum())
+
+
+def run_replicate_per_row(config, *, point=0, replicates=range(1)) -> list[dict]:
+    """harness.run_replicate as it was before its estimators ran once per stage, kept as the byte reference.
+
+    One simulator call per stage, looked up on the harness when called; then
+    each replicate's spectrum, Fourier estimates, fidelity correction, ladder
+    and peak fit from its own 1-D arrays.
+    """
+    d, params, noise = config.depth, config.gate_truth, config.noise
+    reports, failures = dict.fromkeys(replicates), {}
+
+    def stage(block, depth, omegas, finish):
+        live = list(reports)
+        if not live:
+            return
+        w = omegas(live)
+        p = harness.simulate_probability_batch(depth, w, params, noise, point=point, replicates=live, block=block)
+        for r, wr, (px, py) in zip(live, w, p):
+            try:
+                finish(r, wr, px, py)
+            except DegenerateCoefficientError as exc:
+                del reports[r]
+                failures[r] = {"replicate": r, "reason": f"{type(exc).__name__}: {exc}"}
+
+    def fourier(r, w, px, py):
+        c = (np.fft.fft(px - 0.5 + 1j * (py - 0.5)) / (2 * d - 1))[:d]
+        if (np.abs(c) == 0.0).any():
+            raise DegenerateCoefficientError("zero coefficient among k = 0..d-1")
+        varphi_hat = 0.5 * _wpa_1d(np.angle(c[:-1] * np.conj(c[1:])))
+        amps = np.abs(c)
+        theta_hat = float(amps.mean())
+        low = np.flatnonzero(amps < LOW_SNR_FLOOR_SCALE / math.sqrt(noise.shots * (2 * d - 1)))
+        report = reports[r] = EstimateReport(
+            theta_hat=theta_hat,
+            varphi_hat=float(varphi_hat),
+            var_theory_theta=variance_theory_theta(d, noise.shots),
+            var_theory_varphi=variance_theory_varphi(d, noise.shots, theta_hat),
+            warnings=[f"low-snr coefficients at k={low.tolist()}"] if low.size else [],
+        )
+        if config.alpha_correction and d >= 3:
+            rest = float(amps[1:].mean())
+            alpha_hat = 1.0 - 2.0 * math.sqrt(2.0) * (float(amps[0]) - rest)
+            if alpha_hat <= 0.0:
+                report.warnings.append(f"alpha_hat = {alpha_hat} <= 0")
+            else:
+                report.alpha_hat = alpha_hat
+                report.diagnostics["theta_corrected"] = rest / alpha_hat
+
+    def ladder(r, w, px, py):
+        report = reports[r]
+        amps = np.array([math.hypot(x - 0.5, y - 0.5) for x, y in zip(px.tolist(), py.tolist())])
+        theta_pd = 0.5 * _wpa_1d(np.diff(amps))
+        t = abs(theta_pd)
+        report.theta_pd = theta_pd
+        report.diagnostics["theta_pd_var_theory"] = variance_theory_theta_pd(d, noise.shots)
+        report.diagnostics["theta_pd_bias_budget"] = 6.5 * d**2 * t * report.var_theory_varphi + 37.0 * (d * t) ** 3
+
+    def fit(r, w, px, py):
+        report = reports[r]
+        result = peak_fit(w, np.hypot(px - 0.5, py - 0.5), d, report.varphi_hat, config.peak_fit.beta_thr)
+        report.theta_pf = result.theta_pf
+        report.diagnostics["peak_fit"] = {k: getattr(result, k) for k in ("beta0", "beta1", "beta2", "accepted")}
+
+    phi = lambda live: np.array([[reports[r].varphi_hat] for r in live])
+    grid = omega_grid(d)
+    stage(0, d, lambda live: np.broadcast_to(grid, (len(live), grid.size)), fourier)
+    if config.theta_pd:
+        depths = np.arange(d, 3 * d + 1, 2)
+        stage(1, depths, lambda live: phi(live).repeat(len(depths), axis=1), ladder)
+    if config.peak_fit.enabled:
+        n_pf = config.peak_fit.n_pf
+        offsets = (np.pi / d) * (np.arange(n_pf) / (n_pf - 1) - 0.5)
+        stage(2, d, lambda live: phi(live) + offsets, fit)
+    record = lambda report: {f.name: getattr(report, f.name) for f in fields(report)}
+    return [failures[r] if r in failures else record(reports[r]) for r in replicates]

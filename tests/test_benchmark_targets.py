@@ -1,9 +1,10 @@
-"""The functions the benchmark traces exist under the names it traces them by.
+"""The functions the benchmark traces exist under the names it traces them by, and return what it reads.
 
 ``perfbench/tracing.py`` wraps fsimcal functions by module and attribute name;
-a renamed or removed target turns its per-layer metrics into ``None``.  This
-test loads that file as it is and installs every target, then undoes the
-rebinding.
+a renamed or removed target turns its per-layer metrics into ``None``.  Its
+observers read the result of each call: ``fourier_estimate``'s warnings and
+``peak_fit``'s acceptance, one call per replicate.  These tests load that file
+as it is, install every target, and undo the rebinding.
 """
 
 import importlib.util
@@ -11,16 +12,24 @@ import pathlib
 import sys
 from collections import Counter
 
+import pytest
+
 import fsimcal.cli  # noqa: F401  (install rebinds names in every loaded fsimcal module)
+from fsimcal import ExperimentConfig, FsimParams, NoiseConfig, PeakFitConfig, harness
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_target_exists(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_exists(tracing):
     patches = tracing.Patches()
     try:
         absent = tracing.install(tracing.Tracer("targets"), patches)
@@ -28,3 +37,30 @@ def test_every_traced_target_exists(monkeypatch):
     finally:
         patches.restore()
     assert absent == set()
+
+
+def test_a_traced_calibrate_run_reports_one_estimate_and_one_fit_per_replicate(tracing):
+    # theta = 1e-9 without shot noise puts every coefficient below the low-SNR floor.
+    config = ExperimentConfig(
+        mode="calibrate",
+        gate_truth=FsimParams(1e-9, 0.2, 0.3),
+        noise=NoiseConfig(shots=100_000, exact=True),
+        replicates=3,
+        depth=4,
+        theta_pd=True,
+        peak_fit=PeakFitConfig(enabled=True, n_pf=7),
+    )
+    tracer, patches = tracing.Tracer("contract"), tracing.Patches()
+    try:
+        assert tracing.install(tracer, patches) == set()
+        (record,) = harness.run_points(config)
+    finally:
+        patches.restore()
+    live = record["replicates"]
+    calls = Counter(span.name for span in tracer.spans)
+    assert calls["estimators.fourier_estimate"] == calls["estimators.peak_fit"] == len(live) == 3
+    low_snr = sum(w.startswith("low-snr") for r in live for w in r["warnings"])
+    accepted = sum(r["diagnostics"]["peak_fit"]["accepted"] for r in live)
+    layers = tracing.layer_metrics(tracer.spans, tracer.counts)
+    assert layers["estimators.low_snr_warnings"] == low_snr == 3
+    assert layers["estimators.peak_fit.accepted_frac"] == accepted / 3 > 0

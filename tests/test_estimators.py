@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fsimcal import ExperimentConfig, FsimParams, NoiseConfig
 from fsimcal.estimators import (
     DegenerateCoefficientError,
-    FidelityCollapseError,
     estimate_alpha_corrected,
     fourier_estimate,
     peak_fit,
@@ -41,6 +40,12 @@ def exact_coefficients(d, params):
     return spectrum_from_h(exact_signal(d, omega_grid(d), params), d)[:d]
 
 
+def estimate(c, m_shots):
+    """fourier_estimate on c = c_0 .. c_{d-1}, its row's pieces formed as run_replicate forms them."""
+    amps = np.abs(c)
+    return fourier_estimate(amps, float(amps.mean()), float(0.5 * wpa_solve(sequential_phase_diffs(c))), m_shots)
+
+
 class TestSequentialPhaseDiffs:
     def test_model_consistent_input(self):
         c = model_coefficients(8, 1e-3, 0.1, 0.4)
@@ -53,9 +58,18 @@ class TestSequentialPhaseDiffs:
         assert np.allclose(deltas, np.pi - 0.02, atol=1e-12)
 
     def test_degenerate_coefficient(self):
+        # A zero coefficient's phase is undefined: its differences come out finite, and fourier_estimate fails the row.
         c = model_coefficients(5, 0.0, 0.1, 0.1)
+        assert np.isfinite(sequential_phase_diffs(c)).all()
         with pytest.raises(DegenerateCoefficientError):
-            sequential_phase_diffs(c)
+            estimate(c, 100)
+
+    def test_rows_of_a_batch_match_one_row_calls(self):
+        rng = np.random.default_rng(11)
+        for d in (2, 3, 17, 50):
+            c = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
+            batch = sequential_phase_diffs(c)
+            assert all(batch[i].tobytes() == sequential_phase_diffs(c[i]).tobytes() for i in range(5))
 
     def test_noisy_covariance_diagonal(self):
         reps = 400
@@ -95,6 +109,18 @@ class TestWpa:
             for values in (rng.normal(size=n), rng.uniform(-np.pi, np.pi, size=n)):
                 assert abs(wpa_solve(values) - thomas_wpa(values)) <= 1e-13 * np.abs(values).max()
 
+    @given(st.integers(1, 60), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_a_batch_gives_each_row_its_one_row_bytes(self, n, rows, seed):
+        # One dot product per row: a matrix-vector product over the rows would sum in another order.
+        values = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(rows, n))
+        batch = wpa_solve(values)
+        assert batch.shape == (rows,)
+        assert all(batch[i].tobytes() == wpa_solve(values[i]).tobytes() for i in range(rows))
+        # ... and each one-row call is the 1-D dot product a @ v / sum(a) over the window a_i = (i+1)(n-i)/2.
+        a = np.arange(1, n + 1) * np.arange(n, 0, -1) / 2.0
+        assert all(wpa_solve(v).tobytes() == (a @ v / a.sum()).tobytes() for v in values)
+
     def test_weights_closed_form_large_n(self):
         for n in (2, 17, 1000, 10_000):
             mu = wpa_weights(n)
@@ -107,7 +133,7 @@ class TestWpa:
 class TestFourierEstimate:
     def test_exact_signal_recovery(self):
         c = exact_coefficients(D, PARAMS)
-        report = fourier_estimate(c, M)
+        report = estimate(c, M)
         chat_mean_defect = 0.5 * D * D * THETA * THETA  # 1 - mean(chat_k)
         budget = 2 * (D * THETA) ** 5 + chat_mean_defect * np.sin(THETA)
         assert abs(report.theta_hat - THETA) <= budget
@@ -118,25 +144,25 @@ class TestFourierEstimate:
     def test_theta_zero_is_degenerate(self):
         c = exact_coefficients(10, FsimParams(0.0, 0.2, 0.1))
         with pytest.raises(DegenerateCoefficientError):
-            fourier_estimate(c, 100)
+            estimate(c, 100)
 
     def test_depth_one_has_no_phase_differences(self):
         c = exact_coefficients(1, PARAMS)
         with pytest.raises(ValueError):
-            fourier_estimate(c, 100)
+            estimate(c, 100)
         with pytest.raises(ValueError):
             sequential_phase_diffs(c)
 
     def test_varphi_reported_mod_pi(self):
         truth = np.pi / 2 + 0.3
         c = model_coefficients(12, 1e-3, truth, 0.2)
-        report = fourier_estimate(c, 1000)
+        report = estimate(c, 1000)
         assert -np.pi / 2 < report.varphi_hat <= np.pi / 2
         assert math.remainder(report.varphi_hat - truth, np.pi) == pytest.approx(0.0, abs=1e-12)
 
     def test_low_snr_warning(self):
         c = np.full(5, 1e-12, dtype=complex)
-        report = fourier_estimate(c, 100)
+        report = estimate(c, 100)
         assert any("low-snr" in w for w in report.warnings)
 
     def test_json_field_names(self):
@@ -156,10 +182,10 @@ class TestFourierEstimate:
 
     def test_decoupling_under_linear_phase_shifts(self):
         c = exact_coefficients(20, FsimParams(1e-2, 0.3, -0.4))
-        base = fourier_estimate(c, M)
+        base = estimate(c, M)
         a, b = 0.83, 0.05
         shifted = c * np.exp(1j * (a + b * np.arange(20)))
-        moved = fourier_estimate(shifted, M)
+        moved = estimate(shifted, M)
         assert moved.theta_hat == base.theta_hat  # exact invariance
         assert moved.varphi_hat == pytest.approx(base.varphi_hat - b / 2.0, abs=1e-12)
 
@@ -169,7 +195,7 @@ class TestFourierEstimate:
         thetas = np.empty(reps)
         varphis = np.empty(reps)
         for i, row in enumerate(h):
-            rep = fourier_estimate(spectrum_from_h(row, D)[:D], M)
+            rep = estimate(spectrum_from_h(row, D)[:D], M)
             thetas[i], varphis[i] = rep.theta_hat, rep.varphi_hat
         assert 0.7 < thetas.var() / variance_theory_theta(D, M) < 1.3
         assert 0.7 < varphis.var() / variance_theory_varphi(D, M, THETA) < 1.3
@@ -192,7 +218,7 @@ class TestFourierEstimate:
 
 class TestAlphaCorrected:
     def test_clean_signal(self):
-        alpha_hat, theta_hat = estimate_alpha_corrected(exact_coefficients(D, PARAMS))
+        alpha_hat, theta_hat = estimate_alpha_corrected(np.abs(exact_coefficients(D, PARAMS)))
         assert alpha_hat == pytest.approx(1.0, abs=1e-5)
         assert theta_hat == pytest.approx(THETA, rel=2e-3)
 
@@ -203,19 +229,20 @@ class TestAlphaCorrected:
         params = FsimParams(THETA, -29 * np.pi / 32, 5 * np.pi / 32)
         h = exact_signal(D, omega_grid(D), params)
         h_depol = alpha * h - (1 - alpha) * (1 + 1j) / 4.0
-        alpha_hat, theta_hat = estimate_alpha_corrected(spectrum_from_h(h_depol, D)[:D])
+        alpha_hat, theta_hat = estimate_alpha_corrected(np.abs(spectrum_from_h(h_depol, D)[:D]))
         assert alpha_hat == pytest.approx(alpha, abs=2e-3)
         assert theta_hat == pytest.approx(THETA, rel=0.05)
 
     def test_needs_three_coefficients(self):
         with pytest.raises(ValueError):
-            estimate_alpha_corrected(exact_coefficients(2, PARAMS))
+            estimate_alpha_corrected(np.abs(exact_coefficients(2, PARAMS)))
 
     def test_fidelity_collapse(self):
         c = exact_coefficients(8, PARAMS)
         c[0] += 1.0  # blow up |c_0| so the estimate turns nonpositive
-        with pytest.raises(FidelityCollapseError):
-            estimate_alpha_corrected(c)
+        alpha_hat, theta_hat = estimate_alpha_corrected(np.abs(np.stack([exact_coefficients(8, PARAMS), c])))
+        assert alpha_hat[0] > 0.0 and theta_hat[0] == pytest.approx(THETA, rel=2e-3)
+        assert alpha_hat[1] <= 0.0 and np.isnan(theta_hat[1])
 
 
 class TestThetaPd:

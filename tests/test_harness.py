@@ -1,6 +1,7 @@
 """Experiment runner: configs, records, determinism, sweeps, CLI surface."""
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from fsimcal import (
     run_mode,
 )
 from fsimcal.cli import main as cli_main
-from fsimcal.estimators import DegenerateCoefficientError, FidelityCollapseError
+from fsimcal.estimators import DegenerateCoefficientError
 from fsimcal.fisher import transition_scan
 from fsimcal.harness import (
     FIGURES,
@@ -42,7 +43,7 @@ from fsimcal.harness import (
 )
 from fsimcal.noise import BOOTSTRAP, STREAM_VERSION, InversionRejectedError, stream
 
-from oracles import bootstrap_means_loop
+from oracles import bootstrap_means_loop, run_replicate_per_row
 
 TRUTH = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
 DROP = object()  # an edit value that removes the key from a config
@@ -154,16 +155,16 @@ class TestReplicateBatches:
             stages.append((block, list(replicates)))
             return simulate(*args, replicates=replicates, block=block, **kwargs)
 
-        def degenerate_third(c, m_shots):
-            grid_calls.append(c)
+        def degenerate_third(*args):
+            grid_calls.append(args)
             if len(grid_calls) == 3:  # replicate 2
                 raise DegenerateCoefficientError("injected")
-            return fourier(c, m_shots)
+            return fourier(*args)
 
-        def collapse_fourth(c):
-            if len(grid_calls) == 4:  # replicate 3: a warning, not a failure
-                raise FidelityCollapseError("injected collapse")
-            return correct(c)
+        def collapse_fourth(amps):
+            alpha_hat, theta_hat = correct(amps)
+            alpha_hat[3] = -0.25  # replicate 3: a warning, not a failure
+            return alpha_hat, theta_hat
 
         monkeypatch.setattr(harness, "simulate_probability_batch", spy)
         monkeypatch.setattr(harness, "fourier_estimate", degenerate_third)
@@ -173,7 +174,7 @@ class TestReplicateBatches:
         assert stages == [(0, [0, 1, 2, 3, 4]), (1, [0, 1, 3, 4]), (2, [0, 1, 3, 4])]
         assert self.dumps(records[i] for i in (0, 1, 4)) == self.dumps(clean[i] for i in (0, 1, 4))
         collapsed, kept = records[3], clean[3]
-        assert collapsed["warnings"] == [*kept["warnings"], "injected collapse"] and collapsed["alpha_hat"] is None
+        assert collapsed["warnings"] == [*kept["warnings"], "alpha_hat = -0.25 <= 0"] and collapsed["alpha_hat"] is None
         assert "theta_corrected" not in collapsed["diagnostics"]
         for key in ("theta_hat", "varphi_hat", "theta_pd"):
             assert collapsed[key] == kept[key] is not None
@@ -181,6 +182,89 @@ class TestReplicateBatches:
         assert collapsed["theta_pf"] == kept["theta_pf"]
         assert collapsed["diagnostics"]["peak_fit"] == kept["diagnostics"]["peak_fit"]
         assert set(kept["diagnostics"]["peak_fit"]) == {"beta0", "beta1", "beta2", "accepted"}
+
+
+def _packed(value):
+    """value with every float as its type and IEEE bytes, so that equal results are equal to the bit."""
+    if isinstance(value, dict):
+        return [(key, _packed(v)) for key, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_packed(v) for v in value]
+    if isinstance(value, float):
+        return type(value).__name__, struct.pack("<d", value)
+    return type(value).__name__, value
+
+
+class TestStageEstimators:
+    """run_replicate's estimators, run once per stage over all rows, give each record the per-replicate path's bytes."""
+
+    @staticmethod
+    def inject(monkeypatch, zero, collapse):
+        """In the grid stage, replicate zero's probabilities read 1/2 (every c_k exactly 0) and replicate collapse's
+        gain 0.3 (|c_0| far above the rest, so alpha_hat < 0)."""
+        simulate = harness.simulate_probability_batch
+
+        def injected(*args, replicates, block, **kwargs):
+            p = simulate(*args, replicates=replicates, block=block, **kwargs)
+            for i, r in enumerate(replicates):
+                if block == 0 and r == zero:
+                    p[i] = 0.5
+                elif block == 0 and r == collapse:
+                    p[i] += 0.3
+            return p
+
+        monkeypatch.setattr(harness, "simulate_probability_batch", injected)
+
+    @given(
+        reps=st.integers(1, 6),
+        d=st.integers(2, 60),
+        kind=st.sampled_from(sorted(BATCH_NOISE)),
+        theta=st.sampled_from([1e-3, 5e-2, 1e-9]),
+        stages=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        zero=st.integers(-1, 5),
+        collapse=st.integers(-1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    @example(reps=4, d=2, kind="shots", theta=1e-3, stages=(True, True, True), zero=1, collapse=2, seed=3)
+    @example(reps=4, d=3, kind="drift", theta=1e-3, stages=(True, True, True), zero=2, collapse=1, seed=4)
+    @example(reps=3, d=3, kind="exact", theta=1e-9, stages=(True, True, True), zero=-1, collapse=0, seed=5)
+    @settings(max_examples=100, deadline=None)
+    def test_records_have_the_per_replicate_bytes(self, reps, d, kind, theta, stages, zero, collapse, seed):
+        theta_pd, fit, alpha = stages
+        noise = dataclasses.replace(BATCH_NOISE[kind], seed=seed)
+        cfg = small_config(
+            gate_truth=FsimParams(theta, TRUTH.varphi, TRUTH.chi),
+            noise=noise,
+            depth=d,
+            replicates=reps,
+            theta_pd=theta_pd,
+            alpha_correction=alpha,
+            peak_fit=PeakFitConfig(enabled=fit, n_pf=7),
+        )
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.inject(monkeypatch, zero, collapse)
+            records = harness.run_replicate(cfg, point=1, replicates=range(reps))
+            expected = run_replicate_per_row(cfg, point=1, replicates=range(reps))
+        assert _packed(records) == _packed(expected)
+        if 0 <= zero < reps:
+            reason = "DegenerateCoefficientError: zero coefficient among k = 0..d-1"
+            assert records[zero] == {"replicate": zero, "reason": reason}
+        if alpha and d >= 3 and 0 <= collapse < reps and collapse != zero:
+            assert records[collapse]["warnings"][-1].startswith("alpha_hat = -")
+
+    def test_one_row_past_the_temporary_elision_threshold(self):
+        # From d = 16385 one row's phase-difference product reaches numpy's 256 KiB threshold, past which
+        # the 1-D expression multiplies with swapped operands; the harness's batch there is that one row.
+        d = 16385
+        cfg = small_config(noise=BATCH_NOISE["exact"], depth=d, replicates=1, peak_fit=PeakFitConfig(enabled=False))
+        assert (d - 1) * 16 == 256 * 1024 and [len(b[2]) for b in harness._batches(cfg, 0, 1)] == [1]
+        assert _packed(harness.run_replicate(cfg, point=0)) == _packed(run_replicate_per_row(cfg, point=0))
+
+    @pytest.mark.parametrize("d", [2, 3, 50, 100, 1000, 8192, 8193, 16384])
+    def test_batches_of_several_rows_stay_below_the_elision_threshold(self, d):
+        cfg = small_config(depth=d, replicates=10_000)
+        for _, _, batch in harness._batches(cfg, 0, 1):
+            assert len(batch) == 1 or len(batch) * (d - 1) * 16 < 256 * 1024
 
 
 class TestConfig:
@@ -874,7 +958,7 @@ class TestCli:
         assert os.path.exists(tmp_path / "figs" / "figure_mse-vs-depth.csv")
 
     def test_nonzero_exit_when_no_replicate_survives(self, tmp_path, monkeypatch, capsys):
-        def failing_estimate(spectrum, m_shots):
+        def failing_estimate(*args):
             raise DegenerateCoefficientError("injected replicate failure")
 
         monkeypatch.setattr(harness, "fourier_estimate", failing_estimate)

@@ -570,7 +570,7 @@ class TestBatchSeeding:
         seen = []
 
         def spy(amps, *args, **kwargs):
-            seen.append(list(amps))
+            seen.append(amps)
             return theta_pd_estimate(amps, *args, **kwargs)
 
         monkeypatch.setattr(harness, "theta_pd_estimate", spy)
@@ -593,8 +593,8 @@ class TestBatchSeeding:
                 f = np.linalg.solve(noise.confusion.entries.T, f.T).T
             freqs.append(f[:, 1])
         expected = np.hypot(freqs[0] - 0.5, freqs[1] - 0.5)
-        assert len(seen) == 1 and len(seen[0]) == 21
-        assert np.allclose(seen[0], expected, rtol=1e-9, atol=0)
+        assert len(seen) == 1 and seen[0].shape == (1, 21)
+        assert np.allclose(seen[0][0], expected, rtol=1e-9, atol=0)
 
 
 class TestConfusion:
