@@ -93,13 +93,12 @@ def sequential_phase_diffs(c) -> np.ndarray:
 
     Each difference estimates 2*varphi without phase unwrapping.  A zero
     coefficient's differences are meaningless; fourier_estimate fails its row.
-    numpy multiplies into a temporary of 256 KiB or more with the operands
-    swapped, which moves last bits, so a batch's rows get one row's bits
-    only while the batch is one row or stays under that size.
+    np.multiply keeps its operand order, so a row gets the same bits alone or
+    in any batch.
     """
     if np.shape(c)[-1] < 2:
         raise ValueError("sequential phase differences need depth >= 2")
-    return np.angle(c[..., :-1] * np.conj(c[..., 1:]))
+    return np.angle(np.multiply(c[..., :-1], np.conj(c[..., 1:])))
 
 
 def fourier_estimate(amps, theta_hat: float, varphi_hat: float, m_shots: int) -> EstimateReport:
@@ -153,16 +152,16 @@ def theta_pd_estimate(amplitudes, base_depth: int, m_shots: int, var_phi_pri):
     whose variance is that row's var_phi_pri.  Returns (theta_pd, var_theory,
     bias_budget): var_theory is one float, and each row's bias budget
     (13/2) d^2 theta Var(phi_pri) + 37 (d theta)^3 uses its theta_pd as
-    plug-in, in Python floats: numpy's power rounds the cube otherwise.
+    plug-in.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if amplitudes.shape[-1:] != (base_depth + 1,):
         raise ValueError(f"expected {base_depth + 1} ladder amplitudes (depths d, d+2, ..., 3d)")
     theta_pd = 0.5 * wpa_solve(np.diff(amplitudes))
     var_theory = variance_theory_theta_pd(base_depth, m_shots)
-    t, v = (np.broadcast_to(x, np.shape(theta_pd)).ravel().tolist() for x in (np.abs(theta_pd), var_phi_pri))
-    budget = [6.5 * base_depth**2 * ti * vi + 37.0 * (base_depth * ti) ** 3 for ti, vi in zip(t, v)]
-    return theta_pd, var_theory, np.reshape(budget, np.shape(theta_pd))
+    t = np.abs(theta_pd)
+    dt = base_depth * t
+    return theta_pd, var_theory, 6.5 * base_depth**2 * t * np.asarray(var_phi_pri) + 37.0 * (dt * dt * dt)
 
 
 @dataclass(frozen=True)

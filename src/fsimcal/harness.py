@@ -63,9 +63,7 @@ __all__ = [
 ARTIFACT_VERSION = "0.2.0"
 SCHEMA_VERSION = 1
 _MAX_DEPTH = 2**16  # the deepest circuit a config may ask for; a guard against typos, not a memory guarantee
-# Circuits per stage and input state in one batch of replicates: bounds a batch's arrays whatever R and d.  It also
-# keeps the (R, d - 1) phase-difference product of a batch of several rows under numpy's 256 KiB temporary-elision
-# threshold, which one row reaches at d = 16385 (see sequential_phase_diffs).
+# Circuits per stage and input state in one batch of replicates: bounds a batch's arrays whatever R and d.
 _BATCH_ENTRIES = 1 << 15
 
 
@@ -201,11 +199,11 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(
     stage's estimators also run once over its rows: after the grid one FFT
     gives every replicate's c_0 .. c_{d-1} (the first d DFT coefficients),
     then their moduli, phase differences, Fourier estimates and fidelity
-    correction; theta_pd after the ladder; the peak-fit moduli after its
-    stage.  Only fourier_estimate's report and peak_fit's least squares run
-    per replicate.  A degenerate coefficient gives the replicate a failure
-    record and drops it from the later stages; a fidelity collapse is a
-    warning; any other exception propagates.
+    correction; after the ladder and the peak fit, their moduli |h| in one
+    np.hypot each, then theta_pd.  Only fourier_estimate's report and
+    peak_fit's least squares run per replicate.  A degenerate coefficient
+    gives the replicate a failure record and drops it from the later stages;
+    a fidelity collapse is a warning; any other exception propagates.
     """
     d, params, noise = config.depth, config.gate_truth, config.noise
     reports, failures = dict.fromkeys(replicates), {}
@@ -242,10 +240,8 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(
     if config.theta_pd and reports:
         depths = np.arange(d, 3 * d + 1, 2)
         live, _, p = stage(1, depths, lambda live: phi(live).repeat(len(depths), axis=1))
-        # math.hypot, not np.hypot: the two differ in the last bit on about 0.6 % of pairs.
-        amps = np.reshape(list(map(math.hypot, p[:, 0].ravel().tolist(), p[:, 1].ravel().tolist())), (len(live), -1))
         var_phi_pri = [reports[r].var_theory_varphi for r in live]
-        theta_pd, var_pd, budget = theta_pd_estimate(amps, d, noise.shots, var_phi_pri)
+        theta_pd, var_pd, budget = theta_pd_estimate(np.hypot(p[:, 0], p[:, 1]), d, noise.shots, var_phi_pri)
         for r, theta, bias in zip(live, theta_pd.tolist(), budget.tolist()):
             reports[r].theta_pd = theta
             reports[r].diagnostics["theta_pd_var_theory"] = var_pd

@@ -112,10 +112,24 @@ def values(files: dict) -> dict:
     }
 
 
+def changed(old: dict, new: dict) -> list:
+    """"case/file" for each file whose digest differs between two golden_outputs.json records, or is in one only."""
+    old_cases, new_cases = old.get("cases", {}), new["cases"]
+    return [
+        f"{case}/{name}"
+        for case in sorted(old_cases.keys() | new_cases.keys())
+        for name in sorted(old_cases.get(case, {}).keys() | new_cases.get(case, {}).keys())
+        if old_cases.get(case, {}).get(name) != new_cases.get(case, {}).get(name)
+    ]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         files = {name: run_case(name, pathlib.Path(tmp)) for name in CASES}
     record = {**environment(), "cases": {name: digests(f) for name, f in files.items()}}
+    old = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
+    for line in changed(old, record):
+        print(f"changed: {line}", file=sys.stderr)
     FIXTURE.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     VALUES.write_text(json.dumps({"cases": {name: values(f) for name, f in files.items()}}, indent=2) + "\n",
                       encoding="utf-8")

@@ -791,11 +791,13 @@ def _wpa_1d(values) -> float:
 
 
 def run_replicate_per_row(config, *, point=0, replicates=range(1)) -> list[dict]:
-    """harness.run_replicate as it was before its estimators ran once per stage, kept as the byte reference.
+    """harness.run_replicate with its estimators run once per replicate, kept as the byte reference.
 
     One simulator call per stage, looked up on the harness when called; then
     each replicate's spectrum, Fourier estimates, fidelity correction, ladder
-    and peak fit from its own 1-D arrays.
+    and peak fit from its own 1-D arrays, by the same numeric routes: moduli
+    through np.hypot, the phase differences through np.multiply, the budget's
+    cube as a product.
     """
     d, params, noise = config.depth, config.gate_truth, config.noise
     reports, failures = dict.fromkeys(replicates), {}
@@ -817,7 +819,7 @@ def run_replicate_per_row(config, *, point=0, replicates=range(1)) -> list[dict]
         c = (np.fft.fft(px - 0.5 + 1j * (py - 0.5)) / (2 * d - 1))[:d]
         if (np.abs(c) == 0.0).any():
             raise DegenerateCoefficientError("zero coefficient among k = 0..d-1")
-        varphi_hat = 0.5 * _wpa_1d(np.angle(c[:-1] * np.conj(c[1:])))
+        varphi_hat = 0.5 * _wpa_1d(np.angle(np.multiply(c[:-1], np.conj(c[1:]))))
         amps = np.abs(c)
         theta_hat = float(amps.mean())
         low = np.flatnonzero(amps < LOW_SNR_FLOOR_SCALE / math.sqrt(noise.shots * (2 * d - 1)))
@@ -839,12 +841,12 @@ def run_replicate_per_row(config, *, point=0, replicates=range(1)) -> list[dict]
 
     def ladder(r, w, px, py):
         report = reports[r]
-        amps = np.array([math.hypot(x - 0.5, y - 0.5) for x, y in zip(px.tolist(), py.tolist())])
-        theta_pd = 0.5 * _wpa_1d(np.diff(amps))
+        theta_pd = 0.5 * _wpa_1d(np.diff(np.hypot(px - 0.5, py - 0.5)))
         t = abs(theta_pd)
+        dt = d * t
         report.theta_pd = theta_pd
         report.diagnostics["theta_pd_var_theory"] = variance_theory_theta_pd(d, noise.shots)
-        report.diagnostics["theta_pd_bias_budget"] = 6.5 * d**2 * t * report.var_theory_varphi + 37.0 * (d * t) ** 3
+        report.diagnostics["theta_pd_bias_budget"] = 6.5 * d**2 * t * report.var_theory_varphi + 37.0 * (dt * dt * dt)
 
     def fit(r, w, px, py):
         report = reports[r]

@@ -71,6 +71,16 @@ class TestSequentialPhaseDiffs:
             batch = sequential_phase_diffs(c)
             assert all(batch[i].tobytes() == sequential_phase_diffs(c[i]).tobytes() for i in range(5))
 
+    @pytest.mark.parametrize("shape", [(400, 50), (40, 1000)])
+    def test_a_batch_past_the_elision_threshold_gives_each_row_its_bits(self, shape):
+        # The batch's (R, d - 1) product reaches numpy's 256 KiB temporary-elision threshold, one row's does not.
+        rows, d = shape
+        assert rows * (d - 1) * 16 >= 256 * 1024 > (d - 1) * 16
+        rng = np.random.default_rng(rows)
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        batch = sequential_phase_diffs(c)
+        assert [batch[i].tobytes() for i in range(rows)] == [sequential_phase_diffs(row).tobytes() for row in c]
+
     def test_noisy_covariance_diagonal(self):
         reps = 400
         h = binomial_signal_replicates(D, (THETA, PARAMS.varphi, PARAMS.chi), M, reps, seed=4040)
@@ -267,6 +277,18 @@ class TestThetaPd:
     def test_missing_depths(self):
         with pytest.raises(ValueError):
             theta_pd_estimate(np.zeros(10), 10, 100, 0.0)
+
+    def test_a_batch_gives_each_row_its_one_row_bits(self):
+        rng = np.random.default_rng(29)
+        for d, rows in ((2, 3), (10, 7), (50, 48)):
+            amps = rng.uniform(0.0, 0.05, size=(rows, d + 1))
+            var_phi_pri = rng.uniform(0.0, 1e-3, size=rows).tolist()
+            theta_pd, var_theory, budget = theta_pd_estimate(amps, d, M, var_phi_pri)
+            assert theta_pd.shape == budget.shape == (rows,)
+            for i in range(rows):
+                one = theta_pd_estimate(amps[i], d, M, var_phi_pri[i])
+                assert one[1] == var_theory
+                assert (theta_pd[i].tobytes(), budget[i].tobytes()) == (one[0].tobytes(), one[2].tobytes())
 
     def test_monte_carlo_variance_and_bias(self):
         reps = 600
