@@ -4,9 +4,10 @@ The per-shot information of the 2(2d-1) binomial measurements is summed over
 the modulation grid with weights 1/(p(1-p)); the partial derivatives of p
 are exact closed forms (Chebyshev derivative identities for the swap angle
 and the phases), so no step size is tuned and no point fails for want of a
-converged gradient.  Each point is one closed-form pass: one cos/sin of the
-grid and one Chebyshev pair give h once, and from it the derivatives and p
-(within a few ulps of exact_signal's).  The pre-asymptotic closed forms (valid
+converged gradient.  The grid is summed in fixed-size blocks of columns, so
+memory stays the same at any depth; in each block one cos/sin and one
+Chebyshev pair give h once, and from it the derivatives and p (within a few
+ulps of exact_signal's).  The pre-asymptotic closed forms (valid
 for d*theta << 1) and a depth-scan with log-log slope estimates expose the
 variance-scaling transition around d ~ 1/theta.
 """
@@ -18,7 +19,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .estimators import variance_theory_theta, variance_theory_varphi
-from .signal_model import omega_grid
 from .su2 import FsimParams, chebyshev_tu
 
 __all__ = [
@@ -31,6 +31,8 @@ __all__ = [
 PARAM_NAMES = ("theta", "varphi", "chi")
 
 _PROB_CLIP = 1e-12
+# Grid columns per block of the Fisher sum: about 1 MiB of temporaries at any depth.
+_BLOCK_POINTS = 4096
 
 
 class SingularFisherError(np.linalg.LinAlgError):
@@ -63,20 +65,20 @@ class CrlbReport:
     regime_flag: str
 
 
-def gradient_grid(d: int, params: FsimParams) -> tuple[np.ndarray, np.ndarray]:
-    """((3, 2(2d-1)) array of dp/dxi over the grid, exact up to rounding; p itself).
+def gradient_grid(d: int, params: FsimParams, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """((3, 2m) array of dp/dxi over grid columns start..stop-1, exact up to rounding; h there).
 
-    Rows are xi = (theta, varphi, chi), columns p_X then p_Y, the order of
-    p = 1/2 + (Re h, Im h) from this pass's h, within a few ulps of exact_signal.
+    The m columns default to the whole grid of 2d-1.  Rows are xi = (theta,
+    varphi, chi), columns p_X then p_Y, the order of p = 1/2 + (Re h, Im h)
+    from this pass's h, within a few ulps of exact_signal.
     With w = omega - varphi, x = cos(w) cos(theta), T = T_d(x), Q = U_{d-1}(x):
     h = i e^{-i(chi+varphi)} (cos(w) - i sin(w)) sin(theta) g, g = Q (T + i Q sin(w) cos(theta)).
     dh/dchi = -i h and dh/dvarphi = -i e^{-i(chi+omega)} sin(theta) dg/dw.
     All derivatives use T_d' = d U_{d-1} and U_{d-1}' = (x U_{d-1} - d T_d)/(1 - x^2).
-    A signal at the probabilities' rounding level (theta = 0 or pi/2, where h
-    vanishes for every phase) carries no phase information: those rows are 0.
     """
-    w = omega_grid(d) - params.varphi
-    n = len(w)
+    n = 2 * d - 1
+    w = np.arange(start, n if stop is None else stop) * (np.pi / n) - params.varphi
+    m = len(w)
     sw, cw = np.sin(w), np.cos(w)
     st, ct = np.sin(params.theta), np.cos(params.theta)
     x = cw * ct
@@ -85,39 +87,45 @@ def gradient_grid(d: int, params: FsimParams) -> tuple[np.ndarray, np.ndarray]:
     # 1 - x^2 = sin^2 w + cos^2 w sin^2 theta (no cancellation); both are 0 where it vanishes.
     one_minus_x2 = sw * sw + (cw * st) ** 2
     dtxq = d * t - x * q
-    sq = np.divide(st * st, one_minus_x2, out=np.zeros(n), where=one_minus_x2 > 0.0)
+    sq = np.divide(st * st, one_minus_x2, out=np.zeros(m), where=one_minus_x2 > 0.0)
     sq *= cw * dtxq
-    dq = np.divide(dtxq, one_minus_x2, out=np.zeros(n), where=one_minus_x2 > 0.0)
+    dq = np.divide(dtxq, one_minus_x2, out=np.zeros(m), where=one_minus_x2 > 0.0)
     dq *= sw * ct
-    del x, one_minus_x2, dtxq
-    # Rows go straight into grads and temporaries die early: deep grids are
-    # tens of thousands of points.
-    grads = np.empty((3, 2 * n))
+    grads = np.empty((3, 2 * m))
     phase = (1j * np.exp(-1j * (params.chi + params.varphi))) * (cw - 1j * sw)
     dh = ct * q * t + t * sq - d * st * st * cw * q * q
-    dh = phase * (dh + 1j * sw * q * (np.cos(2 * params.theta) * q + 2 * ct * sq))
-    grads[0, :n], grads[0, n:] = dh.real, dh.imag
-    del sq, dh
+    # A fixed operand order: the bits of a column do not depend on the size of its block.
+    dh = np.multiply(phase, dh + 1j * sw * q * (np.cos(2 * params.theta) * q + 2 * ct * sq))
+    grads[0, :m], grads[0, m:] = dh.real, dh.imag
     h = phase * st * q * (t + 1j * ct * sw * q)
-    p = np.concatenate([0.5 + h.real, 0.5 + h.imag])
-    if np.abs(h).max() <= n * np.finfo(float).eps:
-        grads[1:] = 0.0
-        return grads, p
     # dg/dw = Q' T + Q T' + i cos(theta) (cos(w) Q^2 + 2 sin(w) Q Q'), T' = -d cos(theta) sin(w) Q.
     dg = dq * t + q * (-d * ct * sw * q) + 1j * ct * (cw * q * q + 2.0 * sw * q * dq)
     dh = -(phase * st) * dg
-    grads[1, :n], grads[1, n:] = dh.real, dh.imag
-    grads[2, :n], grads[2, n:] = h.imag, -h.real
-    return grads, p
+    grads[1, :m], grads[1, m:] = dh.real, dh.imag
+    grads[2, :m], grads[2, m:] = h.imag, -h.real
+    return grads, h
 
 
 def fisher_matrix(d: int, params: FsimParams, m_shots: int) -> FisherMatrix:
-    """I_kk' = M sum_j dp/dxi_k dp/dxi_k' / (p (1 - p)) over both input states."""
-    grads, p = gradient_grid(d, params)
-    clamped = int(((p < _PROB_CLIP) | (p > 1.0 - _PROB_CLIP)).sum())
-    p = np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
-    weights = 1.0 / (p * (1.0 - p))
-    entries = m_shots * (grads * weights) @ grads.T
+    """I_kk' = M sum_j dp/dxi_k dp/dxi_k' / (p (1 - p)) over both input states.
+
+    The grid is summed in blocks of _BLOCK_POINTS columns, so memory does not
+    grow with depth.  A signal at the probabilities' rounding level (theta = 0
+    or pi/2, where h vanishes for every phase) carries no phase information:
+    when max |h| over the grid is there, the phase rows and columns are 0.
+    """
+    n = 2 * d - 1
+    entries, clamped, h_max = np.zeros((3, 3)), 0, 0.0
+    for start in range(0, n, _BLOCK_POINTS):
+        grads, h = gradient_grid(d, params, start, min(start + _BLOCK_POINTS, n))
+        h_max = max(h_max, np.abs(h).max())
+        p = np.concatenate([0.5 + h.real, 0.5 + h.imag])
+        clamped += int(((p < _PROB_CLIP) | (p > 1.0 - _PROB_CLIP)).sum())
+        p = np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
+        weights = 1.0 / (p * (1.0 - p))
+        entries += m_shots * (grads * weights) @ grads.T
+    if h_max <= n * np.finfo(float).eps:
+        entries[1:] = entries[:, 1:] = 0.0
     entries = 0.5 * (entries + entries.T)
     return FisherMatrix(entries=entries, clamped_points=clamped)
 
@@ -183,12 +191,20 @@ def windowed_slopes(depths, values) -> np.ndarray:
     """Per-point log-log slope: sum (x - mean x)(y - mean y) / sum (x - mean x)^2 over the point +-2 neighbors."""
     x = np.log(np.asarray(depths, dtype=float))
     y = np.log(np.asarray(values, dtype=float))
-    out = np.empty(len(x))
-    for i in range(len(x)):
-        xs, ys = x[max(0, i - 2) : i + 3], y[max(0, i - 2) : i + 3]
-        dx, dy = xs - xs.mean(), ys - ys.mean()
-        out[i] = (dx * dy).sum() / (dx * dx).sum()
-    return out
+    n = len(x)
+    # Row i holds window i left-aligned and zero-padded to 5, so each row sum adds in the window's order.
+    lo = np.maximum(np.arange(n) - 2, 0)
+    cols = lo[:, None] + np.arange(5)
+    inside = cols < np.minimum(np.arange(n) + 3, n)[:, None]
+    cols = np.minimum(cols, n - 1)
+    counts = inside.sum(axis=1)
+
+    def deviations(v):
+        window = np.where(inside, v[cols], 0.0)
+        return np.where(inside, window - (window.sum(axis=1) / counts)[:, None], 0.0)
+
+    dx, dy = deviations(x), deviations(y)
+    return (dx * dy).sum(axis=1) / (dx * dx).sum(axis=1)
 
 
 def transition_scan(params: FsimParams, m_shots: int, depth_grid) -> list[dict]:

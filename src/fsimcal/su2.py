@@ -50,6 +50,16 @@ class FsimParams(Section, path="gate_truth"):
     chi: float = setting(float, normalize=wrap_angle)
 
 
+def _sinc_radians(z):
+    """np.sinc(z / pi) with its roundings, in place on the array z: sin(pi (z/pi)) / (pi (z/pi)), eps for 0."""
+    z /= np.pi
+    z *= np.pi
+    z[z == 0.0] = np.finfo(float).eps
+    s = np.sin(z)
+    s /= z
+    return s
+
+
 def chebyshev_tu(d, cw, sw, theta: float):
     """(T_d(x), U_{d-1}(x)) at x = cw cos(theta); cw = cos w and sw = sin w come from the caller.
 
@@ -60,9 +70,13 @@ def chebyshev_tu(d, cw, sw, theta: float):
     """
     x = cw * math.cos(theta)
     sigma = np.arctan2(np.sqrt(sw * sw + (cw * math.sin(theta)) ** 2), np.abs(x))
+    d_sigma = np.asarray(d * sigma)
+    t = np.cos(d_sigma)
+    u = d * _sinc_radians(d_sigma)
+    u /= _sinc_radians(np.asarray(sigma))
     sign, odd = np.where(x < 0.0, -1.0, 1.0), np.asarray(d) & 1
-    t = np.where(odd, sign, 1.0) * np.cos(d * sigma)
-    u = np.where(odd, 1.0, sign) * d * np.sinc(d * sigma / np.pi) / np.sinc(sigma / np.pi)
+    t *= np.where(odd, sign, 1.0)
+    u *= np.where(odd, 1.0, sign)
     return t, u
 
 

@@ -9,8 +9,10 @@ coefficient profile, the amplitude profile, the SNR bounds and the
 parabolic weights of the weighted phase average.  The run summary is kept
 in its earlier per-name form, against which the table-driven one is checked,
 the simulator in its earlier one-input-at-a-time form, the drift kernel
-in a whole-draw form with no gate blocks or replicate groups, and the
-replicate runner with its spectra and estimators one replicate at a time.
+in a whole-draw form with no gate blocks or replicate groups, the
+replicate runner with its spectra and estimators one replicate at a time,
+the Chebyshev pair through np.sinc, and the log-log slopes one window at
+a time.
 """
 
 import math
@@ -637,6 +639,17 @@ def chebyshev_tu_power_sign(d, w, theta):
     return t, u
 
 
+def chebyshev_tu_sinc(d, cw, sw, theta):
+    """fsimcal.su2.chebyshev_tu with its sinc quotient through np.sinc: the byte reference for
+    chebyshev_tu's in-place sinc."""
+    x = cw * math.cos(theta)
+    sigma = np.arctan2(np.sqrt(sw * sw + (cw * math.sin(theta)) ** 2), np.abs(x))
+    sign, odd = np.where(x < 0.0, -1.0, 1.0), np.asarray(d) & 1
+    t = np.where(odd, sign, 1.0) * np.cos(d * sigma)
+    u = np.where(odd, 1.0, sign) * d * np.sinc(d * sigma / np.pi) / np.sinc(sigma / np.pi)
+    return t, u
+
+
 def exact_signal_power_sign(d, omegas, params):
     """exact_signal's h from chebyshev_tu_power_sign, with sin(w) evaluated again for P."""
     omegas = np.asarray(omegas, dtype=float)
@@ -696,6 +709,19 @@ def windowed_slopes_polyfit(depths, values):
     for i in range(n):
         lo, hi = max(0, i - 2), min(n, i + 3)
         out[i] = np.polyfit(x[lo:hi], y[lo:hi], 1)[0]
+    return out
+
+
+def windowed_slopes_loop(depths, values):
+    """fisher.windowed_slopes one window at a time, each slice's own means and sums:
+    the byte reference for its padded-window form."""
+    x = np.log(np.asarray(depths, dtype=float))
+    y = np.log(np.asarray(values, dtype=float))
+    out = np.empty(len(x))
+    for i in range(len(x)):
+        xs, ys = x[max(0, i - 2) : i + 3], y[max(0, i - 2) : i + 3]
+        dx, dy = xs - xs.mean(), ys - ys.mean()
+        out[i] = (dx * dy).sum() / (dx * dx).sum()
     return out
 
 

@@ -2,13 +2,14 @@
 
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsimcal import FsimParams
+from fsimcal import FsimParams, fisher
 from fsimcal.fisher import (
     SingularFisherError,
     _inverse_diagonal,
@@ -27,6 +28,7 @@ from oracles import (
     hand_inverse_3x3,
     richardson_gradient_grid,
     spectral_phase_gradient,
+    windowed_slopes_loop,
     windowed_slopes_polyfit,
 )
 
@@ -106,7 +108,7 @@ class TestOnePass:
     not to the bit (measured: each entry 3.6e-14 of sqrt(F_ii F_jj), the CRLB
     diagonal 3.6e-14 relative, p 1 eps).  The two test names end in _bytes only
     so that their ids stay in the suite; they check these stated bounds.
-    d = 8193 and 16384 reach past numpy's temporary elision threshold (256 KiB arrays).
+    d = 4096 and up sum the grid in two or more blocks; the oracle takes the whole grid at once.
     """
 
     @pytest.mark.parametrize("theta", [0.0, 1e-4, 1e-3, 1e-2, 0.4, np.pi / 2])
@@ -127,9 +129,40 @@ class TestOnePass:
     @pytest.mark.parametrize("d", [2, 51, 4096, 8193, 16384])
     def test_weight_probabilities_are_exact_signal_bytes(self, d, theta):
         params = FsimParams(theta, 2.1, -0.4)
-        _, p = gradient_grid(d, params)
+        _, h_pass = gradient_grid(d, params)
         h = exact_signal(d, omega_grid(d), params)
+        p = np.concatenate([0.5 + h_pass.real, 0.5 + h_pass.imag])
         assert np.abs(p - np.concatenate([0.5 + h.real, 0.5 + h.imag])).max() <= 8 * np.finfo(float).eps
+
+
+class TestBlocks:
+    """The Fisher sum over blocks of any size: the same entries to rounding, the same clamped points."""
+
+    # p_X = 1 + 4e-15 at column 30 of the d = 51 grid (|h| = 1/2 there), in the fifth block of 7: one clamped point.
+    CLAMPED = FsimParams(1.0009435211535902, -2.195364427435445, -2.512324884421145)
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-4, 1e-2, 0.4, np.pi / 2, "clamped"])
+    @pytest.mark.parametrize(
+        "d, block", [(2, 1), (2, 7), (51, 1), (51, 7), (51, None), (300, 1), (300, 7), (2049, 7), (2049, None), (8193, None)]
+    )
+    def test_block_size_does_not_change_the_answer(self, monkeypatch, d, block, theta):
+        params = self.CLAMPED if theta == "clamped" else FsimParams(theta, -0.7, 1.3)
+        reference = fisher_matrix(d, params, M)
+        monkeypatch.setattr(fisher, "_BLOCK_POINTS", block or 2 * d - 1)
+        info = fisher_matrix(d, params, M)
+        scale = np.sqrt(np.outer(np.diag(reference.entries), np.diag(reference.entries)))
+        assert (np.abs(info.entries - reference.entries) <= 1e-13 * scale).all()
+        assert info.clamped_points == reference.clamped_points == (1 if theta == "clamped" and d == 51 else 0)
+
+    def test_memory_does_not_grow_with_depth(self):
+        # The whole-grid pass held about 92 MiB at this depth (a (3, 2(2d-1)) gradient array and its temporaries).
+        tracemalloc.start()
+        try:
+            crlb(262144, FsimParams(1e-4, PARAMS.varphi, PARAMS.chi), M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
 
 class TestFisherMatrix:
@@ -192,8 +225,8 @@ class TestCrlb:
     def test_singular_at_theta_zero(self):
         # theta = 0: no signal at all.  theta = pi/2: h vanishes for every
         # (varphi, chi), so only theta carries information.  varphi = 0 puts
-        # the phase-matched angle on the grid.
-        for d in (6, 7):
+        # the phase-matched angle on the grid.  d = 8193 sums five blocks.
+        for d in (6, 7, 8193):
             for theta in (0.0, np.pi / 2):
                 for varphi in (0.0, 0.1):
                     with pytest.raises(SingularFisherError):
@@ -217,6 +250,14 @@ class TestTransitionScan:
         values = 3.7 / depths  # pure 1/d from the prefactor
         slopes = windowed_slopes(depths, values)
         assert np.abs(slopes + 1.0).max() < 1e-12
+
+    @given(st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=60), st.lists(st.floats(-700.0, 700.0), min_size=60, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_slopes_are_the_window_loop_bytes(self, log_steps, log_values):
+        # Any increasing depths (log gaps of 1e-3 and up) and any positive values, two points and up.
+        depths = np.exp(np.cumsum(np.abs(log_steps) + 1e-3))
+        values = np.exp(log_values[: len(depths)])
+        assert windowed_slopes(depths, values).tobytes() == windowed_slopes_loop(depths, values).tobytes()
 
     @pytest.mark.parametrize("points", [2, 3, 5, 40])
     def test_slopes_match_polyfit_on_geometric_grids(self, points):

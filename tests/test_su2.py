@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsimcal import FsimParams
-from fsimcal.su2 import wrap_angle
+from fsimcal.su2 import chebyshev_tu, wrap_angle
 
 from oracles import (
     chebyshev_tu_at,
     chebyshev_tu_power_sign,
+    chebyshev_tu_sinc,
     closed_form_pq,
     extract_pq_coefficients,
     fsim_matrix,
@@ -246,3 +247,27 @@ def test_parity_sign_gives_the_power_sign_bits(d):
         got = chebyshev_tu_at(d, angles, theta)
         ref = chebyshev_tu_power_sign(d, angles, theta)
         assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+
+
+# Any angle, or a multiple of pi/2: sigma = 0 at theta = 0 or pi, x = 0, x < 0.
+CHEBYSHEV_ANGLE = st.one_of(ANGLE, st.sampled_from([0.0, np.pi / 2, np.pi, -np.pi, -np.pi / 2]))
+
+
+@given(
+    st.one_of(st.integers(1, 40_000), st.lists(st.integers(1, 40_000), min_size=1, max_size=40)),
+    st.lists(CHEBYSHEV_ANGLE, min_size=1, max_size=40),
+    st.one_of(THETA, st.sampled_from([0.0, 1e-4, np.pi / 2, np.pi]), st.floats(-np.pi, 0.0)),
+    st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_chebyshev_tu_gives_the_np_sinc_bits(depths, angles, theta, scalar):
+    # One depth or one per point, over an array of angles or one scalar angle.
+    if isinstance(depths, list):
+        d, w = np.array(depths), np.resize(np.array(angles), len(depths))
+    else:
+        d, w = depths, (angles[0] if scalar else np.array(angles))
+    cw, sw = np.cos(w), np.sin(w)
+    got, ref = chebyshev_tu(d, cw, sw, theta), chebyshev_tu_sinc(d, cw, sw, theta)
+    for a, b in zip(got, ref):
+        assert type(a) is type(b) and np.shape(a) == np.shape(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
