@@ -5,11 +5,11 @@ the modulation grid with weights 1/(p(1-p)); the partial derivatives of p
 are exact closed forms (Chebyshev derivative identities for the swap angle
 and the phases), so no step size is tuned and no point fails for want of a
 converged gradient.  The grid is summed in fixed-size blocks of columns, so
-memory stays the same at any depth; in each block one cos/sin and one
-Chebyshev pair give h once, and from it the derivatives and p (within a few
-ulps of exact_signal's).  The pre-asymptotic closed forms (valid
-for d*theta << 1) and a depth-scan with log-log slope estimates expose the
-variance-scaling transition around d ~ 1/theta.
+memory stays the same at any depth; in each block one cos/sin pair and
+su2.pq_values give h once, exact_signal's h bit for bit, and from it the
+derivatives and p.  The pre-asymptotic closed forms (valid for d*theta << 1)
+and a depth-scan with log-log slope estimates expose the variance-scaling
+transition around d ~ 1/theta.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .estimators import variance_theory_theta, variance_theory_varphi
-from .su2 import FsimParams, chebyshev_tu
+from .su2 import FsimParams, pq_values
 
 __all__ = [
     "SingularFisherError",
@@ -69,10 +69,10 @@ def gradient_grid(d: int, params: FsimParams, start: int = 0, stop: int | None =
     """((3, 2m) array of dp/dxi over grid columns start..stop-1, exact up to rounding; h there).
 
     The m columns default to the whole grid of 2d-1.  Rows are xi = (theta,
-    varphi, chi), columns p_X then p_Y, the order of p = 1/2 + (Re h, Im h)
-    from this pass's h, within a few ulps of exact_signal.
-    With w = omega - varphi, x = cos(w) cos(theta), T = T_d(x), Q = U_{d-1}(x):
-    h = i e^{-i(chi+varphi)} (cos(w) - i sin(w)) sin(theta) g, g = Q (T + i Q sin(w) cos(theta)).
+    varphi, chi), columns p_X then p_Y, the order of p = 1/2 + (Re h, Im h);
+    h is exact_signal's, bit for bit.  With w = omega - varphi, x = cos(w) cos(theta) and
+    (P, Q) from su2.pq_values, T = Re P = T_d(x), Q = U_{d-1}(x):
+    h = i e^{-i(chi+varphi)} (cos(w) - i sin(w)) sin(theta) g, g = Q P = Q (T + i Q sin(w) cos(theta)).
     dh/dchi = -i h and dh/dvarphi = -i e^{-i(chi+omega)} sin(theta) dg/dw.
     All derivatives use T_d' = d U_{d-1} and U_{d-1}' = (x U_{d-1} - d T_d)/(1 - x^2).
     """
@@ -81,12 +81,12 @@ def gradient_grid(d: int, params: FsimParams, start: int = 0, stop: int | None =
     m = len(w)
     sw, cw = np.sin(w), np.cos(w)
     st, ct = np.sin(params.theta), np.cos(params.theta)
-    x = cw * ct
-    t, q = chebyshev_tu(d, cw, sw, params.theta)
+    p, q = pq_values(d, cw, sw, params.theta)
+    t = p.real
     # sq = sin(theta) dQ/dtheta and dq = dQ/dw = sin(w) cos(theta) (d T - x Q)/(1 - x^2), with
     # 1 - x^2 = sin^2 w + cos^2 w sin^2 theta (no cancellation); both are 0 where it vanishes.
     one_minus_x2 = sw * sw + (cw * st) ** 2
-    dtxq = d * t - x * q
+    dtxq = d * t - cw * ct * q
     sq = np.divide(st * st, one_minus_x2, out=np.zeros(m), where=one_minus_x2 > 0.0)
     sq *= cw * dtxq
     dq = np.divide(dtxq, one_minus_x2, out=np.zeros(m), where=one_minus_x2 > 0.0)
@@ -97,7 +97,7 @@ def gradient_grid(d: int, params: FsimParams, start: int = 0, stop: int | None =
     # A fixed operand order: the bits of a column do not depend on the size of its block.
     dh = np.multiply(phase, dh + 1j * sw * q * (np.cos(2 * params.theta) * q + 2 * ct * sq))
     grads[0, :m], grads[0, m:] = dh.real, dh.imag
-    h = phase * st * q * (t + 1j * ct * sw * q)
+    h = phase * st * q * p
     # dg/dw = Q' T + Q T' + i cos(theta) (cos(w) Q^2 + 2 sin(w) Q Q'), T' = -d cos(theta) sin(w) Q.
     dg = dq * t + q * (-d * ct * sw * q) + 1j * ct * (cw * q * q + 2.0 * sw * q * dq)
     dh = -(phase * st) * dg

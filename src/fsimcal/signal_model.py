@@ -34,13 +34,14 @@ def omega_grid(depth: int) -> np.ndarray:
 
 
 def exact_signal(d, omegas, params: FsimParams) -> np.ndarray:
-    """Noiseless h(omega) = i e^{-i(chi+varphi)} e^{-2i(omega-varphi)} sin(theta) P Q.
+    """Noiseless h = i e^{-i(chi+varphi)} e^{-iw} sin(theta) Q P at w = omega - varphi, (P, Q) from su2.pq_values.
 
-    d is one depth or an array of depths, one per omega.
+    fisher.gradient_grid's operands in its order: on the grid, its h bit for bit.  d is one depth or one per omega.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    p, q = pq_values(d, omegas - params.varphi, params.theta)
-    return np.exp(1j * (params.varphi - params.chi - 2.0 * omegas)) * p * (1j * np.sin(params.theta)) * q
+    w = np.asarray(omegas, dtype=float) - params.varphi
+    cw, sw = np.cos(w), np.sin(w)
+    p, q = pq_values(d, cw, sw, params.theta)
+    return (1j * np.exp(-1j * (params.chi + params.varphi))) * (cw - 1j * sw) * np.sin(params.theta) * q * p
 
 
 def spectrum_from_h(h, depth: int) -> np.ndarray:

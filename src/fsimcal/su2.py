@@ -23,7 +23,6 @@ from .config import Section, setting
 __all__ = [
     "FsimParams",
     "pq_values",
-    "chebyshev_tu",
 ]
 
 
@@ -80,15 +79,13 @@ def chebyshev_tu(d, cw, sw, theta: float):
     return t, u
 
 
-def pq_values(d, omega, theta: float):
-    """Vectorized (P, Q) over modulation angles omega; d is one depth or one per omega.
+def pq_values(d, cw, sw, theta: float):
+    """(P, Q) = (T_d(x) + i cos(theta) sin(w) U_{d-1}(x), U_{d-1}(x)) at x = cos(w) cos(theta).
 
-    P = e^{i omega} (T_d(x) + i U_{d-1}(x) sin(omega) cos(theta)),
-    Q = U_{d-1}(x), with x = cos(omega) cos(theta).
+    cw = cos w, sw = sin w and d (one depth or one per point) are chebyshev_tu's, and P.real is its
+    T_d bit for bit.  The circuit's matrix entry is e^{iw} P; callers fold e^{iw} into their phase.
     """
     if np.min(d) < 1:
         raise ValueError("depth d must be >= 1")
-    omega = np.asarray(omega, dtype=float)
-    sw = np.sin(omega)
-    t, q = chebyshev_tu(d, np.cos(omega), sw, theta)
-    return np.exp(1j * omega) * (t + 1j * q * sw * math.cos(theta)), q
+    t, q = chebyshev_tu(d, cw, sw, theta)
+    return t + 1j * np.cos(theta) * sw * q, q

@@ -98,8 +98,9 @@ def closed_form_pq(d, omega, theta):
     """The package's closed-form (P, Q) (fsimcal.su2.pq_values) at one point."""
     from fsimcal.su2 import pq_values
 
-    p, q = pq_values(d, float(omega), theta)
-    return PolyPair(complex(p), float(q), math.cos(theta), abs(math.sin(theta)))
+    omega = float(omega)
+    p, q = pq_values(d, np.cos(omega), np.sin(omega), theta)
+    return PolyPair(complex(np.exp(1j * omega) * p), float(q), math.cos(theta), abs(math.sin(theta)))
 
 
 def special_point_pq(j, omega, theta):
@@ -651,10 +652,20 @@ def chebyshev_tu_sinc(d, cw, sw, theta):
 
 
 def exact_signal_power_sign(d, omegas, params):
-    """exact_signal's h from chebyshev_tu_power_sign, with sin(w) evaluated again for P."""
+    """exact_signal's h, its operands in its order, from chebyshev_tu_power_sign with the trig of w evaluated again."""
+    w = np.asarray(omegas, dtype=float) - params.varphi
+    cw, sw = np.cos(w), np.sin(w)
+    t, q = chebyshev_tu_power_sign(d, w, params.theta)
+    p = t + 1j * np.cos(params.theta) * sw * q
+    return (1j * np.exp(-1j * (params.chi + params.varphi))) * (cw - 1j * sw) * np.sin(params.theta) * q * p
+
+
+def exact_signal_two_exponentials(d, omegas, params):
+    """h = e^{i(varphi - chi - 2 omega)} e^{iw} (T + i Q sin(w) cos(theta)) i sin(theta) Q, two complex
+    exponentials per point: exact_signal's route before it took gradient_grid's operands."""
     omegas = np.asarray(omegas, dtype=float)
     w = omegas - params.varphi
-    t, q = chebyshev_tu_power_sign(d, w, params.theta)
+    t, q = chebyshev_tu_at(d, w, params.theta)
     p = np.exp(1j * w) * (t + 1j * q * np.sin(w) * math.cos(params.theta))
     return np.exp(1j * (params.varphi - params.chi - 2.0 * omegas)) * p * (1j * np.sin(params.theta)) * q
 

@@ -3,8 +3,10 @@
 ``perfbench/tracing.py`` wraps fsimcal functions by module and attribute name;
 a renamed or removed target turns its per-layer metrics into ``None``.  Its
 observers read the result of each call: ``fourier_estimate``'s warnings and
-``peak_fit``'s acceptance, one call per replicate.  These tests load that file
-as it is, install every target, and undo the rebinding.
+``peak_fit``'s acceptance, one call per replicate.  Its ``su2.pq_values``
+metrics claim the Chebyshev share of the Fisher pass, one span per block.
+These tests load that file as it is, install every target, and undo the
+rebinding.
 """
 
 import importlib.util
@@ -15,7 +17,7 @@ from collections import Counter
 import pytest
 
 import fsimcal.cli  # noqa: F401  (install rebinds names in every loaded fsimcal module)
-from fsimcal import ExperimentConfig, FsimParams, NoiseConfig, PeakFitConfig, harness
+from fsimcal import ExperimentConfig, FsimParams, NoiseConfig, PeakFitConfig, fisher, harness
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -64,3 +66,21 @@ def test_a_traced_calibrate_run_reports_one_estimate_and_one_fit_per_replicate(t
     layers = tracing.layer_metrics(tracer.spans, tracer.counts)
     assert layers["estimators.low_snr_warnings"] == low_snr == 3
     assert layers["estimators.peak_fit.accepted_frac"] == accepted / 3 > 0
+
+
+def test_a_traced_crlb_records_one_pq_values_span_per_block(tracing):
+    # d = 8193 sums its grid of 16385 points in five blocks.
+    d = 8193
+    blocks = -(-(2 * d - 1) // fisher._BLOCK_POINTS)
+    tracer, patches = tracing.Tracer("crlb"), tracing.Patches()
+    try:
+        assert tracing.install(tracer, patches) == set()
+        fisher.crlb(d, FsimParams(1e-3, 0.2, 0.3), 1000)
+    finally:
+        patches.restore()
+    by_sid = {span.sid: span for span in tracer.spans}
+    calls = Counter(span.name for span in tracer.spans)
+    assert blocks == 5 and calls["su2.pq_values"] == calls["fisher.gradient_grid"] == blocks
+    assert all(by_sid[s.parent].name == "fisher.gradient_grid" for s in tracer.spans if s.name == "su2.pq_values")
+    layers = tracing.layer_metrics(tracer.spans, tracer.counts)
+    assert layers["su2.pq_values.calls"] == blocks and layers["su2.pq_values.points"] == 2 * d - 1

@@ -104,10 +104,11 @@ class TestPhaseDerivative:
 class TestOnePass:
     """One closed-form pass per point, p from its own h, against the two-pass matrix and exact_signal.
 
-    The pass takes its phase from the grid's cos/sin, so both agree to rounding,
-    not to the bit (measured: each entry 3.6e-14 of sqrt(F_ii F_jj), the CRLB
-    diagonal 3.6e-14 relative, p 1 eps).  The two test names end in _bytes only
-    so that their ids stay in the suite; they check these stated bounds.
+    The pass's h is exact_signal's, bit for bit: both form it through su2.pq_values with the
+    same operands in the same order, so the weights' p are the simulator's exact p.  The two-pass
+    oracle takes its gradients and its p from chebyshev_tu_power_sign, so the entries agree to
+    rounding, not to the bit (measured: each entry 3.6e-14 of sqrt(F_ii F_jj), the CRLB diagonal
+    3.6e-14 relative); test_entries_match_two_pass_bytes checks these stated bounds.
     d = 4096 and up sum the grid in two or more blocks; the oracle takes the whole grid at once.
     """
 
@@ -128,11 +129,12 @@ class TestOnePass:
     @pytest.mark.parametrize("theta", [0.0, 1e-4, 1e-2, np.pi / 2])
     @pytest.mark.parametrize("d", [2, 51, 4096, 8193, 16384])
     def test_weight_probabilities_are_exact_signal_bytes(self, d, theta):
+        # The whole grid in one pass, and in fisher_matrix's blocks (two or more from d = 4096 up).
         params = FsimParams(theta, 2.1, -0.4)
-        _, h_pass = gradient_grid(d, params)
+        n, step = 2 * d - 1, fisher._BLOCK_POINTS
+        blocks = np.concatenate([gradient_grid(d, params, s, min(s + step, n))[1] for s in range(0, n, step)])
         h = exact_signal(d, omega_grid(d), params)
-        p = np.concatenate([0.5 + h_pass.real, 0.5 + h_pass.imag])
-        assert np.abs(p - np.concatenate([0.5 + h.real, 0.5 + h.imag])).max() <= 8 * np.finfo(float).eps
+        assert gradient_grid(d, params)[1].tobytes() == blocks.tobytes() == h.tobytes()
 
 
 class TestBlocks:

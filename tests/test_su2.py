@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsimcal import FsimParams
-from fsimcal.su2 import chebyshev_tu, wrap_angle
+from fsimcal.su2 import chebyshev_tu, pq_values, wrap_angle
 
 from oracles import (
     chebyshev_tu_at,
@@ -271,3 +271,4 @@ def test_chebyshev_tu_gives_the_np_sinc_bits(depths, angles, theta, scalar):
     for a, b in zip(got, ref):
         assert type(a) is type(b) and np.shape(a) == np.shape(b)
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert np.asarray(pq_values(d, cw, sw, theta)[0].real).tobytes() == np.asarray(got[0]).tobytes()
