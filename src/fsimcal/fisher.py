@@ -6,8 +6,10 @@ are exact closed forms (Chebyshev derivative identities for the swap angle
 and the phases), so no step size is tuned and no point fails for want of a
 converged gradient.  The grid is summed in fixed-size blocks of columns, so
 memory stays the same at any depth; in each block one cos/sin pair and
-su2.pq_values give h once, exact_signal's h bit for bit, and from it the
-derivatives and p.  The pre-asymptotic closed forms (valid for d*theta << 1)
+su2.pq_values give h once, exact_signal's h bit for bit, and p from it.  The
+swap-angle and phase derivatives are formed in real arithmetic, the real and
+imaginary parts of h's phase factor times a real pair, written in place into
+the gradient array.  The pre-asymptotic closed forms (valid for d*theta << 1)
 and a depth-scan with log-log slope estimates expose the variance-scaling
 transition around d ~ 1/theta.
 """
@@ -69,12 +71,15 @@ def gradient_grid(d: int, params: FsimParams, start: int = 0, stop: int | None =
     """((3, 2m) array of dp/dxi over grid columns start..stop-1, exact up to rounding; h there).
 
     The m columns default to the whole grid of 2d-1.  Rows are xi = (theta,
-    varphi, chi), columns p_X then p_Y, the order of p = 1/2 + (Re h, Im h);
-    h is exact_signal's, bit for bit.  With w = omega - varphi, x = cos(w) cos(theta) and
-    (P, Q) from su2.pq_values, T = Re P = T_d(x), Q = U_{d-1}(x):
-    h = i e^{-i(chi+varphi)} (cos(w) - i sin(w)) sin(theta) g, g = Q P = Q (T + i Q sin(w) cos(theta)).
-    dh/dchi = -i h and dh/dvarphi = -i e^{-i(chi+omega)} sin(theta) dg/dw.
-    All derivatives use T_d' = d U_{d-1} and U_{d-1}' = (x U_{d-1} - d T_d)/(1 - x^2).
+    varphi, chi), columns p_X then p_Y, the order of p = 1/2 + (Re h, Im h).
+    With w = omega - varphi, x = cos(w) cos(theta) and (P, Q) from su2.pq_values,
+    T = Re P = T_d(x), Q = U_{d-1}(x): h = phase sin(theta) Q P, phase = i e^{-i(chi+varphi)} e^{-iw},
+    exact_signal's operands in its order, so h is exact_signal's bit for bit; dh/dchi = -i h.
+    The other rows are real arithmetic: dh/dtheta = phase (a + i b), dh/dvarphi = phase (c + i e),
+    a = (cos(theta) Q + sq) T - d sin^2(theta) cos(w) Q^2, b = sin(w) Q (cos(2 theta) Q + 2 cos(theta) sq),
+    c = sin(theta) (d cos(theta) sin(w) Q^2 - dq T), e = -sin(theta) cos(theta) (cos(w) Q^2 + 2 sin(w) Q dq),
+    with sq = sin(theta) dQ/dtheta and dq = dQ/dw; a row's p_X half is Re(phase) re - Im(phase) im, its
+    p_Y half Re(phase) im + Im(phase) re.  T_d' = d U_{d-1} and U_{d-1}' = (x U_{d-1} - d T_d)/(1 - x^2).
     """
     n = 2 * d - 1
     w = np.arange(start, n if stop is None else stop) * (np.pi / n) - params.varphi
@@ -82,27 +87,40 @@ def gradient_grid(d: int, params: FsimParams, start: int = 0, stop: int | None =
     sw, cw = np.sin(w), np.cos(w)
     st, ct = np.sin(params.theta), np.cos(params.theta)
     p, q = pq_values(d, cw, sw, params.theta)
-    t = p.real
-    # sq = sin(theta) dQ/dtheta and dq = dQ/dw = sin(w) cos(theta) (d T - x Q)/(1 - x^2), with
-    # 1 - x^2 = sin^2 w + cos^2 w sin^2 theta (no cancellation); both are 0 where it vanishes.
-    one_minus_x2 = sw * sw + (cw * st) ** 2
-    dtxq = d * t - cw * ct * q
-    sq = np.divide(st * st, one_minus_x2, out=np.zeros(m), where=one_minus_x2 > 0.0)
-    sq *= cw * dtxq
-    dq = np.divide(dtxq, one_minus_x2, out=np.zeros(m), where=one_minus_x2 > 0.0)
-    dq *= sw * ct
-    grads = np.empty((3, 2 * m))
     phase = (1j * np.exp(-1j * (params.chi + params.varphi))) * (cw - 1j * sw)
-    dh = ct * q * t + t * sq - d * st * st * cw * q * q
-    # A fixed operand order: the bits of a column do not depend on the size of its block.
-    dh = np.multiply(phase, dh + 1j * sw * q * (np.cos(2 * params.theta) * q + 2 * ct * sq))
-    grads[0, :m], grads[0, m:] = dh.real, dh.imag
     h = phase * st * q * p
-    # dg/dw = Q' T + Q T' + i cos(theta) (cos(w) Q^2 + 2 sin(w) Q Q'), T' = -d cos(theta) sin(w) Q.
-    dg = dq * t + q * (-d * ct * sw * q) + 1j * ct * (cw * q * q + 2.0 * sw * q * dq)
-    dh = -(phase * st) * dg
-    grads[1, :m], grads[1, m:] = dh.real, dh.imag
-    grads[2, :m], grads[2, m:] = h.imag, -h.real
+    t = p.real
+    # dq = sin(w) cos(theta) r and sq = sin^2(theta) cos(w) r, r = (d T - x Q)/(1 - x^2) with
+    # 1 - x^2 = sin^2 w + cos^2 w sin^2 theta (no cancellation); r = 0 where it vanishes.
+    one_minus_x2 = sw * sw + (cw * st) ** 2
+    dq = np.divide(d * t - cw * ct * q, one_minus_x2, out=np.zeros(m), where=one_minus_x2 > 0.0)
+    sq = (st * st) * cw * dq
+    dq *= ct * sw
+    q2 = q * q
+    a = ct * q
+    a += sq
+    a *= t
+    a -= (d * st * st) * cw * q2
+    b = np.cos(2 * params.theta) * q
+    b += (2 * ct) * sq
+    b *= sw
+    b *= q
+    c = q2 * (d * ct * st)
+    c *= sw
+    c -= st * dq * t
+    e = sw * dq
+    e *= 2.0 * q
+    e += cw * q2
+    e *= -st * ct
+    # w's array is free scratch once sw and cw are formed.
+    grads, s = np.empty((3, 2 * m)), w
+    for row, re, im in ((0, a, b), (1, c, e)):
+        np.multiply(phase.real, re, out=grads[row, :m])
+        grads[row, :m] -= np.multiply(phase.imag, im, out=s)
+        np.multiply(phase.real, im, out=grads[row, m:])
+        grads[row, m:] += np.multiply(phase.imag, re, out=s)
+    grads[2, :m] = h.imag
+    np.negative(h.real, out=grads[2, m:])
     return grads, h
 
 
@@ -119,11 +137,15 @@ def fisher_matrix(d: int, params: FsimParams, m_shots: int) -> FisherMatrix:
     for start in range(0, n, _BLOCK_POINTS):
         grads, h = gradient_grid(d, params, start, min(start + _BLOCK_POINTS, n))
         h_max = max(h_max, np.abs(h).max())
-        p = np.concatenate([0.5 + h.real, 0.5 + h.imag])
-        clamped += int(((p < _PROB_CLIP) | (p > 1.0 - _PROB_CLIP)).sum())
-        p = np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
-        weights = 1.0 / (p * (1.0 - p))
-        entries += m_shots * (grads * weights) @ grads.T
+        p = np.empty(2 * len(h))
+        np.add(h.real, 0.5, out=p[: len(h)])
+        np.add(h.imag, 0.5, out=p[len(h) :])
+        clamped += np.count_nonzero((p < _PROB_CLIP) | (p > 1.0 - _PROB_CLIP))
+        np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP, out=p)
+        weights = 1.0 - p
+        weights *= p
+        np.divide(1.0, weights, out=weights)
+        entries += m_shots * ((grads * weights) @ grads.T)
     if h_max <= n * np.finfo(float).eps:
         entries[1:] = entries[:, 1:] = 0.0
     entries = 0.5 * (entries + entries.T)

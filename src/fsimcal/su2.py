@@ -70,13 +70,14 @@ def chebyshev_tu(d, cw, sw, theta: float):
     x = cw * math.cos(theta)
     sigma = np.arctan2(np.sqrt(sw * sw + (cw * math.sin(theta)) ** 2), np.abs(x))
     d_sigma = np.asarray(d * sigma)
-    t = np.cos(d_sigma)
-    u = d * _sinc_radians(d_sigma)
+    t = np.asarray(np.cos(d_sigma))
+    u = np.asarray(d * _sinc_radians(d_sigma))
     u /= _sinc_radians(np.asarray(sigma))
-    sign, odd = np.where(x < 0.0, -1.0, 1.0), np.asarray(d) & 1
-    t *= np.where(odd, sign, 1.0)
-    u *= np.where(odd, 1.0, sign)
-    return t, u
+    neg, odd = x < 0.0, np.asarray(d) % 2 == 1
+    np.negative(t, out=t, where=neg & odd)
+    np.negative(u, out=u, where=neg & ~odd)
+    # [()] turns a 0-d result back into a numpy scalar; an array comes back as a view of itself.
+    return t[()], u[()]
 
 
 def pq_values(d, cw, sw, theta: float):

@@ -11,8 +11,8 @@ in its earlier per-name form, against which the table-driven one is checked,
 the simulator in its earlier one-input-at-a-time form, the drift kernel
 in a whole-draw form with no gate blocks or replicate groups, the
 replicate runner with its spectra and estimators one replicate at a time,
-the Chebyshev pair through np.sinc, and the log-log slopes one window at
-a time.
+the Chebyshev pair through np.sinc, the Fisher pass's derivative rows as
+complex products, and the log-log slopes one window at a time.
 """
 
 import math
@@ -668,6 +668,38 @@ def exact_signal_two_exponentials(d, omegas, params):
     t, q = chebyshev_tu_at(d, w, params.theta)
     p = np.exp(1j * w) * (t + 1j * q * np.sin(w) * math.cos(params.theta))
     return np.exp(1j * (params.varphi - params.chi - 2.0 * omegas)) * p * (1j * np.sin(params.theta)) * q
+
+
+def gradient_grid_complex_rows(d, params, start=0, stop=None):
+    """fisher.gradient_grid with its theta and varphi rows as complex products, phase times a
+    complex bracket, split into p_X and p_Y halves by .real and .imag: the reference for its
+    real-arithmetic rows.  Returns (grads, h) over grid columns start..stop-1."""
+    from fsimcal.su2 import pq_values
+
+    n = 2 * d - 1
+    w = np.arange(start, n if stop is None else stop) * (np.pi / n) - params.varphi
+    m = len(w)
+    sw, cw = np.sin(w), np.cos(w)
+    st, ct = np.sin(params.theta), np.cos(params.theta)
+    p, q = pq_values(d, cw, sw, params.theta)
+    t = p.real
+    one_minus_x2 = sw * sw + (cw * st) ** 2
+    dtxq = d * t - cw * ct * q
+    sq = np.divide(st * st, one_minus_x2, out=np.zeros(m), where=one_minus_x2 > 0.0)
+    sq *= cw * dtxq
+    dq = np.divide(dtxq, one_minus_x2, out=np.zeros(m), where=one_minus_x2 > 0.0)
+    dq *= sw * ct
+    grads = np.empty((3, 2 * m))
+    phase = (1j * np.exp(-1j * (params.chi + params.varphi))) * (cw - 1j * sw)
+    dh = ct * q * t + t * sq - d * st * st * cw * q * q
+    dh = np.multiply(phase, dh + 1j * sw * q * (np.cos(2 * params.theta) * q + 2 * ct * sq))
+    grads[0, :m], grads[0, m:] = dh.real, dh.imag
+    h = phase * st * q * p
+    dg = dq * t + q * (-d * ct * sw * q) + 1j * ct * (cw * q * q + 2.0 * sw * q * dq)
+    dh = -(phase * st) * dg
+    grads[1, :m], grads[1, m:] = dh.real, dh.imag
+    grads[2, :m], grads[2, m:] = h.imag, -h.real
+    return grads, h
 
 
 def fisher_matrix_two_pass(d, params, m_shots, prob_clip=1e-12):
