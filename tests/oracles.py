@@ -11,8 +11,9 @@ in its earlier per-name form, against which the table-driven one is checked,
 the simulator in its earlier one-input-at-a-time form, the drift kernel
 in a whole-draw form with no gate blocks or replicate groups, the
 replicate runner with its spectra and estimators one replicate at a time,
-the Chebyshev pair through np.sinc, the Fisher pass's derivative rows as
-complex products, and the log-log slopes one window at a time.
+the Chebyshev pair with its sine quotient and parity sign through np.where,
+the Fisher pass's derivative rows as complex products, and the log-log
+slopes one window at a time.
 """
 
 import math
@@ -628,27 +629,30 @@ def chebyshev_tu_at(d, w, theta):
     return chebyshev_tu(d, np.cos(w), np.sin(w), theta)
 
 
+def _chebyshev_tu_unsigned(d, cw, sw, theta):
+    """(x, cos(d sigma), sin(d sigma)/s) at x = cw cos(theta), s = sqrt(sw^2 + cw^2 sin^2 theta) = sin(sigma),
+    sigma = atan2(s, |x|); the quotient is d where s = 0, picked with np.where."""
+    x = cw * math.cos(theta)
+    s = np.sqrt(sw * sw + (cw * math.sin(theta)) ** 2)
+    sigma = np.arctan2(s, np.abs(x))
+    u = np.where(s > 0.0, np.sin(d * sigma) / np.where(s > 0.0, s, 1.0), d)
+    return x, np.cos(d * sigma), u
+
+
 def chebyshev_tu_power_sign(d, w, theta):
     """(T_d, U_{d-1}) with the trig of w evaluated inside and the x < 0 sign raised
     to the powers d and d-1 elementwise: the reference for chebyshev_tu's parity pick."""
-    cw, sw = np.cos(w), np.sin(w)
-    x = cw * math.cos(theta)
-    sigma = np.arctan2(np.sqrt(sw * sw + (cw * math.sin(theta)) ** 2), np.abs(x))
+    x, t, u = _chebyshev_tu_unsigned(d, np.cos(w), np.sin(w), theta)
     sign = np.where(x < 0.0, -1.0, 1.0)
-    t = sign**d * np.cos(d * sigma)
-    u = sign ** (d - 1) * d * np.sinc(d * sigma / np.pi) / np.sinc(sigma / np.pi)
-    return t, u
+    return sign**d * t, sign ** (d - 1) * u
 
 
-def chebyshev_tu_sinc(d, cw, sw, theta):
-    """fsimcal.su2.chebyshev_tu with its sinc quotient through np.sinc: the byte reference for
-    chebyshev_tu's in-place sinc."""
-    x = cw * math.cos(theta)
-    sigma = np.arctan2(np.sqrt(sw * sw + (cw * math.sin(theta)) ** 2), np.abs(x))
+def chebyshev_tu_quotient(d, cw, sw, theta):
+    """fsimcal.su2.chebyshev_tu with U_{d-1} = sin(d sigma)/s and the parity sign written out with
+    np.where: the byte reference for chebyshev_tu's in-place quotient and sign steps."""
+    x, t, u = _chebyshev_tu_unsigned(d, cw, sw, theta)
     sign, odd = np.where(x < 0.0, -1.0, 1.0), np.asarray(d) & 1
-    t = np.where(odd, sign, 1.0) * np.cos(d * sigma)
-    u = np.where(odd, 1.0, sign) * d * np.sinc(d * sigma / np.pi) / np.sinc(sigma / np.pi)
-    return t, u
+    return np.where(odd, sign, 1.0) * t, np.where(odd, 1.0, sign) * u
 
 
 def exact_signal_power_sign(d, omegas, params):

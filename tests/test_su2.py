@@ -14,7 +14,7 @@ from fsimcal.su2 import chebyshev_tu, pq_values, wrap_angle
 from oracles import (
     chebyshev_tu_at,
     chebyshev_tu_power_sign,
-    chebyshev_tu_sinc,
+    chebyshev_tu_quotient,
     closed_form_pq,
     extract_pq_coefficients,
     fsim_matrix,
@@ -149,6 +149,16 @@ class TestClosedForm:
             for w, theta in ((np.pi, 0.0), (0.0, np.pi)):
                 assert chebyshev_tu_at(d, w, theta) == ((-1.0) ** d, (-1.0) ** (d - 1) * d)
 
+    @pytest.mark.parametrize("theta", [1e-160, 1e-300])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 4096, 16383])
+    def test_small_s_limits(self, d, theta):
+        # At w = 0, s^2 is subnormal (theta = 1e-160) or 0 (theta = 1e-300); at w = pi, s is about
+        # sin(pi).  T_d = +-1 exactly and U_{d-1} = +-d to within 4 ulp of d.
+        for w, sign in ((0.0, 1.0), (np.pi, -1.0)):
+            t, u = chebyshev_tu_at(d, w, theta)
+            assert t == sign**d
+            assert abs(u - sign ** (d - 1) * d) <= 4 * np.spacing(float(d))
+
 
 class TestSpecialPoint:
     def test_j0_equals_depth_one(self):
@@ -260,15 +270,17 @@ CHEBYSHEV_ANGLE = st.one_of(ANGLE, st.sampled_from([0.0, np.pi / 2, np.pi, -np.p
     st.booleans(),
 )
 @settings(max_examples=400, deadline=None)
-def test_chebyshev_tu_gives_the_np_sinc_bits(depths, angles, theta, scalar):
+def test_chebyshev_tu_gives_the_sine_quotient_bits(depths, angles, theta, scalar):
     # One depth or one per point, over an array of angles or one scalar angle.
     if isinstance(depths, list):
         d, w = np.array(depths), np.resize(np.array(angles), len(depths))
     else:
         d, w = depths, (angles[0] if scalar else np.array(angles))
     cw, sw = np.cos(w), np.sin(w)
-    got, ref = chebyshev_tu(d, cw, sw, theta), chebyshev_tu_sinc(d, cw, sw, theta)
+    got, ref = chebyshev_tu(d, cw, sw, theta), chebyshev_tu_quotient(d, cw, sw, theta)
     for a, b in zip(got, ref):
         assert type(a) is type(b) and np.shape(a) == np.shape(b)
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-    assert np.asarray(pq_values(d, cw, sw, theta)[0].real).tobytes() == np.asarray(got[0]).tobytes()
+    p = pq_values(d, cw, sw, theta)[0]
+    assert np.asarray(p.real).tobytes() == np.asarray(got[0]).tobytes()
+    assert np.asarray(p.imag).tobytes() == np.asarray(np.cos(theta) * sw * got[1]).tobytes()
