@@ -179,29 +179,24 @@ class PeakFitResult:
     accepted: bool
 
 
-def peak_fit(omegas, amplitudes, d: int, phi_pri: float, beta_thr: float | None = None) -> PeakFitResult:
-    """Least-squares parabola through (omega_j, |h_j|) around the peak.
+def peak_fit(operator, amplitudes, d: int, phi_pri: float, beta_thr: float | None = None) -> PeakFitResult:
+    """Least-squares parabola through one row's moduli |h_j| at omega_j = phi_pri + o_j around the peak.
 
-    Fits p = beta0 (w - beta1)^2 + beta2 in expanded form a w^2 + b w + c and
-    accepts iff beta0 < 0 (concave) and |beta1 - phi_pri| < beta_thr; on
-    acceptance theta_pf = beta2 / d.  beta_thr defaults to pi/(2d), half the
+    operator is the stage's (3, n) least-squares operator of the offsets o_j:
+    operator @ amplitudes gives (a, b, c) of a o^2 + b o + c, so the fit
+    p = beta0 (w - beta1)^2 + beta2 has beta0 = a, beta1 = phi_pri - b/(2a)
+    and beta2 = c - b^2/(4a), where b is small near the peak and nothing
+    cancels.  Accepts iff beta0 < 0 (concave) and |beta1 - phi_pri| < beta_thr;
+    on acceptance theta_pf = beta2 / d.  beta_thr defaults to pi/(2d), half the
     local sampling half-width.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    if len(omegas) < 3 or len(omegas) != len(amplitudes):
-        raise ValueError("need n >= 3 matched (omega, amplitude) samples")
     if beta_thr is None:
         beta_thr = math.pi / (2.0 * d)
-    design = np.stack([omegas**2, omegas, np.ones_like(omegas)], axis=1)
-    coef, _, rank, _ = np.linalg.lstsq(design, amplitudes, rcond=None)
-    if rank < 3:
-        raise ValueError("singular normal equations (degenerate omega samples)")
-    a, b, c = (float(v) for v in coef)
+    a, b, c = (operator @ amplitudes).tolist()
     if a == 0.0:
         return PeakFitResult(None, a, None, None, False)
-    beta1 = -b / (2.0 * a)
-    beta2 = c - b * b / (4.0 * a)
-    if a > 0.0 or abs(beta1 - phi_pri) >= beta_thr:
-        return PeakFitResult(None, a, beta1, beta2, False)
-    return PeakFitResult(beta2 / d, a, beta1, beta2, True)
+    shift = -b / (2.0 * a)
+    beta1, beta2 = phi_pri + shift, c - b * b / (4.0 * a)
+    if a < 0.0 and abs(shift) < beta_thr:
+        return PeakFitResult(beta2 / d, a, beta1, beta2, True)
+    return PeakFitResult(None, a, beta1, beta2, False)

@@ -12,13 +12,15 @@ the simulator in its earlier one-input-at-a-time form, the drift kernel
 in a whole-draw form with no gate blocks or replicate groups, the
 replicate runner with its spectra and estimators one replicate at a time,
 the Chebyshev pair with its sine quotient and parity sign through np.where,
-the Fisher pass's derivative rows as complex products, and the log-log
-slopes one window at a time.
+the Fisher pass's derivative rows as complex products, the log-log
+slopes one window at a time, and the peak fit as a per-row design solved by
+lstsq, next to its 50-digit least-squares reference.
 """
 
 import math
 from dataclasses import dataclass, fields
 
+import mpmath
 import numpy as np
 
 from fsimcal import harness
@@ -26,6 +28,7 @@ from fsimcal.estimators import (
     LOW_SNR_FLOOR_SCALE,
     DegenerateCoefficientError,
     EstimateReport,
+    PeakFitResult,
     peak_fit,
     variance_theory_theta,
     variance_theory_theta_pd,
@@ -923,7 +926,7 @@ def run_replicate_per_row(config, *, point=0, replicates=range(1)) -> list[dict]
 
     def fit(r, w, px, py):
         report = reports[r]
-        result = peak_fit(w, np.hypot(px - 0.5, py - 0.5), d, report.varphi_hat, config.peak_fit.beta_thr)
+        result = peak_fit(operator, np.hypot(px - 0.5, py - 0.5), d, report.varphi_hat, config.peak_fit.beta_thr)
         report.theta_pf = result.theta_pf
         report.diagnostics["peak_fit"] = {k: getattr(result, k) for k in ("beta0", "beta1", "beta2", "accepted")}
 
@@ -934,8 +937,50 @@ def run_replicate_per_row(config, *, point=0, replicates=range(1)) -> list[dict]
         depths = np.arange(d, 3 * d + 1, 2)
         stage(1, depths, lambda live: phi(live).repeat(len(depths), axis=1), ladder)
     if config.peak_fit.enabled:
-        n_pf = config.peak_fit.n_pf
-        offsets = (np.pi / d) * (np.arange(n_pf) / (n_pf - 1) - 0.5)
+        offsets, operator = peak_fit_operator(d, config.peak_fit.n_pf)
         stage(2, d, lambda live: phi(live) + offsets, fit)
     record = lambda report: {f.name: getattr(report, f.name) for f in fields(report)}
     return [failures[r] if r in failures else record(reports[r]) for r in replicates]
+
+
+def peak_fit_operator(d: int, n: int):
+    """run_replicate's peak-fit stage: its n offsets o_j and its (3, n) operator giving (a, b, c)."""
+    s = np.pi / d
+    u = np.arange(n) / (n - 1) - 0.5
+    return s * u, np.linalg.lstsq(np.vander(u, 3), np.eye(n), rcond=None)[0] / np.array([[s * s], [s], [1.0]])
+
+
+def peak_fit_lstsq(omegas, amplitudes, d: int, phi_pri: float, beta_thr: float | None = None) -> PeakFitResult:
+    """The earlier peak fit: the design [w^2, w, 1] at the row's own angles, solved by lstsq.
+
+    Its design's condition number grows as d^2 (5.6e9 at d = 65536 for
+    n = 15), and beta2 = c - b^2/(4a) cancels near the vertex, so its beta2
+    loses digits as d grows; kept as the reference the operator's acceptance
+    flags are held to.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    if beta_thr is None:
+        beta_thr = math.pi / (2.0 * d)
+    design = np.stack([omegas**2, omegas, np.ones_like(omegas)], axis=1)
+    a, b, c = (float(v) for v in np.linalg.lstsq(design, amplitudes, rcond=None)[0])
+    if a == 0.0:
+        return PeakFitResult(None, a, None, None, False)
+    beta1 = -b / (2.0 * a)
+    beta2 = c - b * b / (4.0 * a)
+    if a > 0.0 or abs(beta1 - phi_pri) >= beta_thr:
+        return PeakFitResult(None, a, beta1, beta2, False)
+    return PeakFitResult(beta2 / d, a, beta1, beta2, True)
+
+
+def peak_fit_reference(offsets, amplitudes, phi_pri: float) -> tuple:
+    """(beta0, beta1, beta2) of the least-squares parabola through (phi_pri + o_j, |h_j|), solved at 50 digits.
+
+    The abscissae are the exact sums of the double phi_pri and offsets, so
+    the problem is the one in o = w - phi_pri; the returned values are mpf.
+    """
+    with mpmath.workdps(50):
+        o = [mpmath.mpf(float(v)) for v in offsets]
+        design = mpmath.matrix([[v * v, v, 1] for v in o])
+        a, b, c = mpmath.qr_solve(design, mpmath.matrix([mpmath.mpf(float(v)) for v in amplitudes]))[0]
+        return a, mpmath.mpf(phi_pri) - b / (2 * a), c - b * b / (4 * a)

@@ -23,7 +23,15 @@ from fsimcal.estimators import (
 from fsimcal.harness import run_points
 from fsimcal.signal_model import exact_signal, omega_grid, spectrum_from_h
 
-from oracles import binomial_signal_replicates, dense_wpa, thomas_wpa, wpa_weights
+from oracles import (
+    binomial_signal_replicates,
+    dense_wpa,
+    peak_fit_lstsq,
+    peak_fit_operator,
+    peak_fit_reference,
+    thomas_wpa,
+    wpa_weights,
+)
 
 D, M, THETA = 50, 100_000, 1e-3
 PARAMS = FsimParams(THETA, np.pi / 16, 5 * np.pi / 32)
@@ -313,13 +321,15 @@ class TestThetaPd:
 class TestPeakFit:
     @staticmethod
     def local_grid(d, phi_pri, n):
-        return phi_pri + (np.pi / d) * (np.arange(n) / (n - 1) - 0.5)
+        """The row's angles phi_pri + o_j and the stage's operator, as run_replicate forms them."""
+        offsets, operator = peak_fit_operator(d, n)
+        return phi_pri + offsets, operator
 
     def test_exact_parabola_recovery(self):
         d, phi = 25, 0.4
-        omegas = self.local_grid(d, phi, 9)
+        omegas, operator = self.local_grid(d, phi, 9)
         amps = -1.0 * (omegas - phi) ** 2 + d * 1e-3
-        res = peak_fit(omegas, amps, d, phi)
+        res = peak_fit(operator, amps, d, phi)
         assert res.accepted
         assert res.theta_pf == pytest.approx(1e-3, rel=1e-12)
         assert res.beta0 == pytest.approx(-1.0)
@@ -327,23 +337,22 @@ class TestPeakFit:
 
     def test_rejects_upward_parabola(self):
         d, phi = 25, 0.4
-        omegas = self.local_grid(d, phi, 9)
-        res = peak_fit(omegas, (omegas - phi) ** 2 + 0.01, d, phi)
+        omegas, operator = self.local_grid(d, phi, 9)
+        res = peak_fit(operator, (omegas - phi) ** 2 + 0.01, d, phi)
         assert not res.accepted
         assert res.theta_pf is None
 
     def test_rejects_distant_peak(self):
         d, phi = 25, 0.4
-        omegas = self.local_grid(d, phi, 9)
+        omegas, operator = self.local_grid(d, phi, 9)
         shifted = phi + 1.5 * np.pi / (2 * d)  # beyond the default pi/(2d) gate
-        res = peak_fit(omegas, -(omegas - shifted) ** 2 + 0.02, d, phi)
+        res = peak_fit(operator, -(omegas - shifted) ** 2 + 0.02, d, phi)
         assert not res.accepted
 
     def test_exact_amplitude_oracle_bias_below_one_percent(self):
-        n = 15
-        omegas = self.local_grid(D, PARAMS.varphi, n)
+        omegas, operator = self.local_grid(D, PARAMS.varphi, 15)
         amps = np.abs(exact_signal(D, omegas, PARAMS))
-        res = peak_fit(omegas, amps, D, PARAMS.varphi)
+        res = peak_fit(operator, amps, D, PARAMS.varphi)
         assert res.accepted
         assert res.theta_pf == pytest.approx(THETA, rel=0.01)
 
@@ -351,17 +360,54 @@ class TestPeakFit:
     @settings(max_examples=40, deadline=None)
     def test_scale_equivariance(self, scale, seed):
         d, phi, n = 20, -0.3, 11
-        omegas = self.local_grid(d, phi, n)
+        omegas, operator = self.local_grid(d, phi, n)
         rng = np.random.default_rng(seed)
         amps = np.abs(exact_signal(d, omegas, FsimParams(2e-3, phi, 0.5))) + rng.normal(0, 1e-4, n)
-        base = peak_fit(omegas, amps, d, phi)
-        scaled = peak_fit(omegas, scale * amps, d, phi)
+        base = peak_fit(operator, amps, d, phi)
+        scaled = peak_fit(operator, scale * amps, d, phi)
         assert scaled.accepted == base.accepted
         if base.accepted:
             assert scaled.theta_pf == pytest.approx(scale * base.theta_pf, rel=1e-9)
 
-    def test_singular_and_short_inputs(self):
-        with pytest.raises(ValueError):
-            peak_fit(np.full(5, 0.2), np.ones(5), 10, 0.2)
-        with pytest.raises(ValueError):
-            peak_fit(np.array([0.1, 0.2]), np.array([1.0, 2.0]), 10, 0.15)
+    @staticmethod
+    def rows(d, n, count, spread, noise, seed):
+        """(phi_pri, angles, moduli) rows near the peak: d theta in [0.03, 1], |phi_pri - varphi| < spread pi/d."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            params = FsimParams(10 ** rng.uniform(-1.5, 0.0) / d, np.pi / 16, 5 * np.pi / 32)
+            phi = params.varphi + rng.uniform(-spread, spread) * np.pi / d
+            omegas = TestPeakFit.local_grid(d, phi, n)[0]
+            amps = np.abs(exact_signal(d, omegas, params))
+            yield phi, omegas, amps + rng.normal(0.0, noise * amps.max(), n)
+
+    # Largest relative error against the 50-digit solve over these rows (n = 15, shot-like noise 1e-3 of the peak):
+    #   d        beta0: lstsq / operator    beta1: lstsq / operator    beta2: lstsq / operator
+    #   50       4.1e-14 / 8.6e-16          3.2e-14 / 1.4e-16          1.2e-13 / 7.0e-16
+    #   1024     1.3e-11 / 1.2e-15          4.6e-14 / 6.7e-17          3.5e-11 / 7.0e-16
+    #   16384    4.4e-09 / 1.6e-15          1.3e-12 / 7.0e-17          8.0e-09 / 7.9e-16
+    #   65536    8.3e-08 / 1.4e-15          4.9e-12 / 7.0e-17          8.9e-08 / 7.9e-16
+    # The tolerances sit 3-6x above the operator's worst here and over 300 rows more per d (beta1: 3.1e-16 at d = 50);
+    # the lstsq fit's beta2 error at d = 65536 is 3e7 times its tolerance.
+    @pytest.mark.parametrize("d", [50, 1024, 16384, 65536])
+    def test_matches_the_50_digit_least_squares(self, d):
+        offsets, operator = peak_fit_operator(d, 15)
+        for phi, _, amps in self.rows(d, 15, 50, 0.3, 1e-3, d):
+            res = peak_fit(operator, amps, d, phi)
+            for got, ref, tol in zip((res.beta0, res.beta1, res.beta2), peak_fit_reference(offsets, amps, phi),
+                                     (6e-15, 1e-15, 3e-15)):
+                assert abs((got - ref) / ref) <= tol, (got, ref)
+
+    @pytest.mark.parametrize("d", [50, 65536])
+    def test_acceptance_agrees_with_the_lstsq_fit(self, d):
+        # Vertices spread over twice the gate, so both outcomes occur; a row whose |beta1 - phi_pri| lies within
+        # 1e-6 of beta_thr (far above either fit's rounding of beta1) may go either way.
+        beta_thr, operator = np.pi / (2 * d), peak_fit_operator(d, 15)[1]
+        flags, near = [], 0
+        for phi, omegas, amps in self.rows(d, 15, 400, 1.0, 1e-2, d + 1):
+            res, ref = peak_fit(operator, amps, d, phi), peak_fit_lstsq(omegas, amps, d, phi)
+            if abs(abs(res.beta1 - phi) - beta_thr) <= 1e-6 * beta_thr:
+                near += 1
+                continue
+            assert res.accepted == ref.accepted, (phi, res, ref)
+            flags.append(res.accepted)
+        assert near <= 2 and 0 < sum(flags) < len(flags)

@@ -319,7 +319,8 @@ class TestConfig:
         cfg = ExperimentConfig(mode="crlb-scan", gate_truth=TRUTH, noise=NoiseConfig(), depth=2**16, depth_grid=(2, 2**16))
         assert max(cfg.depth_grid) == cfg.depth == 2**16
 
-    @pytest.mark.parametrize("n_pf", [-1, 0, 1, 2])
+    # A parabola needs three points, and no peak-fit stage is wider than the deepest grid stage.
+    @pytest.mark.parametrize("n_pf", [-1, 0, 1, 2, 2**17, 1_000_000_000])
     def test_peak_fit_needs_three_points(self, n_pf):
         with pytest.raises(ValueError, match="n_pf"):
             PeakFitConfig(n_pf=n_pf)
@@ -1076,6 +1077,8 @@ class TestCli:
          "noise.drift must be null in crlb-scan mode"),
         ({"mode": "crlb-scan", "depth_grid": [2, 4], "noise": {"confusion": ConfusionMatrix.uniform(0.9).to_dict()}},
          [], "noise.confusion must be null in crlb-scan mode"),
+        # A peak-fit stage of 1e9 angles per replicate would hold about 64 GB of probabilities.
+        ({"peak_fit": {"n_pf": 1_000_000_000}}, [], "peak_fit.n_pf must be an integer >= 3 and <= 131071"),
     ]
 
     @pytest.mark.parametrize("edit, flags, begins", REJECTED, ids=[f"edit{i}-flags{i}" for i in range(len(REJECTED))])
