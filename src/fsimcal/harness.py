@@ -31,6 +31,7 @@ from .estimators import (
     estimate_alpha_corrected,
     fourier_estimate,
     peak_fit,
+    peak_fit_operator,
     sequential_phase_diffs,
     theta_pd_estimate,
     wpa_solve,
@@ -202,9 +203,9 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(
     correction; after the ladder and the peak fit, their moduli |h| in one
     np.hypot each, then theta_pd.  The peak-fit stage forms its least-squares
     operator once; fourier_estimate's report and peak_fit's one matvec with
-    that operator run per replicate.  A degenerate coefficient
-    gives the replicate a failure record and drops it from the later stages;
-    a fidelity collapse is a warning; any other exception propagates.
+    that operator run per replicate.  A degenerate coefficient gives the
+    replicate a failure record and drops it from the later stages; a fidelity
+    collapse is a warning; any other exception propagates.
     """
     d, params, noise = config.depth, config.gate_truth, config.noise
     reports, failures = dict.fromkeys(replicates), {}
@@ -247,12 +248,8 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(
             reports[r].diagnostics["theta_pd_var_theory"] = var_pd
             reports[r].diagnostics["theta_pd_bias_budget"] = bias
     if config.peak_fit.enabled and reports:
-        n_pf, s = config.peak_fit.n_pf, np.pi / d
-        u = np.arange(n_pf) / (n_pf - 1) - 0.5  # the offsets are s u
-        # (a, b, c) of a o^2 + b o + c at o = s u: the least-squares operator of [u^2, u, 1], the same at every d.
-        # (lstsq against the identity, not pinv: pinv's LAPACK route raised calibrate's peak RSS by about 0.1 MB.)
-        fit = np.linalg.lstsq(np.vander(u, 3), np.eye(n_pf), rcond=None)[0] / np.array([[s * s], [s], [1.0]])
-        live, p = stage(2, d, lambda live: phi(live) + s * u)
+        offsets, fit = peak_fit_operator(d, config.peak_fit.n_pf)
+        live, p = stage(2, d, lambda live: phi(live) + offsets)
         for r, a in zip(live, np.hypot(p[:, 0], p[:, 1])):
             report = reports[r]
             result = peak_fit(fit, a, d, report.varphi_hat, config.peak_fit.beta_thr)

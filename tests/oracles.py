@@ -30,6 +30,7 @@ from fsimcal.estimators import (
     EstimateReport,
     PeakFitResult,
     peak_fit,
+    peak_fit_operator,
     variance_theory_theta,
     variance_theory_theta_pd,
     variance_theory_varphi,
@@ -941,13 +942,6 @@ def run_replicate_per_row(config, *, point=0, replicates=range(1)) -> list[dict]
         stage(2, d, lambda live: phi(live) + offsets, fit)
     record = lambda report: {f.name: getattr(report, f.name) for f in fields(report)}
     return [failures[r] if r in failures else record(reports[r]) for r in replicates]
-
-
-def peak_fit_operator(d: int, n: int):
-    """run_replicate's peak-fit stage: its n offsets o_j and its (3, n) operator giving (a, b, c)."""
-    s = np.pi / d
-    u = np.arange(n) / (n - 1) - 0.5
-    return s * u, np.linalg.lstsq(np.vander(u, 3), np.eye(n), rcond=None)[0] / np.array([[s * s], [s], [1.0]])
 
 
 def peak_fit_lstsq(omegas, amplitudes, d: int, phi_pri: float, beta_thr: float | None = None) -> PeakFitResult:

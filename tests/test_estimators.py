@@ -1,6 +1,7 @@
 """Fourier-space estimators, the weighted phase average, ladder and peak fit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fsimcal.estimators import (
     estimate_alpha_corrected,
     fourier_estimate,
     peak_fit,
+    peak_fit_operator,
     sequential_phase_diffs,
     theta_pd_estimate,
     variance_theory_theta,
@@ -20,14 +22,13 @@ from fsimcal.estimators import (
     variance_theory_varphi,
     wpa_solve,
 )
-from fsimcal.harness import run_points
+from fsimcal.harness import PeakFitConfig, run_points
 from fsimcal.signal_model import exact_signal, omega_grid, spectrum_from_h
 
 from oracles import (
     binomial_signal_replicates,
     dense_wpa,
     peak_fit_lstsq,
-    peak_fit_operator,
     peak_fit_reference,
     thomas_wpa,
     wpa_weights,
@@ -382,20 +383,35 @@ class TestPeakFit:
 
     # Largest relative error against the 50-digit solve over these rows (n = 15, shot-like noise 1e-3 of the peak):
     #   d        beta0: lstsq / operator    beta1: lstsq / operator    beta2: lstsq / operator
-    #   50       4.1e-14 / 8.6e-16          3.2e-14 / 1.4e-16          1.2e-13 / 7.0e-16
-    #   1024     1.3e-11 / 1.2e-15          4.6e-14 / 6.7e-17          3.5e-11 / 7.0e-16
-    #   16384    4.4e-09 / 1.6e-15          1.3e-12 / 7.0e-17          8.0e-09 / 7.9e-16
-    #   65536    8.3e-08 / 1.4e-15          4.9e-12 / 7.0e-17          8.9e-08 / 7.9e-16
-    # The tolerances sit 3-6x above the operator's worst here and over 300 rows more per d (beta1: 3.1e-16 at d = 50);
-    # the lstsq fit's beta2 error at d = 65536 is 3e7 times its tolerance.
+    #   50       4.1e-14 / 1.9e-15          3.2e-14 / 1.4e-16          1.2e-13 / 3.7e-16
+    #   1024     1.3e-11 / 3.0e-15          4.6e-14 / 0                3.5e-11 / 3.5e-16
+    #   16384    4.4e-09 / 1.8e-15          1.3e-12 / 0                8.0e-09 / 6.6e-16
+    #   65536    8.3e-08 / 3.0e-15          4.9e-12 / 0                8.9e-08 / 3.9e-16
+    # Over 300 rows more per d the operator's worst was 5.7e-15, 1.4e-16 and 4.4e-16; the tolerances sit 3-7x above
+    # that, and the lstsq fit's beta2 error at d = 65536 is 3e7 times its tolerance.
     @pytest.mark.parametrize("d", [50, 1024, 16384, 65536])
     def test_matches_the_50_digit_least_squares(self, d):
         offsets, operator = peak_fit_operator(d, 15)
         for phi, _, amps in self.rows(d, 15, 50, 0.3, 1e-3, d):
             res = peak_fit(operator, amps, d, phi)
             for got, ref, tol in zip((res.beta0, res.beta1, res.beta2), peak_fit_reference(offsets, amps, phi),
-                                     (6e-15, 1e-15, 3e-15)):
+                                     (2e-14, 1e-15, 3e-15)):
                 assert abs((got - ref) / ref) <= tol, (got, ref)
+
+    def test_the_widest_stage_builds_its_operator_in_linear_memory(self):
+        # The largest n_pf the config accepts (2**17 is rejected): an n x n array would take 137 GB; the QR's n x 3
+        # factors and the (3, n) operator take a few MB each.
+        n = PeakFitConfig(n_pf=2**17 - 1).n_pf
+        tracemalloc.start()
+        try:
+            offsets, operator = peak_fit_operator(2**16, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert operator.shape == (3, n) and peak < 24 * 8 * n
+        # It is a left inverse of [o^2, o, 1] to rounding of its products' terms (measured 8.9e-16 of them).
+        design = np.vander(offsets, 3)
+        assert np.all(np.abs(operator @ design - np.eye(3)) <= 1e-14 * (np.abs(operator) @ np.abs(design)))
 
     @pytest.mark.parametrize("d", [50, 65536])
     def test_acceptance_agrees_with_the_lstsq_fit(self, d):
