@@ -15,7 +15,7 @@ phase-matched angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,22 +38,22 @@ class DegenerateCoefficientError(ValueError):
     """A required Fourier coefficient is exactly zero (phase undefined)."""
 
 
-@dataclass(kw_only=True)
-class EstimateReport:
-    """All estimates from one calibration replicate; the fields, in order, are its record's keys.
+class EstimateReport(NamedTuple):
+    """All estimates from one calibration replicate; its _asdict() is the replicate's record, keys in field order.
 
-    diagnostics holds only what later stages add: (config, seed, point, replicate) regenerates the coefficients.
+    The later stages fill alpha_hat, theta_pd and theta_pf in the record; diagnostics holds only what they add:
+    (config, seed, point, replicate) regenerates the coefficients.
     """
 
     theta_hat: float
     varphi_hat: float
-    alpha_hat: float | None = None
-    theta_pd: float | None = None
-    theta_pf: float | None = None
+    alpha_hat: float | None
+    theta_pd: float | None
+    theta_pf: float | None
     var_theory_theta: float
     var_theory_varphi: float
-    warnings: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
+    warnings: list
+    diagnostics: dict
 
 
 def variance_theory_theta(d: int, m_shots: int) -> float:
@@ -108,7 +108,7 @@ def fourier_estimate(amps, theta_hat: float, varphi_hat: float, m_shots: int) ->
     which lands in (-pi/2, pi/2] (the phase is only identifiable mod pi).
     A zero coefficient raises DegenerateCoefficientError: its phase is
     undefined.  Theoretical variances use theta_hat as plug-in, a warning
-    names the low-SNR k, and the diagnostics start empty.
+    names the low-SNR k, the later stages' fields are None, and the diagnostics start empty.
     """
     d = len(amps)
     warn = []
@@ -119,11 +119,10 @@ def fourier_estimate(amps, theta_hat: float, varphi_hat: float, m_shots: int) ->
             raise DegenerateCoefficientError("zero coefficient among k = 0..d-1")
         warn.append(f"low-snr coefficients at k={low.tolist()}")
     return EstimateReport(
-        theta_hat=theta_hat,
-        varphi_hat=varphi_hat,
+        theta_hat=theta_hat, varphi_hat=varphi_hat, alpha_hat=None, theta_pd=None, theta_pf=None,
         var_theory_theta=variance_theory_theta(d, m_shots),
         var_theory_varphi=variance_theory_varphi(d, m_shots, theta_hat),
-        warnings=warn,
+        warnings=warn, diagnostics={},
     )
 
 
@@ -164,8 +163,7 @@ def theta_pd_estimate(amplitudes, base_depth: int, m_shots: int, var_phi_pri):
     return theta_pd, var_theory, 6.5 * base_depth**2 * t * np.asarray(var_phi_pri) + 37.0 * (dt * dt * dt)
 
 
-@dataclass(frozen=True)
-class PeakFitResult:
+class PeakFitResult(NamedTuple):
     """Outcome of the parabolic peak fit: theta_pf is None when rejected, beta1/beta2 (the vertex) for a flat fit."""
 
     theta_pf: float | None

@@ -5,8 +5,8 @@ the modulation grid with weights 1/(p(1-p)); the partial derivatives of p
 are exact closed forms (Chebyshev derivative identities for the swap angle
 and the phases), so no step size is tuned and no point fails for want of a
 converged gradient.  The grid is summed in fixed-size blocks of columns, so
-memory stays the same at any depth; in each block one cos/sin pair and
-su2.pq_values give h once, exact_signal's h bit for bit, and p from it.  The
+memory stays the same at any depth; in each block signal_model.signal_factors,
+the one route to h that exact_signal takes too, gives h once and p from it.  The
 swap-angle and phase derivatives are formed in real arithmetic, the real and
 imaginary parts of h's phase factor times a real pair, written in place into
 the gradient array.  The pre-asymptotic closed forms (valid for d*theta << 1)
@@ -16,12 +16,13 @@ transition around d ~ 1/theta.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .estimators import variance_theory_theta, variance_theory_varphi
-from .su2 import FsimParams, pq_values
+from .signal_model import signal_factors
+from .su2 import FsimParams
 
 __all__ = [
     "SingularFisherError",
@@ -46,16 +47,14 @@ class SingularFisherError(np.linalg.LinAlgError):
         super().__init__(f"Fisher matrix is singular, unbounded direction ({weights})")
 
 
-@dataclass(frozen=True)
-class FisherMatrix:
+class FisherMatrix(NamedTuple):
     """3x3 information over (theta, varphi, chi) for M shots per circuit, and how many grid p were clipped."""
 
-    entries: np.ndarray = field(repr=False)
+    entries: np.ndarray
     clamped_points: int
 
 
-@dataclass(frozen=True)
-class CrlbReport:
+class CrlbReport(NamedTuple):
     """diag(I^{-1}) next to the pre-asymptotic closed forms."""
 
     crlb_theta: float
@@ -74,7 +73,7 @@ def gradient_grid(d: int, params: FsimParams, start: int = 0, stop: int | None =
     varphi, chi), columns p_X then p_Y, the order of p = 1/2 + (Re h, Im h).
     With w = omega - varphi, x = cos(w) cos(theta) and (P, Q) from su2.pq_values,
     T = Re P = T_d(x), Q = U_{d-1}(x): h = phase sin(theta) Q P, phase = i e^{-i(chi+varphi)} e^{-iw},
-    exact_signal's operands in its order, so h is exact_signal's bit for bit; dh/dchi = -i h.
+    all from signal_factors, exact_signal's one route, so h is exact_signal's bit for bit; dh/dchi = -i h.
     The other rows are real arithmetic: dh/dtheta = phase (a + i b), dh/dvarphi = phase (c + i e),
     a = (cos(theta) Q + sq) T - d sin^2(theta) cos(w) Q^2, b = sin(w) Q (cos(2 theta) Q + 2 cos(theta) sq),
     c = sin(theta) (d cos(theta) sin(w) Q^2 - dq T), e = -sin(theta) cos(theta) (cos(w) Q^2 + 2 sin(w) Q dq),
@@ -84,11 +83,8 @@ def gradient_grid(d: int, params: FsimParams, start: int = 0, stop: int | None =
     n = 2 * d - 1
     w = np.arange(start, n if stop is None else stop) * (np.pi / n) - params.varphi
     m = len(w)
-    sw, cw = np.sin(w), np.cos(w)
+    cw, sw, p, q, phase, h = signal_factors(d, w, params)
     st, ct = np.sin(params.theta), np.cos(params.theta)
-    p, q = pq_values(d, cw, sw, params.theta)
-    phase = (1j * np.exp(-1j * (params.chi + params.varphi))) * (cw - 1j * sw)
-    h = phase * st * q * p
     t = p.real
     # dq = sin(w) cos(theta) r and sq = sin^2(theta) cos(w) r, r = (d T - x Q)/(1 - x^2) with
     # 1 - x^2 = sin^2 w + cos^2 w sin^2 theta (no cancellation); r = 0 where it vanishes.
@@ -239,7 +235,7 @@ def transition_scan(params: FsimParams, m_shots: int, depth_grid) -> list[dict]:
     depths = [int(d) for d in depth_grid]
     if len(depths) < 2 or depths != sorted(set(depths)):
         raise ValueError("depth grid must hold two or more increasing depths")
-    reports = [asdict(crlb(d, params, m_shots)) for d in depths]
+    reports = [crlb(d, params, m_shots)._asdict() for d in depths]
     slopes = {f"slope_{n}": windowed_slopes(depths, [r[f"crlb_{n}"] for r in reports]) for n in PARAM_NAMES}
     rows = []
     for i, (d, rep) in enumerate(zip(depths, reports)):

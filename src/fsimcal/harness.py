@@ -156,9 +156,12 @@ class ExperimentConfig(Section):
 
     @property
     def confusion_shots(self):
-        """The confusion check's shots per row: confusion_check.shots, else confusion_sample_size (inf past floats)."""
+        """The confusion check's shots per row: confusion_check.shots, else confusion_sample_size (inf past floats).
+
+        None when neither is given: without noise.confusion there is no kappa to size the sample from.
+        """
         cc = self.confusion_check or ConfusionCheckConfig()
-        if cc.shots is not None:
+        if cc.shots is not None or self.noise.confusion is None:
             return cc.shots
         try:
             return confusion_sample_size(self.noise.confusion.kappa, cc.epsilon, cc.alpha, cc.constant)
@@ -203,16 +206,17 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(
     correction; after the ladder and the peak fit, their moduli |h| in one
     np.hypot each, then theta_pd.  The peak-fit stage forms its least-squares
     operator once; fourier_estimate's report and peak_fit's one matvec with
-    that operator run per replicate.  A degenerate coefficient gives the
-    replicate a failure record and drops it from the later stages; a fidelity
-    collapse is a warning; any other exception propagates.
+    that operator run per replicate.  A replicate's record is its report's
+    _asdict(), which the later stages fill in.  A degenerate coefficient
+    gives the replicate a failure record and drops it from the later stages;
+    a fidelity collapse is a warning; any other exception propagates.
     """
     d, params, noise = config.depth, config.gate_truth, config.noise
-    reports, failures = dict.fromkeys(replicates), {}
+    records, failures = dict.fromkeys(replicates), {}
 
     def stage(block, depth, omegas):
         # Grid stage 0, ladder 1, peak fit 2; p[:, 0] is p_X - 1/2 and p[:, 1] p_Y - 1/2 for each live replicate.
-        live = list(reports)
+        live = list(records)
         p = simulate_probability_batch(depth, omegas(live), params, noise, point=point, replicates=live, block=block)
         return live, p - 0.5
 
@@ -223,41 +227,38 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(
     rows = zip(live, amps, amps.mean(axis=1).tolist(), (0.5 * wpa_solve(sequential_phase_diffs(c))).tolist())
     for r, a, theta_hat, varphi_hat in rows:
         try:
-            reports[r] = fourier_estimate(a, theta_hat, varphi_hat, noise.shots)
+            records[r] = fourier_estimate(a, theta_hat, varphi_hat, noise.shots)._asdict()
         except DegenerateCoefficientError as exc:
-            del reports[r]
+            del records[r]
             failures[r] = {"replicate": r, "reason": f"{type(exc).__name__}: {exc}"}
     if config.alpha_correction and d >= 3:
         alpha_hat, theta_corr = estimate_alpha_corrected(amps)
         for r, alpha, theta in zip(live, alpha_hat.tolist(), theta_corr.tolist()):
-            if r not in reports:  # failed above
+            if r not in records:  # failed above
                 continue
             if alpha <= 0.0:
-                reports[r].warnings.append(f"alpha_hat = {alpha} <= 0")
+                records[r]["warnings"].append(f"alpha_hat = {alpha} <= 0")
             else:
-                reports[r].alpha_hat = alpha
-                reports[r].diagnostics["theta_corrected"] = theta
-    phi = lambda live: np.array([[reports[r].varphi_hat] for r in live])  # each replicate's a-priori phase
-    if config.theta_pd and reports:
+                records[r]["alpha_hat"] = alpha
+                records[r]["diagnostics"]["theta_corrected"] = theta
+    phi = lambda live: np.array([[records[r]["varphi_hat"]] for r in live])  # each replicate's a-priori phase
+    if config.theta_pd and records:
         depths = np.arange(d, 3 * d + 1, 2)
         live, p = stage(1, depths, lambda live: phi(live).repeat(len(depths), axis=1))
-        var_phi_pri = [reports[r].var_theory_varphi for r in live]
+        var_phi_pri = [records[r]["var_theory_varphi"] for r in live]
         theta_pd, var_pd, budget = theta_pd_estimate(np.hypot(p[:, 0], p[:, 1]), d, noise.shots, var_phi_pri)
         for r, theta, bias in zip(live, theta_pd.tolist(), budget.tolist()):
-            reports[r].theta_pd = theta
-            reports[r].diagnostics["theta_pd_var_theory"] = var_pd
-            reports[r].diagnostics["theta_pd_bias_budget"] = bias
-    if config.peak_fit.enabled and reports:
+            records[r]["theta_pd"] = theta
+            records[r]["diagnostics"]["theta_pd_var_theory"] = var_pd
+            records[r]["diagnostics"]["theta_pd_bias_budget"] = bias
+    if config.peak_fit.enabled and records:
         offsets, fit = peak_fit_operator(d, config.peak_fit.n_pf)
         live, p = stage(2, d, lambda live: phi(live) + offsets)
         for r, a in zip(live, np.hypot(p[:, 0], p[:, 1])):
-            report = reports[r]
-            result = peak_fit(fit, a, d, report.varphi_hat, config.peak_fit.beta_thr)
-            report.theta_pf = result.theta_pf
-            report.diagnostics["peak_fit"] = {k: getattr(result, k) for k in ("beta0", "beta1", "beta2", "accepted")}
-    # The record is the report's fields, shallow: asdict would deep-copy the diagnostics.
-    record = lambda report: {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
-    return [failures[r] if r in failures else record(reports[r]) for r in replicates]
+            result = peak_fit(fit, a, d, records[r]["varphi_hat"], config.peak_fit.beta_thr)._asdict()
+            records[r]["theta_pf"] = result.pop("theta_pf")
+            records[r]["diagnostics"]["peak_fit"] = result
+    return [failures[r] if r in failures else records[r] for r in replicates]
 
 
 def _median(values: list) -> float | None:
@@ -309,7 +310,6 @@ def _summarize(config: ExperimentConfig, reports: list[dict], point: int) -> dic
     return summary
 
 
-@dataclass
 class ProcessPoolExecutor:
     """--jobs N: map forks n - 1 workers, n = min(N, tasks), and runs task k in worker k mod n, 0 being this process.
 
@@ -319,7 +319,8 @@ class ProcessPoolExecutor:
     and rebinds this class.
     """
 
-    max_workers: int
+    def __init__(self, max_workers: int):
+        self.max_workers = max_workers
 
     def map(self, fn, tasks) -> list:
         tasks, pids, fds = list(tasks), [], []

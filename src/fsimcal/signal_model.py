@@ -33,15 +33,20 @@ def omega_grid(depth: int) -> np.ndarray:
     return np.arange(n) * (np.pi / n)
 
 
-def exact_signal(d, omegas, params: FsimParams) -> np.ndarray:
-    """Noiseless h = i e^{-i(chi+varphi)} e^{-iw} sin(theta) Q P at w = omega - varphi, (P, Q) from su2.pq_values.
+def signal_factors(d, w, params: FsimParams):
+    """(cos w, sin w, P, Q, phase, h) at w = omega - varphi: one route to h for exact_signal and fisher.gradient_grid.
 
-    fisher.gradient_grid's operands in its order: on the grid, its h bit for bit.  d is one depth or one per omega.
+    h = phase sin(theta) Q P with phase = i e^{-i(chi+varphi)} e^{-iw} and (P, Q) from su2.pq_values.
     """
-    w = np.asarray(omegas, dtype=float) - params.varphi
     cw, sw = np.cos(w), np.sin(w)
     p, q = pq_values(d, cw, sw, params.theta)
-    return (1j * np.exp(-1j * (params.chi + params.varphi))) * (cw - 1j * sw) * np.sin(params.theta) * q * p
+    phase = (1j * np.exp(-1j * (params.chi + params.varphi))) * (cw - 1j * sw)
+    return cw, sw, p, q, phase, phase * np.sin(params.theta) * q * p
+
+
+def exact_signal(d, omegas, params: FsimParams) -> np.ndarray:
+    """Noiseless h at the modulation angles omegas, from signal_factors; d is one depth or one per omega."""
+    return signal_factors(d, np.asarray(omegas, dtype=float) - params.varphi, params)[-1]
 
 
 def spectrum_from_h(h, depth: int) -> np.ndarray:

@@ -18,7 +18,7 @@ lstsq, next to its 50-digit least-squares reference.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -877,10 +877,10 @@ def run_replicate_per_row(config, *, point=0, replicates=range(1)) -> list[dict]
     cube as a product.
     """
     d, params, noise = config.depth, config.gate_truth, config.noise
-    reports, failures = dict.fromkeys(replicates), {}
+    records, failures = dict.fromkeys(replicates), {}
 
     def stage(block, depth, omegas, finish):
-        live = list(reports)
+        live = list(records)
         if not live:
             return
         w = omegas(live)
@@ -889,7 +889,7 @@ def run_replicate_per_row(config, *, point=0, replicates=range(1)) -> list[dict]
             try:
                 finish(r, wr, px, py)
             except DegenerateCoefficientError as exc:
-                del reports[r]
+                del records[r]
                 failures[r] = {"replicate": r, "reason": f"{type(exc).__name__}: {exc}"}
 
     def fourier(r, w, px, py):
@@ -900,38 +900,46 @@ def run_replicate_per_row(config, *, point=0, replicates=range(1)) -> list[dict]
         amps = np.abs(c)
         theta_hat = float(amps.mean())
         low = np.flatnonzero(amps < LOW_SNR_FLOOR_SCALE / math.sqrt(noise.shots * (2 * d - 1)))
-        report = reports[r] = EstimateReport(
+        record = records[r] = EstimateReport(
             theta_hat=theta_hat,
             varphi_hat=float(varphi_hat),
+            alpha_hat=None,
+            theta_pd=None,
+            theta_pf=None,
             var_theory_theta=variance_theory_theta(d, noise.shots),
             var_theory_varphi=variance_theory_varphi(d, noise.shots, theta_hat),
             warnings=[f"low-snr coefficients at k={low.tolist()}"] if low.size else [],
-        )
+            diagnostics={},
+        )._asdict()
         if config.alpha_correction and d >= 3:
             rest = float(amps[1:].mean())
             alpha_hat = 1.0 - 2.0 * math.sqrt(2.0) * (float(amps[0]) - rest)
             if alpha_hat <= 0.0:
-                report.warnings.append(f"alpha_hat = {alpha_hat} <= 0")
+                record["warnings"].append(f"alpha_hat = {alpha_hat} <= 0")
             else:
-                report.alpha_hat = alpha_hat
-                report.diagnostics["theta_corrected"] = rest / alpha_hat
+                record["alpha_hat"] = alpha_hat
+                record["diagnostics"]["theta_corrected"] = rest / alpha_hat
 
     def ladder(r, w, px, py):
-        report = reports[r]
+        record = records[r]
         theta_pd = 0.5 * _wpa_1d(np.diff(np.hypot(px - 0.5, py - 0.5)))
         t = abs(theta_pd)
         dt = d * t
-        report.theta_pd = theta_pd
-        report.diagnostics["theta_pd_var_theory"] = variance_theory_theta_pd(d, noise.shots)
-        report.diagnostics["theta_pd_bias_budget"] = 6.5 * d**2 * t * report.var_theory_varphi + 37.0 * (dt * dt * dt)
+        record["theta_pd"] = theta_pd
+        record["diagnostics"]["theta_pd_var_theory"] = variance_theory_theta_pd(d, noise.shots)
+        record["diagnostics"]["theta_pd_bias_budget"] = (
+            6.5 * d**2 * t * record["var_theory_varphi"] + 37.0 * (dt * dt * dt)
+        )
 
     def fit(r, w, px, py):
-        report = reports[r]
-        result = peak_fit(operator, np.hypot(px - 0.5, py - 0.5), d, report.varphi_hat, config.peak_fit.beta_thr)
-        report.theta_pf = result.theta_pf
-        report.diagnostics["peak_fit"] = {k: getattr(result, k) for k in ("beta0", "beta1", "beta2", "accepted")}
+        record = records[r]
+        result = peak_fit(operator, np.hypot(px - 0.5, py - 0.5), d, record["varphi_hat"], config.peak_fit.beta_thr)
+        record["theta_pf"] = result.theta_pf
+        record["diagnostics"]["peak_fit"] = {
+            "beta0": result.beta0, "beta1": result.beta1, "beta2": result.beta2, "accepted": result.accepted
+        }
 
-    phi = lambda live: np.array([[reports[r].varphi_hat] for r in live])
+    phi = lambda live: np.array([[records[r]["varphi_hat"]] for r in live])
     grid = omega_grid(d)
     stage(0, d, lambda live: np.broadcast_to(grid, (len(live), grid.size)), fourier)
     if config.theta_pd:
@@ -940,8 +948,7 @@ def run_replicate_per_row(config, *, point=0, replicates=range(1)) -> list[dict]
     if config.peak_fit.enabled:
         offsets, operator = peak_fit_operator(d, config.peak_fit.n_pf)
         stage(2, d, lambda live: phi(live) + offsets, fit)
-    record = lambda report: {f.name: getattr(report, f.name) for f in fields(report)}
-    return [failures[r] if r in failures else record(reports[r]) for r in replicates]
+    return [failures[r] if r in failures else records[r] for r in replicates]
 
 
 def peak_fit_lstsq(omegas, amplitudes, d: int, phi_pri: float, beta_thr: float | None = None) -> PeakFitResult:

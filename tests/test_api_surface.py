@@ -9,14 +9,21 @@ live in ``tests/oracles.py``.  The package itself re-exports exactly the
 names that ``scripts/`` and ``perfbench/`` use through it, as
 ``from fsimcal import X`` or ``fsimcal.X``.  Likewise, every defaulted
 parameter of a module-level function of the package is passed, by keyword
-or at its position, by some call in those program files.
+or at its position, by some call in those program files.  A type that only
+carries values is a NamedTuple: the dataclasses are the config sections and
+ConfusionMatrix.
 """
 
 import ast
+import dataclasses
 import functools
+import importlib
 import pathlib
 
 import pytest
+
+from fsimcal.config import Section
+from fsimcal.noise import ConfusionMatrix
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fsimcal"
@@ -122,3 +129,15 @@ def test_every_defaulted_parameter_is_set_by_the_program():
                 if not any(name in kw or None in kw or (position is not None and n > position) for n, kw in calls):
                     unset.append(f"{path.stem}.{fn.name}({name})")
     assert not unset, f"defaulted parameters no program call sets: {unset}"
+
+
+def test_the_only_dataclasses_are_config_sections_and_the_confusion_matrix():
+    # Each dataclass costs start-up time at import; a result type returns its values as a NamedTuple.
+    defined = [
+        obj
+        for module in (importlib.import_module(f"fsimcal.{p.stem}") for p in sorted(PACKAGE.glob("*.py")))
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj)
+    ]
+    strays = [cls.__qualname__ for cls in defined if not issubclass(cls, Section) and cls is not ConfusionMatrix]
+    assert len(defined) == 7 and not strays, f"dataclasses that are no config section: {strays}"

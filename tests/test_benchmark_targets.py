@@ -2,9 +2,11 @@
 
 ``perfbench/tracing.py`` wraps fsimcal functions by module and attribute name;
 a renamed or removed target turns its per-layer metrics into ``None``.  Its
-observers read the result of each call: ``fourier_estimate``'s warnings and
-``peak_fit``'s acceptance, one call per replicate.  Its ``su2.pq_values``
-metrics claim the Chebyshev share of the Fisher pass, one span per block.
+observers read the result of each call: ``fourier_estimate``'s warnings,
+``peak_fit``'s acceptance, one call per replicate, and ``fisher_matrix``'s
+clamped points; its crlb loop reads ``crlb``'s bounds as attributes.  Its
+``su2.pq_values`` metrics claim the Chebyshev share of the Fisher pass, one
+span per block.
 These tests load that file as it is, install every target, and undo the
 rebinding.
 """
@@ -70,12 +72,12 @@ def test_a_traced_calibrate_run_reports_one_estimate_and_one_fit_per_replicate(t
 
 def test_a_traced_crlb_records_one_pq_values_span_per_block(tracing):
     # d = 8193 sums its grid of 16385 points in five blocks.
-    d = 8193
+    d, params = 8193, FsimParams(1e-3, 0.2, 0.3)
     blocks = -(-(2 * d - 1) // fisher._BLOCK_POINTS)
     tracer, patches = tracing.Tracer("crlb"), tracing.Patches()
     try:
         assert tracing.install(tracer, patches) == set()
-        fisher.crlb(d, FsimParams(1e-3, 0.2, 0.3), 1000)
+        report = fisher.crlb(d, params, 1000)
     finally:
         patches.restore()
     by_sid = {span.sid: span for span in tracer.spans}
@@ -84,3 +86,19 @@ def test_a_traced_crlb_records_one_pq_values_span_per_block(tracing):
     assert all(by_sid[s.parent].name == "fisher.gradient_grid" for s in tracer.spans if s.name == "su2.pq_values")
     layers = tracing.layer_metrics(tracer.spans, tracer.counts)
     assert layers["su2.pq_values.calls"] == blocks and layers["su2.pq_values.points"] == 2 * d - 1
+    assert layers["fisher.clamped_points"] == fisher.fisher_matrix(d, params, 1000).clamped_points
+    # the benchmark's crlb loop reads the three bounds as attributes
+    assert all(isinstance(getattr(report, f"crlb_{n}"), float) for n in ("theta", "varphi", "chi"))
+
+
+def test_a_traced_fisher_matrix_counts_its_clamped_points(tracing):
+    # p_X = 1 + 4e-15 at one point of the d = 51 grid (test_fisher.TestBlocks.CLAMPED), so the count is not 0.
+    d, params = 51, FsimParams(1.0009435211535902, -2.195364427435445, -2.512324884421145)
+    tracer, patches = tracing.Tracer("clamped"), tracing.Patches()
+    try:
+        assert tracing.install(tracer, patches) == set()
+        info = fisher.fisher_matrix(d, params, 1000)
+    finally:
+        patches.restore()
+    layers = tracing.layer_metrics(tracer.spans, tracer.counts)
+    assert layers["fisher.clamped_points"] == info.clamped_points == 1

@@ -28,7 +28,7 @@ from fsimcal import (
     run_mode,
 )
 from fsimcal.cli import main as cli_main
-from fsimcal.estimators import DegenerateCoefficientError
+from fsimcal.estimators import DegenerateCoefficientError, fourier_estimate
 from fsimcal.fisher import transition_scan
 from fsimcal.harness import (
     FIGURES,
@@ -252,6 +252,17 @@ class TestStageEstimators:
         if alpha and d >= 3 and 0 <= collapse < reps and collapse != zero:
             assert records[collapse]["warnings"][-1].startswith("alpha_hat = -")
 
+    def test_records_own_their_containers(self):
+        # A shared warnings list or diagnostics dict would let one replicate's later stages write into another's record.
+        cfg = small_config(replicates=4, theta_pd=True, alpha_correction=True)
+        records = harness.run_replicate(cfg, point=0, replicates=range(4))
+        assert all("peak_fit" in r["diagnostics"] and "theta_corrected" in r["diagnostics"] for r in records)
+        for key in ("warnings", "diagnostics"):
+            assert len({id(r[key]) for r in records}) == len(records)
+        assert len({id(r["diagnostics"]["peak_fit"]) for r in records}) == len(records)
+        a, b = (fourier_estimate(np.ones(4), 1.0, 0.0, 100) for _ in range(2))
+        assert a.warnings is not b.warnings and a.diagnostics is not b.diagnostics
+
     def test_one_row_past_the_temporary_elision_threshold(self):
         # From d = 16385 one row's phase-difference product reaches numpy's 256 KiB temporary-elision threshold,
         # past which a `*` between temporaries may multiply with its operands swapped; the batch there is one row.
@@ -288,6 +299,13 @@ class TestConfig:
             ExperimentConfig(mode="sweep-shots", gate_truth=TRUTH, noise=NoiseConfig(), depth=4)
         with pytest.raises(ValueError):
             ExperimentConfig(mode="nonsense", gate_truth=TRUTH, noise=NoiseConfig(), depth=4)
+
+    def test_confusion_shots_is_none_without_a_matrix_or_shots(self):
+        assert small_config(depth=4).confusion_shots is None
+        assert small_config(confusion_check=ConfusionCheckConfig(shots=300)).confusion_shots == 300
+        noise = NoiseConfig(seed=3, confusion=ConfusionMatrix.uniform(0.9))
+        expected = harness.confusion_sample_size(noise.confusion.kappa, 0.05, 0.1, 8.0)
+        assert small_config(noise=noise).confusion_shots == expected
 
     def test_non_dominant_confusion_rejected_in_every_mode(self):
         noise = NoiseConfig(shots=10, seed=3, confusion=ConfusionMatrix.uniform(0.4))
