@@ -3,10 +3,10 @@
 Every sampled mode is a list of run points, each a calibrate config at one
 grid value.  A point runs to one record, the dict its JSON is written from,
 reproducible byte-for-byte across process counts and batch sizes: every
-random draw is keyed by (kind, seed, point, replicate, block), a point's
-replicates run in batches of one simulator call per stage, all batches of a
-run go through one map (--jobs processes, forked once, none at --jobs 1),
-and aggregation walks the results in replicate order.  Records keep a stable
+random draw is keyed by (kind, seed, point, replicate), a point's replicates
+run in batches of one simulator call per stage, all batches of a run go
+through one map (--jobs processes, forked once, none at --jobs 1), and
+aggregation walks the results in replicate order.  Records keep a stable
 key order; tables are UTF-8 CSV with LF line endings and repr-exact floats.
 """
 
@@ -38,6 +38,7 @@ from .estimators import (
 )
 from .noise import (
     BOOTSTRAP,
+    CIRCUIT,
     CONFUSION,
     STREAM_VERSION,
     ConfusionMatrix,
@@ -64,8 +65,11 @@ __all__ = [
 ARTIFACT_VERSION = "0.2.0"
 SCHEMA_VERSION = 1
 _MAX_DEPTH = 2**16  # the deepest circuit a config may ask for; a guard against typos, not a memory guarantee
+_MAX_REPLICATES = 10**6  # the most replicates a config may ask for; a guard against typos, as _MAX_DEPTH is
 # Circuits per stage and input state in one batch of replicates: bounds a batch's arrays whatever R and d.
 _BATCH_ENTRIES = 1 << 15
+# Bootstrap resamples per run point, and (resample, replicate) counts per block of them: 32 KB a block array.
+_RESAMPLES, _RESAMPLE_ENTRIES = 1000, 1 << 12
 
 
 class _Mode(NamedTuple):
@@ -94,7 +98,7 @@ class _Estimator(NamedTuple):
 
 _CRLB_COLUMNS = ("d", "crlb_theta", "crlb_varphi", "crlb_chi", "slope_theta", "slope_varphi", "slope_chi")
 _ALPHA_COLUMNS = ("d", "alpha_dem", "median_alpha_hat", "median_abs_deviation", "n")
-# The summarized estimators, in bootstrap-slot order.
+# The summarized estimators, in summary order; one bootstrap draw resamples them all.
 _SUMMARY_ESTIMATORS = {
     "theta_hat": _Estimator(lambda r: r.get("theta_hat"), lambda r: r["var_theory_theta"]),
     "varphi_hat": _Estimator(
@@ -132,7 +136,7 @@ class ExperimentConfig(Section):
     depth: int | None = setting(int, None, optional=True, ge=2, le=_MAX_DEPTH)  # the estimators need d >= 2
     depth_grid: tuple | None = setting(tuple, None, optional=True, ge=2, le=_MAX_DEPTH)  # so do the CRLB closed forms
     shots_grid: tuple | None = setting(tuple, None, optional=True, ge=1, lt=1 << 63)  # the sampler counts in int64
-    replicates: int = setting(int, 96, ge=1)
+    replicates: int = setting(int, 96, ge=1, le=_MAX_REPLICATES)
     noise: NoiseConfig = setting(NoiseConfig, NoiseConfig())
     peak_fit: PeakFitConfig = setting(PeakFitConfig, PeakFitConfig())
     theta_pd: bool = setting(bool, False)
@@ -197,31 +201,34 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(
     Each stage is one simulator call over every live replicate of the batch
     and both input states: the 2(2d-1) grid circuits, then as configured the
     progressive-difference ladder (depths d, d+2, ..., 3d) and the peak fit,
-    both at each replicate's own varphi_hat.  Replicate r draws only from the
-    keys (CIRCUIT, seed, point, r, stage), one generator per stage for both
-    inputs, so its record does not depend on the batch it runs in.  Each
-    stage's estimators also run once over its rows: after the grid one FFT
-    gives every replicate's c_0 .. c_{d-1} (the first d DFT coefficients),
-    then their moduli, phase differences, Fourier estimates and fidelity
-    correction; after the ladder and the peak fit, their moduli |h| in one
-    np.hypot each, then theta_pd.  The peak-fit stage forms its least-squares
-    operator once; fourier_estimate's report and peak_fit's one matvec with
-    that operator run per replicate.  A replicate's record is its report's
-    _asdict(), which the later stages fill in.  A degenerate coefficient
-    gives the replicate a failure record and drops it from the later stages;
-    a fidelity collapse is a warning; any other exception propagates.
+    both at each replicate's own varphi_hat.  Replicate r draws only from its
+    one generator, keyed (CIRCUIT, seed, point, r), which its stages draw from
+    in turn for both inputs, so its record does not depend on the batch it
+    runs in; the exact mode builds no generator.  A stage starts where the
+    previous enabled stage left the generator, so enabling the ladder moves
+    the peak fit's draws.  Each stage's estimators also run once over its
+    rows: after the grid one FFT gives every replicate's c_0 .. c_{d-1} (the
+    first d DFT coefficients), then their moduli, phase differences, Fourier
+    estimates and fidelity correction; after the ladder and the peak fit,
+    their moduli |h| in one np.hypot each, then theta_pd.  The peak-fit stage
+    forms its least-squares operator once; fourier_estimate's report and
+    peak_fit's one matvec with that operator run per replicate.  A replicate's
+    record is its report's _asdict(), which the later stages fill in.  A
+    degenerate coefficient gives the replicate a failure record and drops it
+    from the later stages; a fidelity collapse is a warning; any other
+    exception propagates.
     """
     d, params, noise = config.depth, config.gate_truth, config.noise
     records, failures = dict.fromkeys(replicates), {}
+    rngs = {r: None if noise.exact else stream(CIRCUIT, noise.seed, point, r) for r in replicates}
 
-    def stage(block, depth, omegas):
-        # Grid stage 0, ladder 1, peak fit 2; p[:, 0] is p_X - 1/2 and p[:, 1] p_Y - 1/2 for each live replicate.
+    def stage(depth, omegas):
+        # p[:, 0] is p_X - 1/2 and p[:, 1] p_Y - 1/2 for each live replicate.
         live = list(records)
-        p = simulate_probability_batch(depth, omegas(live), params, noise, point=point, replicates=live, block=block)
-        return live, p - 0.5
+        return live, simulate_probability_batch(depth, omegas(live), params, noise, [rngs[r] for r in live]) - 0.5
 
     grid = omega_grid(d)
-    live, p = stage(0, d, lambda live: np.broadcast_to(grid, (len(live), grid.size)))
+    live, p = stage(d, lambda live: np.broadcast_to(grid, (len(live), grid.size)))
     c = spectrum_from_h(p[:, 0] + 1j * p[:, 1], d)[:, :d]  # each row's c_0 .. c_{d-1}
     amps = np.abs(c)
     rows = zip(live, amps, amps.mean(axis=1).tolist(), (0.5 * wpa_solve(sequential_phase_diffs(c))).tolist())
@@ -244,7 +251,7 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(
     phi = lambda live: np.array([[records[r]["varphi_hat"]] for r in live])  # each replicate's a-priori phase
     if config.theta_pd and records:
         depths = np.arange(d, 3 * d + 1, 2)
-        live, p = stage(1, depths, lambda live: phi(live).repeat(len(depths), axis=1))
+        live, p = stage(depths, lambda live: phi(live).repeat(len(depths), axis=1))
         var_phi_pri = [records[r]["var_theory_varphi"] for r in live]
         theta_pd, var_pd, budget = theta_pd_estimate(np.hypot(p[:, 0], p[:, 1]), d, noise.shots, var_phi_pri)
         for r, theta, bias in zip(live, theta_pd.tolist(), budget.tolist()):
@@ -253,7 +260,7 @@ def run_replicate(config: ExperimentConfig, *, point: int = 0, replicates=range(
             records[r]["diagnostics"]["theta_pd_bias_budget"] = bias
     if config.peak_fit.enabled and records:
         offsets, fit = peak_fit_operator(d, config.peak_fit.n_pf)
-        live, p = stage(2, d, lambda live: phi(live) + offsets)
+        live, p = stage(d, lambda live: phi(live) + offsets)
         for r, a in zip(live, np.hypot(p[:, 0], p[:, 1])):
             result = peak_fit(fit, a, d, records[r]["varphi_hat"], config.peak_fit.beta_thr)._asdict()
             records[r]["theta_pf"] = result.pop("theta_pf")
@@ -282,31 +289,52 @@ def _percentile(a: np.ndarray, q: float) -> float:
 
 
 def _summarize(config: ExperimentConfig, reports: list[dict], point: int) -> dict:
-    summary = {}
-    for slot, (name, est) in enumerate(_SUMMARY_ESTIMATORS.items()):
-        vals = np.array([v for v in map(est.value, reports) if v is not None], dtype=float)
-        if not vals.size:
+    """Each estimator's statistics over the reports that have its value, and a replicate-level bootstrap of its MSE.
+
+    One (1000, n) draw of indices into the n reports, keyed (BOOTSTRAP, seed, point, 0) and taken k rows at a time,
+    resamples every estimator: with a resample's counts c, its mean is c @ (sq * has) / c @ has over the reports
+    that have a value, the denominator in integers and the numerator summed along the replicates by add.reduce, so
+    no bit depends on k.  A resample with none of them is left out of that estimator's percentiles; ci_resamples
+    counts the resamples kept.
+    """
+    summary, sq, has = {}, [], []
+    for name, est in _SUMMARY_ESTIMATORS.items():
+        vals = list(map(est.value, reports))
+        kept = np.array([v for v in vals if v is not None], dtype=float)
+        if not kept.size:
             continue
         truth = est.truth(config)
-        res = vals - truth if est.period is None else np.array([math.remainder(v - truth, est.period) for v in vals])
-        sq = res**2
+        res = kept - truth if est.period is None else np.array([math.remainder(v - truth, est.period) for v in kept])
+        has.append([v is not None for v in vals])
+        sq.append(np.zeros(len(vals)))
+        sq[-1][has[-1]] = res**2
         bias = float(res.mean())
-        rng = stream(BOOTSTRAP, config.noise.seed, point, 0, slot)
-        # Same draws, in the same order, as 1000 successive size-n calls.
-        boot = sq[rng.integers(0, len(sq), size=(1000, len(sq)))].mean(axis=1)
-        entry = {
-            "n": len(vals),
+        summary[name] = {
+            "n": len(kept),
             "truth": truth,
-            "mean": float(vals.mean()),
+            "mean": float(kept.mean()),
             "bias": bias,
             "var": float(((res - bias) ** 2).mean()),
-            "mse": float(sq.mean()),
-            "ci_low": _percentile(boot, 2.5),
-            "ci_high": _percentile(boot, 97.5),
+            "mse": float((res**2).mean()),
         }
         if est.var_theory is not None:
-            entry["var_theory"] = float(np.mean([v for v in map(est.var_theory, reports) if v is not None]))
-        summary[name] = entry
+            summary[name]["var_theory"] = float(np.mean([v for v in map(est.var_theory, reports) if v is not None]))
+    if not summary:
+        return summary
+    n, sq, has = len(reports), np.array(sq), np.array(has, dtype=np.int64)
+    rng = stream(BOOTSTRAP, config.noise.seed, point, 0)
+    rows = max(1, _RESAMPLE_ENTRIES // n)
+    sums = []
+    for b in range(0, _RESAMPLES, rows):
+        idx = rng.integers(0, n, size=(min(rows, _RESAMPLES - b), n))  # the next rows of one (1000, n) draw
+        counts = np.bincount((idx + np.arange(0, idx.size, n)[:, None]).ravel(), minlength=idx.size).reshape(idx.shape)
+        # Integer denominators, exact; off BLAS, whose first level-3 call holds about 0.17 MB more resident memory.
+        sums.append(((sq[:, None] * counts).sum(axis=2), has @ counts.T))
+    num, den = (np.hstack(part) for part in zip(*sums))
+    for entry, nu, de in zip(summary.values(), num, den):
+        # A resample misses every report with a value w.p. (1 - n_j/n)^n <= 1/e, all 1000 of them w.p. <= e^-1000.
+        boot = nu[de > 0] / de[de > 0]
+        entry.update(ci_low=_percentile(boot, 2.5), ci_high=_percentile(boot, 97.5), ci_resamples=len(boot))
     return summary
 
 
@@ -442,7 +470,7 @@ def run_confusion_check(config: ExperimentConfig) -> dict:
     failures = 0
     worst = 0.0
     for trial in range(cc.trials):
-        rng = stream(CONFUSION, config.noise.seed, 0, trial, 0)
+        rng = stream(CONFUSION, config.noise.seed, 0, trial)
         rows = rng.multinomial(m_cmt, confusion.entries) / m_cmt
         q = rng.dirichlet(np.ones(4))
         try:

@@ -1,13 +1,13 @@
 """Noisy data generation: finite shots, depolarizing, drift, readout error.
 
 Every random draw comes from a generator keyed by (kind, seed, point,
-replicate, block), so datasets are bit-identical regardless of evaluation
-order or parallelism.  The one simulator entry point takes a sequence of
-R replicates and an (R, n) array of angles, and returns the (R, 2, n) |01>
-frequencies of both input states: a replicate's two inputs draw from one
-generator, the noiseless signal and the readout steps run once over the
-whole batch, and the drift kernel walks each depth's gates once over every
-replicate's columns.  The measured object is always the 4-outcome
+replicate), so datasets are bit-identical regardless of evaluation order or
+parallelism.  The one simulator entry point takes R replicates' generators
+and an (R, n) array of angles, and returns the (R, 2, n) |01> frequencies of
+both input states: a replicate's two inputs draw from its one generator, the
+noiseless signal and the readout steps run once over the whole batch, and
+the drift kernel walks each depth's gates once over every replicate's
+columns.  The measured object is always the 4-outcome
 distribution over two-qubit bitstrings (00, 01, 10, 11), the last axis of
 the (..., 4) arrays readout mixing and correction act on; the subspace
 signal lives in outcomes 01/10 and depolarizing leaks weight onto 00/11.
@@ -48,7 +48,7 @@ class InversionRejectedError(ValueError):
 
 # Version of the random-stream layout; bumped whenever a sampled value of a
 # given (config, seed) changes, and recorded with every run.
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 # What a generator is for, the first word of its key.
 CIRCUIT, BOOTSTRAP, CONFUSION = 0, 1, 2
 # (gate, column) entries per block of the drift kernel: each block array
@@ -255,31 +255,22 @@ def _drifted_survival(d, omegas, params, drift, rngs):
     return p
 
 
-def simulate_probability_batch(
-    d,
-    omegas,
-    params: FsimParams,
-    noise: NoiseConfig,
-    *,
-    point: int = 0,
-    replicates,
-    block: int = 0,
-) -> np.ndarray:
+def simulate_probability_batch(d, omegas, params: FsimParams, noise: NoiseConfig, rngs) -> np.ndarray:
     """Empirical |01> probabilities of R replicates' circuits at angles omegas, from both inputs.
 
-    replicates is a sequence of R indices and omegas an (R, n) array, row r holding replicate r's
-    circuits; d is one depth, or an (n,) array of one depth per circuit that every replicate shares.
-    The result is (R, 2, n): row [r, 0] for the X input and [r, 1] for the Y input.  The noiseless
-    signal, depolarizing, readout mixing, normalisation and correction run once over the whole
-    (replicate, input, circuit) array, and act on each row alone.  Replicate r's two inputs draw from
-    one generator, keyed (CIRCUIT, seed, point, r, block): for each distinct depth in ascending order
-    the (d, 3, 2, n_d) drift uniforms, the circuits' last gate first, then one multinomial over its
-    (2, n, 4) rows.  Under a confusion matrix the sampled 4-outcome frequencies are pushed through its
-    inverse before the 01 component is returned.
+    rngs holds the R replicates' generators (unused, and may be None, in exact mode) and omegas is an
+    (R, n) array, row r holding the circuits of the replicate rngs[r] draws for; d is one depth, or an
+    (n,) array of one depth per circuit that every replicate shares.  The result is (R, 2, n): row
+    [r, 0] for the X input and [r, 1] for the Y input.  The noiseless signal, depolarizing, readout
+    mixing, normalisation and correction run once over the whole (replicate, input, circuit) array,
+    and act on each row alone.  Replicate r's two inputs draw from rngs[r], from where the caller left
+    it: for each distinct depth in ascending order the (d, 3, 2, n_d) drift uniforms, the circuits'
+    last gate first, then one multinomial over its (2, n, 4) rows.  Under a confusion matrix the
+    sampled 4-outcome frequencies are pushed through its inverse before the 01 component is returned.
     """
     omegas = np.asarray(omegas, dtype=float)
-    if omegas.ndim != 2 or len(omegas) != len(replicates):
-        raise ValueError(f"omegas must be ({len(replicates)}, n), one row per replicate, got {omegas.shape}")
+    if omegas.ndim != 2 or len(omegas) != len(rngs):
+        raise ValueError(f"omegas must be ({len(rngs)}, n), one row per replicate, got {omegas.shape}")
     if np.ndim(d) and np.shape(d) != omegas.shape[1:]:
         raise ValueError(f"d must be one depth or ({omegas.shape[1]},), one per circuit, got {np.shape(d)}")
     depths = np.broadcast_to(d, omegas.shape[1:])
@@ -288,7 +279,6 @@ def simulate_probability_batch(
         p = 0.5 + np.stack([p.real, p.imag], axis=1)
         if noise.exact:
             return p
-    rngs = [stream(CIRCUIT, noise.seed, point, r, block) for r in replicates]
     if noise.drift is not None:
         p = np.empty((len(rngs), 2, len(depths)))
         for dj in sorted(set(depths.tolist())):

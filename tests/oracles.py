@@ -403,8 +403,8 @@ def binomial_signal_replicates(d, params_tuple, m_shots, n_replicates, seed):
     return ex - 0.5 + 1j * (ey - 0.5)
 
 
-def brute_noisy_counts(depths, omegas, params, noise, key):
-    """(2, n, 4) outcome counts of one replicate stage's noisy circuits, gate by gate, from stream(*key).
+def brute_noisy_counts(depths, omegas, params, noise, rng):
+    """(2, n, 4) outcome counts of one replicate stage's noisy circuits, gate by gate, drawn from rng.
 
     Row [k, i] is circuit i from input k (the X input, then the Y input).
     The generator draws as the simulator documents: for each distinct depth
@@ -413,7 +413,6 @@ def brute_noisy_counts(depths, omegas, params, noise, key):
     then one multinomial shot draw over the depolarized, readout-confused
     distributions of both inputs' circuits.
     """
-    rng = stream(*key)
     depths = np.broadcast_to(depths, np.shape(omegas))
     offsets = [[np.zeros((d, 3))] * 2 for d in depths]
     if noise.drift is not None:
@@ -509,10 +508,10 @@ def drifted_survival_whole_draw(d, omegas, params, drift, rngs):
 
 # The simulator as it was before one call covered both inputs: each input
 # state's circuits simulated, depolarized and readout-mixed on their own.
-# Under stream version 3 both inputs draw from one generator, keyed
-# (CIRCUIT, seed, point, replicate, block), so it forms both and returns one.
-# Row [0, k] of simulate_probability_batch, given replicates=[replicate],
-# must equal it byte for byte for input state INPUT_STATES[k].
+# Both inputs draw from the replicate's one generator, so it forms both and
+# returns one.  Row [0, k] of simulate_probability_batch, given [rng], must
+# equal it byte for byte for input state INPUT_STATES[k], from a generator in
+# the same state.
 INPUT_STATES = ("plus", "i")
 _BETA = {"plus": 1.0 + 0.0j, "i": 1.0j}
 
@@ -535,20 +534,17 @@ def simulate_probability_batch_one_input(
     params: FsimParams,
     noise: NoiseConfig,
     input_state: str,
-    *,
-    point: int = 0,
-    replicate: int = 0,
-    block: int = 0,
+    rng,
 ) -> np.ndarray:
     """Empirical |01> probabilities for a batch of circuits at angles omegas, from one input state.
 
-    d is one depth or one depth per circuit.  The batch draws from one
-    generator, keyed (CIRCUIT, seed, point, replicate, block): the (d, 3, 2,
-    n_d) drift uniforms of each distinct depth in ascending depth order, the
-    last gate first, then one multinomial over both inputs' rows.  Under a
-    confusion matrix the sampled 4-outcome frequencies are pushed through
-    its inverse before the 01 component is returned.  Depolarizing, readout
-    mixing and correction act on each row alone.
+    d is one depth or one depth per circuit.  The batch draws from rng, the
+    replicate's generator: the (d, 3, 2, n_d) drift uniforms of each distinct
+    depth in ascending depth order, the last gate first, then one
+    multinomial over both inputs' rows.  Under a confusion matrix the
+    sampled 4-outcome frequencies are pushed through its inverse before the
+    01 component is returned.  Depolarizing, readout mixing and correction
+    act on each row alone.
     """
     if input_state not in INPUT_STATES:
         raise ValueError(f"input_state must be one of {INPUT_STATES}")
@@ -559,7 +555,6 @@ def simulate_probability_batch_one_input(
         p = [0.5 + (np.conj(beta) * h).real for beta in _BETA.values()]
         if noise.exact:
             return p[INPUT_STATES.index(input_state)]
-    rng = stream(CIRCUIT, noise.seed, point, replicate, block)
     if noise.drift is not None:
         p = np.empty((2, len(omegas)))
         for dj in np.unique(depths):
@@ -583,12 +578,21 @@ def simulate_probability_batch_one_input(
     return freq[INPUT_STATES.index(input_state), :, 1]
 
 
-def bootstrap_means_loop(sq, rng, resamples=1000):
-    """Percentile-bootstrap resample means, one size-n draw per resample."""
-    boot = np.empty(resamples)
-    for b in range(resamples):
-        boot[b] = sq[rng.integers(0, len(sq), size=len(sq))].mean()
-    return boot
+def bootstrap_means_loop(sq, has, rng, resamples=1000):
+    """Replicate-level bootstrap: each estimator's resample means, one size-n draw and count row per resample.
+
+    sq and has are (estimators, n): squared residuals (0 where a replicate has no value) and 0/1 value marks.
+    Resample b's draw counts each replicate c_i times; estimator j's mean is sum_i c_i sq_ji / sum_i c_i has_ji,
+    the numerator one 1-D sum over the replicates, and a resample with no value of j is left out of its list.
+    """
+    n = sq.shape[1]
+    boot = [[] for _ in sq]
+    for _ in range(resamples):
+        c = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        for j, (s, h) in enumerate(zip(sq, has)):
+            if (den := int(c[h > 0].sum())) > 0:
+                boot[j].append((s * c).sum() / den)
+    return [np.array(b) for b in boot]
 
 
 def richardson_gradient_grid(d, params):
@@ -816,11 +820,11 @@ def _truth_for(name: str, config) -> float:
 
 
 def summarize_by_name(config, reports: list[dict], point: int) -> dict:
-    """harness._summarize as it was before the estimator table, kept as the reference."""
+    """harness._summarize as one branch per estimator name and one bootstrap loop per resample, kept as the reference."""
     from fsimcal.noise import BOOTSTRAP, stream
 
-    summary = {}
-    for slot, name in enumerate(_SUMMARY_ESTIMATORS):
+    summary, sq, has = {}, [], []
+    for name in _SUMMARY_ESTIMATORS:
         pairs = _estimator_values(name, reports)
         if not pairs:
             continue
@@ -831,21 +835,17 @@ def summarize_by_name(config, reports: list[dict], point: int) -> dict:
         else:
             res = vals - truth
         bias = float(res.mean())
-        mse = float((res**2).mean())
-        var = float(((res - bias) ** 2).mean())
-        rng = stream(BOOTSTRAP, config.noise.seed, point, 0, slot)
-        sq = res**2
-        # Same draws, in the same order, as 1000 successive size-n calls.
-        boot = sq[rng.integers(0, len(sq), size=(1000, len(sq)))].mean(axis=1)
+        sq.append(np.zeros(len(reports)))
+        has.append(np.zeros(len(reports)))
+        for (i, _), r in zip(pairs, res):
+            sq[-1][i], has[-1][i] = r * r, 1.0
         entry = {
             "n": len(vals),
             "truth": truth,
             "mean": float(vals.mean()),
             "bias": bias,
-            "var": var,
-            "mse": mse,
-            "ci_low": float(np.percentile(boot, 2.5)),
-            "ci_high": float(np.percentile(boot, 97.5)),
+            "var": float(((res - bias) ** 2).mean()),
+            "mse": float((res**2).mean()),
         }
         if name == "theta_hat":
             entry["var_theory"] = float(np.mean([r["var_theory_theta"] for r in reports]))
@@ -856,6 +856,12 @@ def summarize_by_name(config, reports: list[dict], point: int) -> dict:
                 np.mean([r["diagnostics"]["theta_pd_var_theory"] for r in reports if "theta_pd_var_theory" in r["diagnostics"]])
             )
         summary[name] = entry
+    if summary:
+        boots = bootstrap_means_loop(np.array(sq), np.array(has), stream(BOOTSTRAP, config.noise.seed, point, 0))
+        for entry, boot in zip(summary.values(), boots):
+            entry.update(
+                ci_low=float(np.percentile(boot, 2.5)), ci_high=float(np.percentile(boot, 97.5)), ci_resamples=len(boot)
+            )
     return summary
 
 
@@ -879,12 +885,14 @@ def run_replicate_per_row(config, *, point=0, replicates=range(1)) -> list[dict]
     d, params, noise = config.depth, config.gate_truth, config.noise
     records, failures = dict.fromkeys(replicates), {}
 
-    def stage(block, depth, omegas, finish):
+    rngs = {r: None if noise.exact else stream(CIRCUIT, noise.seed, point, r) for r in replicates}
+
+    def stage(depth, omegas, finish):
         live = list(records)
         if not live:
             return
         w = omegas(live)
-        p = harness.simulate_probability_batch(depth, w, params, noise, point=point, replicates=live, block=block)
+        p = harness.simulate_probability_batch(depth, w, params, noise, [rngs[r] for r in live])
         for r, wr, (px, py) in zip(live, w, p):
             try:
                 finish(r, wr, px, py)
@@ -941,13 +949,13 @@ def run_replicate_per_row(config, *, point=0, replicates=range(1)) -> list[dict]
 
     phi = lambda live: np.array([[records[r]["varphi_hat"]] for r in live])
     grid = omega_grid(d)
-    stage(0, d, lambda live: np.broadcast_to(grid, (len(live), grid.size)), fourier)
+    stage(d, lambda live: np.broadcast_to(grid, (len(live), grid.size)), fourier)
     if config.theta_pd:
         depths = np.arange(d, 3 * d + 1, 2)
-        stage(1, depths, lambda live: phi(live).repeat(len(depths), axis=1), ladder)
+        stage(depths, lambda live: phi(live).repeat(len(depths), axis=1), ladder)
     if config.peak_fit.enabled:
         offsets, operator = peak_fit_operator(d, config.peak_fit.n_pf)
-        stage(2, d, lambda live: phi(live) + offsets, fit)
+        stage(d, lambda live: phi(live) + offsets, fit)
     return [failures[r] if r in failures else records[r] for r in replicates]
 
 

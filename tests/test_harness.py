@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from fsimcal.harness import (
 )
 from fsimcal.noise import BOOTSTRAP, STREAM_VERSION, InversionRejectedError, stream
 
-from oracles import bootstrap_means_loop, run_replicate_per_row
+from oracles import bootstrap_means_loop, run_replicate_per_row, summarize_by_name
 
 TRUTH = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
 DROP = object()  # an edit value that removes the key from a config
@@ -151,9 +152,9 @@ class TestReplicateBatches:
         simulate, fourier = harness.simulate_probability_batch, harness.fourier_estimate
         correct = harness.estimate_alpha_corrected
 
-        def spy(*args, replicates, block, **kwargs):
-            stages.append((block, list(replicates)))
-            return simulate(*args, replicates=replicates, block=block, **kwargs)
+        def spy(*args):
+            stages.append(list(args[4]))  # the live replicates' generators
+            return simulate(*args)
 
         def degenerate_third(*args):
             grid_calls.append(args)
@@ -171,7 +172,9 @@ class TestReplicateBatches:
         monkeypatch.setattr(harness, "estimate_alpha_corrected", collapse_fourth)
         records = harness.run_replicate(cfg, point=1, replicates=range(5))
         assert records[2] == {"replicate": 2, "reason": "DegenerateCoefficientError: injected"}
-        assert stages == [(0, [0, 1, 2, 3, 4]), (1, [0, 1, 3, 4]), (2, [0, 1, 3, 4])]
+        # The grid, the ladder and the peak fit, each drawing from the same generators in turn.
+        assert [len(s) for s in stages] == [5, 4, 4]
+        assert stages[1] == stages[2] == [stages[0][i] for i in (0, 1, 3, 4)]
         assert self.dumps(records[i] for i in (0, 1, 4)) == self.dumps(clean[i] for i in (0, 1, 4))
         collapsed, kept = records[3], clean[3]
         assert collapsed["warnings"] == [*kept["warnings"], "alpha_hat = -0.25 <= 0"] and collapsed["alpha_hat"] is None
@@ -201,19 +204,24 @@ class TestStageEstimators:
     @staticmethod
     def inject(monkeypatch, zero, collapse):
         """In the grid stage, replicate zero's probabilities read 1/2 (every c_k exactly 0) and replicate collapse's
-        gain 0.3 (|c_0| far above the rest, so alpha_hat < 0)."""
-        simulate = harness.simulate_probability_batch
+        gain 0.3 (|c_0| far above the rest, so alpha_hat < 0).
 
-        def injected(*args, replicates, block, **kwargs):
-            p = simulate(*args, replicates=replicates, block=block, **kwargs)
-            for i, r in enumerate(replicates):
-                if block == 0 and r == zero:
-                    p[i] = 0.5
-                elif block == 0 and r == collapse:
-                    p[i] += 0.3
+        The grid stage is a run's first simulator call, row r replicate r: returns the list of calls, which the
+        caller empties before each run."""
+        simulate, calls = harness.simulate_probability_batch, []
+
+        def injected(*args):
+            p = simulate(*args)
+            for r in range(len(p)) if not calls else ():
+                if r == zero:
+                    p[r] = 0.5
+                elif r == collapse:
+                    p[r] += 0.3
+            calls.append(len(p))
             return p
 
         monkeypatch.setattr(harness, "simulate_probability_batch", injected)
+        return calls
 
     @given(
         reps=st.integers(1, 6),
@@ -242,8 +250,9 @@ class TestStageEstimators:
             peak_fit=PeakFitConfig(enabled=fit, n_pf=7),
         )
         with pytest.MonkeyPatch.context() as monkeypatch:
-            self.inject(monkeypatch, zero, collapse)
+            calls = self.inject(monkeypatch, zero, collapse)
             records = harness.run_replicate(cfg, point=1, replicates=range(reps))
+            calls.clear()
             expected = run_replicate_per_row(cfg, point=1, replicates=range(reps))
         assert _packed(records) == _packed(expected)
         if 0 <= zero < reps:
@@ -595,9 +604,11 @@ class TestRunCalibration:
         vals = TRUTH.theta + np.random.default_rng(n).normal(0.0, 1e-4, size=n)
         reports = [{"theta_hat": float(v), "var_theory_theta": 1e-8, "diagnostics": {}} for v in vals]
         entry = _summarize(cfg, reports, point=3)["theta_hat"]
-        boot = bootstrap_means_loop((vals - TRUTH.theta) ** 2, stream(BOOTSTRAP, cfg.noise.seed, 3, 0, 0))
+        sq, has = ((vals - TRUTH.theta) ** 2)[None], np.ones((1, n))
+        (boot,) = bootstrap_means_loop(sq, has, stream(BOOTSTRAP, cfg.noise.seed, 3, 0))
         assert entry["ci_low"] == float(np.percentile(boot, 2.5))
         assert entry["ci_high"] == float(np.percentile(boot, 97.5))
+        assert entry["ci_resamples"] == len(boot) == 1000
 
     @settings(max_examples=300)
     @given(
@@ -646,7 +657,7 @@ class TestRunCalibration:
             "failures",
             "replicates",
         ]
-        assert payload["stream_version"] == STREAM_VERSION == 3
+        assert payload["stream_version"] == STREAM_VERSION == 4
         assert "wall_clock" not in json.dumps(payload)
         # Each replicate's record has a fixed size at every depth: no per-coefficient lists.
         for rep in payload["replicates"]:
@@ -662,6 +673,73 @@ class TestRunCalibration:
                 "diagnostics",
             ]
             assert list(rep["diagnostics"]) == ["theta_corrected", "theta_pd_var_theory", "theta_pd_bias_budget", "peak_fit"]
+
+
+def synthetic_reports(n, seed, present=0.7):
+    """n replicate reports with every summarized estimator near the truth; alpha_hat, theta_corrected, theta_pd and
+    theta_pf each present with probability present."""
+    rng = np.random.default_rng(seed)
+    maybe = lambda value: float(value) if rng.random() < present else None
+    reports = []
+    for _ in range(n):
+        theta_pd = maybe(TRUTH.theta + 2e-4 * rng.standard_normal())
+        diagnostics = {"theta_corrected": maybe(TRUTH.theta + 1e-4 * rng.standard_normal())}
+        if theta_pd is not None:
+            diagnostics["theta_pd_var_theory"] = 4e-8
+        reports.append({
+            "theta_hat": float(TRUTH.theta + 1e-4 * rng.standard_normal()),
+            "varphi_hat": float(TRUTH.varphi + 1e-3 * rng.standard_normal()),
+            "alpha_hat": maybe(1.0 - 1e-3 * rng.random()),
+            "theta_pd": theta_pd,
+            "theta_pf": maybe(TRUTH.theta + 3e-4 * rng.standard_normal()),
+            "var_theory_theta": 1e-8,
+            "var_theory_varphi": 1e-6,
+            "diagnostics": diagnostics,
+        })
+    return reports
+
+
+class TestBootstrapBlocks:
+    """One replicate-level bootstrap per point, its count matrix built a block of resamples at a time."""
+
+    @pytest.mark.parametrize("n, rows", [(3, 1), (3, 7), (3, 1000), (48, 1), (48, 7), (48, 1000), (5, None)])
+    def test_summary_bytes_do_not_depend_on_the_block(self, monkeypatch, n, rows):
+        # Every block size gives the per-resample loop's bytes; rows None is the default, one boundary at row 819.
+        cfg, reports = small_config(), synthetic_reports(n, seed=n)
+        if rows is None:
+            assert harness._RESAMPLE_ENTRIES // n == 819
+        else:
+            monkeypatch.setattr(harness, "_RESAMPLE_ENTRIES", rows * n)
+        assert json.dumps(_summarize(cfg, reports, point=2)) == json.dumps(summarize_by_name(cfg, reports, point=2))
+
+    def test_a_resample_without_a_value_is_left_out(self):
+        # theta_pf has a value in replicate 1 alone: the resamples that never draw it are left out, and each
+        # one kept has replicate 1's squared residual as its mean, to the last bit or so (c sq / c for c <= 3).
+        cfg, reports = small_config(), synthetic_reports(3, seed=5, present=1.0)
+        reports[0]["theta_pf"] = reports[2]["theta_pf"] = None
+        summary = _summarize(cfg, reports, point=4)
+        idx = stream(BOOTSTRAP, cfg.noise.seed, 4, 0).integers(0, 3, size=(1000, 3))
+        kept = int((idx == 1).any(axis=1).sum())
+        assert 600 < kept < 800  # 1000 (1 - (2/3)^3) = 704 expected
+        entry, sq = summary["theta_pf"], (reports[1]["theta_pf"] - TRUTH.theta) ** 2
+        assert (entry["n"], entry["ci_resamples"]) == (1, kept)
+        assert entry["ci_low"] == pytest.approx(sq, rel=4e-16) and entry["ci_high"] == pytest.approx(sq, rel=4e-16)
+        assert all(summary[name]["ci_resamples"] == 1000 for name in summary if name != "theta_pf")
+        assert json.dumps(summary) == json.dumps(summarize_by_name(cfg, reports, point=4))
+
+    def test_memory_stays_near_the_reports(self):
+        # At R = 8000 the peak was 16.0 KB per replicate (122 MiB) with six (1000, R) index draws and gathers; in
+        # blocks of _RESAMPLE_ENTRIES counts it measured 0.24 KB per replicate (1.8 MiB).
+        n = 8000
+        cfg, reports = small_config(replicates=n), synthetic_reports(n, seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _summarize(cfg, reports, point=0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 2048, f"{peak / n:.0f} bytes per replicate"
 
 
 class TestSweeps:
@@ -1097,6 +1175,9 @@ class TestCli:
          [], "noise.confusion must be null in crlb-scan mode"),
         # A peak-fit stage of 1e9 angles per replicate would hold about 64 GB of probabilities.
         ({"peak_fit": {"n_pf": 1_000_000_000}}, [], "peak_fit.n_pf must be an integer >= 3 and <= 131071"),
+        # 10**12 replicates would list about 3e9 batches before the first one ran.
+        ({"replicates": 10**12}, [], "replicates must be an integer >= 1 and <= 1000000"),
+        ({}, ["--replicates", "1000001"], "replicates must be an integer >= 1 and <= 1000000"),
     ]
 
     @pytest.mark.parametrize("edit, flags, begins", REJECTED, ids=[f"edit{i}-flags{i}" for i in range(len(REJECTED))])

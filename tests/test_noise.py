@@ -47,6 +47,11 @@ from oracles import (
 PARAMS = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
 
 
+def streams(noise, replicates=(0,), point=0):
+    """The replicates' generators at a run point, keyed as run_replicate keys them."""
+    return [stream(CIRCUIT, noise.seed, point, r) for r in replicates]
+
+
 def raw_readout(monkeypatch):
     """Skip the sampler's readout correction, so it returns the measured frequencies.
 
@@ -72,13 +77,13 @@ class TestSampleCounts:
             entries = np.zeros((4, 4))
             entries[:, column] = 1.0
             noise = NoiseConfig(shots=1000, seed=1, confusion=ConfusionMatrix(entries))
-            p = simulate_probability_batch(5, [[0.1, 0.7]], PARAMS, noise, replicates=[0])
+            p = simulate_probability_batch(5, [[0.1, 0.7]], PARAMS, noise, streams(noise))
             assert (p == expected).all()
 
     def test_variance_window(self):
         m = 100_000
         noise = NoiseConfig(shots=m, seed=7)
-        freqs = simulate_probability_batch(3, np.zeros((1, 1000)), self.FLAT, noise, replicates=[0])[0, 0]
+        freqs = simulate_probability_batch(3, np.zeros((1, 1000)), self.FLAT, noise, streams(noise))[0, 0]
         assert 0.8 / (4 * m) < freqs.var() < 1.2 / (4 * m)
         assert freqs.mean() == pytest.approx(0.5, abs=5e-4)
 
@@ -86,7 +91,7 @@ class TestSampleCounts:
         d, m, reps, rate = 3, 10_000, 1000, 0.1
         p = apply_depolarizing(0.5, dem_fidelity(rate, d))
         noise = NoiseConfig(shots=m, depol_rate=rate, seed=11)
-        freqs = simulate_probability_batch(d, np.zeros((1, reps)), self.FLAT, noise, replicates=[0])[0, 0]
+        freqs = simulate_probability_batch(d, np.zeros((1, reps)), self.FLAT, noise, streams(noise))[0, 0]
         counts = np.rint(freqs * m).astype(int)
         # bin the binomial around its bulk, folding the tails in
         lo = int(m * p - 4 * math.sqrt(m * p * (1 - p)))
@@ -146,7 +151,7 @@ class TestDepolarizing:
     def test_depolarized_sampling_mean(self):
         d, omega, m, r, reps = 9, 0.7, 10_000, 1e-3, 500
         noise = NoiseConfig(shots=m, depol_rate=r, seed=21)
-        vals = simulate_probability_batch(d, np.full((reps, 1), omega), PARAMS, noise, replicates=range(reps))[:, 0, 0]
+        vals = simulate_probability_batch(d, np.full((reps, 1), omega), PARAMS, noise, streams(noise, range(reps)))[:, 0, 0]
         expected = apply_depolarizing(exact_probabilities(d, omega, PARAMS).p_x, dem_fidelity(r, d))
         se = math.sqrt(expected * (1 - expected) / (m * reps))
         assert abs(vals.mean() - expected) < 3 * se
@@ -156,41 +161,44 @@ class TestSimulate:
     def test_exact_mode_returns_analytic_values(self):
         noise = NoiseConfig(shots=10, depol_rate=0.5, drift=DriftModel(), seed=9, exact=True)
         s = exact_probabilities(8, 1.1, PARAMS)
-        p_x, p_y = simulate_probability_batch(8, [[1.1]], PARAMS, noise, replicates=[0])[0, :, 0]
+        p_x, p_y = simulate_probability_batch(8, [[1.1]], PARAMS, noise, [None])[0, :, 0]  # exact mode draws nothing
         assert p_x == pytest.approx(s.p_x, abs=1e-15)
         assert p_y == pytest.approx(s.p_y, abs=1e-15)
 
     @pytest.mark.parametrize("omegas", [[0.4, 0.5], [[0.4, 0.5]] * 3], ids=["one-dimensional", "rows-not-replicates"])
     def test_omegas_need_one_row_per_replicate(self, omegas):
         with pytest.raises(ValueError, match=r"omegas must be \(2, n\)"):
-            simulate_probability_batch(6, omegas, PARAMS, NOISE_KINDS["shots"], replicates=[0, 1])
+            simulate_probability_batch(6, omegas, PARAMS, NOISE_KINDS["shots"], streams(NOISE_KINDS["shots"], [0, 1]))
 
     @pytest.mark.parametrize("shape", [(2, 3), (1,), (4,), (3, 1)])
     def test_depths_are_one_or_one_per_circuit(self, shape):
         # The replicates share the depths: a per-replicate (R, n) array is rejected like any other shape.
         message = r"d must be one depth or \(3,\), one per circuit, got " + re.escape(str(shape))
         with pytest.raises(ValueError, match=message):
-            simulate_probability_batch(np.full(shape, 6), np.zeros((2, 3)), PARAMS, NOISE_KINDS["drift"], replicates=[0, 1])
+            simulate_probability_batch(np.full(shape, 6), np.zeros((2, 3)), PARAMS, NOISE_KINDS["drift"], [None, None])
 
     def test_determinism_and_key_separation(self):
         noise = NoiseConfig(shots=1000, drift=DriftModel(), seed=5)
-        # Blocks 12 and 13: each block is one generator, shared by both inputs.
+        omegas = [np.linspace(-3.0, 3.0, 40)]
+        # Replicates 3 and 4 at points 12 and 13: each replicate's one generator is shared by both inputs.
         a, b, c, e = (
-            simulate_probability_batch(6, [[0.4]], PARAMS, noise, replicates=[rep], block=block)[0, :, 0]
-            for rep, block in ((3, 12), (3, 12), (4, 12), (3, 13))
+            simulate_probability_batch(6, omegas, PARAMS, noise, streams(noise, [rep], point))[0]
+            for rep, point in ((3, 12), (3, 12), (4, 12), (3, 13))
         )
         assert a.tobytes() == b.tobytes()
-        assert (a != c).all() and (a != e).all()
+        # Another key draws other counts for each input; at 1000 shots one frequency matches by chance about 1 in 50.
+        for other in (c, e):
+            assert ((a != other).mean(axis=1) >= 0.8).all()
 
     def test_batch_matches_single_circuit_path(self, monkeypatch):
-        # Each circuit gate by gate, both inputs drawing from block 9 in the
-        # documented order: drift uniforms per depth, ascending, then the shots.
+        # Each circuit gate by gate, both inputs drawing from one generator in
+        # the documented order: drift uniforms per depth, ascending, then the shots.
         raw_readout(monkeypatch)
         depths = np.array([7, 3, 7, 5, 3, 7])
         omegas = np.linspace(0.2, 2.9, len(depths))
         for kind, noise in NOISE_KINDS.items():
-            (batch,) = simulate_probability_batch(depths, [omegas], PARAMS, noise, point=2, replicates=[1], block=9)
-            counts = brute_noisy_counts(depths, omegas, PARAMS, noise, (CIRCUIT, noise.seed, 2, 1, 9))
+            (batch,) = simulate_probability_batch(depths, [omegas], PARAMS, noise, streams(noise, [1], 2))
+            counts = brute_noisy_counts(depths, omegas, PARAMS, noise, stream(CIRCUIT, noise.seed, 2, 1))
             assert np.allclose(batch, counts[..., 1] / noise.shots, atol=0), kind
 
     def test_drift_half_widths(self):
@@ -205,7 +213,7 @@ class TestSimulate:
         d, theta = 30, 0.01
         params = FsimParams(theta, 0.3, -0.2)
         noise = NoiseConfig(shots=1_000_000, drift=DriftModel(), seed=31)
-        ((px, py),) = simulate_probability_batch(d, np.full((1, 300), params.varphi), params, noise, replicates=[0])
+        ((px, py),) = simulate_probability_batch(d, np.full((1, 300), params.varphi), params, noise, streams(noise))
         drifted = np.hypot(px - 0.5, py - 0.5).mean()
         clean = abs(complex(exact_signal(d, params.varphi, params)))
         assert drifted < clean
@@ -257,11 +265,10 @@ def test_rows_match_the_one_input_simulator(kind, depths):
     # Row k is, byte for byte, what the one-input-at-a-time simulator gives for input k.
     noise = NOISE_KINDS.get(kind) or dataclasses.replace(NOISE_KINDS["all"], exact=True)
     omegas = np.linspace(0.2, 2.9, 12)
-    key = dict(point=2, replicate=5)
-    batch = simulate_probability_batch(depths, [omegas], PARAMS, noise, point=2, replicates=[5], block=4)
+    batch = simulate_probability_batch(depths, [omegas], PARAMS, noise, streams(noise, [5], 2))
     assert batch.shape == (1, 2, len(omegas))
     for k, state in enumerate(INPUT_STATES):
-        one = simulate_probability_batch_one_input(depths, omegas, PARAMS, noise, state, **key, block=4)
+        one = simulate_probability_batch_one_input(depths, omegas, PARAMS, noise, state, *streams(noise, [5], 2))
         assert batch[0, k].tobytes() == one.tobytes()
 
 
@@ -280,10 +287,10 @@ def test_drift_rows_match_the_one_input_simulator_across_gate_blocks(depths, nc,
     widths = {int(dj): int(np.sum(np.broadcast_to(depths, nc) == dj)) for dj in np.unique(depths)}
     steps = {dj: max(1, noise_module._BLOCK_ENTRIES // (2 * widths[dj])) for dj in widths}
     assert {dj: -(-dj // steps[dj]) for dj in widths} == blocks
-    omegas, noise, key = np.linspace(-3.0, 3.0, nc), NOISE_KINDS["all"], dict(point=1, replicate=3)
-    (batch,) = simulate_probability_batch(depths, [omegas], PARAMS, noise, point=1, replicates=[3], block=6)
+    omegas, noise = np.linspace(-3.0, 3.0, nc), NOISE_KINDS["all"]
+    (batch,) = simulate_probability_batch(depths, [omegas], PARAMS, noise, streams(noise, [3], 1))
     for k, state in enumerate(INPUT_STATES):
-        one = simulate_probability_batch_one_input(depths, omegas, PARAMS, noise, state, **key, block=6)
+        one = simulate_probability_batch_one_input(depths, omegas, PARAMS, noise, state, *streams(noise, [3], 1))
         assert batch[k].tobytes() == one.tobytes()
 
 
@@ -314,11 +321,11 @@ def test_drift_kernel_matches_the_whole_draw_oracle(d, nc, theta):
 
 
 def test_mixed_depth_batch_matches_the_whole_draw_oracle(monkeypatch):
-    depths, noise, key = np.array([100, 2, 37, 3] * 50), NOISE_KINDS["all"], dict(point=4, replicates=[1], block=2)
+    depths, noise = np.array([100, 2, 37, 3] * 50), NOISE_KINDS["all"]
     omegas = [np.linspace(-3.0, 3.0, len(depths))]
-    batch = simulate_probability_batch(depths, omegas, PARAMS, noise, **key)
+    batch = simulate_probability_batch(depths, omegas, PARAMS, noise, streams(noise, [1], 4))
     monkeypatch.setattr(noise_module, "_drifted_survival", drifted_survival_whole_draw)
-    assert batch.tobytes() == simulate_probability_batch(depths, omegas, PARAMS, noise, **key).tobytes()
+    assert batch.tobytes() == simulate_probability_batch(depths, omegas, PARAMS, noise, streams(noise, [1], 4)).tobytes()
 
 
 def test_drift_kernel_memory_stays_near_its_draws():
@@ -352,9 +359,9 @@ BATCH_KERNEL_CASES = {
 def test_batch_kernel_matches_one_replicate_calls(depths, omegas):
     # The batch's bytes do not depend on which replicates share the kernel's walk.
     noise, replicates = NOISE_KINDS["all"], [3, 0, 7, 1, 12, 5][: len(omegas)]
-    batch = simulate_probability_batch(depths, omegas, PARAMS, noise, point=2, replicates=replicates, block=1)
+    batch = simulate_probability_batch(depths, omegas, PARAMS, noise, streams(noise, replicates, 2))
     for r, w, row in zip(replicates, omegas, batch):
-        (one,) = simulate_probability_batch(depths, [w], PARAMS, noise, point=2, replicates=[r], block=1)
+        (one,) = simulate_probability_batch(depths, [w], PARAMS, noise, streams(noise, [r], 2))
         assert row.tobytes() == one.tobytes()
 
 
@@ -362,12 +369,12 @@ def test_batch_kernel_memory_stays_near_its_draws():
     # A grid-stage call over 16 replicates at d = 100, the drift-sweep's batch per worker: about
     # 1.6 MiB, where holding each replicate's gate step across the batch would take 17 MiB.
     d, reps = 100, 16
-    omegas = np.broadcast_to(omega_grid(d), (reps, 2 * d - 1))
+    omegas, rngs = np.broadcast_to(omega_grid(d), (reps, 2 * d - 1)), streams(NOISE_KINDS["all"], range(reps))
     tracemalloc.start()
     tracemalloc.reset_peak()
     before = tracemalloc.get_traced_memory()[0]
     try:
-        simulate_probability_batch(d, omegas, PARAMS, NOISE_KINDS["all"], replicates=range(reps))
+        simulate_probability_batch(d, omegas, PARAMS, NOISE_KINDS["all"], rngs)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -382,10 +389,10 @@ def test_deep_drifted_call_stays_small_in_a_fresh_process():
     script = """
 import pathlib, re
 from fsimcal import DriftModel, FsimParams, NoiseConfig
-from fsimcal.noise import simulate_probability_batch
+from fsimcal.noise import CIRCUIT, simulate_probability_batch, stream
 from fsimcal.signal_model import omega_grid
 noise = NoiseConfig(shots=100_000, depol_rate=1e-3, drift=DriftModel(), seed=7)
-simulate_probability_batch(1000, [omega_grid(1000)], FsimParams(1e-3, 0.2, 0.5), noise, replicates=[0])
+simulate_probability_batch(1000, [omega_grid(1000)], FsimParams(1e-3, 0.2, 0.5), noise, [stream(CIRCUIT, 7, 0, 0)])
 print(re.search(r"VmHWM:\\s*(\\d+) kB", pathlib.Path("/proc/self/status").read_text()).group(1))
 """
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -396,40 +403,39 @@ print(re.search(r"VmHWM:\\s*(\\d+) kB", pathlib.Path("/proc/self/status").read_t
 
 
 def _block(args):
-    """One drifted, confused block; module level so a worker process can run it."""
-    block, noise = args
+    """One replicate's drifted, confused stage; module level so a worker process can run it."""
+    replicate, noise = args
     depths = np.arange(2, 14)
     omegas = [np.linspace(0.0, 3.0, 12)]
-    return simulate_probability_batch(depths, omegas, PARAMS, noise, point=1, replicates=[0], block=block)
+    return simulate_probability_batch(depths, omegas, PARAMS, noise, streams(noise, [replicate], 1))
 
 
 class _Recording:
-    """stream(*key) stand-in that logs each draw with the key's block.
+    """Generator stand-in that logs each draw of the generator it wraps.
 
     Each random(out=) draw, one per gate block of the drift kernel, is
     logged as (stream position, doubles), and served from the flat array
-    replay[block] at that position if given.
+    replay at that position if given.
     """
 
-    def __init__(self, key, log, replay=None):
-        self.rng, self.block, self.log = stream(*key), key[-1], log
-        self.replay, self.position = (replay or {}).get(self.block), 0
+    def __init__(self, rng, log, replay=None):
+        self.rng, self.log, self.replay, self.position = rng, log, replay, 0
 
     def random(self, out):
         self.rng.random(out=out)
         if self.replay is not None:
             out[...] = self.replay[self.position : self.position + out.size].reshape(out.shape)
-        self.log.append(("random", self.block, (self.position, out.copy())))
+        self.log.append(("random", (self.position, out.copy())))
         self.position += out.size
         return out
 
     def multinomial(self, n, pvals):
-        self.log.append(("multinomial", self.block, np.array(pvals)))
+        self.log.append(("multinomial", np.array(pvals)))
         return self.rng.multinomial(n, pvals)
 
 
-def _draws(log, what, block):
-    return [value for kind, b, value in log if kind == what and b == block]
+def _draws(log, what):
+    return [value for kind, value in log if kind == what]
 
 
 def _doubles(draws):
@@ -441,19 +447,27 @@ def _doubles(draws):
 
 
 class TestBatchSeeding:
-    """One generator per replicate and block, keyed (CIRCUIT, seed, point, replicate, block), for both inputs."""
+    """One generator per replicate, keyed (CIRCUIT, seed, point, replicate), for both inputs and every stage."""
 
-    @given(st.tuples(KEY_WORDS, KEY_WORDS, KEY_WORDS, KEY_WORDS))
+    @given(st.tuples(KEY_WORDS, KEY_WORDS, KEY_WORDS))
     @settings(max_examples=60, deadline=None)
     def test_states_match_stream(self, key):
-        # The whole key reaches the block's generator, words above 2**32 included.
-        seed, point, replicate, block = key
+        # The whole key reaches the replicate's generator, words above 2**32 included: run_replicate builds one
+        # generator per replicate from it, the exact mode none, and a stage draws as the brute loop does.
+        seed, point, replicate = key
         noise = NoiseConfig(shots=1000, drift=DriftModel(), seed=seed)
+        keys = []
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(harness, "stream", lambda *key: keys.append(key) or stream(*key))
+            for exact in (False, True):
+                config = ExperimentConfig(
+                    mode="calibrate", gate_truth=PARAMS, noise=dataclasses.replace(noise, exact=exact), depth=3
+                )
+                harness.run_replicate(config, point=point, replicates=[replicate])
+        assert keys == [(CIRCUIT, seed, point, replicate)]
         depths, omegas = [3, 2, 3], [0.1, 0.9, 2.0]
-        (batch,) = simulate_probability_batch(
-            depths, [omegas], PARAMS, noise, point=point, replicates=[replicate], block=block
-        )
-        counts = brute_noisy_counts(depths, omegas, PARAMS, noise, (CIRCUIT, seed, point, replicate, block))
+        (batch,) = simulate_probability_batch(depths, [omegas], PARAMS, noise, [stream(*keys[0])])
+        counts = brute_noisy_counts(depths, omegas, PARAMS, noise, stream(CIRCUIT, seed, point, replicate))
         assert np.allclose(batch, counts[..., 1] / noise.shots, atol=0)
 
     @pytest.mark.parametrize("prefix, ids", [((3, -1, 0), [5]), ((3, 1, 0), [5, -2]), ((-7,), [0])])
@@ -469,8 +483,9 @@ class TestBatchSeeding:
     def test_key_word_beyond_64_bits_rejected(self, key):
         with pytest.raises(ValueError):
             stream(*key)
+        config = ExperimentConfig(mode="calibrate", gate_truth=PARAMS, noise=NOISE_KINDS["shots"], depth=3)
         with pytest.raises(ValueError):
-            simulate_probability_batch(3, [[0.1]], PARAMS, NOISE_KINDS["shots"], replicates=[0], block=max(key))
+            harness.run_replicate(config, point=max(key))
 
     @pytest.mark.parametrize(
         "a, b", [((7, 0, 3), (7, 0, 3, 0)), ((5, 0, 0, 0), (5,)), ((2**32, 5), (0, 1, 5)), ((5,), (5, 0)), ((0,), (0, 0))]
@@ -491,44 +506,44 @@ class TestBatchSeeding:
 
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     @pytest.mark.parametrize("state", INPUT_STATES)
-    def test_mixed_depth_batch_matches_one_call_per_depth(self, kind, state, monkeypatch):
-        # The block 7 generator draws the (d, 3, 2, n_d) drift uniforms of
+    def test_mixed_depth_batch_matches_one_call_per_depth(self, kind, state):
+        # Replicate 2's generator draws the (d, 3, 2, n_d) drift uniforms of
         # each depth as one stretch of its stream, in ascending depth order;
         # they are rebuilt here from the logged gate-block draws.  Handed
         # those uniforms, a call holding one depth alone draws them in the
         # same order and gives its circuits input k's shot probabilities bit
         # for bit: drift runs per depth, depolarizing and readout mixing per row.
         noise = NOISE_KINDS[kind]
-        block, k = 7, INPUT_STATES.index(state)
+        k = INPUT_STATES.index(state)
         rng = np.random.default_rng(8)
         depths = rng.permutation([4] * 20 + [9] * 20 + list(range(10, 130)))
         omegas = rng.uniform(0.0, np.pi, size=len(depths))
-        log, replay = [], {}
-        monkeypatch.setattr(noise_module, "stream", lambda *key: _Recording(key, log, replay))
-        simulate_probability_batch(depths, [omegas], PARAMS, noise, point=3, replicates=[2], block=7)
-        doubles = _doubles(_draws(log, "random", block))
-        (pvals,) = _draws(log, "multinomial", block)
+        log = []
+        simulate_probability_batch(depths, [omegas], PARAMS, noise, [_Recording(stream(CIRCUIT, noise.seed, 3, 2), log)])
+        doubles = _doubles(_draws(log, "random"))
+        (pvals,) = _draws(log, "multinomial")
         expected, start = np.empty_like(pvals), 0
         for dj in np.unique(depths):
             at = depths == dj
             size = dj * 3 * 2 * at.sum() if noise.drift else 0
-            replay[block] = doubles[start : start + size]
+            replay = doubles[start : start + size]
             if size:  # the stretch holds the depth's uniform(-1, 1) draw, bit for bit
-                whole = stream(CIRCUIT, noise.seed, 3, 2, block)
+                whole = stream(CIRCUIT, noise.seed, 3, 2)
                 whole.bit_generator.advance(int(start))
                 uniform = whole.uniform(-1.0, 1.0, (dj, 3, 2, at.sum()))
-                assert (2.0 * replay[block] - 1.0).tobytes() == uniform.tobytes()
+                assert (2.0 * replay - 1.0).tobytes() == uniform.tobytes()
             start += size
             since = len(log)
-            simulate_probability_batch(int(dj), [omegas[at]], PARAMS, noise, point=3, replicates=[2], block=7)
-            assert _doubles(_draws(log[since:], "random", block)).tobytes() == replay[block].tobytes()
-            expected[:, at] = _draws(log, "multinomial", block)[-1]
+            one = _Recording(stream(CIRCUIT, noise.seed, 3, 2), log, replay)
+            simulate_probability_batch(int(dj), [omegas[at]], PARAMS, noise, [one])
+            assert _doubles(_draws(log[since:], "random")).tobytes() == replay.tobytes()
+            expected[:, at] = _draws(log, "multinomial")[-1]
         assert start == len(doubles)
         assert pvals.shape == (2, len(depths), 4)
         assert pvals[k].tobytes() == expected[k].tobytes()
 
     def test_block_draws_are_reproducible_across_processes(self):
-        tasks = [(block, NOISE_KINDS["all"]) for block in range(4)]
+        tasks = [(replicate, NOISE_KINDS["all"]) for replicate in range(4)]
         here = [_block(t).tobytes() for t in tasks]
         assert here == [_block(t).tobytes() for t in tasks]
         pool = harness.ProcessPoolExecutor(max_workers=2)  # the workers of a --jobs 2 run
@@ -538,7 +553,7 @@ class TestBatchSeeding:
     def test_readout_rows_are_independent_of_the_block(self, monkeypatch):
         # The confusion mixing and its inverse act on each row alone: a row's
         # shot probabilities and corrected frequencies keep their bits whatever
-        # rows share its block.
+        # rows share its call.
         log, corrections = [], []
         real_invert = noise_module.invert_confusion
 
@@ -546,27 +561,28 @@ class TestBatchSeeding:
             corrections.append((np.array(q), real_invert(q, confusion)))
             return corrections[-1][1]
 
-        monkeypatch.setattr(noise_module, "stream", lambda *key: _Recording(key, log))
         monkeypatch.setattr(noise_module, "invert_confusion", spy_invert)
+        recording = lambda: [_Recording(stream(CIRCUIT, noise.seed, 0, 0), log)]
         noise = NoiseConfig(shots=10_000, depol_rate=1e-2, confusion=ConfusionMatrix.uniform(0.93), seed=5)
         rng = np.random.default_rng(12)
         for _ in range(20):
             n = int(rng.integers(2, 121))
             depths = rng.integers(2, 40, size=n)
             omegas = rng.uniform(0.0, np.pi, size=n)
-            simulate_probability_batch(depths, [omegas], PARAMS, noise, replicates=[0])
+            simulate_probability_batch(depths, [omegas], PARAMS, noise, recording())
             # One shot draw over the (input, circuit) rows; the correction's are (replicate, input, circuit).
-            pvals, (measured, corrected) = log[-1][2], corrections[-1]
+            pvals, (measured, corrected) = log[-1][1], corrections[-1]
             for i in rng.choice(n, size=5, replace=False):
-                simulate_probability_batch(depths[i], [omegas[i : i + 1]], PARAMS, noise, replicates=[0])
+                simulate_probability_batch(depths[i], [omegas[i : i + 1]], PARAMS, noise, recording())
                 for k in range(2):
-                    assert log[-1][2][k, 0].tobytes() == pvals[k, i].tobytes()
+                    assert log[-1][1][k, 0].tobytes() == pvals[k, i].tobytes()
                     assert real_invert(measured[0, k, i], noise.confusion).tobytes() == corrected[0, k, i].tobytes()
 
     @pytest.mark.parametrize("kind", ["depolarizing", "drift", "confusion", "all"])
     def test_ladder_matches_per_depth_loop(self, kind, monkeypatch):
-        # The ladder d, d+2, ..., 3d is block 1, both inputs, checked
-        # against the gate-by-gate loop over its depths.
+        # The ladder d, d+2, ..., 3d, both inputs, drawing from the replicate's
+        # generator where the grid stage leaves it, checked against the
+        # gate-by-gate loop over its depths.
         seen = []
 
         def spy(amps, *args, **kwargs):
@@ -586,8 +602,9 @@ class TestBatchSeeding:
         (report,) = harness.run_replicate(config, point=1, replicates=[4])
         depths = np.arange(20, 61, 2)
         omegas = np.full(len(depths), report["varphi_hat"])
-        freqs = []
-        for f in brute_noisy_counts(depths, omegas, config.gate_truth, noise, (CIRCUIT, noise.seed, 1, 4, 1)):
+        freqs, rng = [], stream(CIRCUIT, noise.seed, 1, 4)
+        simulate_probability_batch(20, [omega_grid(20)], config.gate_truth, noise, [rng])
+        for f in brute_noisy_counts(depths, omegas, config.gate_truth, noise, rng):
             f = f / noise.shots
             if noise.confusion is not None:
                 f = np.linalg.solve(noise.confusion.entries.T, f.T).T
@@ -606,8 +623,8 @@ class TestConfusion:
         for correct in (True, False):
             if not correct:
                 raw_readout(monkeypatch)
-            a = simulate_probability_batch(5, [omegas], PARAMS, plain, replicates=[0])
-            b = simulate_probability_batch(5, [omegas], PARAMS, ideal, replicates=[0])
+            a = simulate_probability_batch(5, [omegas], PARAMS, plain, streams(plain))
+            b = simulate_probability_batch(5, [omegas], PARAMS, ideal, streams(ideal))
             assert np.array_equal(a, b)
 
     def test_single_row_readout(self):
@@ -648,9 +665,9 @@ class TestConfusion:
     def test_batch_readout_correction_rejects_non_dominant_matrix(self, monkeypatch):
         noise = NoiseConfig(shots=1000, seed=3, confusion=ConfusionMatrix.uniform(0.4))
         with pytest.raises(InversionRejectedError):
-            simulate_probability_batch(5, [[0.1, 0.2]], PARAMS, noise, replicates=[0])
+            simulate_probability_batch(5, [[0.1, 0.2]], PARAMS, noise, streams(noise))
         raw_readout(monkeypatch)
-        raw = simulate_probability_batch(5, [[0.1, 0.2]], PARAMS, noise, replicates=[0])
+        raw = simulate_probability_batch(5, [[0.1, 0.2]], PARAMS, noise, streams(noise))
         assert raw.shape == (1, 2, 2)
 
     def test_kappa(self):
@@ -710,7 +727,7 @@ def spectrum_noise_dataset():
     noise = NoiseConfig(shots=100_000, seed=77)
     grid = omega_grid(d)
     truth = np.fft.fft(exact_signal(d, grid, PARAMS)) / (2 * d - 1)
-    p = simulate_probability_batch(d, np.tile(grid, (reps, 1)), PARAMS, noise, replicates=range(reps), block=0)
+    p = simulate_probability_batch(d, np.tile(grid, (reps, 1)), PARAMS, noise, streams(noise, range(reps)))
     vs = np.fft.fft(p[:, 0] - 0.5 + 1j * (p[:, 1] - 0.5), axis=1) / (2 * d - 1) - truth
     return d, noise.shots, vs
 
