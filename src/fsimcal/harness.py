@@ -149,10 +149,6 @@ class ExperimentConfig(Section):
         mode = MODES.get(self.mode)
         if mode is None:
             raise ValueError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
-        # Readout correction and the confusion check both invert the matrix.
-        confusion = self.noise.confusion
-        if confusion is not None and confusion.dominance <= 0.0:
-            raise InversionRejectedError(confusion.kappa)
         for name, rule, holds in mode.rules:
             value = operator.attrgetter(name)(self)
             if not holds(value):
@@ -461,8 +457,9 @@ def run_confusion_check(config: ExperimentConfig) -> dict:
     Per trial: estimate the confusion matrix row-wise from M_cmt shots,
     correct a random measured distribution with both the estimated and the
     exact matrix, and count || p - p_fs ||_2 > epsilon events.  An estimate
-    invert_confusion rejects is a failed trial with no error: max_error is
-    over the corrected trials.  The failure rate must stay below alpha.
+    that is not diagonally dominant fails when its ConfusionMatrix is built,
+    a failed trial with no error: max_error is over the corrected trials.
+    The failure rate must stay below alpha.
     """
     cc = config.confusion_check or ConfusionCheckConfig()
     confusion = config.noise.confusion
@@ -598,8 +595,9 @@ MODES = {
         rules=(
             ("depth_grid", "two or more increasing depths",
              lambda g: g and len(g) > 1 and g == tuple(sorted(set(g)))),
-            # The bound is shot noise's: drift and readout confusion are not in the Fisher model.
+            # The bound is shot noise's: drift, depolarizing and readout confusion are not in the Fisher model.
             ("noise.drift", "null", lambda drift: drift is None),
+            ("noise.depol_rate", "0", lambda rate: rate == 0.0),
             ("noise.confusion", "null", lambda confusion: confusion is None),
         ),
     ),

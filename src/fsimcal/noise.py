@@ -16,7 +16,7 @@ signal lives in outcomes 01/10 and depolarizing leaks weight onto 00/11.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,10 +40,9 @@ __all__ = [
 class InversionRejectedError(ValueError):
     """Confusion matrix is not diagonally dominant enough to invert safely."""
 
-    def __init__(self, kappa: float):
-        self.kappa = kappa
+    def __init__(self):
         # Only noise.confusion's rejection reaches a user: the confusion check catches its estimates'.
-        super().__init__(f"noise.confusion must be diagonally dominant (each diagonal entry > 0.5), got kappa={kappa}")
+        super().__init__("noise.confusion must be diagonally dominant (each diagonal entry > 0.5), got kappa=inf")
 
 
 # Version of the random-stream layout; bumped whenever a sampled value of a
@@ -88,22 +87,24 @@ class DriftModel(Section, path="noise.drift"):
         return self.theta_frac * abs(theta), ramp
 
 
-@dataclass(frozen=True)
 class ConfusionMatrix:
-    """Row-stochastic matrix R of readout conditional probabilities.
+    """Row-stochastic, diagonally dominant matrix R of readout conditional probabilities.
 
     R[i, j] = P(measured bitstring j | prepared bitstring i), rows ordered
-    (00, 01, 10, 11).
+    (00, 01, 10, 11).  Every diagonal entry exceeds 1/2, so readout correction
+    can solve R^T x = q: dominance = min(2 R[i, i] - 1) > 0 and kappa =
+    1 / dominance.  entries is a read-only copy of the given rows.
     """
 
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        r = np.asarray(self.entries, dtype=float)
+    def __init__(self, entries):
+        r = np.array(entries, dtype=float)
+        r.flags.writeable = False
         # Written so that a NaN entry fails the test.
         if r.shape != (4, 4) or not ((r >= -1e-15).all() and (np.abs(r.sum(axis=1) - 1.0) <= 1e-12).all()):
             raise ValueError("confusion matrix must be 4x4 with nonnegative entries and rows that sum to 1")
-        object.__setattr__(self, "entries", r)
+        self.entries, self.dominance = r, float(min(2.0 * np.diag(r) - 1.0))
+        if self.dominance <= 0.0:
+            raise InversionRejectedError()
 
     @classmethod
     def uniform(cls, p_correct: float) -> "ConfusionMatrix":
@@ -115,7 +116,9 @@ class ConfusionMatrix:
     def from_dict(cls, rows) -> "ConfusionMatrix":
         """The matrix a config gives as the list of rows at noise.confusion."""
         try:
-            return cls(np.array(rows, dtype=float))
+            return cls(rows)
+        except InversionRejectedError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ValueError(f"noise.confusion must be a 4x4 row-stochastic matrix, got {rows!r}") from exc
 
@@ -125,14 +128,12 @@ class ConfusionMatrix:
     def __eq__(self, other):
         return isinstance(other, ConfusionMatrix) and np.array_equal(self.entries, other.entries)
 
-    @property
-    def dominance(self) -> float:
-        return float(min(2.0 * np.diag(self.entries) - 1.0))
+    def __repr__(self):
+        return "ConfusionMatrix()"
 
     @property
     def kappa(self) -> float:
-        m = self.dominance
-        return math.inf if m <= 0.0 else 1.0 / m
+        return 1.0 / self.dominance
 
 
 @dataclass(frozen=True)
@@ -179,13 +180,12 @@ def dem_fidelity(depol_rate: float, d: int) -> float:
 def invert_confusion(q4_measured, confusion: ConfusionMatrix) -> np.ndarray:
     """Solve R^T p = q_measured; the corrected vector is not clipped to [0, 1].
 
+    R is diagonally dominant, as every ConfusionMatrix is, so it is invertible.
     q_measured is one (4,) distribution or an (..., 4) stack of rows, each
     solved on its own, so a row's bits do not depend on the rows beside it;
     the result has its shape.  Clipping would bias the Fourier coefficients
     downstream, so small negative components are passed through as-is.
     """
-    if confusion.dominance <= 0.0:
-        raise InversionRejectedError(confusion.kappa)
     rows = np.asarray(q4_measured, dtype=float)
     return np.linalg.solve(confusion.entries.T, rows[..., None])[..., 0]
 

@@ -91,7 +91,7 @@ def mode_fields(max_depth, noise, confusion_check):
         "sweep-depth": dict(depth_grid=_grid(2, max_depth)),
         "sweep-shots": dict(depth=depth, shots_grid=_grid(1, 10**6)),
         "crlb-scan": dict(depth_grid=_grid(2, max_depth, ascending=True, min_size=2),
-                          noise=noise.map(lambda n: dataclasses.replace(n, drift=None, confusion=None))),
+                          noise=noise.map(lambda n: dataclasses.replace(n, depol_rate=0.0, drift=None, confusion=None))),
         "alpha-scan": dict(depth_grid=_grid(3, max_depth), alpha_correction=st.just(True)),
         "confusion-check": dict(noise=noise.filter(lambda n: n.confusion is not None),
                                 confusion_check=confusion_check),

@@ -631,10 +631,12 @@ def richardson_gradient_grid(d, params):
 
 
 def chebyshev_tu_at(d, w, theta):
-    """fsimcal.su2.chebyshev_tu at angles w, with cos(w) and sin(w) evaluated here."""
-    from fsimcal.su2 import chebyshev_tu
+    """(T_d, U_{d-1}) as fsimcal.su2.pq_values gives them, (P.real, Q), at angles w, with cos(w) and
+    sin(w) evaluated here."""
+    from fsimcal.su2 import pq_values
 
-    return chebyshev_tu(d, np.cos(w), np.sin(w), theta)
+    p, q = pq_values(d, np.cos(w), np.sin(w), theta)
+    return p.real, q
 
 
 def _chebyshev_tu_unsigned(d, cw, sw, theta):
@@ -649,15 +651,15 @@ def _chebyshev_tu_unsigned(d, cw, sw, theta):
 
 def chebyshev_tu_power_sign(d, w, theta):
     """(T_d, U_{d-1}) with the trig of w evaluated inside and the x < 0 sign raised
-    to the powers d and d-1 elementwise: the reference for chebyshev_tu's parity pick."""
+    to the powers d and d-1 elementwise: the reference for pq_values' parity pick."""
     x, t, u = _chebyshev_tu_unsigned(d, np.cos(w), np.sin(w), theta)
     sign = np.where(x < 0.0, -1.0, 1.0)
     return sign**d * t, sign ** (d - 1) * u
 
 
 def chebyshev_tu_quotient(d, cw, sw, theta):
-    """fsimcal.su2.chebyshev_tu with U_{d-1} = sin(d sigma)/s and the parity sign written out with
-    np.where: the byte reference for chebyshev_tu's in-place quotient and sign steps."""
+    """pq_values' (T_d, U_{d-1}) with U_{d-1} = sin(d sigma)/s and the parity sign written out with
+    np.where: the byte reference for pq_values' in-place quotient and sign steps."""
     x, t, u = _chebyshev_tu_unsigned(d, cw, sw, theta)
     sign, odd = np.where(x < 0.0, -1.0, 1.0), np.asarray(d) & 1
     return np.where(odd, sign, 1.0) * t, np.where(odd, 1.0, sign) * u

@@ -10,8 +10,8 @@ names that ``scripts/`` and ``perfbench/`` use through it, as
 ``from fsimcal import X`` or ``fsimcal.X``.  Likewise, every defaulted
 parameter of a module-level function of the package is passed, by keyword
 or at its position, by some call in those program files.  A type that only
-carries values is a NamedTuple: the dataclasses are the config sections and
-ConfusionMatrix.
+carries values is a NamedTuple, and the only dataclasses are the config
+sections.
 """
 
 import ast
@@ -23,7 +23,6 @@ import pathlib
 import pytest
 
 from fsimcal.config import Section
-from fsimcal.noise import ConfusionMatrix
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fsimcal"
@@ -131,7 +130,7 @@ def test_every_defaulted_parameter_is_set_by_the_program():
     assert not unset, f"defaulted parameters no program call sets: {unset}"
 
 
-def test_the_only_dataclasses_are_config_sections_and_the_confusion_matrix():
+def test_the_only_dataclasses_are_config_sections():
     # Each dataclass costs start-up time at import; a result type returns its values as a NamedTuple.
     defined = [
         obj
@@ -139,5 +138,5 @@ def test_the_only_dataclasses_are_config_sections_and_the_confusion_matrix():
         for obj in vars(module).values()
         if isinstance(obj, type) and obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj)
     ]
-    strays = [cls.__qualname__ for cls in defined if not issubclass(cls, Section) and cls is not ConfusionMatrix]
-    assert len(defined) == 7 and not strays, f"dataclasses that are no config section: {strays}"
+    strays = [cls.__qualname__ for cls in defined if not issubclass(cls, Section)]
+    assert len(defined) == 6 and not strays, f"dataclasses that are no config section: {strays}"

@@ -80,6 +80,7 @@ class TestSequentialPhaseDiffs:
             batch = sequential_phase_diffs(c)
             assert all(batch[i].tobytes() == sequential_phase_diffs(c[i]).tobytes() for i in range(5))
 
+    @pytest.mark.simd_bytes
     @pytest.mark.parametrize("shape", [(400, 50), (40, 1000)])
     def test_a_batch_past_the_elision_threshold_gives_each_row_its_bits(self, shape):
         # The batch's (R, d - 1) product reaches numpy's 256 KiB temporary-elision threshold, one row's does not.
@@ -287,6 +288,7 @@ class TestThetaPd:
         with pytest.raises(ValueError):
             theta_pd_estimate(np.zeros(10), 10, 100, 0.0)
 
+    @pytest.mark.simd_bytes
     def test_a_batch_gives_each_row_its_one_row_bits(self):
         rng = np.random.default_rng(29)
         for d, rows in ((2, 3), (10, 7), (50, 48)):
@@ -389,6 +391,7 @@ class TestPeakFit:
     #   65536    8.3e-08 / 3.0e-15          4.9e-12 / 0                8.9e-08 / 3.9e-16
     # Over 300 rows more per d the operator's worst was 5.7e-15, 1.4e-16 and 4.4e-16; the tolerances sit 3-7x above
     # that, and the lstsq fit's beta2 error at d = 65536 is 3e7 times its tolerance.
+    @pytest.mark.simd_bytes
     @pytest.mark.parametrize("d", [50, 1024, 16384, 65536])
     def test_matches_the_50_digit_least_squares(self, d):
         offsets, operator = peak_fit_operator(d, 15)

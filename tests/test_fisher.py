@@ -82,6 +82,7 @@ class TestGradients:
         assert rel.max() <= 1e-5
 
 
+@pytest.mark.simd_bytes
 class TestRealArithmeticRows:
     """The theta and varphi rows in real arithmetic against their complex-product form.
 
@@ -124,6 +125,7 @@ class TestPhaseDerivative:
         assert np.abs(closed - spectral).max() <= 10 * d * np.finfo(float).eps * np.abs(spectral).max()
 
 
+@pytest.mark.simd_bytes
 class TestOnePass:
     """One closed-form pass per point, p from its own h, against the two-pass matrix and exact_signal.
 
@@ -160,6 +162,7 @@ class TestOnePass:
         assert gradient_grid(d, params)[1].tobytes() == blocks.tobytes() == h.tobytes()
 
 
+@pytest.mark.simd_bytes
 class TestBlocks:
     """The Fisher sum over blocks of any size: the same entries to rounding, the same clamped points."""
 
@@ -276,6 +279,7 @@ class TestTransitionScan:
         slopes = windowed_slopes(depths, values)
         assert np.abs(slopes + 1.0).max() < 1e-12
 
+    @pytest.mark.simd_bytes
     @given(st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=60), st.lists(st.floats(-700.0, 700.0), min_size=60, max_size=60))
     @settings(max_examples=200, deadline=None)
     def test_slopes_are_the_window_loop_bytes(self, log_steps, log_values):

@@ -18,6 +18,8 @@ import pathlib
 
 import pytest
 
+pytestmark = pytest.mark.simd_bytes
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 _spec = importlib.util.spec_from_file_location("make_golden_outputs", FIXTURES / "make_golden_outputs.py")
 golden = importlib.util.module_from_spec(_spec)

@@ -45,6 +45,7 @@ from oracles import (
 )
 
 PARAMS = FsimParams(1e-3, np.pi / 16, 5 * np.pi / 32)
+NON_DOMINANT = [[0.4 if i == j else 0.2 for j in range(4)] for i in range(4)]  # row-stochastic, diagonal below 1/2
 
 
 def streams(noise, replicates=(0,), point=0):
@@ -71,12 +72,14 @@ class TestSampleCounts:
 
     def test_degenerate_probabilities(self, monkeypatch):
         # A readout that reports every outcome as 01 (or as 00) pins the
-        # measured frequency at 1 (or 0) whatever the circuit.
+        # measured frequency at 1 (or 0) whatever the circuit.  No ConfusionMatrix
+        # is that far from dominant, so the sampler gets a stand-in built past the check.
         raw_readout(monkeypatch)
         for column, expected in ((1, 1.0), (0, 0.0)):
-            entries = np.zeros((4, 4))
-            entries[:, column] = 1.0
-            noise = NoiseConfig(shots=1000, seed=1, confusion=ConfusionMatrix(entries))
+            readout = object.__new__(ConfusionMatrix)
+            readout.entries = np.zeros((4, 4))
+            readout.entries[:, column] = 1.0
+            noise = NoiseConfig(shots=1000, seed=1, confusion=readout)
             p = simulate_probability_batch(5, [[0.1, 0.7]], PARAMS, noise, streams(noise))
             assert (p == expected).all()
 
@@ -647,10 +650,22 @@ class TestConfusion:
         assert np.abs(invert_confusion(measured, r) - q).max() < 1e-10
 
     def test_inversion_rejected_without_dominance(self):
-        r = ConfusionMatrix.uniform(0.45)
-        with pytest.raises(InversionRejectedError) as err:
-            invert_confusion(np.array([0.25, 0.25, 0.25, 0.25]), r)
-        assert err.value.kappa == math.inf
+        # Below dominance, at its edge (a diagonal entry of exactly 1/2) and singular: no matrix is built.
+        edge, singular = np.eye(4), np.zeros((4, 4))
+        edge[2] = [0.0, 0.0, 0.5, 0.5]
+        singular[:, 1] = 1.0
+        for rows in (NON_DOMINANT, edge, singular):
+            with pytest.raises(InversionRejectedError, match="^noise.confusion must be diagonally dominant"):
+                ConfusionMatrix(rows)
+        with pytest.raises(InversionRejectedError):
+            ConfusionMatrix.uniform(0.45)
+
+    def test_a_noise_config_cannot_hold_a_non_dominant_matrix(self):
+        # Built directly, as scripts and the benchmark build theirs, or from config rows.
+        with pytest.raises(InversionRejectedError):
+            NoiseConfig(shots=1000, confusion=ConfusionMatrix(NON_DOMINANT))
+        with pytest.raises(InversionRejectedError, match="^noise.confusion must be diagonally dominant"):
+            NoiseConfig.from_dict({"shots": 1000, "confusion": NON_DOMINANT})
 
     @pytest.mark.parametrize("stack", [(5,), (2, 3, 7)], ids=["rows", "simulator-layout"])
     def test_row_batch_matches_single_vectors(self, stack):
@@ -662,13 +677,15 @@ class TestConfusion:
         for j in np.ndindex(stack):
             assert batch[j].tobytes() == invert_confusion(q[j], r).tobytes()
 
-    def test_batch_readout_correction_rejects_non_dominant_matrix(self, monkeypatch):
-        noise = NoiseConfig(shots=1000, seed=3, confusion=ConfusionMatrix.uniform(0.4))
-        with pytest.raises(InversionRejectedError):
-            simulate_probability_batch(5, [[0.1, 0.2]], PARAMS, noise, streams(noise))
-        raw_readout(monkeypatch)
-        raw = simulate_probability_batch(5, [[0.1, 0.2]], PARAMS, noise, streams(noise))
-        assert raw.shape == (1, 2, 2)
+    def test_batch_readout_correction_rejects_non_dominant_matrix(self):
+        # The matrix is checked once, when built, and holds its own copy of the rows: rows made
+        # non-dominant after the build never reach the batch's correction.
+        rows = ConfusionMatrix.uniform(0.9).entries.copy()
+        noise = NoiseConfig(shots=1000, seed=3, confusion=ConfusionMatrix(rows))
+        before = simulate_probability_batch(5, [[0.1, 0.2]], PARAMS, noise, streams(noise))
+        rows[...] = NON_DOMINANT
+        after = simulate_probability_batch(5, [[0.1, 0.2]], PARAMS, noise, streams(noise))
+        assert after.tobytes() == before.tobytes()
 
     def test_kappa(self):
         r = ConfusionMatrix.uniform(0.55)

@@ -87,8 +87,8 @@ def _mode_config(mode, draw, seed, out):
         base["depth_grid"] = (4, 7)
         if mode == "alpha-scan":
             base["noise"] = NoiseConfig(shots=5000, depol_rate=1e-3, seed=seed)
-        elif mode == "crlb-scan":  # the shot-noise bound covers neither drift nor readout confusion
-            base["noise"] = dataclasses.replace(base["noise"], drift=None, confusion=None)
+        elif mode == "crlb-scan":  # the shot-noise bound covers neither drift, depolarizing nor readout confusion
+            base["noise"] = dataclasses.replace(base["noise"], depol_rate=0.0, drift=None, confusion=None)
     return ExperimentConfig(**base)
 
 

@@ -40,6 +40,7 @@ def real_profile(spectrum, params):
     return rotated
 
 
+@pytest.mark.simd_bytes
 class TestExactProbabilities:
     @pytest.mark.parametrize("theta", [1e-3, 0.4, 2.9])
     def test_bytes_match_the_power_sign_form(self, theta):
